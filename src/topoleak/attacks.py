@@ -18,6 +18,7 @@ touches the simulation's ground-truth adjacency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,11 +164,6 @@ def sample_knowledge(
 
 # --- shared feature plumbing ------------------------------------------------
 
-def build_node_features(x: FeatureMatrix) -> np.ndarray:
-    """Node i's feature vector is row i of the oriented feature matrix."""
-    return x.values.copy()
-
-
 def build_pair_features(x_i: np.ndarray, x_j: np.ndarray, use_interactions: bool = True) -> np.ndarray:
     """[x_i || x_j], plus x_i * x_j and |x_i - x_j| when interactions are on."""
     x_i = np.asarray(x_i, dtype=np.float64)
@@ -208,6 +204,8 @@ class SoftAdjacency:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ShapeError(f"soft adjacency must be square, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ShapeError("soft adjacency entries must be finite")
         if not np.allclose(v, v.T, atol=1e-12):
             raise ShapeError("soft adjacency must be symmetric")
         if v.min() < 0.0 or v.max() > 1.0:
@@ -332,15 +330,15 @@ class GatModel:
     dec_arch: MlpArchitecture
 
 
-def _gat_dims(d_in: int, cfg: InferGatConfig):
+def _gat_dims(cfg: InferGatConfig):
+    """Head width and the pair decoder's architecture (tanh hidden layers)."""
     d_head = cfg.embed_dim // cfg.heads
-    per_head = d_in * d_head + 2 * d_head
     dec_arch = MlpArchitecture((2 * cfg.embed_dim, *cfg.decoder_hidden, 1), activation="tanh")
-    return d_head, per_head, dec_arch
+    return d_head, dec_arch
 
 
 def _gat_init(d_in: int, cfg: InferGatConfig) -> np.ndarray:
-    d_head, per_head, dec_arch = _gat_dims(d_in, cfg)
+    d_head, dec_arch = _gat_dims(cfg)
     rng = np.random.default_rng(cfg.seed)
     parts = []
     for _ in range(cfg.heads):
@@ -352,82 +350,118 @@ def _gat_init(d_in: int, cfg: InferGatConfig) -> np.ndarray:
 
 
 def _attention_mask(x: np.ndarray, knn_k: int | None) -> np.ndarray:
-    """Complete-graph attention by default; optionally row-wise k-NN by
-    feature value (self always attended)."""
+    """Complete-graph attention by default; otherwise row-wise k-NN.
+
+    Row i attends to the min(knn_k, n - 1) entries with the smallest key
+    -x[i, j], ties going to the lower index. Self's key is -inf, so self
+    sorts first: knn_k = 5 attends to self plus the 4 largest-feature
+    others, and knn_k = 1 to self alone.
+    """
     n = x.shape[0]
     if knn_k is None:
         return np.ones((n, n), dtype=bool)
     k = min(knn_k, n - 1)
+    keys = -x + np.where(np.eye(n, dtype=bool), -np.inf, 0.0)
+    nearest = np.argsort(keys, axis=1, kind="stable")[:, :k]
     mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        others = np.argsort(-x[i] + np.where(np.arange(n) == i, -np.inf, 0.0), kind="stable")[:k]
-        mask[i, others] = True
-        mask[i, i] = True
+    mask[np.arange(n)[:, None], nearest] = True
+    np.fill_diagonal(mask, True)
     return mask
 
 
-def _gat_loss_and_grad(flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig):
-    """Total-loss gradient for all encoder and decoder parameters at once."""
-    n = x.shape[0]
-    d_head, per_head, dec_arch = _gat_dims(d_in, cfg)
-    mask = _attention_mask(x, cfg.knn_k)
+def _gat_unpack(flat: np.ndarray, d_in: int, cfg: InferGatConfig):
+    """Views into the packed vector: (W, a) per head, then (W, b) per decoder layer."""
+    d_head, dec_arch = _gat_dims(cfg)
+    shapes = [(d_in, d_head), (2 * d_head,)] * cfg.heads
+    sizes = dec_arch.layer_sizes
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    blocks, off = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(flat[off : off + size].reshape(shape))
+        off += size
+    pairs = list(zip(blocks[::2], blocks[1::2]))
+    return pairs[: cfg.heads], pairs[cfg.heads :]
 
-    # unpack
-    heads = []
-    off = 0
-    for _ in range(cfg.heads):
-        w = flat[off : off + d_in * d_head].reshape(d_in, d_head)
-        off += d_in * d_head
-        a = flat[off : off + 2 * d_head]
-        off += 2 * d_head
-        heads.append((w, a))
-    dec = ModelParams(dec_arch, flat[off:])
 
-    # encoder forward
-    caches = []
-    z_parts = []
+def _gat_forward(flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig, mask):
+    """Encoder plus pair decoder over every ordered pair at once.
+
+    Returns the symmetrized soft adjacency (zero diagonal) and the cache the
+    backward pass reads. The decoder's first weight splits as [W_a; W_b], so
+    pair (i, j)'s first pre-activation is z_i W_a + z_j W_b + b: two products
+    per node, broadcast onto the (n, n) node grid (Kipf & Welling,
+    arXiv:1611.07308). Later layers run on that grid, n^2 rows including the
+    diagonal, which the loss masks out.
+    """
+    heads, dec = _gat_unpack(flat, d_in, cfg)
+    d_head = cfg.embed_dim // cfg.heads
+    enc = []
     for w, a in heads:
         u = x @ w
-        s_l = u @ a[:d_head]
-        s_r = u @ a[d_head:]
-        e_raw = s_l[:, None] + s_r[None, :]
+        e_raw = (u @ a[:d_head])[:, None] + (u @ a[d_head:])[None, :]
         e = np.where(e_raw > 0, e_raw, LEAKY_SLOPE * e_raw)
         e = np.where(mask, e, -np.inf)
-        e_shift = e - e.max(axis=1, keepdims=True)
-        exp = np.exp(e_shift)
+        exp = np.exp(e - e.max(axis=1, keepdims=True))
         alpha = exp / exp.sum(axis=1, keepdims=True)
-        h = alpha @ u
-        z_h = np.tanh(h)
-        z_parts.append(z_h)
-        caches.append((w, a, u, e_raw, alpha, z_h))
-    z = np.concatenate(z_parts, axis=1)
+        enc.append((u, e_raw, alpha, np.tanh(alpha @ u)))
+    z = np.concatenate([z_h for *_, z_h in enc], axis=1)
 
-    # decoder forward on all ordered pairs
-    ii, jj = np.where(~np.eye(n, dtype=bool))
-    pair_in = np.concatenate([z[ii], z[jj]], axis=1)
-    logits, dec_cache = forward_cached(dec, pair_in)
-    sig = _sigmoid(logits[:, 0])
-    a_raw = np.zeros((n, n))
-    a_raw[ii, jj] = sig
-    a_sym = 0.5 * (a_raw + a_raw.T)
+    n, e_dim = z.shape
+    w1, b1 = dec[0]
+    grid = (z @ w1[:e_dim])[:, None, :] + (z @ w1[e_dim:])[None, :, :]
+    h = grid.reshape(n * n, -1) + b1
+    acts = []
+    for w, b in dec[1:]:
+        h = np.tanh(h)
+        acts.append(h)
+        h = h @ w + b
+    sig = _sigmoid(h.reshape(n, n))
+    soft = 0.5 * (sig + sig.T)
+    np.fill_diagonal(soft, 0.0)
+    return soft, (heads, dec, enc, z, acts, sig)
 
-    off_mask = ~np.eye(n, dtype=bool)
-    resid = np.where(off_mask, a_sym - x, 0.0)
+
+def _gat_loss_and_grad(
+    flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig, mask=None
+):
+    """Total-loss gradient for all encoder and decoder parameters at once.
+
+    ``mask`` is the attention mask of x; it is built here when not given.
+    """
+    if mask is None:
+        mask = _attention_mask(x, cfg.knn_k)
+    n = x.shape[0]
+    soft, (heads, dec, enc, z, acts, sig) = _gat_forward(flat, x, d_in, cfg, mask)
+    resid = np.where(~np.eye(n, dtype=bool), soft - x, 0.0)
     count = n * (n - 1)
     loss = float((resid**2).sum() / count)
 
-    # backward: MSE -> symmetrization -> sigmoid -> decoder -> embeddings
+    # backward: MSE -> symmetrization -> sigmoid -> decoder -> embeddings;
+    # the masked residual leaves the diagonal of delta at 0
     d_sym = 2.0 * resid / count
     d_raw = 0.5 * (d_sym + d_sym.T)
-    dlogit = d_raw[ii, jj] * sig * (1.0 - sig)
-    dec_grad, d_pair = backward_from_logits(dec, dec_cache, dlogit[:, None])
-    dz = np.zeros_like(z)
-    np.add.at(dz, ii, d_pair[:, : cfg.embed_dim])
-    np.add.at(dz, jj, d_pair[:, cfg.embed_dim :])
+    delta = (d_raw * sig * (1.0 - sig)).reshape(n * n, 1)
+    dec_grads = []
+    for (w, _), h in zip(dec[:0:-1], acts[::-1]):
+        dec_grads.append(np.concatenate([(h.T @ delta).ravel(), delta.sum(axis=0)]))
+        delta = (delta @ w.T) * (1.0 - h * h)
+    # first layer: z_i reaches row i of the grid through W_a, z_j column j through W_b
+    grid = delta.reshape(n, n, -1)
+    d_rows, d_cols = grid.sum(axis=1), grid.sum(axis=0)
+    e_dim = z.shape[1]
+    w1 = dec[0][0]
+    dec_grads.append(
+        np.concatenate([(z.T @ d_rows).ravel(), (z.T @ d_cols).ravel(), d_rows.sum(axis=0)])
+    )
+    dec_grads.reverse()
+    dz = d_rows @ w1[:e_dim].T + d_cols @ w1[e_dim:].T
 
     # encoder backward per head
+    d_head = cfg.embed_dim // cfg.heads
     grad_parts = []
-    for hd, (w, a, u, e_raw, alpha, z_h) in enumerate(caches):
+    for hd, ((w, a), (u, e_raw, alpha, z_h)) in enumerate(zip(heads, enc)):
         dz_h = dz[:, hd * d_head : (hd + 1) * d_head]
         dh = dz_h * (1.0 - z_h * z_h)
         dalpha = dh @ u.T
@@ -442,56 +476,32 @@ def _gat_loss_and_grad(flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGat
         dw = x.T @ du
         grad_parts.append(dw.ravel())
         grad_parts.append(da)
-    grad_parts.append(dec_grad)
-    return loss, np.concatenate(grad_parts)
+    return loss, np.concatenate(grad_parts + dec_grads)
 
 
 def infergat_train(x: FeatureMatrix, cfg: InferGatConfig):
     """Fit encoder and decoder to reproduce the feature matrix off-diagonal.
 
     Returns (model, per-epoch loss history)."""
-    vals = build_node_features(x)
+    vals = x.values
     d_in = vals.shape[1]
     flat = _gat_init(d_in, cfg)
-    _, _, dec_arch = _gat_dims(d_in, cfg)
+    _, dec_arch = _gat_dims(cfg)
+    mask = _attention_mask(vals, cfg.knn_k)
     opt = _Adam(flat.shape[0], cfg.learning_rate) if cfg.optimizer == "adam" else None
     losses = []
     for _ in range(cfg.epochs):
-        loss, grad = _gat_loss_and_grad(flat, vals, d_in, cfg)
+        loss, grad = _gat_loss_and_grad(flat, vals, d_in, cfg, mask)
         losses.append(loss)
         flat = opt.step(flat, grad) if opt else flat - cfg.learning_rate * grad
     return GatModel(flat, d_in, cfg, dec_arch), losses
 
 
 def infergat_infer(model: GatModel, x: FeatureMatrix) -> SoftAdjacency:
-    vals = build_node_features(x)
-    n = vals.shape[0]
-    d_head, per_head, dec_arch = _gat_dims(model.d_in, model.cfg)
+    vals = x.values
     mask = _attention_mask(vals, model.cfg.knn_k)
-    flat = model.flat
-    off = 0
-    z_parts = []
-    for _ in range(model.cfg.heads):
-        w = flat[off : off + model.d_in * d_head].reshape(model.d_in, d_head)
-        off += model.d_in * d_head
-        a = flat[off : off + 2 * d_head]
-        off += 2 * d_head
-        u = vals @ w
-        e_raw = (u @ a[:d_head])[:, None] + (u @ a[d_head:])[None, :]
-        e = np.where(e_raw > 0, e_raw, LEAKY_SLOPE * e_raw)
-        e = np.where(mask, e, -np.inf)
-        exp = np.exp(e - e.max(axis=1, keepdims=True))
-        alpha = exp / exp.sum(axis=1, keepdims=True)
-        z_parts.append(np.tanh(alpha @ u))
-    z = np.concatenate(z_parts, axis=1)
-    dec = ModelParams(dec_arch, flat[off:])
-    ii, jj = np.where(~np.eye(n, dtype=bool))
-    logits, _ = forward_cached(dec, np.concatenate([z[ii], z[jj]], axis=1))
-    a_mat = np.zeros((n, n))
-    a_mat[ii, jj] = _sigmoid(logits[:, 0])
-    a_mat = 0.5 * (a_mat + a_mat.T)
-    np.fill_diagonal(a_mat, 0.0)
-    return SoftAdjacency(a_mat)
+    soft, _ = _gat_forward(model.flat, vals, model.d_in, model.cfg, mask)
+    return SoftAdjacency(soft)
 
 
 # --- baselines --------------------------------------------------------------
@@ -530,7 +540,7 @@ def baseline_kmeans(x: FeatureMatrix, seed: int = 0, restarts: int = 50) -> np.n
     """Scalar 2-means over off-diagonal entries; high cluster = edges."""
     from .errors import ConstantMetric
 
-    vals = build_node_features(x)
+    vals = x.values
     n = vals.shape[0]
     off = ~np.eye(n, dtype=bool)
     pts = vals[off]
@@ -562,8 +572,7 @@ def baseline_threshold(x: FeatureMatrix, tau: float) -> np.ndarray:
     """Edge wherever the feature strictly exceeds tau."""
     if not (0.0 <= tau <= 1.0):
         raise InvalidConfig(f"tau must be in [0, 1], got {tau}")
-    vals = build_node_features(x)
-    binary = (vals > tau).astype(np.int64)
+    binary = (x.values > tau).astype(np.int64)
     np.fill_diagonal(binary, 0)
     return binary
 
@@ -577,6 +586,7 @@ class AttackResult:
     feature: FeatureMatrix
     soft: SoftAdjacency
     binary: np.ndarray
+    train_losses: tuple[float, ...] = ()
 
 
 def run_scenario(
@@ -600,9 +610,10 @@ def run_scenario(
         cfg = edgepre_cfg if edgepre_cfg is not None else EdgePreConfig()
         decoder = edgepre_train(x, knowledge.known_pairs, cfg)
         soft = edgepre_infer(decoder, x)
+        losses = ()
     else:
         cfg = infergat_cfg if infergat_cfg is not None else InferGatConfig()
-        model, _ = infergat_train(x, cfg)
+        model, losses = infergat_train(x, cfg)
         soft = infergat_infer(model, x)
     return AttackResult(
         scenario=knowledge.scenario,
@@ -610,4 +621,5 @@ def run_scenario(
         feature=x,
         soft=soft,
         binary=binarize(soft),
+        train_losses=tuple(losses),
     )

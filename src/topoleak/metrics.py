@@ -72,6 +72,8 @@ class FeatureMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
+        if not np.isfinite(v).all():
+            raise ShapeError("feature matrix entries must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

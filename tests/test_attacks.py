@@ -14,7 +14,6 @@ from topoleak.attacks import (
     baseline_logistic,
     baseline_threshold,
     binarize,
-    build_node_features,
     build_pair_features,
     edgepre_bce,
     edgepre_infer,
@@ -23,9 +22,13 @@ from topoleak.attacks import (
     infergat_train,
     run_scenario,
     sample_knowledge,
+    _attention_mask,
+    _gat_dims,
+    _gat_forward,
     _gat_loss_and_grad,
     _gat_init,
     _pair_feature_rows,
+    _sigmoid,
 )
 from topoleak.data import gen_blobs, partition_iid
 from topoleak.engine import FederationConfig, run_simulation
@@ -33,10 +36,11 @@ from topoleak.errors import (
     ConstantMetric,
     DegenerateLabels,
     KnowledgeViolation,
+    ShapeError,
     Unsupported,
 )
 from topoleak.metrics import FeatureMatrix, MetricKind
-from topoleak.nn import MlpArchitecture, ModelParams
+from topoleak.nn import MlpArchitecture, ModelParams, forward_cached
 from topoleak.topology import Topology, adjacency_matrix, gen_ring, gen_star
 
 
@@ -59,6 +63,45 @@ def two_clique_adjacency(n=6) -> np.ndarray:
 
 def all_pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def random_feature_values(n, seed, decimals=None):
+    rng = np.random.default_rng(seed)
+    vals = rng.random((n, n))
+    vals = 0.5 * (vals + vals.T)
+    if decimals is not None:
+        vals = vals.round(decimals)  # ties exercise the stable order
+    np.fill_diagonal(vals, 1.0)
+    return vals
+
+
+def reference_attention_mask(x, knn_k):
+    """Row-at-a-time k-NN mask: the loop the vectorized mask must reproduce."""
+    n = x.shape[0]
+    if knn_k is None:
+        return np.ones((n, n), dtype=bool)
+    k = min(knn_k, n - 1)
+    mask = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        others = np.argsort(-x[i] + np.where(np.arange(n) == i, -np.inf, 0.0), kind="stable")[:k]
+        mask[i, others] = True
+        mask[i, i] = True
+    return mask
+
+
+def reference_pair_scores(flat, x, d_in, cfg):
+    """Soft adjacency from the decoder run row by row on [z_i || z_j]."""
+    n = x.shape[0]
+    _, (_, _, _, z, _, _) = _gat_forward(flat, x, d_in, cfg, _attention_mask(x, cfg.knn_k))
+    _, dec_arch = _gat_dims(cfg)
+    n_enc = flat.size - dec_arch.n_params
+    ii, jj = np.where(~np.eye(n, dtype=bool))
+    logits, _ = forward_cached(
+        ModelParams(dec_arch, flat[n_enc:]), np.concatenate([z[ii], z[jj]], axis=1)
+    )
+    a = np.zeros((n, n))
+    a[ii, jj] = _sigmoid(logits[:, 0])
+    return 0.5 * (a + a.T)
 
 
 def labeled_from(adj, pairs):
@@ -136,13 +179,6 @@ class TestScenarioKnowledge:
 
 
 class TestPairFeatures:
-    def test_node_features_are_rows(self):
-        adj = two_clique_adjacency(6)
-        x = planted_feature(adj)
-        feats = build_node_features(x)
-        assert feats.shape == (6, 6)
-        np.testing.assert_array_equal(feats[2], x.values[2])
-
     def test_lengths(self):
         a, b = np.ones(10), np.zeros(10)
         assert build_pair_features(a, b, True).shape == (40,)
@@ -251,6 +287,75 @@ class TestInferGat:
             fd[n] = (lu - ld) / (2 * step)
         rel = np.linalg.norm(grad[coords] - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-3
+
+    @pytest.mark.parametrize(
+        "heads,decoder_hidden,knn_k",
+        [(2, (16,), None), (1, (8, 4), None), (1, (16,), 2), (2, (8, 4), 2)],
+    )
+    def test_gradient_matches_finite_differences_on_every_path(
+        self, heads, decoder_hidden, knn_k
+    ):
+        # multi-head slices of dz, the decoder layers after the first, and a
+        # sparse attention mask
+        n = 6
+        cfg = InferGatConfig(
+            embed_dim=4 * heads, heads=heads, decoder_hidden=decoder_hidden, knn_k=knn_k, seed=3
+        )
+        vals = random_feature_values(n, seed=11)
+        flat = _gat_init(n, cfg)
+        _, grad = _gat_loss_and_grad(flat, vals, n, cfg)
+        coords = np.random.default_rng(5).choice(flat.size, size=40, replace=False)
+        step = 1e-5
+        fd = np.zeros(len(coords))
+        for k, c in enumerate(coords):
+            up, down = flat.copy(), flat.copy()
+            up[c] += step
+            down[c] -= step
+            lu, _ = _gat_loss_and_grad(up, vals, n, cfg)
+            ld, _ = _gat_loss_and_grad(down, vals, n, cfg)
+            fd[k] = (lu - ld) / (2 * step)
+        rel = np.linalg.norm(grad[coords] - fd) / max(np.linalg.norm(fd), 1e-12)
+        assert rel < 1e-3
+
+    @pytest.mark.parametrize("knn_k", [None, 2])
+    def test_explicit_mask_gives_same_loss_and_gradient(self, knn_k):
+        cfg = InferGatConfig(embed_dim=4, heads=2, knn_k=knn_k, seed=1)
+        vals = random_feature_values(7, seed=2)
+        flat = _gat_init(7, cfg)
+        l_built, g_built = _gat_loss_and_grad(flat, vals, 7, cfg)
+        l_given, g_given = _gat_loss_and_grad(flat, vals, 7, cfg, _attention_mask(vals, knn_k))
+        assert l_built == l_given
+        np.testing.assert_array_equal(g_built, g_given)
+
+    @pytest.mark.parametrize("n", [5, 30])
+    @pytest.mark.parametrize("k", [1, 2, 5, "n"])
+    def test_attention_mask_matches_row_loop(self, n, k):
+        knn_k = n if k == "n" else k
+        for decimals in (None, 1):
+            vals = random_feature_values(n, seed=n, decimals=decimals)
+            mask = _attention_mask(vals, knn_k)
+            np.testing.assert_array_equal(mask, reference_attention_mask(vals, knn_k))
+            # self plus min(k, n - 1) - 1 others per row
+            np.testing.assert_array_equal(mask.sum(axis=1), min(knn_k, n - 1))
+
+    @pytest.mark.parametrize("heads,decoder_hidden,knn_k", [(2, (16,), None), (1, (8, 4), 2)])
+    def test_inference_is_the_training_forward(self, heads, decoder_hidden, knn_k):
+        x = planted_feature(adjacency_matrix(gen_ring(7)))
+        cfg = InferGatConfig(
+            embed_dim=4 * heads, heads=heads, decoder_hidden=decoder_hidden, knn_k=knn_k,
+            epochs=20, seed=4,
+        )
+        model, _ = infergat_train(x, cfg)
+        soft = infergat_infer(model, x).values
+        np.testing.assert_array_equal(np.diag(soft), 0.0)
+        np.testing.assert_array_equal(soft, soft.T)
+        # the factorized grid equals the decoder run on every [z_i || z_j]
+        expected = reference_pair_scores(model.flat, x.values, model.d_in, cfg)
+        off = ~np.eye(7, dtype=bool)
+        np.testing.assert_allclose(soft[off], expected[off], rtol=1e-12, atol=0)
+        # and the training loss is the MSE of exactly this grid
+        loss, _ = _gat_loss_and_grad(model.flat, x.values, model.d_in, cfg)
+        assert loss == pytest.approx(((soft - x.values)[off] ** 2).mean(), rel=1e-12)
 
     def test_two_clique_separation_after_training(self):
         adj = two_clique_adjacency(6)
@@ -415,6 +520,16 @@ class TestRunScenario:
         res1 = run_scenario(k1, blinded, edgepre_cfg=EdgePreConfig(epochs=20, seed=0))
         assert isinstance(res1.soft, SoftAdjacency)
 
+    def test_infergat_loss_history_kept(self):
+        log = tiny_log()
+        cfg = InferGatConfig(epochs=5, seed=0)
+        res3 = run_scenario(sample_knowledge(3, log.config.topology), log, infergat_cfg=cfg)
+        assert res3.train_losses == tuple(infergat_train(res3.feature, cfg)[1])
+        assert len(res3.train_losses) == 5
+        k1 = sample_knowledge(1, log.config.topology, seed=2)
+        res1 = run_scenario(k1, log, edgepre_cfg=EdgePreConfig(epochs=20, seed=0))
+        assert res1.train_losses == ()
+
     def test_binarization_at_half(self):
         vals = np.array([[0.0, 0.6, 0.4], [0.6, 0.0, 0.5], [0.4, 0.5, 0.0]])
         soft = SoftAdjacency(vals)
@@ -422,3 +537,10 @@ class TestRunScenario:
         np.testing.assert_array_equal(
             binary, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_soft_adjacency_rejected(self, bad):
+        vals = np.full((3, 3), 0.5)
+        vals[0, 1] = vals[1, 0] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            SoftAdjacency(vals)

@@ -5,7 +5,7 @@ import pytest
 
 from topoleak.data import Dataset, gen_blobs, partition_iid
 from topoleak.engine import FederationConfig, run_simulation
-from topoleak.errors import ConstantMetric, DegenerateModel, KnowledgeViolation
+from topoleak.errors import ConstantMetric, DegenerateModel, KnowledgeViolation, ShapeError
 from topoleak.metrics import (
     FeatureMatrix,
     MetricKind,
@@ -244,6 +244,22 @@ class TestOrientAndNormalize:
         m = MetricMatrix(MetricKind.COSINE_SIMILARITY, np.ones((3, 3)), round=1)
         with pytest.raises(ConstantMetric):
             orient_and_normalize(m)
+
+    def test_feature_values_are_a_read_only_copy(self):
+        # attacks read x.values directly, so no caller can alter a feature
+        vals = np.full((3, 3), 0.5)
+        f = FeatureMatrix(vals, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        vals[0, 1] = 0.9
+        assert f.values[0, 1] == 0.5
+        with pytest.raises(ValueError):
+            f.values[0, 1] = 0.9
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_feature_matrix_rejected(self, bad):
+        vals = np.full((3, 3), 0.5)
+        vals[2, 0] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            FeatureMatrix(vals, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
 
 
 class TestMetricFromLog:
