@@ -2,8 +2,9 @@
 
 Scores are computed over an explicit list of node pairs so that the
 supervised attacks can be measured on pairs they never saw labels for.
-Sweeps run the full pipeline (topology -> data -> simulation -> metric ->
-attack -> score) per cell and emit plot-ready CSV rows.
+Sweeps run the pipeline in two stages, simulate (topology -> data ->
+simulation) and attack (metric -> attack -> score), and emit plot-ready CSV
+rows. Cells that share a simulation run it once.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .attacks import (
     sample_knowledge,
 )
 from .data import Dataset, gen_blobs, partition_dirichlet, partition_iid
-from .engine import DpConfig, FederationConfig, run_simulation
+from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
 from .errors import DegenerateLabels, InvalidEvalSet, TopoleakError
 from .nn import TrainConfig
 from .seeds import derive_seed
-from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, stats
+from .topology import Topology, TopologyStats, gen_erdos_renyi, gen_ring, gen_star, stats
 
 ALL_PAIRS = "all_pairs"
 HELD_OUT = "held_out"
@@ -301,74 +302,141 @@ def _build_topology(cell: SweepCell) -> Topology:
     raise TopoleakError(f"unknown topology kind {cell.topology_kind!r}")
 
 
+def _sim_key(cell: SweepCell) -> tuple:
+    """Every cell field the simulate stage reads; equal keys, equal logs."""
+    return (
+        cell.topology_kind,
+        cell.n_nodes,
+        cell.er_p,
+        cell.alpha,
+        cell.local_epochs,
+        cell.dp,
+        cell.seed,
+        cell.rounds,
+    )
+
+
+def _simulate(cell: SweepCell, defaults: ExperimentDefaults) -> tuple[TopologyStats, SimulationLog]:
+    """Simulate stage: topology, stats, data, partition and the federation run."""
+    topo = _build_topology(cell)
+    st = stats(topo)
+    dataset = gen_blobs(
+        defaults.k_classes,
+        defaults.n_features,
+        defaults.n_per_class,
+        defaults.spread,
+        seed=derive_seed(cell.seed, "data"),
+    )
+    part_seed = derive_seed(cell.seed, "partition", cell.topology_kind, cell.n_nodes)
+    if cell.alpha is None:
+        plan = partition_iid(dataset, cell.n_nodes, part_seed)
+    else:
+        plan = partition_dirichlet(dataset, cell.n_nodes, cell.alpha, part_seed)
+    dp = None
+    if cell.dp is not None:
+        dp = DpConfig(cell.dp[0], cell.dp[1], seed=derive_seed(cell.seed, "dp"))
+    cfg = FederationConfig(
+        topology=topo,
+        train=TrainConfig(
+            local_epochs=cell.local_epochs,
+            learning_rate=defaults.learning_rate,
+            batch_size=defaults.batch_size,
+            optimizer=defaults.optimizer,
+        ),
+        rounds=cell.rounds,
+        dp=dp,
+        hidden_sizes=defaults.hidden_sizes,
+        activation=defaults.activation,
+    )
+    log = run_simulation(
+        cfg, dataset, plan, seed=derive_seed(cell.seed, "simulate", cell.topology_kind, cell.n_nodes)
+    )
+    return st, log
+
+
+def _attack(cell: SweepCell, defaults: ExperimentDefaults, log: SimulationLog) -> EvalResult:
+    """Attack stage: the cell's scenario against a simulated log, scored."""
+    knowledge = sample_knowledge(
+        cell.scenario,
+        log.config.topology,
+        rho=defaults.rho,
+        seed=derive_seed(cell.seed, "knowledge", cell.scenario),
+    )
+    attack_seed = derive_seed(cell.seed, "attack", cell.scenario)
+    res = run_scenario(
+        knowledge,
+        log,
+        edgepre_cfg=dataclasses.replace(defaults.edgepre, seed=attack_seed),
+        infergat_cfg=dataclasses.replace(defaults.infergat, seed=attack_seed),
+        metric_phase=defaults.metric_phase,
+        metric_last_k=defaults.metric_last_k,
+    )
+    if cell.scenario in (1, 2):
+        pairs, policy = held_out_pairs(cell.n_nodes, knowledge.known_pairs), HELD_OUT
+    else:
+        pairs, policy = all_pairs(cell.n_nodes), ALL_PAIRS
+    return evaluate_soft(res.soft, log.adjacency, pairs, policy)
+
+
+def _error_row(cell: SweepCell, exc: TopoleakError) -> SweepRow:
+    return SweepRow(
+        cell=cell, n_edges=0, density=0.0, result=None, status=f"error:{type(exc).__name__}"
+    )
+
+
+def _run_group(cells: list[SweepCell], defaults: ExperimentDefaults) -> list[SweepRow]:
+    """Rows for cells sharing one simulation key, in the order given.
+
+    The group simulates once and attacks once per distinct scenario; every
+    cell with that scenario gets the row. Failures become status rows.
+    """
+    try:
+        st, log = _simulate(cells[0], defaults)
+    except TopoleakError as exc:
+        failed = _error_row(cells[0], exc)
+        return [dataclasses.replace(failed, cell=c) for c in cells]
+    by_scenario: dict[int, SweepRow] = {}
+    for c in cells:
+        if c.scenario in by_scenario:
+            continue
+        try:
+            ev = _attack(c, defaults, log)
+        except TopoleakError as exc:
+            by_scenario[c.scenario] = _error_row(c, exc)
+        else:
+            by_scenario[c.scenario] = SweepRow(
+                cell=c, n_edges=st.n_edges, density=st.density, result=ev, status="ok"
+            )
+    return [dataclasses.replace(by_scenario[c.scenario], cell=c) for c in cells]
+
+
 def run_cell(cell: SweepCell, defaults: ExperimentDefaults) -> SweepRow:
     """Full pipeline for one cell; failures become status rows, not raises."""
-    try:
-        topo = _build_topology(cell)
-        st = stats(topo)
-        dataset = gen_blobs(
-            defaults.k_classes,
-            defaults.n_features,
-            defaults.n_per_class,
-            defaults.spread,
-            seed=derive_seed(cell.seed, "data"),
-        )
-        part_seed = derive_seed(cell.seed, "partition", cell.topology_kind, cell.n_nodes)
-        if cell.alpha is None:
-            plan = partition_iid(dataset, cell.n_nodes, part_seed)
-        else:
-            plan = partition_dirichlet(dataset, cell.n_nodes, cell.alpha, part_seed)
-        dp = None
-        if cell.dp is not None:
-            dp = DpConfig(cell.dp[0], cell.dp[1], seed=derive_seed(cell.seed, "dp"))
-        cfg = FederationConfig(
-            topology=topo,
-            train=TrainConfig(
-                local_epochs=cell.local_epochs,
-                learning_rate=defaults.learning_rate,
-                batch_size=defaults.batch_size,
-                optimizer=defaults.optimizer,
-            ),
-            rounds=cell.rounds,
-            dp=dp,
-            hidden_sizes=defaults.hidden_sizes,
-            activation=defaults.activation,
-        )
-        log = run_simulation(
-            cfg, dataset, plan, seed=derive_seed(cell.seed, "simulate", cell.topology_kind, cell.n_nodes)
-        )
-        knowledge = sample_knowledge(
-            cell.scenario,
-            topo,
-            rho=defaults.rho,
-            seed=derive_seed(cell.seed, "knowledge", cell.scenario),
-        )
-        attack_seed = derive_seed(cell.seed, "attack", cell.scenario)
-        res = run_scenario(
-            knowledge,
-            log,
-            edgepre_cfg=dataclasses.replace(defaults.edgepre, seed=attack_seed),
-            infergat_cfg=dataclasses.replace(defaults.infergat, seed=attack_seed),
-            metric_phase=defaults.metric_phase,
-            metric_last_k=defaults.metric_last_k,
-        )
-        if cell.scenario in (1, 2):
-            pairs, policy = held_out_pairs(cell.n_nodes, knowledge.known_pairs), HELD_OUT
-        else:
-            pairs, policy = all_pairs(cell.n_nodes), ALL_PAIRS
-        ev = evaluate_soft(res.soft, log.adjacency, pairs, policy)
-        return SweepRow(cell=cell, n_edges=st.n_edges, density=st.density, result=ev, status="ok")
-    except TopoleakError as exc:
-        return SweepRow(
-            cell=cell, n_edges=0, density=0.0, result=None, status=f"error:{type(exc).__name__}"
-        )
+    return _run_group([cell], defaults)[0]
 
 
-def _read_done_ids(path: Path) -> set[str]:
+def _trim_to_complete_rows(path: Path) -> set[str]:
+    """Ids of the complete rows of a sweep CSV, cutting off a half-written tail.
+
+    A row is complete when it ends in a newline and has one field per column.
+    The file is truncated after the last complete row, so the next append
+    starts on a line of its own.
+    """
     if not path.exists():
         return set()
-    with path.open(newline="") as fh:
-        return {row["experiment_id"] for row in csv.DictReader(fh)}
+    blob = path.read_bytes()
+    done, keep = set(), 0
+    for k, line in enumerate(blob.splitlines(keepends=True)):
+        fields = next(csv.reader([line.decode("utf-8", "replace")]), [])
+        if not line.endswith(b"\n") or len(fields) != len(CSV_COLUMNS):
+            break
+        if k:  # line 0 is the header
+            done.add(fields[0])
+        keep += len(line)
+    if keep < len(blob):
+        with path.open("r+b") as fh:
+            fh.truncate(keep)
+    return done
 
 
 def run_sweep(
@@ -379,26 +447,38 @@ def run_sweep(
     resume: bool = False,
 ) -> SweepResult:
     """Execute cells on a bounded pool; CSV rows appear in cell-index order
-    regardless of completion order, so reruns are byte-identical."""
+    regardless of completion order, so reruns are byte-identical.
+
+    Cells that share a simulation key form one pool task (``_run_group``),
+    so each distinct simulation and each distinct (simulation, scenario)
+    attack runs once, and at most ``workers`` logs are alive at a time.
+    """
     done: set[str] = set()
     fh = writer = None
     if out_csv is not None:
         path = Path(out_csv)
         if resume:
-            done = _read_done_ids(path)
-        mode = "a" if (resume and path.exists()) else "w"
+            done = _trim_to_complete_rows(path)
+        mode = "a" if (resume and path.exists() and path.stat().st_size) else "w"
         fh = path.open(mode, newline="")
         writer = csv.writer(fh)
         if mode == "w":
             writer.writerow(CSV_COLUMNS)
 
     todo = [c for c in cells if c.experiment_id not in done]
+    groups: dict[tuple, list[SweepCell]] = {}
+    for c in todo:
+        groups.setdefault(_sim_key(c), []).append(c)
     rows: list[SweepRow] = []
     try:
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            futures = [pool.submit(run_cell, c, defaults) for c in todo]
-            for fut in futures:
-                row = fut.result()
+            pending = {key: pool.submit(_run_group, g, defaults) for key, g in groups.items()}
+            streams = {}  # group rows come back in the group's cell order
+            for c in todo:
+                key = _sim_key(c)
+                if key not in streams:
+                    streams[key] = iter(pending.pop(key).result())
+                row = next(streams[key])
                 rows.append(row)
                 if writer is not None:
                     writer.writerow(row.csv_record())

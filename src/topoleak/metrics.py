@@ -116,22 +116,10 @@ def relative_loss(models, datasets, round: int = 0) -> MetricMatrix:
 def relative_entropy(models, datasets, round: int = 0) -> MetricMatrix:
     """values[i][j] = -(1/|D_j|) sum_x sum_k y_k(x) log f_ik(x), one-hot y.
 
-    Written as the full sum over classes against the one-hot label matrix;
-    numerically this coincides with relative_loss (the identity is asserted
-    in tests, not assumed here).
+    Against a one-hot label only the true class's term survives, so this is
+    relative_loss under its own kind.
     """
-    _check_models(models)
-    _check_datasets(models, datasets)
-    n = len(models)
-    out = np.zeros((n, n))
-    for j, d in enumerate(datasets):
-        k = d.n_classes
-        onehot = np.zeros((d.n_samples, k))
-        onehot[np.arange(d.n_samples), d.labels] = 1.0
-        for i, model in enumerate(models):
-            logp = log_softmax(forward_batch(model, d.features))
-            out[i, j] = -(onehot * logp[:, :k]).sum() / d.n_samples
-    return MetricMatrix(MetricKind.RELATIVE_ENTROPY, out, round)
+    return MetricMatrix(MetricKind.RELATIVE_ENTROPY, relative_loss(models, datasets, round).values, round)
 
 
 def relative_sensitivity(

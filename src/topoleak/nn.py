@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, ShapeError
+from .errors import InvalidConfig, InvalidTrace, ShapeError
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -282,12 +282,18 @@ def dump_params(p: ModelParams) -> bytes:
 
 
 def load_params(blob: bytes) -> ModelParams:
-    newline = blob.index(b"\n")
-    fields = blob[:newline].decode("ascii").split()
-    if len(fields) != 3 or fields[0] != "mlp":
-        raise InvalidConfig(f"bad snapshot header {blob[:newline]!r}")
-    arch = MlpArchitecture(
-        tuple(int(s) for s in fields[2].split(",")), activation=fields[1]
-    )
-    flat = np.frombuffer(blob[newline + 1 :], dtype="<f8")
-    return ModelParams(arch, flat.astype(np.float64))
+    """Inverse of dump_params; a malformed or truncated snapshot raises InvalidTrace."""
+    head, newline, payload = blob.partition(b"\n")
+    fields = head.decode("ascii", "replace").split()
+    try:
+        if not newline or len(fields) != 3 or fields[0] != "mlp":
+            raise ValueError
+        arch = MlpArchitecture(tuple(int(s) for s in fields[2].split(",")), activation=fields[1])
+    except (ValueError, InvalidConfig):
+        raise InvalidTrace(f"bad snapshot header {head[:80]!r}") from None
+    if len(payload) != 8 * arch.n_params:
+        raise InvalidTrace(
+            f"snapshot payload is {len(payload)} bytes, architecture {arch.layer_sizes} "
+            f"needs {arch.n_params} float64 values ({8 * arch.n_params} bytes)"
+        )
+    return ModelParams(arch, np.frombuffer(payload, dtype="<f8").astype(np.float64))

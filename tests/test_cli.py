@@ -197,6 +197,13 @@ class TestAttack:
     def test_missing_log_is_runtime_error(self, tmp_path):
         assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4"]) == 3
 
+    def test_truncated_snapshot_is_runtime_error(self, sim_log, base_cfg, capsys):
+        snap = next(Path(sim_log).rglob("*.bin"))
+        snap.write_bytes(snap.read_bytes()[:-5])
+        assert main(["attack", "--log", sim_log, "--scenario", "4",
+                     "--config", base_cfg]) == 3
+        assert "snapshot payload" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_scores_soft_against_topology(self, sim_log, base_cfg, tmp_path, capsys):

@@ -5,9 +5,12 @@ and F1 against confusion-matrix enumeration, before any pipeline test
 relies on them.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from topoleak import evaluation
 from topoleak.attacks import SoftAdjacency, sample_knowledge
 from topoleak.errors import DegenerateLabels, InvalidEvalSet
 from topoleak.evaluation import (
@@ -15,6 +18,7 @@ from topoleak.evaluation import (
     CSV_COLUMNS,
     EvalResult,
     ExperimentDefaults,
+    SweepCell,
     all_pairs,
     auc_roc,
     density_sweep,
@@ -22,6 +26,8 @@ from topoleak.evaluation import (
     f1_score,
     held_out_pairs,
     mitigation_experiment,
+    run_cell,
+    run_sweep,
     size_sweep,
 )
 from topoleak.attacks import EdgePreConfig, InferGatConfig
@@ -299,3 +305,124 @@ class TestSweeps:
         assert 0.0 <= m <= 1.0
         with pytest.raises(InvalidEvalSet):
             res.mean("f1_05", n_nodes=99)
+
+
+def count_simulations(monkeypatch) -> list:
+    calls = []
+    real = evaluation.run_simulation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "run_simulation", counting)
+    return calls
+
+
+def ring_cell(index, alpha=None, scenario=4, seed=0):
+    return SweepCell(
+        index=index,
+        experiment_id=f"ring-a{alpha}-sc{scenario}-s{seed}",
+        topology_kind="ring",
+        n_nodes=6,
+        er_p=None,
+        alpha=alpha,
+        local_epochs=1,
+        dp=None,
+        scenario=scenario,
+        seed=seed,
+        rounds=2,
+    )
+
+
+def without_cell(row):
+    return [getattr(row, f.name) for f in dataclasses.fields(row) if f.name != "cell"]
+
+
+class TestSweepGrouping:
+    """Cells that share a simulation key simulate once and attack once per scenario."""
+
+    def mitigation(self):
+        return mitigation_experiment(
+            [1, 2], [0], topology_kinds=("star", "ring"), n_nodes=6,
+            defaults=tiny_defaults(n_per_class=40, local_epochs=3),
+        )
+
+    def test_one_simulation_per_key(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        res = self.mitigation()
+        # 6 variants x 2 kinds x 2 scenarios; epochs3, iid and dp_off are one
+        # configuration, so each kind has 4 distinct simulations
+        assert len(res.rows) == 24
+        assert all(r.status == "ok" for r in res.rows)
+        assert len(calls) == 8
+
+    def test_duplicate_variants_share_rows(self):
+        res = self.mitigation()
+        by_name = {r.cell.experiment_id: r for r in res.rows}
+        for kind in ("star", "ring"):
+            for sc in (1, 2):
+                same = [by_name[f"mitigation-{v}-{kind}-sc{sc}-s0"] for v in ("epochs3", "iid", "dp_off")]
+                assert len({r.cell for r in same}) == 3
+                assert without_cell(same[0]) == without_cell(same[1]) == without_cell(same[2])
+
+    def test_rows_in_cell_order_and_equal_to_run_cell(self, tmp_path):
+        d = tiny_defaults()
+        cells = [ring_cell(0, scenario=2), ring_cell(1, scenario=4, seed=1), ring_cell(2, scenario=4)]
+        res = run_sweep(cells, d, out_csv=tmp_path / "g.csv", workers=2)
+        assert [r.cell for r in res.rows] == cells
+        assert list(res.rows) == [run_cell(c, d) for c in cells]
+
+    def test_simulate_failure_fills_its_group_only(self, monkeypatch, tmp_path):
+        calls = count_simulations(monkeypatch)
+        cells = [ring_cell(0, 0.01, 2), ring_cell(1, 0.01, 4), ring_cell(2, None, 2), ring_cell(3, None, 4)]
+        res = run_sweep(cells, tiny_defaults(), out_csv=tmp_path / "fail.csv")
+        assert [r.status for r in res.rows] == ["error:PartitionFailed"] * 2 + ["ok"] * 2
+        assert without_cell(res.rows[0]) == without_cell(res.rows[1])
+        assert res.rows[0].n_edges == 0 and res.rows[0].result is None
+        assert len(calls) == 1  # the Dirichlet group fails before simulating
+
+    def test_resume_reruns_only_missing_cells_of_a_group(self, monkeypatch, tmp_path):
+        cells = [ring_cell(0, scenario=2), ring_cell(1, scenario=4), ring_cell(2, scenario=3)]
+        full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+        run_sweep(cells, tiny_defaults(), out_csv=full)
+        lines = full.read_bytes().splitlines(keepends=True)
+        part.write_bytes(b"".join(lines[:2]))  # header and cell 0
+        calls = count_simulations(monkeypatch)
+        res = run_sweep(cells, tiny_defaults(), out_csv=part, resume=True)
+        assert [r.cell.index for r in res.rows] == [1, 2]
+        assert len(calls) == 1
+        assert part.read_bytes() == full.read_bytes()
+
+
+class TestResumeAfterCrash:
+    def test_half_written_row_is_rerun(self, tmp_path):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        density_sweep([0.4, 0.7], 6, [4], [0], defaults=tiny_defaults(), out_csv=full)
+        blob = full.read_bytes()
+        last = blob.rstrip(b"\r\n").rfind(b"\n") + 1
+        cut.write_bytes(blob[: last + 30])  # the last row cut to 30 bytes
+        again = density_sweep(
+            [0.4, 0.7], 6, [4], [0], defaults=tiny_defaults(), out_csv=cut, resume=True
+        )
+        assert [r.cell.index for r in again.rows] == [1]
+        assert cut.read_bytes() == blob
+
+    def test_row_without_newline_is_rerun(self, tmp_path):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        density_sweep([0.4, 0.7], 6, [4], [0], defaults=tiny_defaults(), out_csv=full)
+        blob = full.read_bytes()
+        cut.write_bytes(blob[:-1])  # every field present, line ending half written
+        again = density_sweep(
+            [0.4, 0.7], 6, [4], [0], defaults=tiny_defaults(), out_csv=cut, resume=True
+        )
+        assert [r.cell.index for r in again.rows] == [1]
+        assert cut.read_bytes() == blob
+
+    def test_half_written_header_restarts_the_file(self, tmp_path):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        density_sweep([0.4], 6, [4], [0], defaults=tiny_defaults(), out_csv=full)
+        cut.write_bytes(full.read_bytes()[:20])
+        again = density_sweep([0.4], 6, [4], [0], defaults=tiny_defaults(), out_csv=cut, resume=True)
+        assert len(again.rows) == 1
+        assert cut.read_bytes() == full.read_bytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topoleak.data import gen_blobs
-from topoleak.errors import InvalidConfig, ShapeError
+from topoleak.errors import InvalidConfig, InvalidTrace, ShapeError
 from topoleak.nn import (
     MlpArchitecture,
     ModelParams,
@@ -240,8 +240,35 @@ class TestSerialization:
         assert blob.split(b"\n", 1)[0] == b"mlp relu 2,3,2"
 
     def test_rejects_garbage_header(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidTrace):
             load_params(b"nope 1,2\n" + b"\x00" * 8)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"mlp relu", b"mlp relu 2,x,2", b"mlp relu 2,2", b"mlp swish 2,3,2", b"mlp relu 2,0,2", b"\xff\xfe"],
+    )
+    def test_rejects_bad_header_fields(self, header):
+        with pytest.raises(InvalidTrace):
+            load_params(header + b"\n" + b"\x00" * 8 * 17)
+
+    def test_rejects_missing_newline(self):
+        blob = dump_params(init_params(MlpArchitecture((2, 3, 2)), seed=0))
+        with pytest.raises(InvalidTrace):
+            load_params(blob.split(b"\n", 1)[0])
+        with pytest.raises(InvalidTrace):
+            load_params(b"")
+
+    def test_rejects_partial_float(self):
+        blob = dump_params(init_params(MlpArchitecture((2, 3, 2)), seed=0))
+        with pytest.raises(InvalidTrace):
+            load_params(blob[:-3])
+
+    @pytest.mark.parametrize("delta", [-8, 8])
+    def test_rejects_wrong_payload_length(self, delta):
+        blob = dump_params(init_params(MlpArchitecture((2, 3, 2)), seed=0))
+        cut = blob[:delta] if delta < 0 else blob + b"\x00" * delta
+        with pytest.raises(InvalidTrace):
+            load_params(cut)
 
     def test_forward_batch_matches_forward(self):
         p = init_params(MlpArchitecture((3, 5, 4)), seed=2)
