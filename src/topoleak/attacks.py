@@ -164,18 +164,6 @@ def sample_knowledge(
 
 # --- shared feature plumbing ------------------------------------------------
 
-def build_pair_features(x_i: np.ndarray, x_j: np.ndarray, use_interactions: bool = True) -> np.ndarray:
-    """[x_i || x_j], plus x_i * x_j and |x_i - x_j| when interactions are on."""
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    if x_i.shape != x_j.shape or x_i.ndim != 1:
-        raise ShapeError(f"pair features need equal 1-d vectors, got {x_i.shape}, {x_j.shape}")
-    parts = [x_i, x_j]
-    if use_interactions:
-        parts += [x_i * x_j, np.abs(x_i - x_j)]
-    return np.concatenate(parts)
-
-
 def _pair_feature_rows(values: np.ndarray, pairs) -> np.ndarray:
     """Pair (i, j)'s input is its own entries [x_ij, x_ji].
 

@@ -133,7 +133,6 @@ SCHEMA = {
         "p": _to_float,
         "scenarios": _to_int_tuple,
         "seeds": _to_int_tuple,
-        "workers": _to_int,
         "out_csv": _to_str,
     },
 }
@@ -467,7 +466,6 @@ def cmd_sweep(args) -> int:
     out_csv = args.out or cfg.get("sweep", "out_csv")
     if out_csv is None:
         raise InvalidConfig("sweep needs --out or [sweep] out_csv")
-    workers = args.workers or cfg.get("sweep", "workers", 1)
     scenarios = cfg.get("sweep", "scenarios", (1, 2, 3, 4))
     seeds = cfg.get("sweep", "seeds", tuple(range(5)))
     seeds = tuple(derive_seed(seed, "sweep", s) if args.derive_seeds else s for s in seeds)
@@ -481,7 +479,6 @@ def cmd_sweep(args) -> int:
             seeds,
             defaults=defaults,
             out_csv=out_csv,
-            workers=workers,
             resume=args.resume,
         )
     elif family == "size":
@@ -492,7 +489,6 @@ def cmd_sweep(args) -> int:
             seeds,
             defaults=defaults,
             out_csv=out_csv,
-            workers=workers,
             resume=args.resume,
         )
     elif family == "mitigation":
@@ -503,7 +499,6 @@ def cmd_sweep(args) -> int:
             er_p=cfg.get("sweep", "p", 0.5),
             defaults=defaults,
             out_csv=out_csv,
-            workers=workers,
             resume=args.resume,
         )
     else:
@@ -564,7 +559,6 @@ def make_parser() -> argparse.ArgumentParser:
     w.add_argument("--config", required=True)
     w.add_argument("--seed", type=int, default=None)
     w.add_argument("--out", default=None)
-    w.add_argument("--workers", type=int, default=None)
     w.add_argument("--resume", action="store_true")
     w.add_argument(
         "--derive-seeds",

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, PartitionPlan, dump_csv, load_csv, split_train_holdout
-from .errors import InvalidConfig, InvalidTrace
+from .errors import DivergedTraining, InvalidConfig, InvalidTrace
 from .nn import (
     MlpArchitecture,
     ModelParams,
@@ -179,6 +180,9 @@ def run_simulation(
             deltas.append(delta)
         pre = current + np.stack(deltas)
         post = p_matrix @ pre
+        bad = ~(np.isfinite(pre).all(axis=1) & np.isfinite(post).all(axis=1))
+        if bad.any():
+            raise DivergedTraining(int(np.argmax(bad)), t)
         traces.append(
             RoundTrace(
                 round=t,
@@ -270,42 +274,74 @@ def save_log(log: SimulationLog, out_dir) -> None:
             for i, p in enumerate(models):
                 (d / f"node_{i:03d}.bin").write_bytes(dump_params(p))
 
-    manifest = [f"nodes {log.n_nodes}", f"rounds {log.config.n_rounds}"]
-    manifest += [f"round {t.round}" for t in log.traces]
+    manifest = _manifest_lines(log.n_nodes, log.config.n_rounds)
     (root / "manifest.txt").write_text("\n".join(manifest) + "\n")
 
 
+def _manifest_lines(n_nodes: int, rounds: int) -> list[str]:
+    return [f"nodes {n_nodes}", f"rounds {rounds}"] + [f"round {t}" for t in range(1, rounds + 1)]
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InvalidTrace(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidTrace(f"{path} is not UTF-8 text") from exc
+
+
+def _check_manifest(path: Path, n_nodes: int, rounds: int) -> None:
+    """The manifest must list the topology's node count and config.ini's rounds."""
+    got = _read_text(path).splitlines()
+    for k, (g, w) in enumerate(zip_longest(got, _manifest_lines(n_nodes, rounds), fillvalue=""), start=1):
+        if g != w:
+            raise InvalidTrace(f"{path} line {k} reads {g!r}, expected {w!r}")
+
+
 def load_log(log_dir) -> SimulationLog:
+    """Read a log written by save_log; a missing or inconsistent file raises InvalidTrace."""
     root = Path(log_dir)
     if not (root / "manifest.txt").exists():
         raise InvalidTrace(f"no manifest in {root}")
 
     cfg = configparser.ConfigParser()
-    cfg.read(root / "config.ini")
-    fed = cfg["federation"]
-    seed = int(fed["seed"])
-    rounds = int(fed["rounds"])
-    hidden = tuple(int(h) for h in fed["hidden_sizes"].split(","))
-    alpha = float(fed["alpha"]) if "alpha" in fed else None
-    train = TrainConfig(
-        local_epochs=int(cfg["train"]["local_epochs"]),
-        learning_rate=float(cfg["train"]["learning_rate"]),
-        batch_size=int(cfg["train"]["batch_size"]),
-        optimizer=cfg["train"]["optimizer"],
-    )
-    dp = None
-    if "dp" in cfg:
-        dp = DpConfig(
-            clip_norm=float(cfg["dp"]["clip_norm"]),
-            noise_sigma=float(cfg["dp"]["noise_sigma"]),
-            seed=int(cfg["dp"]["seed"]),
+    try:
+        cfg.read_string(_read_text(root / "config.ini"))
+        fed = cfg["federation"]
+        seed = int(fed["seed"])
+        rounds = int(fed["rounds"])
+        hidden = tuple(int(h) for h in fed["hidden_sizes"].split(","))
+        alpha = float(fed["alpha"]) if "alpha" in fed else None
+        activation = fed["activation"]
+        train = TrainConfig(
+            local_epochs=int(cfg["train"]["local_epochs"]),
+            learning_rate=float(cfg["train"]["learning_rate"]),
+            batch_size=int(cfg["train"]["batch_size"]),
+            optimizer=cfg["train"]["optimizer"],
         )
+        dp = None
+        if "dp" in cfg:
+            dp = DpConfig(
+                clip_norm=float(cfg["dp"]["clip_norm"]),
+                noise_sigma=float(cfg["dp"]["noise_sigma"]),
+                seed=int(cfg["dp"]["seed"]),
+            )
+    except (configparser.Error, KeyError, ValueError) as exc:
+        raise InvalidTrace(f"malformed {root / 'config.ini'}: {exc!r}") from exc
 
-    topology = load_topology((root / "topology.edges").read_text())
-    dataset = load_csv((root / "dataset.csv").read_text())
+    topology = load_topology(_read_text(root / "topology.edges"))
+    n = topology.n_nodes
+    _check_manifest(root / "manifest.txt", n, rounds)
+    dataset = load_csv(_read_text(root / "dataset.csv"))
     assignments = tuple(
         tuple(int(i) for i in line.split())
-        for line in (root / "partition.txt").read_text().splitlines()
+        for line in _read_text(root / "partition.txt").splitlines()
         if line.strip()
     )
     plan = PartitionPlan(assignments, alpha=alpha)
@@ -315,19 +351,16 @@ def load_log(log_dir) -> SimulationLog:
         rounds=rounds,
         dp=dp,
         hidden_sizes=hidden,
-        activation=fed["activation"],
+        activation=activation,
     )
 
-    n = topology.n_nodes
-    initial = tuple(
-        load_params((root / "init" / f"node_{i:03d}.bin").read_bytes()) for i in range(n)
-    )
+    initial = tuple(load_params(_read_bytes(root / "init" / f"node_{i:03d}.bin")) for i in range(n))
     prev_post = np.stack([p.flat for p in initial])
     traces = []
     for t in range(1, rounds + 1):
         rd = root / "rounds" / f"round_{t:03d}"
-        pre = tuple(load_params((rd / "pre" / f"node_{i:03d}.bin").read_bytes()) for i in range(n))
-        post = tuple(load_params((rd / "post" / f"node_{i:03d}.bin").read_bytes()) for i in range(n))
+        pre = tuple(load_params(_read_bytes(rd / "pre" / f"node_{i:03d}.bin")) for i in range(n))
+        post = tuple(load_params(_read_bytes(rd / "post" / f"node_{i:03d}.bin")) for i in range(n))
         pre_flat = np.stack([p.flat for p in pre])
         deltas = pre_flat - prev_post
         traces.append(
@@ -340,9 +373,6 @@ def load_log(log_dir) -> SimulationLog:
             )
         )
         prev_post = np.stack([p.flat for p in post])
-
-    if len(traces) != rounds:
-        raise InvalidTrace(f"manifest promises {rounds} rounds, found {len(traces)}")
 
     return SimulationLog(
         config=fc,

@@ -33,6 +33,15 @@ class InvalidConfig(TopoleakError):
     """Configuration violates a documented precondition."""
 
 
+class DivergedTraining(TopoleakError):
+    """Local training left a node with non-finite parameters after a round."""
+
+    def __init__(self, node: int, round: int):
+        super().__init__(f"node {node} has non-finite parameters after round {round}")
+        self.node = node
+        self.round = round
+
+
 class PartitionFailed(TopoleakError):
     """Dirichlet partition retry budget exhausted."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,17 +115,9 @@ def auc_roc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels(f"AUC needs both classes, got {n_pos} pos / {n_neg} neg")
 
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum_pos = float(ranks[labels == 1].sum())
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0  # 1-based, ties share one
+    rank_sum_pos = float(midranks[group[labels == 1]].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -443,15 +434,15 @@ def run_sweep(
     cells: list[SweepCell],
     defaults: ExperimentDefaults,
     out_csv: str | Path | None = None,
-    workers: int = 1,
     resume: bool = False,
 ) -> SweepResult:
-    """Execute cells on a bounded pool; CSV rows appear in cell-index order
-    regardless of completion order, so reruns are byte-identical.
+    """Execute cells in order; CSV rows appear in cell-index order, so reruns
+    and resumes are byte-identical.
 
-    Cells that share a simulation key form one pool task (``_run_group``),
-    so each distinct simulation and each distinct (simulation, scenario)
-    attack runs once, and at most ``workers`` logs are alive at a time.
+    Cells that share a simulation key form one group (``_run_group``), run
+    when the first of its cells comes up, so each distinct simulation and
+    each distinct (simulation, scenario) attack runs once, and at most one
+    log is alive at a time.
     """
     done: set[str] = set()
     fh = writer = None
@@ -470,19 +461,17 @@ def run_sweep(
     for c in todo:
         groups.setdefault(_sim_key(c), []).append(c)
     rows: list[SweepRow] = []
+    streams = {}  # group rows come back in the group's cell order
     try:
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            pending = {key: pool.submit(_run_group, g, defaults) for key, g in groups.items()}
-            streams = {}  # group rows come back in the group's cell order
-            for c in todo:
-                key = _sim_key(c)
-                if key not in streams:
-                    streams[key] = iter(pending.pop(key).result())
-                row = next(streams[key])
-                rows.append(row)
-                if writer is not None:
-                    writer.writerow(row.csv_record())
-                    fh.flush()
+        for c in todo:
+            key = _sim_key(c)
+            if key not in streams:
+                streams[key] = iter(_run_group(groups.pop(key), defaults))
+            row = next(streams[key])
+            rows.append(row)
+            if writer is not None:
+                writer.writerow(row.csv_record())
+                fh.flush()
     finally:
         if fh is not None:
             fh.close()
@@ -496,7 +485,6 @@ def density_sweep(
     seeds,
     defaults: ExperimentDefaults = ExperimentDefaults(),
     out_csv=None,
-    workers: int = 1,
     resume: bool = False,
 ) -> SweepResult:
     """Pipeline per (edge probability, scenario, seed) on ER topologies."""
@@ -519,7 +507,7 @@ def density_sweep(
                         rounds=defaults.rounds,
                     )
                 )
-    return run_sweep(cells, defaults, out_csv, workers, resume)
+    return run_sweep(cells, defaults, out_csv, resume)
 
 
 def size_sweep(
@@ -529,7 +517,6 @@ def size_sweep(
     seeds,
     defaults: ExperimentDefaults = ExperimentDefaults(),
     out_csv=None,
-    workers: int = 1,
     resume: bool = False,
 ) -> SweepResult:
     """Pipeline per (node count, scenario, seed); rounds track the size."""
@@ -552,7 +539,7 @@ def size_sweep(
                         rounds=int(n),
                     )
                 )
-    return run_sweep(cells, defaults, out_csv, workers, resume)
+    return run_sweep(cells, defaults, out_csv, resume)
 
 
 MITIGATION_VARIANTS = (
@@ -573,7 +560,6 @@ def mitigation_experiment(
     er_p: float = 0.5,
     defaults: ExperimentDefaults = ExperimentDefaults(),
     out_csv=None,
-    workers: int = 1,
     resume: bool = False,
 ) -> SweepResult:
     """Paired defense runs: cells in a pair share every seed, so topology,
@@ -602,4 +588,4 @@ def mitigation_experiment(
                             rounds=defaults.rounds,
                         )
                     )
-    return run_sweep(cells, defaults, out_csv, workers, resume)
+    return run_sweep(cells, defaults, out_csv, resume)

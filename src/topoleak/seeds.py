@@ -2,7 +2,7 @@
 
 All randomness in the toolkit flows from a single root seed through
 :func:`derive_seed`, so per-node / per-round RNG streams are independent of
-execution order and worker count.  The mixer is splitmix64, which is a
+execution order.  The mixer is splitmix64, which is a
 bijection on 64-bit integers with good avalanche behavior.
 """
 

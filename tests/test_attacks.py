@@ -14,7 +14,6 @@ from topoleak.attacks import (
     baseline_logistic,
     baseline_threshold,
     binarize,
-    build_pair_features,
     edgepre_bce,
     edgepre_infer,
     edgepre_train,
@@ -179,21 +178,10 @@ class TestScenarioKnowledge:
 
 
 class TestPairFeatures:
-    def test_lengths(self):
-        a, b = np.ones(10), np.zeros(10)
-        assert build_pair_features(a, b, True).shape == (40,)
-        assert build_pair_features(a, b, False).shape == (20,)
-
     def test_pair_rows_are_the_pairs_own_entries(self):
         vals = np.arange(16, dtype=float).reshape(4, 4)
         rows = _pair_feature_rows(vals, [(0, 1), (3, 2)])
         np.testing.assert_array_equal(rows, [[1.0, 4.0], [14.0, 11.0]])
-
-    def test_identical_vectors_zero_difference_block(self):
-        a = np.linspace(0, 1, 8)
-        h = build_pair_features(a, a, True)
-        np.testing.assert_array_equal(h[24:], 0.0)  # |x_i - x_j| block
-        np.testing.assert_allclose(h[16:24], a * a)
 
 
 class TestEdgePre:

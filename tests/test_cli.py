@@ -67,6 +67,11 @@ class TestConfigSchema:
         assert main(["validate", cfg]) == 2
         assert "use_interactions" in capsys.readouterr().err
 
+    def test_removed_workers_key_rejected(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[sweep]\nworkers = 2\n")
+        assert main(["validate", cfg]) == 2
+        assert "unknown key 'workers'" in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_ini(tmp_path, "[mystery]\nx = 1\n")
         assert main(["validate", cfg]) == 2
@@ -204,6 +209,25 @@ class TestAttack:
                      "--config", base_cfg]) == 3
         assert "snapshot payload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rel, text, named",
+        [
+            ("rounds/round_003/post/node_002.bin", None, "node_002.bin"),
+            ("config.ini", None, "config.ini"),
+            ("manifest.txt", "nodes 6\nrounds 2\nround 1\nround 2\nround 3\n", "rounds 2"),
+            ("manifest.txt", "hello\n", "hello"),
+        ],
+    )
+    def test_damaged_log_is_invalid_trace(self, sim_log, base_cfg, capsys, rel, text, named):
+        path = Path(sim_log, rel)
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        assert main(["attack", "--log", sim_log, "--scenario", "4",
+                     "--config", base_cfg]) == 3
+        assert named in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_scores_soft_against_topology(self, sim_log, base_cfg, tmp_path, capsys):
@@ -276,6 +300,12 @@ class TestSweep:
         before = csv_path.read_text()
         assert main(["sweep", "--config", cfg, "--resume"]) == 0
         assert csv_path.read_text() == before
+
+    def test_workers_flag_removed(self, tmp_path):
+        cfg = write_ini(tmp_path, SWEEP_INI.format(csv=tmp_path / "grid.csv"))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", cfg, "--workers", "2"])
+        assert info.value.code == 2
 
     def test_unknown_family_is_config_error(self, tmp_path):
         cfg = write_ini(tmp_path, "[sweep]\nfamily = mystery\nout_csv = x.csv\n")

@@ -14,7 +14,7 @@ from topoleak.engine import (
     run_simulation,
     save_log,
 )
-from topoleak.errors import InvalidConfig, InvalidTrace
+from topoleak.errors import DivergedTraining, InvalidConfig, InvalidTrace
 from topoleak.nn import TrainConfig
 from topoleak.topology import (
     Topology,
@@ -115,6 +115,20 @@ class TestRunSimulation:
             np.testing.assert_allclose(
                 stack_pre(tr).mean(axis=0), stack_post(tr).mean(axis=0), atol=1e-12
             )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_first_node_and_round(self):
+        d = gen_blobs(3, 8, 40, 1.0, seed=1)
+        plan = partition_iid(d, 10, 2)
+        cfg = FederationConfig(
+            topology=gen_ring(10),
+            train=TrainConfig(local_epochs=3, learning_rate=1e4, batch_size=16),
+            rounds=10,
+        )
+        with pytest.raises(DivergedTraining) as info:
+            run_simulation(cfg, d, plan, seed=3)
+        # rounds 1-2 stay finite; round 3 leaves nodes 0-2 non-finite
+        assert (info.value.node, info.value.round) == (0, 3)
 
 
 class TestClosedForm:
@@ -247,6 +261,33 @@ class TestLogPersistence:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InvalidTrace):
+            load_log(tmp_path)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            "nodes 5\nrounds 4\nround 1\nround 2\nround 3\nround 4\n",
+            "nodes 4\nrounds 3\nround 1\nround 2\nround 3\nround 4\n",
+            "nodes 4\nrounds 4\nround 1\nround 2\nround 4\n",
+            "nodes 4\nrounds 4\nround 1\nround 2\nround 3\nround 4\nround 4\n",
+            "nodes 4\nnodes 4\nrounds 4\nround 1\nround 2\nround 3\nround 4\n",
+            "nodes 4\nrounds four\n",
+            "hello\n",
+            "",
+        ],
+    )
+    def test_manifest_must_match_topology_and_config(self, tmp_path, manifest):
+        cfg, d, plan = small_setup(gen_ring(4))  # 4 nodes, 4 rounds
+        save_log(run_simulation(cfg, d, plan, seed=2), tmp_path)
+        (tmp_path / "manifest.txt").write_text(manifest)
+        with pytest.raises(InvalidTrace, match="manifest.txt"):
+            load_log(tmp_path)
+
+    def test_config_without_federation_section(self, tmp_path):
+        cfg, d, plan = small_setup(gen_ring(4))
+        save_log(run_simulation(cfg, d, plan, seed=2), tmp_path)
+        (tmp_path / "config.ini").write_text("[train]\nlocal_epochs = 1\n")
+        with pytest.raises(InvalidTrace, match="config.ini"):
             load_log(tmp_path)
 
     def test_dp_config_round_trip(self, tmp_path):

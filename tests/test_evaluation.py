@@ -246,12 +246,6 @@ class TestSweeps:
         assert text[0] == ",".join(CSV_COLUMNS)
         assert len(text) == 3
 
-    def test_sweep_rows_deterministic_across_workers(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        density_sweep([0.5], 6, [4], [0, 1], defaults=tiny_defaults(), out_csv=a, workers=1)
-        density_sweep([0.5], 6, [4], [0, 1], defaults=tiny_defaults(), out_csv=b, workers=3)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_unsupported_scenario_becomes_status_row(self, tmp_path):
         out = tmp_path / "fail.csv"
         res = density_sweep([0.5], 6, [5], [0], defaults=tiny_defaults(), out_csv=out)
@@ -369,7 +363,7 @@ class TestSweepGrouping:
     def test_rows_in_cell_order_and_equal_to_run_cell(self, tmp_path):
         d = tiny_defaults()
         cells = [ring_cell(0, scenario=2), ring_cell(1, scenario=4, seed=1), ring_cell(2, scenario=4)]
-        res = run_sweep(cells, d, out_csv=tmp_path / "g.csv", workers=2)
+        res = run_sweep(cells, d, out_csv=tmp_path / "g.csv")
         assert [r.cell for r in res.rows] == cells
         assert list(res.rows) == [run_cell(c, d) for c in cells]
 
@@ -381,6 +375,17 @@ class TestSweepGrouping:
         assert without_cell(res.rows[0]) == without_cell(res.rows[1])
         assert res.rows[0].n_edges == 0 and res.rows[0].result is None
         assert len(calls) == 1  # the Dirichlet group fails before simulating
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_simulation_becomes_status_rows(self, tmp_path):
+        cells = [
+            dataclasses.replace(ring_cell(k, scenario=sc), local_epochs=3, rounds=3)
+            for k, sc in enumerate((2, 4))
+        ]
+        d = tiny_defaults(learning_rate=1e4, k_classes=3, n_features=8, n_per_class=40, hidden_sizes=(32, 16))
+        res = run_sweep(cells, d, out_csv=tmp_path / "nan.csv")
+        assert [r.status for r in res.rows] == ["error:DivergedTraining"] * 2
+        assert all(r.result is None for r in res.rows)
 
     def test_resume_reruns_only_missing_cells_of_a_group(self, monkeypatch, tmp_path):
         cells = [ring_cell(0, scenario=2), ring_cell(1, scenario=4), ring_cell(2, scenario=3)]
