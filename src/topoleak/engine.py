@@ -18,23 +18,15 @@ bit-exactly and independent of execution order.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
-from itertools import zip_longest
+from dataclasses import dataclass, field, replace
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, PartitionPlan, dump_csv, load_csv, split_train_holdout
 from .errors import DivergedTraining, InvalidConfig, InvalidTrace
-from .nn import (
-    MlpArchitecture,
-    ModelParams,
-    TrainConfig,
-    dump_params,
-    init_params,
-    load_params,
-    train_local,
-)
+from .nn import MlpArchitecture, ModelParams, TrainConfig, init_params, train_local
 from .seeds import derive_seed, rng_for
 from .topology import Topology, adjacency_matrix, aggregation_matrix, dump_topology, load_topology
 
@@ -73,38 +65,79 @@ class FederationConfig:
         return self.rounds if self.rounds is not None else self.topology.n_nodes
 
 
-@dataclass(frozen=True)
-class RoundTrace:
-    round: int
-    params_pre_agg: tuple[ModelParams, ...]
-    params_post_agg: tuple[ModelParams, ...]
-    deltas: tuple[np.ndarray, ...]
-    delta_norms: tuple[float, ...]
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Make a and the array owning its memory read-only; returns a."""
+    for arr in (a, a.base):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class SimulationLog:
+    """A run's inputs and its read-only trace: ``params`` (T+1, n, P) holds the
+    init and each round after aggregation, ``deltas`` (T, n, P) each round's
+    updates; round t before aggregation is ``params[t-1] + deltas[t-1]``."""
+
     config: FederationConfig
     root_seed: int
     dataset: Dataset
     plan: PartitionPlan
-    initial_params: tuple[ModelParams, ...]
-    traces: tuple[RoundTrace, ...]
+    params: np.ndarray
+    deltas: np.ndarray
     adjacency: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return len(self.initial_params)
+        return self.params.shape[1]
+
+    def models(self, round: int, phase: str = "post") -> tuple[ModelParams, ...]:
+        """Every node's model in one round (round 0 is the init), as read-only rows."""
+        stack = self.params[round] if phase == "post" else _frozen(
+            self.params[round - 1] + self.deltas[round - 1]
+        )
+        arch = _architecture(self.config, self.dataset)
+        return tuple(ModelParams(arch, row) for row in stack)
+
+    @property
+    def initial_params(self) -> tuple[ModelParams, ...]:
+        return self.models(0)
+
+    @property
+    def traces(self) -> tuple["RoundTrace", ...]:
+        return tuple(RoundTrace(t, self) for t in range(1, len(self.deltas) + 1))
 
     def node_dataset(self, i: int) -> Dataset:
         """Node i's full local set (what an attacker with data access sees)."""
         return self.dataset.subset(self.plan.assignments[i])
 
-    def node_train_indices(self, i: int) -> tuple[int, ...]:
-        train, _ = split_train_holdout(
-            self.plan.assignments[i], derive_seed(self.root_seed, "split", i)
-        )
-        return train
+
+@dataclass(frozen=True)
+class RoundTrace:
+    """One round of a log, read from the log's arrays when asked for."""
+
+    round: int
+    log: SimulationLog = field(repr=False, compare=False)
+
+    @property
+    def params_pre_agg(self) -> tuple[ModelParams, ...]:
+        return self.log.models(self.round, "pre")
+
+    @property
+    def params_post_agg(self) -> tuple[ModelParams, ...]:
+        return self.log.models(self.round)
+
+    @property
+    def deltas(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.log.deltas[self.round - 1])
+
+    @property
+    def delta_norms(self) -> tuple[float, ...]:
+        return tuple(float(np.linalg.norm(d)) for d in self.deltas)
+
+
+def _architecture(cfg: FederationConfig, dataset: Dataset) -> MlpArchitecture:
+    return MlpArchitecture((dataset.n_features, *cfg.hidden_sizes, dataset.n_classes), cfg.activation)
 
 
 def apply_dp(delta: np.ndarray, clip_norm: float, noise_sigma: float, rng) -> np.ndarray:
@@ -127,11 +160,7 @@ def consensus_gap(params) -> float:
     if len(params) < 2:
         raise InvalidConfig("consensus gap needs at least 2 nodes")
     flats = np.stack([p.flat if isinstance(p, ModelParams) else np.asarray(p) for p in params])
-    gap = 0.0
-    for i in range(len(flats)):
-        for j in range(i + 1, len(flats)):
-            gap = max(gap, float(np.linalg.norm(flats[i] - flats[j])))
-    return gap
+    return max([0.0] + [float(np.linalg.norm(a - b)) for a, b in combinations(flats, 2)])
 
 
 def run_simulation(
@@ -149,9 +178,7 @@ def run_simulation(
     if any(len(a) == 0 for a in plan.assignments):
         raise InvalidConfig("every node needs a nonempty local dataset")
 
-    arch = MlpArchitecture(
-        (dataset.n_features, *cfg.hidden_sizes, dataset.n_classes), cfg.activation
-    )
+    arch = _architecture(cfg, dataset)
     adjacency = adjacency_matrix(cfg.topology)
     p_matrix = aggregation_matrix(adjacency)
 
@@ -160,47 +187,38 @@ def run_simulation(
         idx, _ = split_train_holdout(plan.assignments[i], derive_seed(seed, "split", i))
         train_sets.append((dataset.features[list(idx)], dataset.labels[list(idx)]))
 
-    initial = tuple(init_params(arch, derive_seed(seed, "init", i)) for i in range(n))
-    current = np.stack([p.flat for p in initial])
+    rounds = cfg.n_rounds
+    params = np.empty((rounds + 1, n, arch.n_params))
+    deltas = np.empty((rounds, n, arch.n_params))
+    for i in range(n):
+        params[0, i] = init_params(arch, derive_seed(seed, "init", i)).flat
 
-    traces = []
-    for t in range(1, cfg.n_rounds + 1):
-        deltas = []
-        for i in range(n):
-            node_cfg = replace(cfg.train, seed=derive_seed(seed, "train", i, t))
-            xs, ys = train_sets[i]
-            _, delta = train_local(ModelParams(arch, current[i]), xs, ys, node_cfg)
-            if cfg.dp is not None:
-                delta = apply_dp(
-                    delta,
-                    cfg.dp.clip_norm,
-                    cfg.dp.noise_sigma,
-                    rng_for(cfg.dp.seed, "dp", i, t),
-                )
-            deltas.append(delta)
-        pre = current + np.stack(deltas)
-        post = p_matrix @ pre
-        bad = ~(np.isfinite(pre).all(axis=1) & np.isfinite(post).all(axis=1))
-        if bad.any():
-            raise DivergedTraining(int(np.argmax(bad)), t)
-        traces.append(
-            RoundTrace(
-                round=t,
-                params_pre_agg=tuple(ModelParams(arch, row) for row in pre),
-                params_post_agg=tuple(ModelParams(arch, row) for row in post),
-                deltas=tuple(d.copy() for d in deltas),
-                delta_norms=tuple(float(np.linalg.norm(d)) for d in deltas),
-            )
-        )
-        current = post
+    # a diverging node overflows; it is caught by the finiteness checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, rounds + 1):
+            for i in range(n):
+                node_cfg = replace(cfg.train, seed=derive_seed(seed, "train", i, t))
+                xs, ys = train_sets[i]
+                _, delta = train_local(ModelParams(arch, params[t - 1, i]), xs, ys, node_cfg)
+                if cfg.dp is not None:
+                    rng = rng_for(cfg.dp.seed, "dp", i, t)
+                    delta = apply_dp(delta, cfg.dp.clip_norm, cfg.dp.noise_sigma, rng)
+                if not np.isfinite(delta).all():
+                    raise DivergedTraining(i, t)
+                deltas[t - 1, i] = delta
+            pre = params[t - 1] + deltas[t - 1]
+            params[t] = p_matrix @ pre
+            bad = ~(np.isfinite(pre).all(axis=1) & np.isfinite(params[t]).all(axis=1))
+            if bad.any():
+                raise DivergedTraining(int(np.argmax(bad)), t)
 
     return SimulationLog(
         config=cfg,
         root_seed=seed,
         dataset=dataset,
         plan=plan,
-        initial_params=initial,
-        traces=tuple(traces),
+        params=_frozen(params),
+        deltas=_frozen(deltas),
         adjacency=adjacency,
     )
 
@@ -226,7 +244,7 @@ def closed_form_final(p_matrix: np.ndarray, m0: np.ndarray, deltas) -> np.ndarra
 # --- log persistence --------------------------------------------------------
 
 def save_log(log: SimulationLog, out_dir) -> None:
-    """Persist a log as a directory of plain-text docs and binary snapshots."""
+    """Persist a log as plain-text docs plus params.npy and deltas.npy."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -261,18 +279,8 @@ def save_log(log: SimulationLog, out_dir) -> None:
         "\n".join(" ".join(str(i) for i in a) for a in log.plan.assignments) + "\n"
     )
 
-    init_dir = root / "init"
-    init_dir.mkdir(exist_ok=True)
-    for i, p in enumerate(log.initial_params):
-        (init_dir / f"node_{i:03d}.bin").write_bytes(dump_params(p))
-
-    for trace in log.traces:
-        for phase in ("pre", "post"):
-            d = root / "rounds" / f"round_{trace.round:03d}" / phase
-            d.mkdir(parents=True, exist_ok=True)
-            models = trace.params_pre_agg if phase == "pre" else trace.params_post_agg
-            for i, p in enumerate(models):
-                (d / f"node_{i:03d}.bin").write_bytes(dump_params(p))
+    np.save(root / "params.npy", log.params, allow_pickle=False)
+    np.save(root / "deltas.npy", log.deltas, allow_pickle=False)
 
     manifest = _manifest_lines(log.n_nodes, log.config.n_rounds)
     (root / "manifest.txt").write_text("\n".join(manifest) + "\n")
@@ -287,6 +295,19 @@ def _read_bytes(path: Path) -> bytes:
         return path.read_bytes()
     except OSError as exc:
         raise InvalidTrace(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of the given shape from an .npy file, made read-only."""
+    try:
+        a = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise InvalidTrace(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, EOFError) as exc:
+        raise InvalidTrace(f"{path} is not a complete .npy array: {exc}") from exc
+    if a.dtype != np.float64 or a.shape != shape:
+        raise InvalidTrace(f"{path} holds {a.dtype} {a.shape}; the log's config needs float64 {shape}")
+    return _frozen(a)
 
 
 def _read_text(path: Path) -> str:
@@ -354,32 +375,16 @@ def load_log(log_dir) -> SimulationLog:
         activation=activation,
     )
 
-    initial = tuple(load_params(_read_bytes(root / "init" / f"node_{i:03d}.bin")) for i in range(n))
-    prev_post = np.stack([p.flat for p in initial])
-    traces = []
-    for t in range(1, rounds + 1):
-        rd = root / "rounds" / f"round_{t:03d}"
-        pre = tuple(load_params(_read_bytes(rd / "pre" / f"node_{i:03d}.bin")) for i in range(n))
-        post = tuple(load_params(_read_bytes(rd / "post" / f"node_{i:03d}.bin")) for i in range(n))
-        pre_flat = np.stack([p.flat for p in pre])
-        deltas = pre_flat - prev_post
-        traces.append(
-            RoundTrace(
-                round=t,
-                params_pre_agg=pre,
-                params_post_agg=post,
-                deltas=tuple(deltas[i] for i in range(n)),
-                delta_norms=tuple(float(np.linalg.norm(deltas[i])) for i in range(n)),
-            )
-        )
-        prev_post = np.stack([p.flat for p in post])
+    n_params = _architecture(fc, dataset).n_params
+    params = _read_array(root / "params.npy", (rounds + 1, n, n_params))
+    deltas = _read_array(root / "deltas.npy", (rounds, n, n_params))
 
     return SimulationLog(
         config=fc,
         root_seed=seed,
         dataset=dataset,
         plan=plan,
-        initial_params=initial,
-        traces=tuple(traces),
+        params=params,
+        deltas=deltas,
         adjacency=adjacency_matrix(topology),
     )

@@ -73,29 +73,54 @@ def held_out_pairs(n_nodes: int, known_pairs) -> tuple[tuple[int, int], ...]:
 
 # --- scores -----------------------------------------------------------------
 
+def _pair_index(eval_pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of a nonempty, off-diagonal pair list."""
+    pairs = np.asarray(list(eval_pairs), dtype=np.intp)
+    if pairs.size == 0:
+        raise InvalidEvalSet("cannot score an empty pair set")
+    i, j = pairs.T
+    if (i == j).any():
+        k = int(i[np.argmax(i == j)])
+        raise InvalidEvalSet(f"diagonal pair ({k}, {k}) in eval set")
+    return i, j
+
+
 def f1_score(pred_edges: np.ndarray, truth: np.ndarray, eval_pairs) -> tuple[float, float, float]:
     """(f1, precision, recall) over eval_pairs, edge = positive class.
 
     F1 is defined as 0 when precision + recall is 0.
     """
-    eval_pairs = list(eval_pairs)
-    if not eval_pairs:
-        raise InvalidEvalSet("cannot score an empty pair set")
-    pred_edges = np.asarray(pred_edges)
-    truth = np.asarray(truth)
-    tp = fp = fn = 0
-    for i, j in eval_pairs:
-        if i == j:
-            raise InvalidEvalSet(f"diagonal pair ({i}, {i}) in eval set")
-        p, t = pred_edges[i, j] > 0, truth[i, j] > 0
-        tp += p and t
-        fp += p and not t
-        fn += t and not p
+    i, j = _pair_index(eval_pairs)
+    p = np.asarray(pred_edges)[i, j] > 0
+    t = np.asarray(truth)[i, j] > 0
+    tp, fp, fn = int((p & t).sum()), int((p & ~t).sum()), int((t & ~p).sum())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     # single division keeps f1 bit-identical to confusion-matrix enumeration
     f1 = 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
     return f1, precision, recall
+
+
+def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Highest F1 of ``scores > tau`` over tau in {0} and the distinct scores.
+
+    One stable sort; the positives above each tau are a suffix count, so the
+    confusion counts are exact integers. The smallest tau reaching the best
+    F1 wins, and (0.0, 0.5) stands when no tau reaches F1 > 0.
+    """
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    pos_upto = np.concatenate(([0], np.cumsum(labels[order])))
+    taus = s[np.concatenate((s[1:] != s[:-1], [True]))]
+    if not (taus == 0.0).any():
+        taus = np.insert(taus, np.searchsorted(taus, 0.0), 0.0)
+    taus[taus == 0.0] = 0.0  # -0.0 compares equal to the 0.0 candidate; keep +0.0
+    upto = np.searchsorted(s, taus, side="right")  # scores <= tau
+    tp = pos_upto[-1] - pos_upto[upto]
+    denom = (len(s) - upto) + pos_upto[-1]  # 2tp + fp + fn: predicted plus actual positives
+    f1 = np.divide(2 * tp, denom, out=np.zeros(len(taus)), where=denom > 0)
+    k = int(np.argmax(f1))
+    return (float(f1[k]), float(taus[k])) if f1[k] > 0.0 else (0.0, 0.5)
 
 
 def auc_roc(scores, labels) -> float:
@@ -150,20 +175,12 @@ def evaluate_soft(
     values = soft.values if isinstance(soft, SoftAdjacency) else np.asarray(soft, dtype=np.float64)
     truth = np.asarray(truth)
     eval_pairs = list(eval_pairs)
-    if not eval_pairs:
-        raise InvalidEvalSet("cannot score an empty pair set")
+    i, j = _pair_index(eval_pairs)
+    scores = values[i, j]
+    labels = (truth[i, j] > 0).astype(np.int64)
 
-    scores = np.array([values[i, j] for i, j in eval_pairs])
-    labels = np.array([int(truth[i, j] > 0) for i, j in eval_pairs])
-
-    pred = (values > 0.5).astype(np.int64)
-    f1, precision, recall = f1_score(pred, truth, eval_pairs)
-
-    best_f1, best_tau = 0.0, 0.5
-    for tau in sorted({0.0, *scores.tolist()}):
-        cand, _, _ = f1_score((values > tau).astype(np.int64), truth, eval_pairs)
-        if cand > best_f1:
-            best_f1, best_tau = cand, float(tau)
+    f1, precision, recall = f1_score((values > 0.5).astype(np.int64), truth, eval_pairs)
+    best_f1, best_tau = _best_threshold(scores, labels)
 
     try:
         auc = auc_roc(scores, labels)

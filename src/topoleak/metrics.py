@@ -101,15 +101,17 @@ def _check_datasets(models, datasets) -> None:
 
 
 def relative_loss(models, datasets, round: int = 0) -> MetricMatrix:
-    """values[i][j] = mean softmax cross-entropy of model i on dataset j."""
+    """values[i][j] = mean softmax cross-entropy of model i on dataset j, from
+    one forward per model over the datasets concatenated."""
     _check_models(models)
     _check_datasets(models, datasets)
-    n = len(models)
-    out = np.zeros((n, n))
+    x = np.concatenate([d.features for d in datasets])
+    y = np.concatenate([d.labels for d in datasets])
+    bounds = np.cumsum([0] + [d.n_samples for d in datasets])
+    out = np.zeros((len(models), len(datasets)))
     for i, model in enumerate(models):
-        for j, d in enumerate(datasets):
-            logp = log_softmax(forward_batch(model, d.features))
-            out[i, j] = -logp[np.arange(d.n_samples), d.labels].mean()
+        nll = -log_softmax(forward_batch(model, x))[np.arange(len(y)), y]
+        out[i] = [nll[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
     return MetricMatrix(MetricKind.RELATIVE_LOSS, out, round)
 
 
@@ -207,13 +209,6 @@ def orient_and_normalize(m: MetricMatrix) -> FeatureMatrix:
 
 # --- computing metrics from a simulation log --------------------------------
 
-def _snapshots(log, round: int, phase: str):
-    trace = log.traces[round - 1]
-    if trace.round != round:
-        raise ShapeError(f"trace order broken at round {round}")
-    return trace.params_pre_agg if phase == "pre" else trace.params_post_agg
-
-
 def metric_from_log(
     log,
     kind: MetricKind,
@@ -232,7 +227,7 @@ def metric_from_log(
     """
     if phase not in ("pre", "post"):
         raise KnowledgeViolation(f"phase must be pre or post, got {phase!r}")
-    t_final = len(log.traces)
+    t_final = len(log.deltas)
     first_needed = 2 if kind is MetricKind.CURVATURE_DIVERGENCE else 1
     if last_k < 1 or t_final - last_k + 1 < first_needed:
         raise KnowledgeViolation(
@@ -241,7 +236,7 @@ def metric_from_log(
     datasets = [log.node_dataset(i) for i in range(log.n_nodes)]
     mats = []
     for t in range(t_final - last_k + 1, t_final + 1):
-        models = _snapshots(log, t, phase)
+        models = log.models(t, phase)
         if kind is MetricKind.RELATIVE_LOSS:
             mats.append(relative_loss(models, datasets, round=t))
         elif kind is MetricKind.RELATIVE_ENTROPY:
@@ -253,7 +248,7 @@ def metric_from_log(
         elif kind is MetricKind.EUCLIDEAN_SIMILARITY:
             mats.append(euclidean_matrix(models, round=t))
         elif kind is MetricKind.CURVATURE_DIVERGENCE:
-            prev = _snapshots(log, t - 1, phase)
+            prev = log.models(t - 1, phase)
             mats.append(curvature_divergence_matrix(models, prev, round=t))
         else:
             raise KnowledgeViolation(f"unknown metric kind {kind}")

@@ -3,7 +3,7 @@
 Models expose logits; softmax lives at the loss/metric boundary where it can
 be computed stably via log-sum-exp.  Parameters travel as one flat float64
 vector (per layer: row-major weights then biases), which is what the
-federation aggregates, perturbs, and serializes.
+federation aggregates, perturbs, and stores.
 
 The cached forward / backward pair is the shared differentiation core: the
 cross-entropy loss here, and the sigmoid-output decoders in the attack
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidTrace, ShapeError
+from .errors import InvalidConfig, ShapeError
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -55,7 +55,11 @@ class MlpArchitecture:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Flat parameter vector bound to its architecture."""
+    """Flat parameter vector bound to its architecture.
+
+    A frozen float64 vector (a row of a log's trace) is wrapped as it is;
+    anything writable is copied first, so the flat vector never changes.
+    """
 
     arch: MlpArchitecture
     flat: np.ndarray
@@ -64,8 +68,10 @@ class ModelParams:
         v = np.asarray(self.flat, dtype=np.float64)
         if v.shape != (self.arch.n_params,):
             raise ShapeError(f"flat length {v.shape} != expected ({self.arch.n_params},)")
-        v = v.copy()
-        v.setflags(write=False)
+        owner = v if v.base is None else v.base
+        if v.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "flat", v)
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
@@ -270,30 +276,3 @@ def jacobian(p: ModelParams, x: np.ndarray) -> np.ndarray:
         j_logits[out] = dx[0]
     s = softmax(logits[0])
     return (np.diag(s) - np.outer(s, s)) @ j_logits
-
-
-# --- snapshot serialization -------------------------------------------------
-
-def dump_params(p: ModelParams) -> bytes:
-    """Architecture header line + little-endian float64 payload."""
-    sizes = ",".join(str(s) for s in p.arch.layer_sizes)
-    header = f"mlp {p.arch.activation} {sizes}\n".encode("ascii")
-    return header + p.flat.astype("<f8").tobytes()
-
-
-def load_params(blob: bytes) -> ModelParams:
-    """Inverse of dump_params; a malformed or truncated snapshot raises InvalidTrace."""
-    head, newline, payload = blob.partition(b"\n")
-    fields = head.decode("ascii", "replace").split()
-    try:
-        if not newline or len(fields) != 3 or fields[0] != "mlp":
-            raise ValueError
-        arch = MlpArchitecture(tuple(int(s) for s in fields[2].split(",")), activation=fields[1])
-    except (ValueError, InvalidConfig):
-        raise InvalidTrace(f"bad snapshot header {head[:80]!r}") from None
-    if len(payload) != 8 * arch.n_params:
-        raise InvalidTrace(
-            f"snapshot payload is {len(payload)} bytes, architecture {arch.layer_sizes} "
-            f"needs {arch.n_params} float64 values ({8 * arch.n_params} bytes)"
-        )
-    return ModelParams(arch, np.frombuffer(payload, dtype="<f8").astype(np.float64))

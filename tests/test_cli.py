@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from topoleak.cli import main, parse_config, resolve_seed
@@ -203,16 +204,30 @@ class TestAttack:
         assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4"]) == 3
 
     def test_truncated_snapshot_is_runtime_error(self, sim_log, base_cfg, capsys):
-        snap = next(Path(sim_log).rglob("*.bin"))
-        snap.write_bytes(snap.read_bytes()[:-5])
+        arr = Path(sim_log, "deltas.npy")
+        arr.write_bytes(arr.read_bytes()[:-5])
         assert main(["attack", "--log", sim_log, "--scenario", "4",
                      "--config", base_cfg]) == 3
-        assert "snapshot payload" in capsys.readouterr().err
+        assert "deltas.npy is not a complete .npy array" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["shape", "float32", "object"])
+    def test_mistyped_array_is_runtime_error(self, sim_log, base_cfg, capsys, kind):
+        path = Path(sim_log, "params.npy")
+        params = np.load(path)
+        if kind == "shape":
+            np.save(path, params[:, :-1])  # one node fewer than the topology
+        elif kind == "float32":
+            np.save(path, params.astype(np.float32))
+        else:
+            np.save(path, params.astype(object), allow_pickle=True)
+        assert main(["attack", "--log", sim_log, "--scenario", "4",
+                     "--config", base_cfg]) == 3
+        assert "params.npy" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rel, text, named",
         [
-            ("rounds/round_003/post/node_002.bin", None, "node_002.bin"),
+            ("params.npy", None, "params.npy"),
             ("config.ini", None, "config.ini"),
             ("manifest.txt", "nodes 6\nrounds 2\nround 1\nround 2\nround 3\n", "rounds 2"),
             ("manifest.txt", "hello\n", "hello"),

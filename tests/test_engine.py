@@ -1,8 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from topoleak import engine
 from topoleak.data import gen_blobs, partition_iid
 from topoleak.engine import (
     DpConfig,
@@ -34,6 +36,27 @@ def small_setup(topology, n_per_class=30, seed=0, **train_kw):
     kw.update(train_kw)
     cfg = FederationConfig(topology=topology, train=TrainConfig(**kw), hidden_sizes=(4,))
     return cfg, d, plan
+
+
+LOG_FILES = (
+    "config.ini",
+    "topology.edges",
+    "dataset.csv",
+    "partition.txt",
+    "params.npy",
+    "deltas.npy",
+    "manifest.txt",
+)
+
+
+def assert_same_trace(a, b):
+    """Pre- and post-aggregation params, deltas and delta norms equal bit for bit."""
+    assert len(a.traces) == len(b.traces)
+    for ta, tb in zip(a.traces, b.traces):
+        assert stack_pre(ta).tobytes() == stack_pre(tb).tobytes()
+        assert stack_post(ta).tobytes() == stack_post(tb).tobytes()
+        assert np.stack(ta.deltas).tobytes() == np.stack(tb.deltas).tobytes()
+        assert ta.delta_norms == tb.delta_norms
 
 
 def stack_pre(trace):
@@ -116,8 +139,7 @@ class TestRunSimulation:
                 stack_pre(tr).mean(axis=0), stack_post(tr).mean(axis=0), atol=1e-12
             )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_names_first_node_and_round(self):
+    def test_divergence_names_first_node_and_round(self, monkeypatch):
         d = gen_blobs(3, 8, 40, 1.0, seed=1)
         plan = partition_iid(d, 10, 2)
         cfg = FederationConfig(
@@ -125,10 +147,17 @@ class TestRunSimulation:
             train=TrainConfig(local_epochs=3, learning_rate=1e4, batch_size=16),
             rounds=10,
         )
-        with pytest.raises(DivergedTraining) as info:
-            run_simulation(cfg, d, plan, seed=3)
-        # rounds 1-2 stay finite; round 3 leaves nodes 0-2 non-finite
+        calls = []
+        train = engine.train_local
+        monkeypatch.setattr(engine, "train_local", lambda *a: calls.append(1) or train(*a))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergedTraining) as info:
+                run_simulation(cfg, d, plan, seed=3)
+        # rounds 1-2 stay finite; round 3's first node is the first non-finite one
         assert (info.value.node, info.value.round) == (0, 3)
+        assert len(calls) == 21  # stops right after that node's step
+        assert [str(w.message) for w in caught] == []
 
 
 class TestClosedForm:
@@ -246,18 +275,58 @@ class TestLogPersistence:
         assert back.root_seed == log.root_seed
         assert back.plan.assignments == log.plan.assignments
         np.testing.assert_array_equal(back.dataset.features, log.dataset.features)
-        for ta, tb in zip(log.traces, back.traces):
-            np.testing.assert_array_equal(stack_pre(ta), stack_pre(tb))
-            np.testing.assert_array_equal(stack_post(ta), stack_post(tb))
-            np.testing.assert_array_equal(np.stack(ta.deltas), np.stack(tb.deltas))
+        assert_same_trace(log, back)
 
     def test_rerun_byte_identical(self, tmp_path):
         t = gen_ring(4)
         cfg, d, plan = small_setup(t)
         for name in ("a", "b"):
             save_log(run_simulation(cfg, d, plan, seed=5), tmp_path / name)
-        for rel in ["manifest.txt", "rounds/round_002/post/node_001.bin"]:
-            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert names == sorted(LOG_FILES)
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_trace_is_read_only(self, tmp_path):
+        cfg, d, plan = small_setup(gen_ring(4))
+        log = run_simulation(cfg, d, plan, seed=2)
+        save_log(log, tmp_path)
+        for lg in (log, load_log(tmp_path)):
+            for arr in (lg.params, lg.deltas, lg.params.base, lg.deltas.base):
+                if arr is not None:
+                    with pytest.raises(ValueError):
+                        arr[(0,) * arr.ndim] = 1.0
+            for models in (lg.initial_params, lg.traces[-1].params_post_agg,
+                           lg.traces[-1].params_pre_agg):
+                with pytest.raises(ValueError):
+                    models[0].flat[0] = 1.0
+            with pytest.raises(ValueError):
+                lg.traces[0].deltas[0][0] = 1.0
+            # a post-aggregation model is a view of the trace, not a copy
+            assert np.shares_memory(lg.traces[-1].params_post_agg[1].flat, lg.params)
+
+    @pytest.mark.parametrize("damage", ["missing", "short", "shape", "float32", "object", "config"])
+    def test_damaged_array_is_invalid_trace(self, tmp_path, damage):
+        cfg, d, plan = small_setup(gen_ring(4))
+        save_log(run_simulation(cfg, d, plan, seed=2), tmp_path)
+        path = tmp_path / "params.npy"
+        params = np.load(path)
+        if damage == "missing":
+            path.unlink()
+        elif damage == "short":
+            path.write_bytes(path.read_bytes()[:-5])
+        elif damage == "shape":  # one round fewer than config.ini and the manifest
+            np.save(path, params[:-1])
+        elif damage == "float32":
+            np.save(path, params.astype(np.float32))
+        elif damage == "object":
+            np.save(path, params.astype(object), allow_pickle=True)
+        else:  # a hidden layer the arrays were not trained with
+            text = (tmp_path / "config.ini").read_text()
+            (tmp_path / "config.ini").write_text(text.replace("hidden_sizes = 4", "hidden_sizes = 5"))
+        with pytest.raises(InvalidTrace, match="params.npy"):
+            load_log(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InvalidTrace):
@@ -301,4 +370,6 @@ class TestLogPersistence:
         )
         log = run_simulation(cfg, d, plan, seed=1)
         save_log(log, tmp_path / "log")
-        assert load_log(tmp_path / "log").config.dp == cfg.dp
+        back = load_log(tmp_path / "log")
+        assert back.config.dp == cfg.dp
+        assert_same_trace(log, back)

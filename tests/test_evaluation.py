@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoleak import evaluation
 from topoleak.attacks import SoftAdjacency, sample_knowledge
@@ -111,6 +113,69 @@ class TestF1:
             got = f1_score(pred, truth, pairs)
             want = oracle_confusion(pred, truth, pairs)
             assert got == want
+
+
+def oracle_evaluate(values, truth, pairs):
+    """evaluate_soft's F1 fields by one confusion enumeration per threshold."""
+    f1, precision, recall = oracle_confusion((values > 0.5).astype(int), truth, pairs)
+    best_f1, best_tau = 0.0, 0.5
+    for tau in sorted({0.0, *(float(values[i, j]) for i, j in pairs)}):
+        cand = oracle_confusion((values > tau).astype(int), truth, pairs)[0]
+        if cand > best_f1:
+            best_f1, best_tau = cand, tau
+    return f1, best_f1, best_tau, precision, recall
+
+
+@st.composite
+def scoring_instances(draw):
+    """(values, truth, pairs): random, tie-heavy or constant scores; one- or
+    two-class truth; every pair or a held-out subset."""
+    n = draw(st.integers(3, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "ties", "constant"]))
+    if kind == "random":
+        values = rng.random((n, n))
+    elif kind == "ties":
+        values = rng.integers(0, 5, size=(n, n)) / 4.0  # 0, 0.25, ..., 1
+    else:
+        values = np.full((n, n), draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
+    truth_kind = draw(st.sampled_from(["mixed", "empty", "complete"]))
+    truth = np.triu(rng.random((n, n)) < 0.4, 1).astype(int)
+    if truth_kind == "empty":
+        truth[:] = 0
+    elif truth_kind == "complete":
+        truth = np.triu(np.ones((n, n), dtype=int), 1)
+    truth = truth + truth.T
+    pairs = list(all_pairs(n))
+    if draw(st.booleans()):
+        known = [p for p in pairs if rng.random() < 0.3]
+        pairs = list(held_out_pairs(n, known)) or pairs
+    return values, truth, pairs
+
+
+class TestEvaluateSoftOneSort:
+    @settings(max_examples=400, deadline=None)
+    @given(scoring_instances())
+    def test_f1_fields_equal_per_threshold_oracle(self, inst):
+        values, truth, pairs = inst
+        res = evaluate_soft(values, truth, pairs)
+        got = (res.f1_05, res.best_f1, res.best_tau, res.precision, res.recall)
+        assert got == oracle_evaluate(values, truth, pairs)
+
+    def test_negative_zero_score_reports_positive_zero_tau(self):
+        truth = adjacency_matrix(gen_ring(4))
+        values = np.where(truth > 0, 0.7, -0.0)
+        res = evaluate_soft(values, truth, all_pairs(4))
+        assert (res.best_f1, res.best_tau) == (1.0, 0.0)
+        assert str(res.best_tau) == "0.0"
+
+    def test_one_f1_score_call_per_evaluation(self, monkeypatch):
+        calls = []
+        inner = evaluation.f1_score
+        monkeypatch.setattr(evaluation, "f1_score", lambda *a: calls.append(1) or inner(*a))
+        adj = adjacency_matrix(gen_erdos_renyi(12, 0.3, seed=0))
+        evaluate_soft(np.random.default_rng(0).random((12, 12)), adj, all_pairs(12))
+        assert len(calls) == 1
 
 
 class TestAuc:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoleak.data import Dataset, gen_blobs, partition_iid
 from topoleak.engine import FederationConfig, run_simulation
@@ -30,7 +32,9 @@ from topoleak.nn import (
     TrainConfig,
     cross_entropy,
     forward,
+    forward_batch,
     init_params,
+    log_softmax,
     pack,
     softmax,
 )
@@ -75,6 +79,26 @@ class TestRelativeLoss:
         for i in range(3):
             own = cross_entropy(models[i], datasets[i].features, datasets[i].labels)
             assert m.values[i, i] == pytest.approx(own, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=2, max_size=7),
+        act=st.sampled_from(["relu", "tanh"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_pairwise_loop(self, sizes, act, seed):
+        arch = MlpArchitecture((3, 5, 4), act)
+        rng = np.random.default_rng(seed)
+        models = [init_params(arch, seed + i) for i in range(len(sizes))]
+        datasets = [
+            Dataset(rng.standard_normal((m, 3)) * 3, rng.integers(0, 4, size=m)) for m in sizes
+        ]
+        want = np.array([
+            [-log_softmax(forward_batch(p, d.features))[np.arange(d.n_samples), d.labels].mean()
+             for d in datasets]
+            for p in models
+        ])
+        np.testing.assert_allclose(relative_loss(models, datasets).values, want, rtol=1e-12, atol=0)
 
     def test_missing_dataset_rejected(self):
         models = [zero_model() for _ in range(2)]

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from topoleak.data import gen_blobs
-from topoleak.errors import InvalidConfig, InvalidTrace, ShapeError
+from topoleak.errors import InvalidConfig, ShapeError
 from topoleak.nn import (
     MlpArchitecture,
     ModelParams,
     TrainConfig,
     cross_entropy,
-    dump_params,
     forward,
     forward_batch,
     init_params,
     jacobian,
-    load_params,
     loss_and_grad,
     pack,
     softmax,
@@ -101,6 +99,14 @@ class TestForward:
         p = init_params(MlpArchitecture((3, 4, 2)), seed=0)
         with pytest.raises(ShapeError):
             forward(p, np.zeros(5))
+
+    def test_forward_batch_matches_forward(self):
+        p = init_params(MlpArchitecture((3, 5, 4)), seed=2)
+        rng = np.random.default_rng(0)
+        xb = rng.standard_normal((6, 3))
+        batched = forward_batch(p, xb)
+        for i in range(6):
+            np.testing.assert_allclose(batched[i], forward(p, xb[i]), atol=1e-15)
 
 
 class TestLossAndGrad:
@@ -226,54 +232,29 @@ class TestJacobian:
         assert n1 == pytest.approx(n2, rel=1e-12)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        arch = MlpArchitecture((3, 7, 2), activation="tanh")
-        p = init_params(arch, seed=11)
-        back = load_params(dump_params(p))
-        assert back.arch == arch
-        np.testing.assert_array_equal(back.flat, p.flat)
+class TestModelParams:
+    def test_writable_array_is_copied(self):
+        arch = MlpArchitecture((2, 3, 2))
+        src = init_params(arch, seed=0).flat.copy()
+        p = ModelParams(arch, src)
+        src[0] += 1.0
+        assert p.flat[0] == src[0] - 1.0
+        assert not np.shares_memory(p.flat, src)
 
-    def test_header_is_readable_ascii(self):
-        p = init_params(MlpArchitecture((2, 3, 2)), seed=0)
-        blob = dump_params(p)
-        assert blob.split(b"\n", 1)[0] == b"mlp relu 2,3,2"
+    def test_read_only_view_of_writable_array_is_copied(self):
+        arch = MlpArchitecture((2, 3, 2))
+        owner = np.zeros((2, arch.n_params))
+        row = owner[1]
+        row.setflags(write=False)
+        p = ModelParams(arch, row)
+        owner[1, 0] = 5.0
+        assert p.flat[0] == 0.0
 
-    def test_rejects_garbage_header(self):
-        with pytest.raises(InvalidTrace):
-            load_params(b"nope 1,2\n" + b"\x00" * 8)
-
-    @pytest.mark.parametrize(
-        "header",
-        [b"mlp relu", b"mlp relu 2,x,2", b"mlp relu 2,2", b"mlp swish 2,3,2", b"mlp relu 2,0,2", b"\xff\xfe"],
-    )
-    def test_rejects_bad_header_fields(self, header):
-        with pytest.raises(InvalidTrace):
-            load_params(header + b"\n" + b"\x00" * 8 * 17)
-
-    def test_rejects_missing_newline(self):
-        blob = dump_params(init_params(MlpArchitecture((2, 3, 2)), seed=0))
-        with pytest.raises(InvalidTrace):
-            load_params(blob.split(b"\n", 1)[0])
-        with pytest.raises(InvalidTrace):
-            load_params(b"")
-
-    def test_rejects_partial_float(self):
-        blob = dump_params(init_params(MlpArchitecture((2, 3, 2)), seed=0))
-        with pytest.raises(InvalidTrace):
-            load_params(blob[:-3])
-
-    @pytest.mark.parametrize("delta", [-8, 8])
-    def test_rejects_wrong_payload_length(self, delta):
-        blob = dump_params(init_params(MlpArchitecture((2, 3, 2)), seed=0))
-        cut = blob[:delta] if delta < 0 else blob + b"\x00" * delta
-        with pytest.raises(InvalidTrace):
-            load_params(cut)
-
-    def test_forward_batch_matches_forward(self):
-        p = init_params(MlpArchitecture((3, 5, 4)), seed=2)
-        rng = np.random.default_rng(0)
-        xb = rng.standard_normal((6, 3))
-        batched = forward_batch(p, xb)
-        for i in range(6):
-            np.testing.assert_allclose(batched[i], forward(p, xb[i]), atol=1e-15)
+    def test_frozen_row_is_wrapped_without_copy(self):
+        arch = MlpArchitecture((2, 3, 2))
+        owner = np.ones((2, arch.n_params))
+        owner.setflags(write=False)
+        p = ModelParams(arch, owner[1])
+        assert np.shares_memory(p.flat, owner)
+        with pytest.raises(ValueError):
+            p.flat[0] = 1.0
