@@ -298,13 +298,27 @@ def _read_bytes(path: Path) -> bytes:
 
 
 def _read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 array of the given shape from an .npy file, made read-only."""
+    """A float64 array of the given shape from an .npy file, made read-only.
+
+    The file must hold one array and nothing else: a header that ends in a
+    newline, as the .npy format requires, then exactly the payload.
+    """
     try:
-        a = np.load(path, allow_pickle=False)
+        with open(path, "rb") as fh:
+            a = np.lib.format.read_array(fh, allow_pickle=False)
+            end = fh.tell()
+            fh.seek(end - a.nbytes - 1)
+            header_end = fh.read(1)
+            fh.seek(end)
+            trailing = fh.read(1)
     except OSError as exc:
         raise InvalidTrace(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (ValueError, EOFError) as exc:
         raise InvalidTrace(f"{path} is not a complete .npy array: {exc}") from exc
+    if header_end != b"\n":
+        raise InvalidTrace(f"{path} has an .npy header that does not end in a newline")
+    if trailing:
+        raise InvalidTrace(f"{path} has bytes after its array payload")
     if a.dtype != np.float64 or a.shape != shape:
         raise InvalidTrace(f"{path} holds {a.dtype} {a.shape}; the log's config needs float64 {shape}")
     return _frozen(a)

@@ -1,10 +1,12 @@
+import ast
 import math
 
 import numpy as np
 import pytest
 
-from topoleak.data import gen_blobs
-from topoleak.errors import InvalidConfig, ShapeError
+from topoleak.data import gen_blobs, partition_iid
+from topoleak.engine import FederationConfig, load_log, run_simulation, save_log
+from topoleak.errors import InvalidConfig, InvalidTrace, ShapeError
 from topoleak.nn import (
     MlpArchitecture,
     ModelParams,
@@ -20,6 +22,7 @@ from topoleak.nn import (
     train_local,
     unpack,
 )
+from topoleak.topology import gen_ring
 
 
 def finite_diff_grad(p, x, y, coords, step=1e-5):
@@ -258,3 +261,70 @@ class TestModelParams:
         assert np.shares_memory(p.flat, owner)
         with pytest.raises(ValueError):
             p.flat[0] = 1.0
+
+
+class TestSerialization:
+    """Model parameters persist as one float64 .npy array per log (params.npy)."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        d = gen_blobs(2, 3, 20, spread=0.5, seed=0)
+        cfg = FederationConfig(
+            topology=gen_ring(4),
+            train=TrainConfig(local_epochs=1, learning_rate=0.05, batch_size=16),
+            rounds=2,
+            hidden_sizes=(7,),
+            activation="tanh",
+        )
+        log = run_simulation(cfg, d, partition_iid(d, 4, seed=1), seed=11)
+        save_log(log, tmp_path)
+        return log, tmp_path
+
+    def test_round_trip(self, saved):
+        log, root = saved
+        back = load_log(root)
+        for t in range(log.config.n_rounds + 1):
+            for p, q in zip(log.models(t), back.models(t), strict=True):
+                assert q.arch == p.arch == MlpArchitecture((3, 7, 2), activation="tanh")
+                np.testing.assert_array_equal(q.flat, p.flat)
+
+    def test_header_is_readable_ascii(self, saved):
+        log, root = saved
+        line = (root / "params.npy").read_bytes().split(b"\n", 1)[0]
+        assert line[:6] == b"\x93NUMPY"
+        header = ast.literal_eval(line[10:].decode("ascii"))
+        assert header == {"descr": "<f8", "fortran_order": False, "shape": log.params.shape}
+
+    def test_rejects_garbage_header(self, saved):
+        _, root = saved
+        (root / "params.npy").write_bytes(b"nope 1,2\n" + b"\x00" * 8)
+        with pytest.raises(InvalidTrace, match="params.npy"):
+            load_log(root)
+
+    def test_rejects_missing_newline(self, saved):
+        _, root = saved
+        path = root / "params.npy"
+        blob = path.read_bytes()
+        head, payload = blob.split(b"\n", 1)
+        path.write_bytes(head + b" " + payload)  # same length; numpy alone accepts it
+        with pytest.raises(InvalidTrace, match="params.npy has an .npy header that does not end"):
+            load_log(root)
+        path.write_bytes(b"")
+        with pytest.raises(InvalidTrace, match="params.npy"):
+            load_log(root)
+
+    def test_rejects_partial_float(self, saved):
+        _, root = saved
+        path = root / "params.npy"
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(InvalidTrace, match="params.npy is not a complete .npy array"):
+            load_log(root)
+
+    @pytest.mark.parametrize("delta", [-8, 8])
+    def test_rejects_wrong_payload_length(self, saved, delta):
+        _, root = saved
+        path = root / "params.npy"
+        blob = path.read_bytes()
+        path.write_bytes(blob[:delta] if delta < 0 else blob + b"\x00" * delta)
+        with pytest.raises(InvalidTrace, match="params.npy"):
+            load_log(root)
