@@ -19,11 +19,12 @@ touches the simulation's ground-truth adjacency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ConstantMetric,
     DegenerateLabels,
     InvalidConfig,
     KnowledgeViolation,
@@ -526,8 +527,6 @@ def baseline_logistic(
 
 def baseline_kmeans(x: FeatureMatrix, seed: int = 0, restarts: int = 50) -> np.ndarray:
     """Scalar 2-means over off-diagonal entries; high cluster = edges."""
-    from .errors import ConstantMetric
-
     vals = x.values
     n = vals.shape[0]
     off = ~np.eye(n, dtype=bool)

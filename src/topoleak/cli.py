@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .attacks import (
     EdgePreConfig,
     InferGatConfig,

@@ -20,11 +20,10 @@ from .attacks import (
     EdgePreConfig,
     InferGatConfig,
     SoftAdjacency,
-    binarize,
     run_scenario,
     sample_knowledge,
 )
-from .data import Dataset, gen_blobs, partition_dirichlet, partition_iid
+from .data import gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
 from .errors import DegenerateLabels, InvalidEvalSet, TopoleakError
 from .nn import TrainConfig

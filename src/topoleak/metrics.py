@@ -1,44 +1,27 @@
 """Pairwise behavioral metrics between node models, and their orientation.
 
-Six metrics compare node i's model with node j's model or local data:
-three relative metrics (loss, entropy, sensitivity: model i evaluated on
-dataset j) and three parameter-space metrics (cosine, euclidean similarity,
-curvature divergence of update vectors).  ``orient_and_normalize`` turns any
-of them into a FeatureMatrix in [0, 1] where larger means "more likely
-neighbors", which is what the attack decoders consume.
+Two metrics compare node i's model with node j's, one per attacker
+knowledge level: relative loss (model i evaluated on dataset j) for
+attackers that hold the node datasets, and cosine similarity of parameter
+vectors for those that do not.  ``orient_and_normalize`` turns either into
+a FeatureMatrix in [0, 1] where larger means "more likely neighbors",
+which is what the attack decoders consume.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConstantMetric, DegenerateModel, KnowledgeViolation, ShapeError
-from .nn import ModelParams, forward_batch, jacobian, log_softmax
-from .seeds import rng_for
-
-SENSITIVITY_SUBSAMPLE = 32
+from .nn import ModelParams, forward_batch, log_softmax
 
 
 class MetricKind(Enum):
     RELATIVE_LOSS = "relative_loss"
-    RELATIVE_ENTROPY = "relative_entropy"
-    RELATIVE_SENSITIVITY = "relative_sensitivity"
     COSINE_SIMILARITY = "cosine_similarity"
-    EUCLIDEAN_SIMILARITY = "euclidean_similarity"
-    CURVATURE_DIVERGENCE = "curvature_divergence"
-
-
-# kinds where larger values mean "more alike"; the rest get negated
-SIMILARITY_KINDS = frozenset({MetricKind.COSINE_SIMILARITY, MetricKind.EUCLIDEAN_SIMILARITY})
-# kinds where entry (i, j) need not equal (j, i); symmetrized by averaging
-ASYMMETRIC_KINDS = frozenset(
-    {MetricKind.RELATIVE_LOSS, MetricKind.RELATIVE_ENTROPY, MetricKind.RELATIVE_SENSITIVITY}
-)
 
 
 @dataclass(frozen=True)
@@ -46,7 +29,6 @@ class MetricMatrix:
     kind: MetricKind
     values: np.ndarray
     round: int
-    diagonal_defined: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -115,37 +97,6 @@ def relative_loss(models, datasets, round: int = 0) -> MetricMatrix:
     return MetricMatrix(MetricKind.RELATIVE_LOSS, out, round)
 
 
-def relative_entropy(models, datasets, round: int = 0) -> MetricMatrix:
-    """values[i][j] = -(1/|D_j|) sum_x sum_k y_k(x) log f_ik(x), one-hot y.
-
-    Against a one-hot label only the true class's term survives, so this is
-    relative_loss under its own kind.
-    """
-    return MetricMatrix(MetricKind.RELATIVE_ENTROPY, relative_loss(models, datasets, round).values, round)
-
-
-def relative_sensitivity(
-    models, datasets, subsample: int = SENSITIVITY_SUBSAMPLE, seed: int = 0, round: int = 0
-) -> MetricMatrix:
-    """Mean Frobenius norm of the softmax-output Jacobian of model i over a
-    deterministic subsample of dataset j."""
-    _check_models(models)
-    _check_datasets(models, datasets)
-    if subsample < 1:
-        raise KnowledgeViolation(f"subsample must be >= 1, got {subsample}")
-    n = len(models)
-    picks = []
-    for j, d in enumerate(datasets):
-        take = min(subsample, d.n_samples)
-        picks.append(rng_for(seed, "sens", j).choice(d.n_samples, size=take, replace=False))
-    out = np.zeros((n, n))
-    for i, model in enumerate(models):
-        for j, d in enumerate(datasets):
-            norms = [np.linalg.norm(jacobian(model, d.features[s])) for s in picks[j]]
-            out[i, j] = np.mean(norms)
-    return MetricMatrix(MetricKind.RELATIVE_SENSITIVITY, out, round)
-
-
 def cosine_matrix(models, round: int = 0) -> MetricMatrix:
     flats = _check_models(models)
     norms = np.linalg.norm(flats, axis=1)
@@ -155,48 +106,16 @@ def cosine_matrix(models, round: int = 0) -> MetricMatrix:
     return MetricMatrix(MetricKind.COSINE_SIMILARITY, unit @ unit.T, round)
 
 
-def euclidean_matrix(models, round: int = 0) -> MetricMatrix:
-    flats = _check_models(models)
-    diff = flats[:, None, :] - flats[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    return MetricMatrix(MetricKind.EUCLIDEAN_SIMILARITY, 1.0 / (1.0 + dist), round)
-
-
-def curvature_divergence_matrix(models_t, models_t_minus_1, round: int = 0) -> MetricMatrix:
-    """values[i][j] = |d_i - d_j| / ((|d_i| + |d_j|) / 2), d = theta_t - theta_{t-1}.
-
-    Entries where both updates are zero are defined as 0 (identical motion).
-    """
-    now = _check_models(models_t)
-    before = _check_models(models_t_minus_1)
-    if now.shape != before.shape:
-        raise ShapeError(f"snapshot shapes differ: {now.shape} vs {before.shape}")
-    upd = now - before
-    norms = np.linalg.norm(upd, axis=1)
-    n = upd.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            denom = 0.5 * (norms[i] + norms[j])
-            if denom == 0.0:
-                out[i, j] = 0.0
-            else:
-                out[i, j] = np.linalg.norm(upd[i] - upd[j]) / denom
-    return MetricMatrix(MetricKind.CURVATURE_DIVERGENCE, out, round)
-
-
 def orient_and_normalize(m: MetricMatrix) -> FeatureMatrix:
     """Map a metric to [0, 1] with larger = more likely connected.
 
-    Similarity kinds pass through; dissimilarity kinds are negated;
-    asymmetric kinds are symmetrized by averaging with their transpose.
+    Cosine passes through.  Relative loss need not be symmetric, so it is
+    averaged with its transpose, then negated (a lower loss is more alike).
     Off-diagonal entries are min-max normalized; the diagonal is set to 1.
     """
-    v = m.values.copy()
-    if m.kind in ASYMMETRIC_KINDS:
-        v = 0.5 * (v + v.T)
-    if m.kind not in SIMILARITY_KINDS:
-        v = -v
+    v = m.values
+    if m.kind is MetricKind.RELATIVE_LOSS:
+        v = -0.5 * (v + v.T)
     n = v.shape[0]
     off = ~np.eye(n, dtype=bool)
     lo, hi = float(v[off].min()), float(v[off].max())
@@ -209,14 +128,7 @@ def orient_and_normalize(m: MetricMatrix) -> FeatureMatrix:
 
 # --- computing metrics from a simulation log --------------------------------
 
-def metric_from_log(
-    log,
-    kind: MetricKind,
-    phase: str = "post",
-    last_k: int = 1,
-    subsample: int = SENSITIVITY_SUBSAMPLE,
-    seed: int = 0,
-) -> MetricMatrix:
+def metric_from_log(log, kind: MetricKind, phase: str = "post", last_k: int = 1) -> MetricMatrix:
     """Compute one metric from a log's snapshots.
 
     Defaults to the final round's post-aggregation models: aggregation pulls
@@ -228,8 +140,7 @@ def metric_from_log(
     if phase not in ("pre", "post"):
         raise KnowledgeViolation(f"phase must be pre or post, got {phase!r}")
     t_final = len(log.deltas)
-    first_needed = 2 if kind is MetricKind.CURVATURE_DIVERGENCE else 1
-    if last_k < 1 or t_final - last_k + 1 < first_needed:
+    if last_k < 1 or last_k > t_final:
         raise KnowledgeViolation(
             f"last_k={last_k} needs more rounds than the log's {t_final}"
         )
@@ -239,17 +150,8 @@ def metric_from_log(
         models = log.models(t, phase)
         if kind is MetricKind.RELATIVE_LOSS:
             mats.append(relative_loss(models, datasets, round=t))
-        elif kind is MetricKind.RELATIVE_ENTROPY:
-            mats.append(relative_entropy(models, datasets, round=t))
-        elif kind is MetricKind.RELATIVE_SENSITIVITY:
-            mats.append(relative_sensitivity(models, datasets, subsample, seed, round=t))
         elif kind is MetricKind.COSINE_SIMILARITY:
             mats.append(cosine_matrix(models, round=t))
-        elif kind is MetricKind.EUCLIDEAN_SIMILARITY:
-            mats.append(euclidean_matrix(models, round=t))
-        elif kind is MetricKind.CURVATURE_DIVERGENCE:
-            prev = log.models(t - 1, phase)
-            mats.append(curvature_divergence_matrix(models, prev, round=t))
         else:
             raise KnowledgeViolation(f"unknown metric kind {kind}")
     stacked = np.mean([m.values for m in mats], axis=0)
@@ -274,20 +176,3 @@ def load_matrix_csv(text: str) -> np.ndarray:
     ]
     return np.array(rows, dtype=np.float64)
 
-
-def save_metric(m: MetricMatrix, path_base) -> None:
-    base = Path(path_base)
-    base.with_suffix(".csv").write_text(dump_matrix_csv(m.values))
-    meta = {"kind": m.kind.value, "round": m.round, "diagonal_defined": m.diagonal_defined}
-    base.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def save_feature(fm: FeatureMatrix, path_base) -> None:
-    base = Path(path_base)
-    base.with_suffix(".csv").write_text(dump_matrix_csv(fm.values))
-    meta = {
-        "kinds": [k.value for k in fm.source_kinds],
-        "norm_lo": fm.norm_lo,
-        "norm_hi": fm.norm_hi,
-    }
-    base.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")

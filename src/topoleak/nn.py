@@ -13,7 +13,7 @@ module, all reduce to a custom gradient at the logits fed through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,19 +260,3 @@ def train_local(p: ModelParams, features: np.ndarray, labels: np.ndarray, cfg: T
     p_new = p.with_flat(theta)
     return p_new, theta - p.flat
 
-
-def jacobian(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Exact d softmax(logits) / d x, shape (d_out, d_in)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != p.arch.d_in:
-        raise ShapeError(f"input shape {x.shape} incompatible with d_in={p.arch.d_in}")
-    logits, cache = forward_cached(p, x[None, :])
-    k = p.arch.d_out
-    j_logits = np.zeros((k, p.arch.d_in))
-    for out in range(k):
-        seed_grad = np.zeros((1, k))
-        seed_grad[0, out] = 1.0
-        _, dx = backward_from_logits(p, cache, seed_grad)
-        j_logits[out] = dx[0]
-    s = softmax(logits[0])
-    return (np.diag(s) - np.outer(s, s)) @ j_logits

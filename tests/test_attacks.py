@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from topoleak.attacks import (
+    SCENARIO_FEATURE_KIND,
     AttackResult,
     EdgeDecoder,
     EdgePreConfig,
@@ -478,6 +479,9 @@ class TestRunScenario:
         k4 = sample_knowledge(4, log.config.topology)
         res4 = run_scenario(k4, log, infergat_cfg=InferGatConfig(epochs=5, seed=0))
         assert res4.feature_kind is MetricKind.COSINE_SIMILARITY
+
+    def test_every_metric_kind_is_read_by_a_scenario(self):
+        assert set(SCENARIO_FEATURE_KIND.values()) == set(MetricKind)
 
     def test_sc1_routes_through_supervised_decoder(self, monkeypatch):
         # SC1 must produce exactly what the supervised pipeline produces when

@@ -13,30 +13,21 @@ from topoleak.metrics import (
     MetricKind,
     MetricMatrix,
     cosine_matrix,
-    curvature_divergence_matrix,
     dump_matrix_csv,
-    euclidean_matrix,
     feature_from_log,
     load_matrix_csv,
     metric_from_log,
     orient_and_normalize,
-    relative_entropy,
     relative_loss,
-    relative_sensitivity,
-    save_feature,
-    save_metric,
 )
 from topoleak.nn import (
     MlpArchitecture,
     ModelParams,
     TrainConfig,
     cross_entropy,
-    forward,
     forward_batch,
     init_params,
     log_softmax,
-    pack,
-    softmax,
 )
 from topoleak.topology import gen_ring
 
@@ -106,65 +97,6 @@ class TestRelativeLoss:
             relative_loss(models, [tiny_dataset(0), None])
 
 
-class TestRelativeEntropy:
-    def test_confident_correct_model_near_zero(self):
-        arch = MlpArchitecture((2, 2, 2), activation="relu")
-        p = pack(arch, [(np.eye(2) * 50, np.zeros(2)), (np.eye(2), np.zeros(2))])
-        d = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
-        m = relative_entropy([p], [d])
-        assert m.values[0, 0] < 1e-8
-
-    def test_uniform_model_log_k(self):
-        m = relative_entropy([zero_model(k=4)], [tiny_dataset(1, k=4)])
-        assert m.values[0, 0] == pytest.approx(math.log(4), abs=1e-12)
-
-    def test_identity_with_relative_loss_under_one_hot(self):
-        models = [init_params(MlpArchitecture((2, 4, 3)), seed=s) for s in range(4)]
-        datasets = [tiny_dataset(s, k=3) for s in range(4)]
-        a = relative_loss(models, datasets)
-        b = relative_entropy(models, datasets)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
-
-
-class TestRelativeSensitivity:
-    def test_zero_model_zero_sensitivity(self):
-        m = relative_sensitivity([zero_model()], [tiny_dataset(0)])
-        np.testing.assert_allclose(m.values, 0.0, atol=1e-15)
-
-    def test_matches_finite_difference_jacobians(self):
-        # oracle: central differences of softmax outputs per input coordinate
-        models = [init_params(MlpArchitecture((2, 4, 2), activation="tanh"), seed=s) for s in range(3)]
-        datasets = [tiny_dataset(s, n=5) for s in range(3)]
-        m = relative_sensitivity(models, datasets, subsample=32)
-        step = 1e-6
-        for i, model in enumerate(models):
-            for j, d in enumerate(datasets):
-                norms = []
-                for x in d.features:  # subsample >= n picks every sample
-                    fd = np.zeros((2, 2))
-                    for c in range(2):
-                        up, down = x.copy(), x.copy()
-                        up[c] += step
-                        down[c] -= step
-                        fd[:, c] = (softmax(forward(model, up)) - softmax(forward(model, down))) / (
-                            2 * step
-                        )
-                    norms.append(np.linalg.norm(fd))
-                assert m.values[i, j] == pytest.approx(np.mean(norms), abs=1e-4)
-
-    def test_nonnegative(self):
-        models = [init_params(MlpArchitecture((2, 3, 2)), seed=s) for s in range(3)]
-        datasets = [tiny_dataset(s) for s in range(3)]
-        assert np.all(relative_sensitivity(models, datasets).values >= 0)
-
-    def test_deterministic_subsample(self):
-        models = [init_params(MlpArchitecture((2, 3, 2)), seed=s) for s in range(2)]
-        datasets = [tiny_dataset(s, n=50) for s in range(2)]
-        a = relative_sensitivity(models, datasets, subsample=8, seed=5)
-        b = relative_sensitivity(models, datasets, subsample=8, seed=5)
-        np.testing.assert_array_equal(a.values, b.values)
-
-
 class TestCosineEuclidean:
     def test_cosine_hand_values(self):
         m = cosine_matrix([np.array([1.0, 2.0]), np.array([2.0, 4.0]), np.array([-2.0, 1.0])])
@@ -175,40 +107,6 @@ class TestCosineEuclidean:
     def test_cosine_zero_vector_rejected(self):
         with pytest.raises(DegenerateModel):
             cosine_matrix([np.zeros(3), np.ones(3)])
-
-    def test_euclidean_hand_values(self):
-        m = euclidean_matrix([np.array([0.0, 0.0]), np.array([3.0, 4.0])])
-        assert m.values[0, 1] == pytest.approx(1.0 / 6.0)
-        assert m.values[0, 0] == pytest.approx(1.0)
-        assert np.all(m.values > 0) and np.all(m.values <= 1)
-
-
-class TestCurvatureDivergence:
-    def test_equal_updates_zero(self):
-        now = [np.array([1.0, 1.0]), np.array([2.0, 0.0])]
-        before = [np.array([0.0, 0.0]), np.array([1.0, -1.0])]
-        m = curvature_divergence_matrix(now, before)
-        assert m.values[0, 1] == pytest.approx(0.0)  # both updates are (1, 1)
-
-    def test_opposite_updates_maximal(self):
-        now = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
-        before = [np.zeros(2), np.zeros(2)]
-        m = curvature_divergence_matrix(now, before)
-        assert m.values[0, 1] == pytest.approx(2.0)
-
-    def test_both_zero_updates_defined_as_zero(self):
-        now = [np.zeros(2), np.zeros(2)]
-        m = curvature_divergence_matrix(now, now)
-        np.testing.assert_array_equal(m.values, 0.0)
-
-    def test_range_bounded_by_two(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            now = [rng.standard_normal(5) for _ in range(4)]
-            before = [rng.standard_normal(5) for _ in range(4)]
-            m = curvature_divergence_matrix(now, before)
-            assert np.all(m.values >= 0) and np.all(m.values <= 2 + 1e-12)
-
 
 class TestOrientAndNormalize:
     def test_cosine_order_preserved(self):
@@ -302,23 +200,18 @@ class TestMetricFromLog:
 
     def test_last_k_averages(self):
         log = small_log()
-        m = metric_from_log(log, MetricKind.EUCLIDEAN_SIMILARITY, last_k=2)
-        a = euclidean_matrix(log.traces[-1].params_post_agg).values
-        b = euclidean_matrix(log.traces[-2].params_post_agg).values
+        m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, last_k=2)
+        a = cosine_matrix(log.traces[-1].params_post_agg).values
+        b = cosine_matrix(log.traces[-2].params_post_agg).values
         np.testing.assert_allclose(m.values, (a + b) / 2, atol=1e-12)
 
-    def test_curvature_uses_consecutive_same_phase_snapshots(self):
-        log = small_log()
-        m = metric_from_log(log, MetricKind.CURVATURE_DIVERGENCE)
-        expected = curvature_divergence_matrix(
-            log.traces[-1].params_post_agg, log.traces[-2].params_post_agg
-        )
-        np.testing.assert_allclose(m.values, expected.values, atol=1e-12)
-
-    def test_curvature_needs_two_rounds(self):
-        log = small_log(rounds=1)
-        with pytest.raises(KnowledgeViolation):
-            metric_from_log(log, MetricKind.CURVATURE_DIVERGENCE)
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_last_k_bounds(self, kind):
+        log = small_log(rounds=2)
+        for bad in (0, 3):
+            with pytest.raises(KnowledgeViolation):
+                metric_from_log(log, kind, last_k=bad)
+        assert metric_from_log(log, kind, last_k=2).round == 2
 
     def test_relative_loss_from_log_uses_full_node_sets(self):
         log = small_log()
@@ -341,16 +234,3 @@ class TestSerialization:
         vals = rng.standard_normal((4, 4))
         np.testing.assert_array_equal(load_matrix_csv(dump_matrix_csv(vals)), vals)
 
-    def test_save_metric_writes_sidecar(self, tmp_path):
-        m = MetricMatrix(MetricKind.COSINE_SIMILARITY, np.eye(3), round=7)
-        save_metric(m, tmp_path / "cos")
-        assert (tmp_path / "cos.csv").exists()
-        meta = (tmp_path / "cos.meta.json").read_text()
-        assert '"cosine_similarity"' in meta and '"round": 7' in meta
-
-    def test_save_feature_records_bounds(self, tmp_path):
-        rng = np.random.default_rng(3)
-        f = orient_and_normalize(cosine_matrix([rng.standard_normal(5) for _ in range(4)]))
-        save_feature(f, tmp_path / "feat")
-        meta = (tmp_path / "feat.meta.json").read_text()
-        assert '"norm_lo"' in meta and '"norm_hi"' in meta

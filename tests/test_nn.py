@@ -15,7 +15,6 @@ from topoleak.nn import (
     forward,
     forward_batch,
     init_params,
-    jacobian,
     loss_and_grad,
     pack,
     softmax,
@@ -197,42 +196,6 @@ class TestTrainLocal:
         cfg = TrainConfig(local_epochs=5, learning_rate=0.01, batch_size=10, optimizer="adam", seed=0)
         p_new, _ = train_local(p, d.features, d.labels, cfg)
         assert cross_entropy(p_new, d.features, d.labels) < cross_entropy(p, d.features, d.labels)
-
-
-class TestJacobian:
-    def test_zero_net_zero_jacobian(self):
-        arch = MlpArchitecture((3, 4, 2))
-        p = ModelParams(arch, np.zeros(arch.n_params))
-        np.testing.assert_array_equal(jacobian(p, np.array([1.0, 2.0, 3.0])), 0.0)
-
-    def test_matches_finite_differences(self):
-        # oracle: central differences of softmax outputs w.r.t. each input
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            arch = MlpArchitecture((4, 6, 3), activation="tanh")
-            p = init_params(arch, seed=int(rng.integers(1 << 31)))
-            x = rng.standard_normal(4)
-            j = jacobian(p, x)
-            step = 1e-6
-            fd = np.zeros_like(j)
-            for c in range(4):
-                up, down = x.copy(), x.copy()
-                up[c] += step
-                down[c] -= step
-                fd[:, c] = (softmax(forward(p, up)) - softmax(forward(p, down))) / (2 * step)
-            np.testing.assert_allclose(j, fd, atol=1e-5)
-
-    def test_frobenius_invariant_under_matched_permutation(self):
-        arch = MlpArchitecture((4, 5, 3), activation="tanh")
-        p = init_params(arch, seed=7)
-        x = np.array([0.3, -1.2, 0.8, 2.0])
-        perm = np.array([2, 0, 3, 1])
-        layers = unpack(p)
-        permuted = [(layers[0][0][perm, :], layers[0][1])] + layers[1:]
-        p2 = pack(arch, permuted)
-        n1 = np.linalg.norm(jacobian(p, x))
-        n2 = np.linalg.norm(jacobian(p2, x[perm]))
-        assert n1 == pytest.approx(n2, rel=1e-12)
 
 
 class TestModelParams:
