@@ -32,7 +32,7 @@ from .errors import (
     Unsupported,
 )
 from .metrics import FeatureMatrix, MetricKind, feature_from_log
-from .nn import MlpArchitecture, ModelParams, backward_from_logits, forward_cached, init_params
+from .nn import Adam, MlpArchitecture, ModelParams, backward_from_logits, forward_cached, init_params
 from .topology import Topology
 
 LABELED_FRACTION = 0.3
@@ -58,22 +58,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
-
-
-class _Adam:
-    def __init__(self, size: int, lr: float, b1=0.9, b2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        m_hat = self.m / (1 - self.b1**self.t)
-        v_hat = self.v / (1 - self.b2**self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 # --- knowledge taxonomy -----------------------------------------------------
@@ -254,14 +238,13 @@ def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDe
     rows = _pair_feature_rows(x.values, [(i, j) for i, j, _ in labeled_pairs])
     arch = MlpArchitecture((rows.shape[1], *cfg.hidden_sizes, 1), activation="relu")
     p = init_params(arch, cfg.seed)
-    opt = _Adam(arch.n_params, cfg.learning_rate)
-    theta = p.flat.copy()
+    opt = Adam(arch.n_params, cfg.learning_rate)
+    theta = p.flat
     n = len(labels)
     for _ in range(cfg.epochs):
-        cur = p.with_flat(theta)
-        logits, cache = forward_cached(cur, rows)
+        logits, cache = forward_cached((arch, theta), rows)
         dlogits = (_sigmoid(logits[:, 0]) - labels)[:, None] / n
-        grad, _ = backward_from_logits(cur, cache, dlogits)
+        grad, _ = backward_from_logits(cache, dlogits)
         theta = opt.step(theta, grad)
     return EdgeDecoder(p.with_flat(theta))
 
@@ -477,7 +460,7 @@ def infergat_train(x: FeatureMatrix, cfg: InferGatConfig):
     flat = _gat_init(d_in, cfg)
     _, dec_arch = _gat_dims(cfg)
     mask = _attention_mask(vals, cfg.knn_k)
-    opt = _Adam(flat.shape[0], cfg.learning_rate) if cfg.optimizer == "adam" else None
+    opt = Adam(flat.shape[0], cfg.learning_rate) if cfg.optimizer == "adam" else None
     losses = []
     for _ in range(cfg.epochs):
         loss, grad = _gat_loss_and_grad(flat, vals, d_in, cfg, mask)

@@ -201,6 +201,8 @@ def load_csv(text: str) -> Dataset:
             values = [float(f) for f in fields]
         except ValueError:
             raise ParseError(lineno, f"non-numeric field in {line!r}") from None
+        if not np.isfinite(values).all():
+            raise ParseError(lineno, f"non-finite field in {line!r}")
         feats.append(values[:d])
         raw_labels.append(values[d])
     uniq = sorted(set(raw_labels))

@@ -18,7 +18,7 @@ bit-exactly and independent of execution order.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, zip_longest
 from pathlib import Path
 
@@ -168,9 +168,9 @@ def run_simulation(
 ) -> SimulationLog:
     """Execute T rounds of train-then-aggregate over the configured topology.
 
-    Each node trains on the 80% train side of its local split; per-call
-    training seeds are derived from (seed, node, round), so cfg.train.seed
-    is ignored here.
+    Each node trains on the 80% train side of its local split, and the nodes
+    whose splits have one size train as one stack; each node's shuffling seed
+    is derived from (seed, node, round), so cfg.train.seed is ignored here.
     """
     n = cfg.topology.n_nodes
     if plan.n_nodes != n:
@@ -182,10 +182,14 @@ def run_simulation(
     adjacency = adjacency_matrix(cfg.topology)
     p_matrix = aggregation_matrix(adjacency)
 
-    train_sets = []
-    for i in range(n):
-        idx, _ = split_train_holdout(plan.assignments[i], derive_seed(seed, "split", i))
-        train_sets.append((dataset.features[list(idx)], dataset.labels[list(idx)]))
+    splits = [
+        split_train_holdout(a, derive_seed(seed, "split", i))[0] for i, a in enumerate(plan.assignments)
+    ]
+    stacks = []
+    for size in dict.fromkeys(len(s) for s in splits):
+        nodes = [i for i, s in enumerate(splits) if len(s) == size]
+        idx = np.array([splits[i] for i in nodes])
+        stacks.append((nodes, dataset.features[idx], dataset.labels[idx]))
 
     rounds = cfg.n_rounds
     params = np.empty((rounds + 1, n, arch.n_params))
@@ -196,16 +200,17 @@ def run_simulation(
     # a diverging node overflows; it is caught by the finiteness checks below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, rounds + 1):
-            for i in range(n):
-                node_cfg = replace(cfg.train, seed=derive_seed(seed, "train", i, t))
-                xs, ys = train_sets[i]
-                _, delta = train_local(ModelParams(arch, params[t - 1, i]), xs, ys, node_cfg)
-                if cfg.dp is not None:
+            for nodes, xs, ys in stacks:
+                seeds = [derive_seed(seed, "train", i, t) for i in nodes]
+                model = (arch, params[t - 1, nodes])
+                _, deltas[t - 1, nodes] = train_local(model, xs, ys, cfg.train, seeds)
+            if cfg.dp is not None:
+                for i, row in enumerate(deltas[t - 1]):
                     rng = rng_for(cfg.dp.seed, "dp", i, t)
-                    delta = apply_dp(delta, cfg.dp.clip_norm, cfg.dp.noise_sigma, rng)
-                if not np.isfinite(delta).all():
-                    raise DivergedTraining(i, t)
-                deltas[t - 1, i] = delta
+                    row[:] = apply_dp(row, cfg.dp.clip_norm, cfg.dp.noise_sigma, rng)
+            bad = ~np.isfinite(deltas[t - 1]).all(axis=1)
+            if bad.any():
+                raise DivergedTraining(int(np.argmax(bad)), t)
             pre = params[t - 1] + deltas[t - 1]
             params[t] = p_matrix @ pre
             bad = ~(np.isfinite(pre).all(axis=1) & np.isfinite(params[t]).all(axis=1))

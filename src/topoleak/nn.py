@@ -5,6 +5,11 @@ be computed stably via log-sum-exp.  Parameters travel as one flat float64
 vector (per layer: row-major weights then biases), which is what the
 federation aggregates, perturbs, and stores.
 
+The core runs on a leading node axis: a model is a ``ModelParams`` or an
+``(arch, theta)`` pair, and a ``(g, P)`` theta stack runs g models on a
+``(g, B, d_in)`` batch with one matmul per layer.  One model is the same body
+without that axis, and gives the same bits as its slice of any stack.
+
 The cached forward / backward pair is the shared differentiation core: the
 cross-entropy loss here, and the sigmoid-output decoders in the attack
 module, all reduce to a custom gradient at the logits fed through
@@ -14,6 +19,7 @@ module, all reduce to a custom gradient at the logits fed through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +53,7 @@ class MlpArchitecture:
     def d_out(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         sizes = self.layer_sizes
         return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
@@ -100,15 +106,28 @@ class TrainConfig:
             raise InvalidConfig(f"optimizer must be sgd or adam, got {self.optimizer!r}")
 
 
-def unpack(p: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat vector -> [(W, b), ...] with W of shape (fan_in, fan_out)."""
+def _arch_theta(model) -> tuple[MlpArchitecture, np.ndarray]:
+    """A ModelParams, or an (arch, theta) pair with theta (P,) or a (g, P) stack."""
+    if isinstance(model, ModelParams):
+        return model.arch, model.flat
+    arch, theta = model
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != arch.n_params:
+        raise ShapeError(f"theta shape {theta.shape} is not (P,) or (g, P) with P={arch.n_params}")
+    return arch, theta
+
+
+def unpack(model) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Flat vector(s) -> [(W, b), ...] views, W (..., fan_in, fan_out), b (..., 1, fan_out)."""
+    arch, theta = _arch_theta(model)
+    lead = theta.shape[:-1]
     layers = []
     offset = 0
-    sizes = p.arch.layer_sizes
+    sizes = arch.layer_sizes
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = p.flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = theta[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = p.flat[offset : offset + fan_out]
+        b = theta[..., offset : offset + fan_out].reshape(*lead, 1, fan_out)
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -143,39 +162,38 @@ def _act_grad(a: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
     return (a > 0).astype(np.float64) if kind == "relu" else 1.0 - h * h
 
 
-def forward_cached(p: ModelParams, x_batch: np.ndarray):
-    """Batched forward pass returning (logits, cache for backward).
-
-    x_batch has shape (n, d_in); logits (n, d_out).
-    """
+def forward_cached(model, x_batch: np.ndarray):
+    """Batched forward pass returning (logits, cache for backward): x_batch is
+    (B, d_in) for one model and (g, B, d_in) for a (g, P) stack, logits (..., B, d_out)."""
+    arch, theta = _arch_theta(model)
     x = np.asarray(x_batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != p.arch.d_in:
-        raise ShapeError(f"input shape {x.shape} incompatible with d_in={p.arch.d_in}")
-    layers = unpack(p)
+    if x.ndim != theta.ndim + 1 or x.shape[:-2] != theta.shape[:-1] or x.shape[-1] != arch.d_in:
+        raise ShapeError(f"input shape {x.shape} incompatible with d_in={arch.d_in}, theta {theta.shape}")
+    layers = unpack((arch, theta))
     hs = [x]  # layer inputs
     pre = []
     h = x
     for li, (w, b) in enumerate(layers):
         a = h @ w + b
         pre.append(a)
-        h = _act(a, p.arch.activation) if li < len(layers) - 1 else a
+        h = _act(a, arch.activation) if li < len(layers) - 1 else a
         hs.append(h)
-    return hs[-1], (layers, hs, pre)
+    return hs[-1], (arch.activation, layers, hs, pre)
 
 
-def backward_from_logits(p: ModelParams, cache, dlogits: np.ndarray):
-    """Exact gradient given d(loss)/d(logits); returns (grad_flat, dX)."""
-    layers, hs, pre = cache
+def backward_from_logits(cache, dlogits: np.ndarray):
+    """Exact gradient given d(loss)/d(logits); returns (grad_flat (..., P), dX)."""
+    activation, layers, hs, pre = cache
     grads = [None] * len(layers)
     delta = np.asarray(dlogits, dtype=np.float64)
+    lead = delta.shape[:-2]
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
-        grads[li] = (hs[li].T @ delta, delta.sum(axis=0))
-        delta = delta @ w.T
+        grads[li] = (hs[li].swapaxes(-1, -2) @ delta).reshape(lead + (-1,)), delta.sum(axis=-2)
+        delta = delta @ w.swapaxes(-1, -2)
         if li > 0:
-            delta = delta * _act_grad(pre[li - 1], hs[li], p.arch.activation)
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return flat, delta
+            delta = delta * _act_grad(pre[li - 1], hs[li], activation)
+    return np.concatenate([part for layer in grads for part in layer], axis=-1), delta
 
 
 def forward(p: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -211,52 +229,67 @@ def cross_entropy(p: ModelParams, x_batch: np.ndarray, labels: np.ndarray) -> fl
     return float(-log_softmax(logits)[np.arange(len(y)), y].mean())
 
 
-def loss_and_grad(p: ModelParams, x_batch: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its exact gradient w.r.t. the flat params."""
+def loss_and_grad(model, x_batch: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy and its exact gradient w.r.t. the flat params; for a
+    (g, P) stack on (g, B, d_in) and (g, B) labels, a (g,) loss and (g, P) gradient."""
     y = np.asarray(labels, dtype=np.int64)
     x = np.asarray(x_batch, dtype=np.float64)
-    if x.shape[0] == 0:
+    if x.ndim >= 2 and x.shape[-2] == 0:
         raise ShapeError("empty batch")
-    if y.shape != (x.shape[0],):
-        raise ShapeError(f"labels shape {y.shape} does not match batch {x.shape[0]}")
-    logits, cache = forward_cached(p, x)
+    if y.shape != x.shape[:-1]:
+        raise ShapeError(f"labels shape {y.shape} does not match batch {x.shape[:-1]}")
+    logits, cache = forward_cached(model, x)
     logp = log_softmax(logits)
-    n = x.shape[0]
-    loss = float(-logp[np.arange(n), y].mean())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
-    grad, _ = backward_from_logits(p, cache, dlogits / n)
+    hot = y[..., None] == np.arange(logp.shape[-1])
+    loss = -logp[hot].reshape(y.shape).sum(axis=-1) / y.shape[-1]
+    grad, _ = backward_from_logits(cache, (np.exp(logp) - hot) / y.shape[-1])
     return loss, grad
 
 
-def train_local(p: ModelParams, features: np.ndarray, labels: np.ndarray, cfg: TrainConfig):
-    """Mini-batch local training; returns (new params, delta = new - old).
+class Adam:
+    def __init__(self, shape, lr: float, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.t = 0
 
-    Epoch order is shuffled by cfg.seed; optimizer state is fresh per call.
-    """
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        self.t += 1
+        self.m = self.b1 * self.m + (1 - self.b1) * grad
+        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
+        m_hat = self.m / (1 - self.b1**self.t)
+        v_hat = self.v / (1 - self.b2**self.t)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def train_local(model, features: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seeds):
+    """Mini-batch training of an (arch, (g, P) theta) stack on g shards, features
+    (g, m, d_in) and labels (g, m): model k shuffles each epoch with
+    default_rng(seeds[k]) and all step together on each minibatch; optimizer
+    state is fresh per call.  Returns (new theta, delta = new - old)."""
+    arch, theta0 = _arch_theta(model)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if x.shape[0] < 1:
+    sizes_agree = len(x) == len(theta0) == len(seeds) and y.shape == x.shape[:2]
+    if theta0.ndim != 2 or x.ndim != 3 or not sizes_agree:
+        raise ShapeError(
+            f"need theta (g, P), features (g, m, d), labels (g, m) and g seeds; "
+            f"got {theta0.shape}, {x.shape}, {y.shape} and {len(seeds)} seeds"
+        )
+    if y.shape[1] < 1:
         raise InvalidConfig("local dataset must contain at least one sample")
-    rng = np.random.default_rng(cfg.seed)
-    theta = p.flat.copy()
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    step = 0
+    rngs = [np.random.default_rng(s) for s in seeds]
+    n_local = y.shape[1]
+    # minibatches are gathered from the flattened stack, where shard k starts at row k * n_local
+    flat_x, flat_y = x.reshape(-1, x.shape[2]), y.ravel()
+    offsets = np.arange(0, y.size, n_local)[:, None]
+    adam = cfg.optimizer == "adam"
+    opt = Adam(theta0.shape, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps) if adam else None
+    theta = theta0
     for _ in range(cfg.local_epochs):
-        order = rng.permutation(x.shape[0])
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, grad = loss_and_grad(p.with_flat(theta), x[idx], y[idx])
-            step += 1
-            if cfg.optimizer == "adam":
-                m = cfg.beta1 * m + (1 - cfg.beta1) * grad
-                v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
-                m_hat = m / (1 - cfg.beta1**step)
-                v_hat = v / (1 - cfg.beta2**step)
-                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-            else:
-                theta = theta - cfg.learning_rate * grad
-    p_new = p.with_flat(theta)
-    return p_new, theta - p.flat
-
+        order = np.stack([rng.permutation(n_local) for rng in rngs]) + offsets
+        for start in range(0, n_local, cfg.batch_size):
+            idx = order[:, start : start + cfg.batch_size]
+            _, grad = loss_and_grad((arch, theta), flat_x.take(idx, axis=0), flat_y.take(idx))
+            theta = opt.step(theta, grad) if opt else theta - cfg.learning_rate * grad
+    return theta, theta - theta0

@@ -166,6 +166,20 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_non_finite_dataset_field_is_config_error(self, tmp_path, capsys):
+        rows = [f"{i % 3}.5,{i},{i % 2}" for i in range(12)]
+        rows[4] = "nan,4,0"
+        csv = tmp_path / "dataset.csv"
+        csv.write_text("\n".join(["f0,f1,label"] + rows) + "\n")
+        cfg = write_ini(
+            tmp_path,
+            "[run]\nout_dir = {}\n[topology]\nkind = ring\nn = 4\n"
+            "[data]\npath = {}\n".format(tmp_path / "log", csv),
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "line 6: non-finite field" in capsys.readouterr().err
+        assert not (tmp_path / "log").exists()
+
     def test_out_dir_required(self, tmp_path):
         cfg = write_ini(tmp_path, "[topology]\nkind = ring\nn = 4\n")
         assert main(["simulate", "--config", cfg]) == 2

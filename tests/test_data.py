@@ -168,6 +168,16 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv("f0,f1,label\n1,x,0\n")
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN", "infinity", "1e999"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_non_finite_field_names_its_line(self, field, column):
+        row = ["1", "2", "0"]
+        row[column] = field
+        with pytest.raises(ParseError) as exc:
+            load_csv("f0,f1,label\n0,0,0\n3,4,1\n" + ",".join(row) + "\n")
+        assert exc.value.line == 4
+        assert "non-finite" in str(exc.value)
+
     def test_round_trip_with_blobs(self):
         d = gen_blobs(2, 3, 10, 1.0, seed=2)
         header = "f0,f1,f2,label"

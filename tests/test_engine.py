@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from topoleak import engine
-from topoleak.data import gen_blobs, partition_iid
+from topoleak.data import gen_blobs, partition_dirichlet, partition_iid, split_train_holdout
 from topoleak.engine import (
     DpConfig,
     FederationConfig,
@@ -17,7 +17,8 @@ from topoleak.engine import (
     save_log,
 )
 from topoleak.errors import DivergedTraining, InvalidConfig, InvalidTrace
-from topoleak.nn import TrainConfig
+from topoleak.nn import MlpArchitecture, TrainConfig, init_params, train_local
+from topoleak.seeds import derive_seed, rng_for
 from topoleak.topology import (
     Topology,
     adjacency_matrix,
@@ -156,8 +157,60 @@ class TestRunSimulation:
                 run_simulation(cfg, d, plan, seed=3)
         # rounds 1-2 stay finite; round 3's first node is the first non-finite one
         assert (info.value.node, info.value.round) == (0, 3)
-        assert len(calls) == 21  # stops right after that node's step
+        assert len(calls) == 3  # one stacked step per round: the shards have one size
         assert [str(w.message) for w in caught] == []
+
+    def test_divergence_names_the_node_whose_update_broke(self, monkeypatch):
+        # node 3's update turns non-finite in round 2; aggregation would spread it
+        # to nodes 2 and 4, but the error names node 3
+        cfg, d, plan = small_setup(gen_ring(6))
+        calls = []
+        train = engine.train_local
+
+        def broken(*args):
+            theta, delta = train(*args)
+            calls.append(1)
+            if len(calls) == 2:
+                delta[3, 0] = np.inf
+            return theta, delta
+
+        monkeypatch.setattr(engine, "train_local", broken)
+        with pytest.raises(DivergedTraining) as info:
+            run_simulation(cfg, d, plan, seed=1)
+        assert (info.value.node, info.value.round) == (3, 2)
+
+    def test_dirichlet_dp_equals_per_node_loop(self):
+        d = gen_blobs(4, 5, 30, 1.0, seed=6)
+        plan = partition_dirichlet(d, 10, 0.1, seed=9)
+        dp = DpConfig(clip_norm=0.5, noise_sigma=0.2, seed=2)
+        cfg = FederationConfig(
+            topology=gen_erdos_renyi(10, 0.4, seed=1),
+            train=TrainConfig(local_epochs=2, learning_rate=0.1, batch_size=4),
+            rounds=4,
+            dp=dp,
+            hidden_sizes=(8,),
+        )
+        log = run_simulation(cfg, d, plan, seed=17)
+
+        splits = [
+            split_train_holdout(a, derive_seed(17, "split", i))[0] for i, a in enumerate(plan.assignments)
+        ]
+        sizes = sorted(len(s) for s in splits)
+        assert len(set(sizes)) < len(sizes) and len(set(sizes)) > 2  # stacks of one and of several
+        arch = MlpArchitecture((5, 8, 4))
+        p_matrix = aggregation_matrix(adjacency_matrix(cfg.topology))
+        params = np.stack([init_params(arch, derive_seed(17, "init", i)).flat for i in range(10)])
+        assert (log.params[0] == params).all()
+        for t in range(1, 5):
+            deltas = np.empty_like(params)
+            for i, idx in enumerate(splits):
+                x, y = d.features[list(idx)], d.labels[list(idx)]
+                seed = derive_seed(17, "train", i, t)
+                _, delta = train_local((arch, params[i][None]), x[None], y[None], cfg.train, [seed])
+                deltas[i] = apply_dp(delta[0], dp.clip_norm, dp.noise_sigma, rng_for(dp.seed, "dp", i, t))
+            params = p_matrix @ (params + deltas)
+            assert (log.deltas[t - 1] == deltas).all()
+            assert (log.params[t] == params).all()
 
 
 class TestClosedForm:

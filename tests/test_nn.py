@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoleak.data import gen_blobs, partition_iid
 from topoleak.engine import FederationConfig, load_log, run_simulation, save_log
@@ -36,6 +38,12 @@ def finite_diff_grad(p, x, y, coords, step=1e-5):
             cross_entropy(p.with_flat(up), x, y) - cross_entropy(p.with_flat(down), x, y)
         ) / (2 * step)
     return out
+
+
+def train_one(p, x, y, cfg):
+    """train_local on a stack of one model; returns (new params, delta)."""
+    theta, delta = train_local((p.arch, p.flat[None]), x[None], y[None], cfg, [cfg.seed])
+    return p.with_flat(theta[0]), delta[0]
 
 
 class TestArchitectureAndInit:
@@ -158,7 +166,7 @@ class TestTrainLocal:
         d = gen_blobs(2, 2, 10, 1.0, seed=0)
         p = init_params(MlpArchitecture((2, 4, 2)), seed=0)
         cfg = TrainConfig(local_epochs=3, learning_rate=0.0, batch_size=8, seed=1)
-        p_new, delta = train_local(p, d.features, d.labels, cfg)
+        p_new, delta = train_one(p, d.features, d.labels, cfg)
         np.testing.assert_array_equal(delta, 0.0)
         np.testing.assert_array_equal(p_new.flat, p.flat)
 
@@ -167,7 +175,7 @@ class TestTrainLocal:
         p = init_params(MlpArchitecture((2, 4, 2)), seed=3)
         _, grad = loss_and_grad(p, d.features, d.labels)
         cfg = TrainConfig(local_epochs=1, learning_rate=0.1, batch_size=d.n_samples, seed=1)
-        p_new, delta = train_local(p, d.features, d.labels, cfg)
+        p_new, delta = train_one(p, d.features, d.labels, cfg)
         np.testing.assert_allclose(delta, -0.1 * grad, atol=1e-15)
 
     def test_more_epochs_lower_training_loss(self):
@@ -176,7 +184,7 @@ class TestTrainLocal:
 
         def loss_after(epochs):
             cfg = TrainConfig(local_epochs=epochs, learning_rate=0.05, batch_size=16, seed=2)
-            p_new, _ = train_local(p, d.features, d.labels, cfg)
+            p_new, _ = train_one(p, d.features, d.labels, cfg)
             return cross_entropy(p_new, d.features, d.labels)
 
         assert loss_after(10) <= loss_after(3)
@@ -185,8 +193,8 @@ class TestTrainLocal:
         d = gen_blobs(3, 2, 15, 1.0, seed=1)
         p = init_params(MlpArchitecture((2, 6, 3)), seed=2)
         cfg = TrainConfig(local_epochs=2, learning_rate=0.05, batch_size=8, optimizer="adam", seed=9)
-        a, da = train_local(p, d.features, d.labels, cfg)
-        b, db = train_local(p, d.features, d.labels, cfg)
+        a, da = train_one(p, d.features, d.labels, cfg)
+        b, db = train_one(p, d.features, d.labels, cfg)
         np.testing.assert_array_equal(a.flat, b.flat)
         np.testing.assert_array_equal(da, db)
 
@@ -194,8 +202,98 @@ class TestTrainLocal:
         d = gen_blobs(2, 2, 25, spread=0.5, seed=6)
         p = init_params(MlpArchitecture((2, 8, 2)), seed=1)
         cfg = TrainConfig(local_epochs=5, learning_rate=0.01, batch_size=10, optimizer="adam", seed=0)
-        p_new, _ = train_local(p, d.features, d.labels, cfg)
+        p_new, _ = train_one(p, d.features, d.labels, cfg)
         assert cross_entropy(p_new, d.features, d.labels) < cross_entropy(p, d.features, d.labels)
+
+
+def reference_train(arch, theta, x, y, cfg, seed):
+    """The per-node loop: one model, its own shuffle per epoch, a step per minibatch."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    step = 0
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, grad = loss_and_grad(ModelParams(arch, theta), x[idx], y[idx])
+            step += 1
+            if cfg.optimizer == "adam":
+                m = cfg.beta1 * m + (1 - cfg.beta1) * grad
+                v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
+                m_hat = m / (1 - cfg.beta1**step)
+                v_hat = v / (1 - cfg.beta2**step)
+                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            else:
+                theta = theta - cfg.learning_rate * grad
+    return theta
+
+
+class TestStackedTraining:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=st.sampled_from([1, 2, 7]),
+        sizes=st.lists(st.integers(1, 40), min_size=7, max_size=7),
+        ragged=st.booleans(),
+        batch_size=st.integers(1, 16),
+        act=st.sampled_from(["relu", "tanh"]),
+        optimizer=st.sampled_from(["sgd", "adam"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_per_node_loop(self, g, sizes, ragged, batch_size, act, optimizer, seed):
+        # nodes are grouped by shard size as run_simulation groups them
+        sizes = sizes[:g] if ragged else [sizes[0]] * g
+        arch = MlpArchitecture((3, 6, 5, 4), act)
+        rng = np.random.default_rng(seed)
+        thetas = np.stack([init_params(arch, seed + k).flat for k in range(g)])
+        shards = [(rng.standard_normal((m, 3)) * 2, rng.integers(0, 4, size=m)) for m in sizes]
+        seeds = [seed + 100 + k for k in range(g)]
+        cfg = TrainConfig(local_epochs=2, learning_rate=0.05, batch_size=batch_size, optimizer=optimizer)
+        got = np.empty_like(thetas)
+        for m in set(sizes):
+            nodes = [k for k in range(g) if sizes[k] == m]
+            theta, delta = train_local(
+                (arch, thetas[nodes]),
+                np.stack([shards[k][0] for k in nodes]),
+                np.stack([shards[k][1] for k in nodes]),
+                cfg,
+                [seeds[k] for k in nodes],
+            )
+            assert (delta == theta - thetas[nodes]).all()
+            got[nodes] = theta
+        for k in range(g):
+            assert (got[k] == reference_train(arch, thetas[k], *shards[k], cfg, seeds[k])).all()
+
+    def test_stacked_loss_and_grad_rows_are_per_model(self):
+        arch = MlpArchitecture((3, 5, 2), "tanh")
+        rng = np.random.default_rng(1)
+        thetas = np.stack([init_params(arch, k).flat for k in range(3)])
+        x = rng.standard_normal((3, 6, 3))
+        y = rng.integers(0, 2, size=(3, 6))
+        loss, grad = loss_and_grad((arch, thetas), x, y)
+        assert loss.shape == (3,) and grad.shape == (3, arch.n_params)
+        for k in range(3):
+            want_loss, want_grad = loss_and_grad(ModelParams(arch, thetas[k]), x[k], y[k])
+            assert loss[k] == want_loss
+            assert (grad[k] == want_grad).all()
+
+    def test_bad_stacks_rejected(self):
+        arch = MlpArchitecture((2, 3, 2))
+        theta = np.stack([init_params(arch, k).flat for k in range(2)])
+        x, y = np.zeros((2, 5, 2)), np.zeros((2, 5), dtype=int)
+        cfg = TrainConfig(local_epochs=1, learning_rate=0.1, batch_size=2)
+        with pytest.raises(ShapeError):
+            train_local((arch, theta[0]), x[0], y[0], cfg, [0])
+        with pytest.raises(ShapeError):
+            train_local((arch, theta), x, y[:, :4], cfg, [0, 1])
+        with pytest.raises(ShapeError):
+            train_local((arch, theta), x[:1], y[:1], cfg, [0])
+        with pytest.raises(ShapeError):
+            train_local((arch, theta), x, y, cfg, [0])
+        with pytest.raises(ShapeError):
+            train_local((arch, theta[:, 1:]), x, y, cfg, [0, 1])
+        with pytest.raises(InvalidConfig):
+            train_local((arch, theta), x[:, :0], y[:, :0], cfg, [0, 1])
 
 
 class TestModelParams:
