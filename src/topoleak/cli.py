@@ -17,19 +17,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .attacks import (
-    EdgePreConfig,
-    InferGatConfig,
-    run_scenario,
-    sample_knowledge,
-)
+from .attacks import EdgePreConfig, InferGatConfig, SoftAdjacency, sample_knowledge
 from .data import Dataset, gen_blobs, load_csv, partition_dirichlet, partition_iid
-from .engine import DpConfig, FederationConfig, load_log, run_simulation, save_log
+from .engine import load_log, run_simulation, save_log
 from .errors import (
     InvalidConfig,
     InvalidProbability,
     InvalidSize,
     ParseError,
+    ShapeError,
     TopoleakError,
     Unsupported,
 )
@@ -38,14 +34,15 @@ from .evaluation import (
     HELD_OUT,
     ExperimentDefaults,
     all_pairs,
+    attack_log,
     density_sweep,
     evaluate_soft,
+    federation_config,
     held_out_pairs,
     mitigation_experiment,
     size_sweep,
 )
 from .metrics import dump_matrix_csv, load_matrix_csv
-from .nn import TrainConfig
 from .seeds import derive_seed
 from .topology import (
     Topology,
@@ -65,18 +62,6 @@ SEED_ENV = "TOPOLEAK_SEED"
 
 # --- config schema ----------------------------------------------------------
 
-def _to_int(s):
-    return int(s)
-
-
-def _to_float(s):
-    return float(s)
-
-
-def _to_str(s):
-    return s
-
-
 def _to_int_tuple(s):
     parts = [p.strip() for p in s.split(",") if p.strip()]
     return tuple(int(p) for p in parts)
@@ -88,50 +73,50 @@ def _to_float_tuple(s):
 
 
 SCHEMA = {
-    "run": {"seed": _to_int, "out_dir": _to_str},
-    "topology": {"kind": _to_str, "n": _to_int, "p": _to_float, "path": _to_str},
+    "run": {"seed": int, "out_dir": str},
+    "topology": {"kind": str, "n": int, "p": float, "path": str},
     "data": {
-        "k_classes": _to_int,
-        "n_features": _to_int,
-        "n_per_class": _to_int,
-        "spread": _to_float,
-        "path": _to_str,
+        "k_classes": int,
+        "n_features": int,
+        "n_per_class": int,
+        "spread": float,
+        "path": str,
     },
-    "partition": {"method": _to_str, "alpha": _to_float},
+    "partition": {"method": str, "alpha": float},
     "train": {
-        "local_epochs": _to_int,
-        "learning_rate": _to_float,
-        "batch_size": _to_int,
-        "optimizer": _to_str,
+        "local_epochs": int,
+        "learning_rate": float,
+        "batch_size": int,
+        "optimizer": str,
     },
-    "federation": {"rounds": _to_int, "hidden_sizes": _to_int_tuple, "activation": _to_str},
-    "dp": {"clip_norm": _to_float, "noise_sigma": _to_float},
-    "metric": {"phase": _to_str, "last_k": _to_int},
-    "attack": {"rho": _to_float},
+    "federation": {"rounds": int, "hidden_sizes": _to_int_tuple, "activation": str},
+    "dp": {"clip_norm": float, "noise_sigma": float},
+    "metric": {"phase": str, "last_k": int},
+    "attack": {"rho": float},
     "edgepre": {
         "hidden_sizes": _to_int_tuple,
-        "epochs": _to_int,
-        "learning_rate": _to_float,
+        "epochs": int,
+        "learning_rate": float,
     },
     "infergat": {
-        "embed_dim": _to_int,
-        "heads": _to_int,
-        "epochs": _to_int,
-        "learning_rate": _to_float,
+        "embed_dim": int,
+        "heads": int,
+        "epochs": int,
+        "learning_rate": float,
         "decoder_hidden": _to_int_tuple,
-        "optimizer": _to_str,
-        "knn_k": _to_int,
+        "optimizer": str,
+        "knn_k": int,
     },
-    "eval": {"policy": _to_str},
+    "eval": {"policy": str},
     "sweep": {
-        "family": _to_str,
+        "family": str,
         "ps": _to_float_tuple,
         "ns": _to_int_tuple,
-        "n": _to_int,
-        "p": _to_float,
+        "n": int,
+        "p": float,
         "scenarios": _to_int_tuple,
         "seeds": _to_int_tuple,
-        "out_csv": _to_str,
+        "out_csv": str,
     },
 }
 
@@ -193,44 +178,33 @@ def resolve_seed(flag_seed: int | None, cfg: RunConfig | None) -> int:
 
 # --- config -> pipeline objects --------------------------------------------
 
+def _read_input(path, what: str) -> str:
+    f = Path(path)
+    if not f.exists():
+        raise InvalidConfig(f"{what} file not found: {f}")
+    return f.read_text()
+
+
 def build_topology(cfg: RunConfig, seed: int) -> Topology:
     kind = cfg.get("topology", "kind")
+    n = cfg.get("topology", "n", 10)
     if kind is None:
         raise InvalidConfig("config needs [topology] kind")
     if kind == "ring":
-        return gen_ring(cfg.get("topology", "n", 10))
+        return gen_ring(n)
     if kind == "star":
-        return gen_star(cfg.get("topology", "n", 10))
+        return gen_star(n)
     if kind == "er":
         p = cfg.get("topology", "p")
         if p is None:
             raise InvalidConfig("[topology] kind=er needs p")
-        return gen_erdos_renyi(cfg.get("topology", "n", 10), p, seed=derive_seed(seed, "topology"))
+        return gen_erdos_renyi(n, p, seed=derive_seed(seed, "topology"))
     if kind == "file":
         path = cfg.get("topology", "path")
         if path is None:
             raise InvalidConfig("[topology] kind=file needs path")
-        f = Path(path)
-        if not f.exists():
-            raise InvalidConfig(f"topology file not found: {f}")
-        return load_topology(f.read_text())
+        return load_topology(_read_input(path, "topology"))
     raise InvalidConfig(f"unknown topology kind {kind!r}")
-
-
-def build_dataset(cfg: RunConfig, seed: int) -> Dataset:
-    path = cfg.get("data", "path")
-    if path is not None:
-        f = Path(path)
-        if not f.exists():
-            raise InvalidConfig(f"dataset file not found: {f}")
-        return load_csv(f.read_text())
-    return gen_blobs(
-        cfg.get("data", "k_classes", 3),
-        cfg.get("data", "n_features", 8),
-        cfg.get("data", "n_per_class", 40),
-        cfg.get("data", "spread", 1.0),
-        seed=derive_seed(seed, "data"),
-    )
 
 
 def build_plan(cfg: RunConfig, dataset: Dataset, n_nodes: int, seed: int):
@@ -246,53 +220,8 @@ def build_plan(cfg: RunConfig, dataset: Dataset, n_nodes: int, seed: int):
     raise InvalidConfig(f"unknown partition method {method!r}")
 
 
-def build_federation(cfg: RunConfig, topology: Topology, seed: int) -> FederationConfig:
-    train = TrainConfig(
-        local_epochs=cfg.get("train", "local_epochs", 3),
-        learning_rate=cfg.get("train", "learning_rate", 0.05),
-        batch_size=cfg.get("train", "batch_size", 16),
-        optimizer=cfg.get("train", "optimizer", "sgd"),
-    )
-    dp = None
-    if cfg.has_section("dp"):
-        dp = DpConfig(
-            clip_norm=cfg.get("dp", "clip_norm", 1.0),
-            noise_sigma=cfg.get("dp", "noise_sigma", 0.5),
-            seed=derive_seed(seed, "dp"),
-        )
-    return FederationConfig(
-        topology=topology,
-        train=train,
-        rounds=cfg.get("federation", "rounds"),
-        dp=dp,
-        hidden_sizes=cfg.get("federation", "hidden_sizes", (32, 16)),
-        activation=cfg.get("federation", "activation", "relu"),
-    )
-
-
-def build_edgepre(cfg: RunConfig, seed: int) -> EdgePreConfig:
-    return EdgePreConfig(
-        hidden_sizes=cfg.get("edgepre", "hidden_sizes", (64, 32)),
-        epochs=cfg.get("edgepre", "epochs", 300),
-        learning_rate=cfg.get("edgepre", "learning_rate", 1e-2),
-        seed=seed,
-    )
-
-
-def build_infergat(cfg: RunConfig, seed: int) -> InferGatConfig:
-    return InferGatConfig(
-        embed_dim=cfg.get("infergat", "embed_dim", 16),
-        heads=cfg.get("infergat", "heads", 2),
-        epochs=cfg.get("infergat", "epochs", 500),
-        learning_rate=cfg.get("infergat", "learning_rate", 5e-3),
-        decoder_hidden=cfg.get("infergat", "decoder_hidden", (16,)),
-        optimizer=cfg.get("infergat", "optimizer", "adam"),
-        knn_k=cfg.get("infergat", "knn_k"),
-        seed=seed,
-    )
-
-
 def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
+    """Every pipeline knob of a config, with the CLI's defaults for absent keys."""
     return ExperimentDefaults(
         k_classes=cfg.get("data", "k_classes", 3),
         n_features=cfg.get("data", "n_features", 8),
@@ -308,8 +237,9 @@ def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
         rho=cfg.get("attack", "rho", 0.3),
         metric_phase=cfg.get("metric", "phase", "post"),
         metric_last_k=cfg.get("metric", "last_k", 1),
-        edgepre=build_edgepre(cfg, 0),
-        infergat=build_infergat(cfg, 0),
+        # the schema's attack keys are the configs' field names; absent keys keep their defaults
+        edgepre=EdgePreConfig(**cfg.sections.get("edgepre", {})),
+        infergat=InferGatConfig(**cfg.sections.get("infergat", {})),
     )
 
 
@@ -350,11 +280,25 @@ def cmd_simulate(args) -> int:
     out_dir = args.out or cfg.get("run", "out_dir")
     if out_dir is None:
         raise InvalidConfig("simulate needs --out or [run] out_dir")
+    defaults = build_defaults(cfg)
 
     topo = build_topology(cfg, seed)
-    dataset = build_dataset(cfg, seed)
+    path = cfg.get("data", "path")
+    if path is None:
+        dataset = gen_blobs(
+            defaults.k_classes,
+            defaults.n_features,
+            defaults.n_per_class,
+            defaults.spread,
+            seed=derive_seed(seed, "data"),
+        )
+    else:
+        dataset = load_csv(_read_input(path, "dataset"))
     plan = build_plan(cfg, dataset, topo.n_nodes, seed)
-    fed = build_federation(cfg, topo, seed)
+    dp = None
+    if cfg.has_section("dp"):
+        dp = (cfg.get("dp", "clip_norm", 1.0), cfg.get("dp", "noise_sigma", 0.5))
+    fed = federation_config(defaults, topo, seed, defaults.local_epochs, defaults.rounds, dp)
     log = run_simulation(fed, dataset, plan, seed=derive_seed(seed, "simulate"))
     save_log(log, out_dir)
     print(
@@ -364,48 +308,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _eval_policy(cfg: RunConfig | None, scenario: int) -> str:
-    configured = cfg.get("eval", "policy") if cfg is not None else None
-    if configured is not None:
-        if configured not in (ALL_PAIRS, HELD_OUT):
-            raise InvalidConfig(f"unknown eval policy {configured!r}")
-        return configured
-    return HELD_OUT if scenario in (1, 2) else ALL_PAIRS
-
-
 def cmd_attack(args) -> int:
-    cfg = parse_config(args.config) if args.config else None
+    cfg = parse_config(args.config) if args.config else RunConfig({})
     seed = resolve_seed(args.seed, cfg)
+    defaults = build_defaults(cfg)
+    if args.labeled_frac is not None:
+        defaults = dataclasses.replace(defaults, rho=args.labeled_frac)
+    policy = cfg.get("eval", "policy")
+    if policy not in (None, ALL_PAIRS, HELD_OUT):
+        raise InvalidConfig(f"unknown eval policy {policy!r}")
+
     log = load_log(args.log)
-    topo = log.config.topology
-
-    rho = args.labeled_frac
-    if rho is None:
-        rho = cfg.get("attack", "rho", 0.3) if cfg else 0.3
-    knowledge = sample_knowledge(
-        args.scenario, topo, rho=rho, seed=derive_seed(seed, "knowledge", args.scenario)
-    )
-    attack_seed = derive_seed(seed, "attack", args.scenario)
-    edgepre_cfg = build_edgepre(cfg, attack_seed) if cfg else EdgePreConfig(seed=attack_seed)
-    infergat_cfg = build_infergat(cfg, attack_seed) if cfg else InferGatConfig(seed=attack_seed)
-    metric_phase = cfg.get("metric", "phase", "post") if cfg else "post"
-    metric_last_k = cfg.get("metric", "last_k", 1) if cfg else 1
-
-    res = run_scenario(
-        knowledge,
-        log,
-        edgepre_cfg=edgepre_cfg,
-        infergat_cfg=infergat_cfg,
-        metric_phase=metric_phase,
-        metric_last_k=metric_last_k,
-    )
-
-    policy = _eval_policy(cfg, args.scenario)
-    if policy == HELD_OUT:
-        pairs = held_out_pairs(topo.n_nodes, knowledge.known_pairs)
-    else:
-        pairs = all_pairs(topo.n_nodes)
-    ev = evaluate_soft(res.soft, log.adjacency, pairs, policy)
+    res, ev = attack_log(args.scenario, log, seed, defaults, policy)
 
     out_dir = Path(args.out or args.log)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -413,7 +327,7 @@ def cmd_attack(args) -> int:
     doc = {
         "scenario": args.scenario,
         "feature_kind": res.feature_kind.value,
-        "labeled_fraction": rho if args.scenario in (1, 2) else None,
+        "labeled_fraction": defaults.rho if args.scenario in (1, 2) else None,
         **dataclasses.asdict(ev),
     }
     (out_dir / f"attack_sc{args.scenario}.result.json").write_text(
@@ -428,15 +342,13 @@ def cmd_attack(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    soft_path = Path(args.soft)
-    topo_path = Path(args.topology)
-    if not soft_path.exists():
-        raise InvalidConfig(f"soft adjacency file not found: {soft_path}")
-    if not topo_path.exists():
-        raise InvalidConfig(f"topology file not found: {topo_path}")
-    values = load_matrix_csv(soft_path.read_text())
-    topo = load_topology(topo_path.read_text())
-    truth = adjacency_matrix(topo)
+    soft_text = _read_input(args.soft, "soft adjacency")
+    topo = load_topology(_read_input(args.topology, "topology"))
+    soft = SoftAdjacency(load_matrix_csv(soft_text))
+    if soft.n_nodes != topo.n_nodes:
+        raise ShapeError(
+            f"soft adjacency is {soft.n_nodes}x{soft.n_nodes}, topology has {topo.n_nodes} nodes"
+        )
     if args.policy == HELD_OUT:
         knowledge = sample_knowledge(
             1, topo, rho=args.labeled_frac, seed=derive_seed(args.seed or 0, "knowledge", 1)
@@ -444,7 +356,7 @@ def cmd_evaluate(args) -> int:
         pairs = held_out_pairs(topo.n_nodes, knowledge.known_pairs)
     else:
         pairs = all_pairs(topo.n_nodes)
-    ev = evaluate_soft(values, truth, pairs, args.policy)
+    ev = evaluate_soft(soft, adjacency_matrix(topo), pairs, args.policy)
     print(
         f"policy={ev.eval_pair_policy} n_eval_pairs={ev.n_eval_pairs} "
         f"f1@0.5={ev.f1_05:.4f} best_f1={ev.best_f1:.4f} (tau={ev.best_tau:.3f}) "
@@ -469,10 +381,12 @@ def cmd_sweep(args) -> int:
     seeds = tuple(derive_seed(seed, "sweep", s) if args.derive_seeds else s for s in seeds)
     defaults = build_defaults(cfg)
 
+    n, p = cfg.get("sweep", "n", 10), cfg.get("sweep", "p", 0.5)
+
     if family == "density":
         res = density_sweep(
             cfg.get("sweep", "ps", (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
-            cfg.get("sweep", "n", 10),
+            n,
             scenarios,
             seeds,
             defaults=defaults,
@@ -482,7 +396,7 @@ def cmd_sweep(args) -> int:
     elif family == "size":
         res = size_sweep(
             cfg.get("sweep", "ns", (10, 20, 30)),
-            cfg.get("sweep", "p", 0.5),
+            p,
             scenarios,
             seeds,
             defaults=defaults,
@@ -493,8 +407,8 @@ def cmd_sweep(args) -> int:
         res = mitigation_experiment(
             scenarios,
             seeds,
-            n_nodes=cfg.get("sweep", "n", 10),
-            er_p=cfg.get("sweep", "p", 0.5),
+            n_nodes=n,
+            er_p=p,
             defaults=defaults,
             out_csv=out_csv,
             resume=args.resume,

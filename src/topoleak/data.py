@@ -183,17 +183,18 @@ def dump_csv(d: Dataset) -> str:
 
 def load_csv(text: str) -> Dataset:
     """Parse "f0,...,f{d-1},label" CSV; labels remapped to contiguous 0..K-1."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError(0, "empty document")
-    header = [h.strip() for h in lines[0].split(",")]
+    head_line, head = lines[0]
+    header = [h.strip() for h in head.split(",")]
     d = len(header) - 1
     if d < 1 or header[-1] != "label" or header[:-1] != [f"f{i}" for i in range(d)]:
-        raise ParseError(1, f"header must be 'f0,...,f{{d-1}},label', got {lines[0]!r}")
+        raise ParseError(head_line, f"header must be 'f0,...,f{{d-1}},label', got {head!r}")
     if len(lines) == 1:
-        raise ParseError(1, "no data rows")
+        raise ParseError(head_line, "no data rows")
     feats, raw_labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != d + 1:
             raise ParseError(lineno, f"expected {d + 1} fields, got {len(fields)}")

@@ -170,7 +170,7 @@ def run_simulation(
 
     Each node trains on the 80% train side of its local split, and the nodes
     whose splits have one size train as one stack; each node's shuffling seed
-    is derived from (seed, node, round), so cfg.train.seed is ignored here.
+    is derived from (seed, node, round).
     """
     n = cfg.topology.n_nodes
     if plan.n_nodes != n:

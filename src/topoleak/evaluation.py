@@ -4,7 +4,8 @@ Scores are computed over an explicit list of node pairs so that the
 supervised attacks can be measured on pairs they never saw labels for.
 Sweeps run the pipeline in two stages, simulate (topology -> data ->
 simulation) and attack (metric -> attack -> score), and emit plot-ready CSV
-rows. Cells that share a simulation run it once.
+rows. Cells that share a simulation run it once. The CLI's simulate and
+attack commands run the same federation builder and attack stage.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import (
+    AttackResult,
     EdgePreConfig,
     InferGatConfig,
     SoftAdjacency,
@@ -204,7 +206,7 @@ def evaluate_soft(
 
 @dataclass(frozen=True)
 class ExperimentDefaults:
-    """Shared pipeline knobs for sweep cells; one place to calibrate."""
+    """Shared pipeline knobs for sweep cells and CLI runs; one place to calibrate."""
 
     k_classes: int = 3
     n_features: int = 8
@@ -323,6 +325,26 @@ def _sim_key(cell: SweepCell) -> tuple:
     )
 
 
+def federation_config(
+    defaults: ExperimentDefaults, topology: Topology, seed: int, local_epochs: int,
+    rounds: int | None, dp: tuple[float, float] | None,
+) -> FederationConfig:
+    """One run's federation: DP is (clip, sigma) or None, its noise seeded from seed."""
+    return FederationConfig(
+        topology=topology,
+        train=TrainConfig(
+            local_epochs=local_epochs,
+            learning_rate=defaults.learning_rate,
+            batch_size=defaults.batch_size,
+            optimizer=defaults.optimizer,
+        ),
+        rounds=rounds,
+        dp=None if dp is None else DpConfig(dp[0], dp[1], seed=derive_seed(seed, "dp")),
+        hidden_sizes=defaults.hidden_sizes,
+        activation=defaults.activation,
+    )
+
+
 def _simulate(cell: SweepCell, defaults: ExperimentDefaults) -> tuple[TopologyStats, SimulationLog]:
     """Simulate stage: topology, stats, data, partition and the federation run."""
     topo = _build_topology(cell)
@@ -339,37 +361,28 @@ def _simulate(cell: SweepCell, defaults: ExperimentDefaults) -> tuple[TopologySt
         plan = partition_iid(dataset, cell.n_nodes, part_seed)
     else:
         plan = partition_dirichlet(dataset, cell.n_nodes, cell.alpha, part_seed)
-    dp = None
-    if cell.dp is not None:
-        dp = DpConfig(cell.dp[0], cell.dp[1], seed=derive_seed(cell.seed, "dp"))
-    cfg = FederationConfig(
-        topology=topo,
-        train=TrainConfig(
-            local_epochs=cell.local_epochs,
-            learning_rate=defaults.learning_rate,
-            batch_size=defaults.batch_size,
-            optimizer=defaults.optimizer,
-        ),
-        rounds=cell.rounds,
-        dp=dp,
-        hidden_sizes=defaults.hidden_sizes,
-        activation=defaults.activation,
-    )
+    cfg = federation_config(defaults, topo, cell.seed, cell.local_epochs, cell.rounds, cell.dp)
     log = run_simulation(
         cfg, dataset, plan, seed=derive_seed(cell.seed, "simulate", cell.topology_kind, cell.n_nodes)
     )
     return st, log
 
 
-def _attack(cell: SweepCell, defaults: ExperimentDefaults, log: SimulationLog) -> EvalResult:
-    """Attack stage: the cell's scenario against a simulated log, scored."""
+def attack_log(
+    scenario: int, log: SimulationLog, seed: int, defaults: ExperimentDefaults,
+    policy: str | None = None,
+) -> tuple[AttackResult, EvalResult]:
+    """Attack stage: one scenario against a simulated log, scored.
+
+    Knowledge and training are seeded from (seed, scenario). Unless a policy
+    is given, SC1/SC2 are scored on the pairs they hold no label for and the
+    other scenarios on every pair.
+    """
+    topo = log.config.topology
     knowledge = sample_knowledge(
-        cell.scenario,
-        log.config.topology,
-        rho=defaults.rho,
-        seed=derive_seed(cell.seed, "knowledge", cell.scenario),
+        scenario, topo, rho=defaults.rho, seed=derive_seed(seed, "knowledge", scenario)
     )
-    attack_seed = derive_seed(cell.seed, "attack", cell.scenario)
+    attack_seed = derive_seed(seed, "attack", scenario)
     res = run_scenario(
         knowledge,
         log,
@@ -378,11 +391,13 @@ def _attack(cell: SweepCell, defaults: ExperimentDefaults, log: SimulationLog) -
         metric_phase=defaults.metric_phase,
         metric_last_k=defaults.metric_last_k,
     )
-    if cell.scenario in (1, 2):
-        pairs, policy = held_out_pairs(cell.n_nodes, knowledge.known_pairs), HELD_OUT
+    if policy is None:
+        policy = HELD_OUT if scenario in (1, 2) else ALL_PAIRS
+    if policy == HELD_OUT:
+        pairs = held_out_pairs(topo.n_nodes, knowledge.known_pairs)
     else:
-        pairs, policy = all_pairs(cell.n_nodes), ALL_PAIRS
-    return evaluate_soft(res.soft, log.adjacency, pairs, policy)
+        pairs = all_pairs(topo.n_nodes)
+    return res, evaluate_soft(res.soft, log.adjacency, pairs, policy)
 
 
 def _error_row(cell: SweepCell, exc: TopoleakError) -> SweepRow:
@@ -407,7 +422,7 @@ def _run_group(cells: list[SweepCell], defaults: ExperimentDefaults) -> list[Swe
         if c.scenario in by_scenario:
             continue
         try:
-            ev = _attack(c, defaults, log)
+            _, ev = attack_log(c.scenario, log, c.seed, defaults)
         except TopoleakError as exc:
             by_scenario[c.scenario] = _error_row(c, exc)
         else:
@@ -494,6 +509,24 @@ def run_sweep(
     return SweepResult(rows=tuple(rows))
 
 
+def _grid(points, scenarios, seeds, defaults: ExperimentDefaults) -> list[SweepCell]:
+    """One cell per (point, scenario, seed), nested in that order.
+
+    A point is an experiment id prefix and the SweepCell fields it sets; the
+    others run IID, without DP, at the defaults' local epochs and rounds.
+    """
+    base = dict(alpha=None, local_epochs=defaults.local_epochs, dp=None, rounds=defaults.rounds)
+    cells = []
+    for prefix, fields in points:
+        for scenario in scenarios:
+            for seed in seeds:
+                cells.append(SweepCell(
+                    index=len(cells), experiment_id=f"{prefix}-sc{scenario}-s{seed}",
+                    scenario=int(scenario), seed=int(seed), **{**base, **fields},
+                ))
+    return cells
+
+
 def density_sweep(
     ps,
     n_nodes: int,
@@ -504,26 +537,11 @@ def density_sweep(
     resume: bool = False,
 ) -> SweepResult:
     """Pipeline per (edge probability, scenario, seed) on ER topologies."""
-    cells = []
-    for p in ps:
-        for scenario in scenarios:
-            for seed in seeds:
-                cells.append(
-                    SweepCell(
-                        index=len(cells),
-                        experiment_id=f"density-p{p:g}-sc{scenario}-s{seed}",
-                        topology_kind="erdos_renyi",
-                        n_nodes=n_nodes,
-                        er_p=float(p),
-                        alpha=None,
-                        local_epochs=defaults.local_epochs,
-                        dp=None,
-                        scenario=int(scenario),
-                        seed=int(seed),
-                        rounds=defaults.rounds,
-                    )
-                )
-    return run_sweep(cells, defaults, out_csv, resume)
+    points = [
+        (f"density-p{p:g}", dict(topology_kind="erdos_renyi", n_nodes=n_nodes, er_p=float(p)))
+        for p in ps
+    ]
+    return run_sweep(_grid(points, scenarios, seeds, defaults), defaults, out_csv, resume)
 
 
 def size_sweep(
@@ -536,26 +554,12 @@ def size_sweep(
     resume: bool = False,
 ) -> SweepResult:
     """Pipeline per (node count, scenario, seed); rounds track the size."""
-    cells = []
-    for n in ns:
-        for scenario in scenarios:
-            for seed in seeds:
-                cells.append(
-                    SweepCell(
-                        index=len(cells),
-                        experiment_id=f"size-n{n}-sc{scenario}-s{seed}",
-                        topology_kind="erdos_renyi",
-                        n_nodes=int(n),
-                        er_p=float(p),
-                        alpha=None,
-                        local_epochs=defaults.local_epochs,
-                        dp=None,
-                        scenario=int(scenario),
-                        seed=int(seed),
-                        rounds=int(n),
-                    )
-                )
-    return run_sweep(cells, defaults, out_csv, resume)
+    points = [
+        (f"size-n{n}", dict(topology_kind="erdos_renyi", n_nodes=int(n), er_p=float(p),
+                            rounds=int(n)))
+        for n in ns
+    ]
+    return run_sweep(_grid(points, scenarios, seeds, defaults), defaults, out_csv, resume)
 
 
 MITIGATION_VARIANTS = (
@@ -580,28 +584,13 @@ def mitigation_experiment(
 ) -> SweepResult:
     """Paired defense runs: cells in a pair share every seed, so topology,
     data, and initialization match and only the defense knob differs."""
-    cells = []
-    for variant, overrides in MITIGATION_VARIANTS:
-        for kind in topology_kinds:
-            for scenario in scenarios:
-                for seed in seeds:
-                    base = dict(
-                        alpha=None, local_epochs=defaults.local_epochs, dp=None
-                    )
-                    base.update(overrides)
-                    cells.append(
-                        SweepCell(
-                            index=len(cells),
-                            experiment_id=f"mitigation-{variant}-{kind}-sc{scenario}-s{seed}",
-                            topology_kind=kind,
-                            n_nodes=n_nodes,
-                            er_p=er_p if kind == "erdos_renyi" else None,
-                            alpha=base["alpha"],
-                            local_epochs=base["local_epochs"],
-                            dp=base["dp"],
-                            scenario=int(scenario),
-                            seed=int(seed),
-                            rounds=defaults.rounds,
-                        )
-                    )
-    return run_sweep(cells, defaults, out_csv, resume)
+    points = [
+        (
+            f"mitigation-{variant}-{kind}",
+            dict(topology_kind=kind, n_nodes=n_nodes, er_p=er_p if kind == "erdos_renyi" else None,
+                 **overrides),
+        )
+        for variant, overrides in MITIGATION_VARIANTS
+        for kind in topology_kinds
+    ]
+    return run_sweep(_grid(points, scenarios, seeds, defaults), defaults, out_csv, resume)

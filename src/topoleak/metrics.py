@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConstantMetric, DegenerateModel, KnowledgeViolation, ShapeError
+from .errors import ConstantMetric, DegenerateModel, KnowledgeViolation, ParseError, ShapeError
 from .nn import ModelParams, forward_batch, log_softmax
 
 
@@ -169,10 +169,19 @@ def dump_matrix_csv(values: np.ndarray) -> str:
 
 
 def load_matrix_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(x) for x in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """Rows of finite numbers, all of one length; blank lines are skipped."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(x) for x in line.split(",")]
+        except ValueError:
+            raise ParseError(lineno, f"non-numeric field in {line!r}") from None
+        if not np.isfinite(row).all():
+            raise ParseError(lineno, f"non-finite field in {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(lineno, f"expected {len(rows[0])} fields, got {len(row)}")
+        rows.append(row)
     return np.array(rows, dtype=np.float64)
 

@@ -90,10 +90,6 @@ class TrainConfig:
     learning_rate: float
     batch_size: int
     optimizer: str = "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.local_epochs < 1:
@@ -284,7 +280,7 @@ def train_local(model, features: np.ndarray, labels: np.ndarray, cfg: TrainConfi
     flat_x, flat_y = x.reshape(-1, x.shape[2]), y.ravel()
     offsets = np.arange(0, y.size, n_local)[:, None]
     adam = cfg.optimizer == "adam"
-    opt = Adam(theta0.shape, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps) if adam else None
+    opt = Adam(theta0.shape, cfg.learning_rate) if adam else None
     theta = theta0
     for _ in range(cfg.local_epochs):
         order = np.stack([rng.permutation(n_local) for rng in rngs]) + offsets

@@ -186,7 +186,7 @@ def load_topology(text: str) -> Topology:
         except ValueError:
             raise ParseError(lineno, f"non-integer edge {line!r}") from None
         if u < 0 or v < 0 or u >= n or v >= n:
-            raise IndexError(f"line {lineno}: node index {max(u, v)} >= N={n}")
+            raise ParseError(lineno, f"node index outside [0, {n}) in {line!r}")
         if u == v:
             raise ParseError(lineno, f"self-loop at node {u}")
         key = (min(u, v), max(u, v))

@@ -184,6 +184,12 @@ class TestSimulate:
         cfg = write_ini(tmp_path, "[topology]\nkind = ring\nn = 4\n")
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_invalid_attack_section_is_config_error(self, tmp_path, capsys):
+        text = BASE_INI.format(out=tmp_path / "simlog").replace("heads = 1", "heads = 0")
+        assert main(["simulate", "--config", write_ini(tmp_path, text)]) == 2
+        assert "heads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "simlog").exists()
+
 
 @pytest.fixture
 def sim_log(tmp_path, base_cfg):
@@ -203,6 +209,13 @@ class TestAttack:
         assert Path(sim_log, "attack_sc1.csv").exists()
         assert "scenario=1" in capsys.readouterr().out
 
+    def test_labeled_frac_flag_beats_config(self, sim_log, base_cfg):
+        assert main(["attack", "--log", sim_log, "--scenario", "1", "--config", base_cfg,
+                     "--labeled-frac", "0.6"]) == 0
+        doc = json.loads(Path(sim_log, "attack_sc1.result.json").read_text())
+        assert doc["labeled_fraction"] == 0.6
+        assert doc["n_eval_pairs"] == 6  # floor(0.6 * 15) = 9 labeled
+
     def test_scenario4_uses_all_pairs(self, sim_log, base_cfg):
         assert main(["attack", "--log", sim_log, "--scenario", "4",
                      "--config", base_cfg]) == 0
@@ -216,6 +229,23 @@ class TestAttack:
 
     def test_missing_log_is_runtime_error(self, tmp_path):
         assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4"]) == 3
+
+    def test_unknown_eval_policy_rejected_before_the_log_is_read(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[eval]\npolicy = sometimes\n")
+        assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4",
+                     "--config", cfg]) == 2
+        assert "unknown eval policy 'sometimes'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["1", "4"])
+    def test_no_config_equals_empty_config(self, sim_log, tmp_path, scenario):
+        empty = write_ini(tmp_path, "", name="empty.ini")
+        bare, with_empty = tmp_path / "bare", tmp_path / "with_empty"
+        assert main(["attack", "--log", sim_log, "--scenario", scenario,
+                     "--out", str(bare)]) == 0
+        assert main(["attack", "--log", sim_log, "--scenario", scenario,
+                     "--config", empty, "--out", str(with_empty)]) == 0
+        for name in (f"attack_sc{scenario}.csv", f"attack_sc{scenario}.result.json"):
+            assert (bare / name).read_bytes() == (with_empty / name).read_bytes()
 
     def test_truncated_snapshot_is_runtime_error(self, sim_log, base_cfg, capsys):
         arr = Path(sim_log, "deltas.npy")
@@ -276,6 +306,26 @@ class TestEvaluate:
         topo.write_text("0 1\n1 2\n2 0\n")
         assert main(["evaluate", "--soft", str(tmp_path / "absent.csv"),
                      "--topology", str(topo)]) == 2
+
+    @pytest.mark.parametrize(
+        "soft, edges, code, message",
+        [
+            ("0,1,0\n1,0\n0,1,0\n", "3 2\n0 1\n1 2\n", 2, "line 2: expected 3 fields"),
+            ("0,1,0\n1,0,x\n0,x,0\n", "3 2\n0 1\n1 2\n", 2, "line 2: non-numeric field"),
+            ("0,nan,0\nnan,0,1\n0,1,0\n", "3 2\n0 1\n1 2\n", 2, "line 1: non-finite field"),
+            ("0,1\n1,0\n", "3 2\n0 1\n1 2\n", 3, "soft adjacency is 2x2, topology has 3"),
+            ("0,1,0\n1,0,1\n0,1,0\n", "3 2\n0 1\n1 3\n", 2, "line 3: node index outside"),
+        ],
+        ids=["ragged", "non_numeric", "nan", "size_mismatch", "node_out_of_range"],
+    )
+    def test_bad_input_is_a_typed_error(self, tmp_path, capsys, soft, edges, code, message):
+        (tmp_path / "soft.csv").write_text(soft)
+        (tmp_path / "t.edges").write_text(edges)
+        assert main(["evaluate", "--soft", str(tmp_path / "soft.csv"),
+                     "--topology", str(tmp_path / "t.edges")]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 SWEEP_INI = """

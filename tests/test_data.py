@@ -178,6 +178,18 @@ class TestLoadCsv:
         assert exc.value.line == 4
         assert "non-finite" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("1,2", "expected 3 fields"), ("1,x,0", "non-numeric"), ("1,nan,0", "non-finite")],
+    )
+    @pytest.mark.parametrize("blank", ["\n", "\n  \n"])
+    def test_bad_row_after_blank_lines_names_its_line(self, bad, message, blank):
+        text = "f0,f1,label\n1,2,0\n" + blank + bad + "\n"
+        with pytest.raises(ParseError) as exc:
+            load_csv(text)
+        assert exc.value.line == text.splitlines().index(bad) + 1
+        assert message in str(exc.value)
+
     def test_round_trip_with_blobs(self):
         d = gen_blobs(2, 3, 10, 1.0, seed=2)
         header = "f0,f1,f2,label"

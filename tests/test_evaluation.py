@@ -366,6 +366,60 @@ class TestSweeps:
             res.mean("f1_05", n_nodes=99)
 
 
+class TestGridCells:
+    """The cells each sweep family builds: ids, order and every SweepCell field."""
+
+    @pytest.fixture(autouse=True)
+    def cells_only(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "run_sweep", lambda cells, *rest: cells)
+
+    def test_density(self):
+        cells = density_sweep(
+            [0.4, 0.75], 6, [1, 4], [0, 3], defaults=tiny_defaults(local_epochs=2, rounds=5)
+        )
+        # (index, id, kind, n, er_p, alpha, local_epochs, dp, scenario, seed, rounds)
+        assert [dataclasses.astuple(c) for c in cells] == [
+            (0, "density-p0.4-sc1-s0", "erdos_renyi", 6, 0.4, None, 2, None, 1, 0, 5),
+            (1, "density-p0.4-sc1-s3", "erdos_renyi", 6, 0.4, None, 2, None, 1, 3, 5),
+            (2, "density-p0.4-sc4-s0", "erdos_renyi", 6, 0.4, None, 2, None, 4, 0, 5),
+            (3, "density-p0.4-sc4-s3", "erdos_renyi", 6, 0.4, None, 2, None, 4, 3, 5),
+            (4, "density-p0.75-sc1-s0", "erdos_renyi", 6, 0.75, None, 2, None, 1, 0, 5),
+            (5, "density-p0.75-sc1-s3", "erdos_renyi", 6, 0.75, None, 2, None, 1, 3, 5),
+            (6, "density-p0.75-sc4-s0", "erdos_renyi", 6, 0.75, None, 2, None, 4, 0, 5),
+            (7, "density-p0.75-sc4-s3", "erdos_renyi", 6, 0.75, None, 2, None, 4, 3, 5),
+        ]
+
+    def test_size(self):
+        cells = size_sweep([4, 7], 0.6, [2], [1, 5], defaults=tiny_defaults(local_epochs=2))
+        assert [dataclasses.astuple(c) for c in cells] == [
+            (0, "size-n4-sc2-s1", "erdos_renyi", 4, 0.6, None, 2, None, 2, 1, 4),
+            (1, "size-n4-sc2-s5", "erdos_renyi", 4, 0.6, None, 2, None, 2, 5, 4),
+            (2, "size-n7-sc2-s1", "erdos_renyi", 7, 0.6, None, 2, None, 2, 1, 7),
+            (3, "size-n7-sc2-s5", "erdos_renyi", 7, 0.6, None, 2, None, 2, 5, 7),
+        ]
+
+    def test_mitigation(self):
+        cells = mitigation_experiment(
+            [3], [2], topology_kinds=("ring", "erdos_renyi"), n_nodes=5, er_p=0.4,
+            defaults=tiny_defaults(local_epochs=2, rounds=4),
+        )
+        dp = (1.0, 0.5)
+        assert [dataclasses.astuple(c) for c in cells] == [
+            (0, "mitigation-epochs3-ring-sc3-s2", "ring", 5, None, None, 3, None, 3, 2, 4),
+            (1, "mitigation-epochs3-erdos_renyi-sc3-s2", "erdos_renyi", 5, 0.4, None, 3, None, 3, 2, 4),
+            (2, "mitigation-epochs10-ring-sc3-s2", "ring", 5, None, None, 10, None, 3, 2, 4),
+            (3, "mitigation-epochs10-erdos_renyi-sc3-s2", "erdos_renyi", 5, 0.4, None, 10, None, 3, 2, 4),
+            (4, "mitigation-iid-ring-sc3-s2", "ring", 5, None, None, 2, None, 3, 2, 4),
+            (5, "mitigation-iid-erdos_renyi-sc3-s2", "erdos_renyi", 5, 0.4, None, 2, None, 3, 2, 4),
+            (6, "mitigation-dirichlet01-ring-sc3-s2", "ring", 5, None, 0.1, 2, None, 3, 2, 4),
+            (7, "mitigation-dirichlet01-erdos_renyi-sc3-s2", "erdos_renyi", 5, 0.4, 0.1, 2, None, 3, 2, 4),
+            (8, "mitigation-dp_off-ring-sc3-s2", "ring", 5, None, None, 2, None, 3, 2, 4),
+            (9, "mitigation-dp_off-erdos_renyi-sc3-s2", "erdos_renyi", 5, 0.4, None, 2, None, 3, 2, 4),
+            (10, "mitigation-dp_on-ring-sc3-s2", "ring", 5, None, None, 2, dp, 3, 2, 4),
+            (11, "mitigation-dp_on-erdos_renyi-sc3-s2", "erdos_renyi", 5, 0.4, None, 2, dp, 3, 2, 4),
+        ]
+
+
 def count_simulations(monkeypatch) -> list:
     calls = []
     real = evaluation.run_simulation

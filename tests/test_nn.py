@@ -40,9 +40,9 @@ def finite_diff_grad(p, x, y, coords, step=1e-5):
     return out
 
 
-def train_one(p, x, y, cfg):
+def train_one(p, x, y, cfg, seed):
     """train_local on a stack of one model; returns (new params, delta)."""
-    theta, delta = train_local((p.arch, p.flat[None]), x[None], y[None], cfg, [cfg.seed])
+    theta, delta = train_local((p.arch, p.flat[None]), x[None], y[None], cfg, [seed])
     return p.with_flat(theta[0]), delta[0]
 
 
@@ -165,8 +165,8 @@ class TestTrainLocal:
     def test_zero_lr_identity(self):
         d = gen_blobs(2, 2, 10, 1.0, seed=0)
         p = init_params(MlpArchitecture((2, 4, 2)), seed=0)
-        cfg = TrainConfig(local_epochs=3, learning_rate=0.0, batch_size=8, seed=1)
-        p_new, delta = train_one(p, d.features, d.labels, cfg)
+        cfg = TrainConfig(local_epochs=3, learning_rate=0.0, batch_size=8)
+        p_new, delta = train_one(p, d.features, d.labels, cfg, seed=1)
         np.testing.assert_array_equal(delta, 0.0)
         np.testing.assert_array_equal(p_new.flat, p.flat)
 
@@ -174,8 +174,8 @@ class TestTrainLocal:
         d = gen_blobs(2, 2, 10, 1.0, seed=0)
         p = init_params(MlpArchitecture((2, 4, 2)), seed=3)
         _, grad = loss_and_grad(p, d.features, d.labels)
-        cfg = TrainConfig(local_epochs=1, learning_rate=0.1, batch_size=d.n_samples, seed=1)
-        p_new, delta = train_one(p, d.features, d.labels, cfg)
+        cfg = TrainConfig(local_epochs=1, learning_rate=0.1, batch_size=d.n_samples)
+        p_new, delta = train_one(p, d.features, d.labels, cfg, seed=1)
         np.testing.assert_allclose(delta, -0.1 * grad, atol=1e-15)
 
     def test_more_epochs_lower_training_loss(self):
@@ -183,8 +183,8 @@ class TestTrainLocal:
         p = init_params(MlpArchitecture((3, 8, 2)), seed=0)
 
         def loss_after(epochs):
-            cfg = TrainConfig(local_epochs=epochs, learning_rate=0.05, batch_size=16, seed=2)
-            p_new, _ = train_one(p, d.features, d.labels, cfg)
+            cfg = TrainConfig(local_epochs=epochs, learning_rate=0.05, batch_size=16)
+            p_new, _ = train_one(p, d.features, d.labels, cfg, seed=2)
             return cross_entropy(p_new, d.features, d.labels)
 
         assert loss_after(10) <= loss_after(3)
@@ -192,17 +192,17 @@ class TestTrainLocal:
     def test_deterministic(self):
         d = gen_blobs(3, 2, 15, 1.0, seed=1)
         p = init_params(MlpArchitecture((2, 6, 3)), seed=2)
-        cfg = TrainConfig(local_epochs=2, learning_rate=0.05, batch_size=8, optimizer="adam", seed=9)
-        a, da = train_one(p, d.features, d.labels, cfg)
-        b, db = train_one(p, d.features, d.labels, cfg)
+        cfg = TrainConfig(local_epochs=2, learning_rate=0.05, batch_size=8, optimizer="adam")
+        a, da = train_one(p, d.features, d.labels, cfg, seed=9)
+        b, db = train_one(p, d.features, d.labels, cfg, seed=9)
         np.testing.assert_array_equal(a.flat, b.flat)
         np.testing.assert_array_equal(da, db)
 
     def test_adam_reduces_loss(self):
         d = gen_blobs(2, 2, 25, spread=0.5, seed=6)
         p = init_params(MlpArchitecture((2, 8, 2)), seed=1)
-        cfg = TrainConfig(local_epochs=5, learning_rate=0.01, batch_size=10, optimizer="adam", seed=0)
-        p_new, _ = train_one(p, d.features, d.labels, cfg)
+        cfg = TrainConfig(local_epochs=5, learning_rate=0.01, batch_size=10, optimizer="adam")
+        p_new, _ = train_one(p, d.features, d.labels, cfg, seed=0)
         assert cross_entropy(p_new, d.features, d.labels) < cross_entropy(p, d.features, d.labels)
 
 
@@ -219,11 +219,11 @@ def reference_train(arch, theta, x, y, cfg, seed):
             _, grad = loss_and_grad(ModelParams(arch, theta), x[idx], y[idx])
             step += 1
             if cfg.optimizer == "adam":
-                m = cfg.beta1 * m + (1 - cfg.beta1) * grad
-                v = cfg.beta2 * v + (1 - cfg.beta2) * grad * grad
-                m_hat = m / (1 - cfg.beta1**step)
-                v_hat = v / (1 - cfg.beta2**step)
-                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                m = 0.9 * m + (1 - 0.9) * grad
+                v = 0.999 * v + (1 - 0.999) * grad * grad
+                m_hat = m / (1 - 0.9**step)
+                v_hat = v / (1 - 0.999**step)
+                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
             else:
                 theta = theta - cfg.learning_rate * grad
     return theta

@@ -86,8 +86,9 @@ class TestEdgeListFormat:
         assert t.n_edges == 3
 
     def test_node_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ParseError) as exc:
             load_topology("3 2\n0 1\n1 3\n")
+        assert exc.value.line == 3
 
     def test_malformed_header(self):
         with pytest.raises(ParseError) as exc:
