@@ -274,7 +274,6 @@ class InferGatConfig:
     epochs: int = 500
     learning_rate: float = 5e-3
     decoder_hidden: tuple[int, ...] = (16,)
-    optimizer: str = "adam"
     knn_k: int | None = None
     seed: int = 0
 
@@ -287,8 +286,6 @@ class InferGatConfig:
             )
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if self.optimizer not in ("gd", "adam"):
-            raise InvalidConfig(f"optimizer must be gd or adam, got {self.optimizer!r}")
         object.__setattr__(self, "decoder_hidden", tuple(int(h) for h in self.decoder_hidden))
 
 
@@ -460,12 +457,12 @@ def infergat_train(x: FeatureMatrix, cfg: InferGatConfig):
     flat = _gat_init(d_in, cfg)
     _, dec_arch = _gat_dims(cfg)
     mask = _attention_mask(vals, cfg.knn_k)
-    opt = Adam(flat.shape[0], cfg.learning_rate) if cfg.optimizer == "adam" else None
+    opt = Adam(flat.shape[0], cfg.learning_rate)
     losses = []
     for _ in range(cfg.epochs):
         loss, grad = _gat_loss_and_grad(flat, vals, d_in, cfg, mask)
         losses.append(loss)
-        flat = opt.step(flat, grad) if opt else flat - cfg.learning_rate * grad
+        flat = opt.step(flat, grad)
     return GatModel(flat, d_in, cfg, dec_arch), losses
 
 

@@ -104,7 +104,6 @@ SCHEMA = {
         "epochs": int,
         "learning_rate": float,
         "decoder_hidden": _to_int_tuple,
-        "optimizer": str,
         "knn_k": int,
     },
     "eval": {"policy": str},
@@ -253,7 +252,7 @@ def cmd_gen_topology(args) -> int:
     else:
         if args.p is None:
             raise InvalidConfig("--kind er needs --p")
-        topo = gen_erdos_renyi(args.n, args.p, seed=args.seed or 0)
+        topo = gen_erdos_renyi(args.n, args.p, seed=resolve_seed(args.seed, None))
     st = stats(topo)
     lam = second_eigenvalue_modulus(aggregation_matrix(adjacency_matrix(topo)))
 
@@ -350,9 +349,8 @@ def cmd_evaluate(args) -> int:
             f"soft adjacency is {soft.n_nodes}x{soft.n_nodes}, topology has {topo.n_nodes} nodes"
         )
     if args.policy == HELD_OUT:
-        knowledge = sample_knowledge(
-            1, topo, rho=args.labeled_frac, seed=derive_seed(args.seed or 0, "knowledge", 1)
-        )
+        seed = derive_seed(resolve_seed(args.seed, None), "knowledge", 1)
+        knowledge = sample_knowledge(1, topo, rho=args.labeled_frac, seed=seed)
         pairs = held_out_pairs(topo.n_nodes, knowledge.known_pairs)
     else:
         pairs = all_pairs(topo.n_nodes)

@@ -64,6 +64,9 @@ class FederationConfig:
     def n_rounds(self) -> int:
         return self.rounds if self.rounds is not None else self.topology.n_nodes
 
+    def architecture(self, dataset: Dataset) -> MlpArchitecture:
+        return MlpArchitecture((dataset.n_features, *self.hidden_sizes, dataset.n_classes), self.activation)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Make a and the array owning its memory read-only; returns a."""
@@ -91,53 +94,46 @@ class SimulationLog:
     def n_nodes(self) -> int:
         return self.params.shape[1]
 
-    def models(self, round: int, phase: str = "post") -> tuple[ModelParams, ...]:
-        """Every node's model in one round (round 0 is the init), as read-only rows."""
-        stack = self.params[round] if phase == "post" else _frozen(
-            self.params[round - 1] + self.deltas[round - 1]
-        )
-        arch = _architecture(self.config, self.dataset)
-        return tuple(ModelParams(arch, row) for row in stack)
-
-    @property
-    def initial_params(self) -> tuple[ModelParams, ...]:
-        return self.models(0)
-
-    @property
-    def traces(self) -> tuple["RoundTrace", ...]:
-        return tuple(RoundTrace(t, self) for t in range(1, len(self.deltas) + 1))
+    def snapshot(self, round: int, phase: str = "post") -> np.ndarray:
+        """Every node's model in one round as a read-only (n, P) stack: "post" is
+        after aggregation (round 0 is the init), "pre" before it (rounds 1..T)."""
+        if phase not in ("pre", "post"):
+            raise InvalidTrace(f"phase must be pre or post, got {phase!r}")
+        first, last = (0 if phase == "post" else 1), len(self.deltas)
+        if not first <= round <= last:
+            raise InvalidTrace(f"the log holds {phase} rounds {first}..{last}, not round {round}")
+        if phase == "post":
+            return self.params[round]
+        return _frozen(self.params[round - 1] + self.deltas[round - 1])
 
     def node_dataset(self, i: int) -> Dataset:
         """Node i's full local set (what an attacker with data access sees)."""
         return self.dataset.subset(self.plan.assignments[i])
 
+    # initial_params, traces and RoundTrace are read only by perfbench/checks.py::closed_form_gap,
+    # until ROADMAP item 1 moves that check onto params and deltas; nothing in src/ reads them.
+    @property
+    def initial_params(self) -> tuple[ModelParams, ...]:
+        return RoundTrace(0, self).params_post_agg
+
+    @property
+    def traces(self) -> tuple["RoundTrace", ...]:
+        return tuple(RoundTrace(t, self) for t in range(1, len(self.deltas) + 1))
+
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """One round of a log, read from the log's arrays when asked for."""
-
     round: int
     log: SimulationLog = field(repr=False, compare=False)
 
     @property
-    def params_pre_agg(self) -> tuple[ModelParams, ...]:
-        return self.log.models(self.round, "pre")
-
-    @property
     def params_post_agg(self) -> tuple[ModelParams, ...]:
-        return self.log.models(self.round)
+        arch = self.log.config.architecture(self.log.dataset)
+        return tuple(ModelParams(arch, row) for row in self.log.snapshot(self.round))
 
     @property
-    def deltas(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.log.deltas[self.round - 1])
-
-    @property
-    def delta_norms(self) -> tuple[float, ...]:
-        return tuple(float(np.linalg.norm(d)) for d in self.deltas)
-
-
-def _architecture(cfg: FederationConfig, dataset: Dataset) -> MlpArchitecture:
-    return MlpArchitecture((dataset.n_features, *cfg.hidden_sizes, dataset.n_classes), cfg.activation)
+    def deltas(self) -> np.ndarray:
+        return self.log.deltas[self.round - 1]
 
 
 def apply_dp(delta: np.ndarray, clip_norm: float, noise_sigma: float, rng) -> np.ndarray:
@@ -155,12 +151,12 @@ def apply_dp(delta: np.ndarray, clip_norm: float, noise_sigma: float, rng) -> np
     return d
 
 
-def consensus_gap(params) -> float:
-    """Max over node pairs of the L2 distance between parameter vectors."""
-    if len(params) < 2:
-        raise InvalidConfig("consensus gap needs at least 2 nodes")
-    flats = np.stack([p.flat if isinstance(p, ModelParams) else np.asarray(p) for p in params])
-    return max([0.0] + [float(np.linalg.norm(a - b)) for a, b in combinations(flats, 2)])
+def consensus_gap(params: np.ndarray) -> float:
+    """Max over node pairs of the L2 distance between the rows of an (n, P) stack."""
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 2 or len(params) < 2:
+        raise InvalidConfig(f"consensus gap needs an (n, P) stack of 2+ nodes, got {params.shape}")
+    return max(float(np.linalg.norm(a - b)) for a, b in combinations(params, 2))
 
 
 def run_simulation(
@@ -178,7 +174,7 @@ def run_simulation(
     if any(len(a) == 0 for a in plan.assignments):
         raise InvalidConfig("every node needs a nonempty local dataset")
 
-    arch = _architecture(cfg, dataset)
+    arch = cfg.architecture(dataset)
     adjacency = adjacency_matrix(cfg.topology)
     p_matrix = aggregation_matrix(adjacency)
 
@@ -394,7 +390,7 @@ def load_log(log_dir) -> SimulationLog:
         activation=activation,
     )
 
-    n_params = _architecture(fc, dataset).n_params
+    n_params = fc.architecture(dataset).n_params
     params = _read_array(root / "params.npy", (rounds + 1, n, n_params))
     deltas = _read_array(root / "deltas.npy", (rounds, n, n_params))
 

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConstantMetric, DegenerateModel, KnowledgeViolation, ParseError, ShapeError
-from .nn import ModelParams, forward_batch, log_softmax
+from .nn import MlpArchitecture, forward_batch, log_softmax
 
 
 class MetricKind(Enum):
@@ -65,40 +65,24 @@ class FeatureMatrix:
         return self.values.shape[0]
 
 
-def _check_models(models) -> np.ndarray:
-    """Stack parameter vectors; accepts ModelParams or raw flat arrays."""
-    if any(m is None for m in models):
-        raise KnowledgeViolation("metric needs every node's model")
-    return np.stack(
-        [
-            m.flat if isinstance(m, ModelParams) else np.asarray(m, dtype=np.float64)
-            for m in models
-        ]
-    )
-
-
-def _check_datasets(models, datasets) -> None:
-    if len(datasets) != len(models) or any(d is None for d in datasets):
+def relative_loss(arch: MlpArchitecture, params: np.ndarray, datasets, round: int = 0) -> MetricMatrix:
+    """values[i][j] = mean softmax cross-entropy of model i (row i of an (n, P)
+    stack) on dataset j, from one forward per model over the datasets concatenated."""
+    if len(datasets) != len(params) or any(d is None for d in datasets):
         raise KnowledgeViolation("metric needs every node's dataset")
-
-
-def relative_loss(models, datasets, round: int = 0) -> MetricMatrix:
-    """values[i][j] = mean softmax cross-entropy of model i on dataset j, from
-    one forward per model over the datasets concatenated."""
-    _check_models(models)
-    _check_datasets(models, datasets)
     x = np.concatenate([d.features for d in datasets])
     y = np.concatenate([d.labels for d in datasets])
     bounds = np.cumsum([0] + [d.n_samples for d in datasets])
-    out = np.zeros((len(models), len(datasets)))
-    for i, model in enumerate(models):
-        nll = -log_softmax(forward_batch(model, x))[np.arange(len(y)), y]
+    out = np.zeros((len(params), len(datasets)))
+    for i, theta in enumerate(params):
+        nll = -log_softmax(forward_batch((arch, theta), x))[np.arange(len(y)), y]
         out[i] = [nll[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
     return MetricMatrix(MetricKind.RELATIVE_LOSS, out, round)
 
 
-def cosine_matrix(models, round: int = 0) -> MetricMatrix:
-    flats = _check_models(models)
+def cosine_matrix(params: np.ndarray, round: int = 0) -> MetricMatrix:
+    """values[i][j] = cosine similarity of rows i and j of an (n, P) stack."""
+    flats = np.asarray(params, dtype=np.float64)
     norms = np.linalg.norm(flats, axis=1)
     if np.any(norms == 0):
         raise DegenerateModel("zero-norm parameter vector")
@@ -137,21 +121,20 @@ def metric_from_log(log, kind: MetricKind, phase: str = "post", last_k: int = 1)
     Pre-aggregation snapshots see that coupling only one round delayed.
     last_k > 1 averages the metric over the last k rounds.
     """
-    if phase not in ("pre", "post"):
-        raise KnowledgeViolation(f"phase must be pre or post, got {phase!r}")
     t_final = len(log.deltas)
     if last_k < 1 or last_k > t_final:
         raise KnowledgeViolation(
             f"last_k={last_k} needs more rounds than the log's {t_final}"
         )
     datasets = [log.node_dataset(i) for i in range(log.n_nodes)]
+    arch = log.config.architecture(log.dataset)
     mats = []
     for t in range(t_final - last_k + 1, t_final + 1):
-        models = log.models(t, phase)
+        params = log.snapshot(t, phase)
         if kind is MetricKind.RELATIVE_LOSS:
-            mats.append(relative_loss(models, datasets, round=t))
+            mats.append(relative_loss(arch, params, datasets, round=t))
         elif kind is MetricKind.COSINE_SIMILARITY:
-            mats.append(cosine_matrix(models, round=t))
+            mats.append(cosine_matrix(params, round=t))
         else:
             raise KnowledgeViolation(f"unknown metric kind {kind}")
     stacked = np.mean([m.values for m in mats], axis=0)

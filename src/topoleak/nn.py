@@ -61,23 +61,16 @@ class MlpArchitecture:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Flat parameter vector bound to its architecture.
-
-    A frozen float64 vector (a row of a log's trace) is wrapped as it is;
-    anything writable is copied first, so the flat vector never changes.
-    """
+    """Flat parameter vector bound to its architecture, held as a read-only copy."""
 
     arch: MlpArchitecture
     flat: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.flat, dtype=np.float64)
+        v = np.array(self.flat, dtype=np.float64)
         if v.shape != (self.arch.n_params,):
             raise ShapeError(f"flat length {v.shape} != expected ({self.arch.n_params},)")
-        owner = v if v.base is None else v.base
-        if v.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
-            v = v.copy()
-            v.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "flat", v)
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":

@@ -223,9 +223,7 @@ def test_criterion_03_closed_form_equivalence():
         )
         log = run_simulation(cfg, data, plan, seed=int(rng.integers(0, 2**31)))
         p = aggregation_matrix(log.adjacency)
-        m0 = np.stack([q.flat for q in log.initial_params])
-        deltas = [np.stack(tr.deltas) for tr in log.traces]
-        post = np.stack([q.flat for q in log.traces[-1].params_post_agg])
+        m0, deltas, post = log.params[0], log.deltas, log.params[-1]
         worst = max(worst, float(np.abs(closed_form_final(p, m0, deltas) - post).max()))
     elapsed = time.perf_counter() - t0
     checks = [("max-abs<1e-9", worst < 1e-9), ("runtime<2min", elapsed < 120.0)]
@@ -299,9 +297,9 @@ def test_criterion_05_consensus_decay():
         )
         log = run_simulation(cfg, data, plan, seed=derive_seed(5, "simulate", name))
         lam = second_eigenvalue_modulus(aggregation_matrix(log.adjacency))
-        gap0 = consensus_gap(log.initial_params)
-        gaps = [consensus_gap(tr.params_post_agg) for tr in log.traces]
-        frozen = max(max(tr.delta_norms) for tr in log.traces)
+        gap0 = consensus_gap(log.params[0])
+        gaps = [consensus_gap(post) for post in log.params[1:]]
+        frozen = float(np.linalg.norm(log.deltas, axis=2).max())
         monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         # +1e-12 absolute: once the gap hits the float64 floor (~1e-15) it can
         # sit a fraction of an ulp above the still-halving analytic bound

@@ -8,6 +8,7 @@ import pytest
 
 from topoleak.cli import main, parse_config, resolve_seed
 from topoleak.errors import InvalidConfig
+from topoleak.metrics import dump_matrix_csv
 
 BASE_INI = """
 [run]
@@ -130,6 +131,15 @@ class TestGenTopology:
                     "--seed", "7", "--out", str(out)]
             assert main(args) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_env_seed_equals_seed_flag(self, tmp_path, monkeypatch):
+        flag, env = tmp_path / "flag.edges", tmp_path / "env.edges"
+        args = ["gen-topology", "--kind", "er", "--n", "8", "--p", "0.4"]
+        monkeypatch.delenv("TOPOLEAK_SEED", raising=False)
+        assert main(args + ["--seed", "5", "--out", str(flag)]) == 0
+        monkeypatch.setenv("TOPOLEAK_SEED", "5")
+        assert main(args + ["--out", str(env)]) == 0
+        assert env.read_bytes() == flag.read_bytes()
 
     def test_ring_too_small_is_config_error(self, tmp_path):
         out = tmp_path / "tiny.edges"
@@ -300,6 +310,21 @@ class TestEvaluate:
         assert doc["eval_pair_policy"] == "all_pairs"
         assert 0.0 <= doc["auc"] <= 1.0
         assert "auc=" in capsys.readouterr().out
+
+    def test_env_seed_equals_seed_flag(self, tmp_path, monkeypatch):
+        edges = tmp_path / "er12.edges"
+        assert main(["gen-topology", "--kind", "er", "--n", "12", "--p", "0.3", "--seed", "1",
+                     "--out", str(edges)]) == 0
+        soft = np.random.default_rng(0).random((12, 12))
+        (tmp_path / "soft.csv").write_text(dump_matrix_csv((soft + soft.T) / 2))
+        args = ["evaluate", "--soft", str(tmp_path / "soft.csv"), "--topology", str(edges),
+                "--policy", "held_out"]
+        flag, env = tmp_path / "flag.json", tmp_path / "env.json"
+        monkeypatch.delenv("TOPOLEAK_SEED", raising=False)
+        assert main(args + ["--seed", "5", "--out", str(flag)]) == 0
+        monkeypatch.setenv("TOPOLEAK_SEED", "5")
+        assert main(args + ["--out", str(env)]) == 0
+        assert env.read_bytes() == flag.read_bytes()
 
     def test_missing_soft_file_is_config_error(self, tmp_path):
         topo = tmp_path / "t.edges"

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,21 +53,10 @@ LOG_FILES = (
 
 
 def assert_same_trace(a, b):
-    """Pre- and post-aggregation params, deltas and delta norms equal bit for bit."""
-    assert len(a.traces) == len(b.traces)
-    for ta, tb in zip(a.traces, b.traces):
-        assert stack_pre(ta).tobytes() == stack_pre(tb).tobytes()
-        assert stack_post(ta).tobytes() == stack_post(tb).tobytes()
-        assert np.stack(ta.deltas).tobytes() == np.stack(tb.deltas).tobytes()
-        assert ta.delta_norms == tb.delta_norms
-
-
-def stack_pre(trace):
-    return np.stack([p.flat for p in trace.params_pre_agg])
-
-
-def stack_post(trace):
-    return np.stack([p.flat for p in trace.params_post_agg])
+    """Post-aggregation params and deltas equal bit for bit (pre-aggregation params derive from them)."""
+    assert a.params.shape == b.params.shape and a.deltas.shape == b.deltas.shape
+    assert a.params.tobytes() == b.params.tobytes()
+    assert a.deltas.tobytes() == b.deltas.tobytes()
 
 
 class TestRunSimulation:
@@ -73,19 +64,17 @@ class TestRunSimulation:
         t = gen_ring(5)
         cfg, d, plan = small_setup(t, learning_rate=0.0)
         log = run_simulation(cfg, d, plan, seed=7)
-        assert all(np.all(np.asarray(tr.deltas) == 0) for tr in log.traces)
+        assert not log.deltas.any()
         p = aggregation_matrix(adjacency_matrix(t))
-        m0 = np.stack([q.flat for q in log.initial_params])
-        expected = np.linalg.matrix_power(p, cfg.n_rounds) @ m0
-        np.testing.assert_allclose(stack_post(log.traces[-1]), expected, atol=1e-9)
+        expected = np.linalg.matrix_power(p, cfg.n_rounds) @ log.params[0]
+        np.testing.assert_allclose(log.params[-1], expected, atol=1e-9)
 
     def test_two_nodes_reach_midpoint(self):
         t = Topology.from_pairs(2, [(0, 1)])
         cfg, d, plan = small_setup(t, learning_rate=0.0)
         log = run_simulation(cfg, d, plan, seed=3)
-        m0 = np.stack([q.flat for q in log.initial_params])
-        mid = m0.mean(axis=0)
-        post = stack_post(log.traces[0])
+        mid = log.params[0].mean(axis=0)
+        post = log.params[1]
         np.testing.assert_allclose(post[0], mid, atol=1e-12)
         np.testing.assert_allclose(post[1], mid, atol=1e-12)
 
@@ -93,16 +82,12 @@ class TestRunSimulation:
         t = gen_star(10)
         cfg, d, plan = small_setup(t, n_per_class=100, local_epochs=3)
         log = run_simulation(cfg, d, plan, seed=11)
-        assert len(log.traces) == 10  # rounds default to n_nodes
-        for tr in log.traces:
-            assert len(tr.params_pre_agg) == 10
-            for delta, norm in zip(tr.deltas, tr.delta_norms):
-                assert norm == pytest.approx(np.linalg.norm(delta))
+        n_params = log.config.architecture(log.dataset).n_params
+        # rounds default to n_nodes
+        assert log.params.shape == (11, 10, n_params) and log.deltas.shape == (10, 10, n_params)
         # aggregation is exactly P applied to the same round's pre params
         p = aggregation_matrix(adjacency_matrix(t))
-        np.testing.assert_allclose(
-            stack_post(log.traces[4]), p @ stack_pre(log.traces[4]), atol=1e-12
-        )
+        np.testing.assert_allclose(log.snapshot(5), p @ log.snapshot(5, "pre"), atol=1e-12)
 
     def test_rounds_default_and_override(self):
         t = gen_ring(4)
@@ -110,7 +95,7 @@ class TestRunSimulation:
         assert cfg.n_rounds == 4
         cfg2 = FederationConfig(topology=t, train=cfg.train, rounds=2, hidden_sizes=(4,))
         log = run_simulation(cfg2, d, plan, seed=0)
-        assert len(log.traces) == 2
+        assert len(log.deltas) == 2
 
     def test_partition_topology_mismatch(self):
         t = gen_ring(5)
@@ -125,19 +110,18 @@ class TestRunSimulation:
         cfg, d, plan = small_setup(t, local_epochs=2)
         a = run_simulation(cfg, d, plan, seed=42)
         b = run_simulation(cfg, d, plan, seed=42)
-        for ta, tb in zip(a.traces, b.traces):
-            np.testing.assert_array_equal(stack_post(ta), stack_post(tb))
+        np.testing.assert_array_equal(a.params, b.params)
         c = run_simulation(cfg, d, plan, seed=43)
-        assert not np.array_equal(stack_post(a.traces[-1]), stack_post(c.traces[-1]))
+        assert not np.array_equal(a.params[-1], c.params[-1])
 
     def test_mean_preserved_by_doubly_stochastic_aggregation(self):
         # ring degrees are equal, so P is symmetric and doubly stochastic
         t = gen_ring(8)
         cfg, d, plan = small_setup(t, n_per_class=80, local_epochs=2)
         log = run_simulation(cfg, d, plan, seed=5)
-        for tr in log.traces:
+        for t in range(1, len(log.deltas) + 1):
             np.testing.assert_allclose(
-                stack_pre(tr).mean(axis=0), stack_post(tr).mean(axis=0), atol=1e-12
+                log.snapshot(t, "pre").mean(axis=0), log.snapshot(t).mean(axis=0), atol=1e-12
             )
 
     def test_divergence_names_first_node_and_round(self, monkeypatch):
@@ -238,10 +222,8 @@ class TestClosedForm:
         cfg = FederationConfig(topology=t, train=cfg.train, rounds=5, hidden_sizes=(4,))
         log = run_simulation(cfg, d, plan, seed=9)
         p = aggregation_matrix(log.adjacency)
-        m0 = np.stack([q.flat for q in log.initial_params])
-        deltas = [np.stack(tr.deltas) for tr in log.traces]
-        final = closed_form_final(p, m0, deltas)
-        np.testing.assert_allclose(final, stack_post(log.traces[-1]), atol=1e-9)
+        final = closed_form_final(p, log.params[0], log.deltas)
+        np.testing.assert_allclose(final, log.params[-1], atol=1e-9)
 
     def test_shape_mismatch(self):
         p = aggregation_matrix(adjacency_matrix(gen_ring(4)))
@@ -285,16 +267,20 @@ class TestApplyDp:
         )
         base = run_simulation(cfg, d, plan, seed=1)
         noised = run_simulation(dp_cfg, d, plan, seed=1)
-        assert not np.allclose(stack_post(base.traces[-1]), stack_post(noised.traces[-1]))
+        assert not np.allclose(base.params[-1], noised.params[-1])
 
 
 class TestConsensusGap:
     def test_identical_params_zero(self):
-        flats = [np.ones(4)] * 3
-        assert consensus_gap(flats) == 0.0
+        assert consensus_gap(np.ones((3, 4))) == 0.0
 
     def test_two_scalars(self):
-        assert consensus_gap([np.array([0.0]), np.array([1.0])]) == pytest.approx(1.0)
+        assert consensus_gap(np.array([[0.0], [1.0]])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4,), (2, 3, 4)])
+    def test_needs_a_stack_of_two_or_more_rows(self, shape):
+        with pytest.raises(InvalidConfig):
+            consensus_gap(np.ones(shape))
 
     def test_ring_decay_bounded_by_second_eigenvalue(self):
         # rate oracle: |lambda_2| from the spectral statistics
@@ -302,16 +288,15 @@ class TestConsensusGap:
         cfg, d, plan = small_setup(t, n_per_class=50, learning_rate=0.0)
         log = run_simulation(cfg, d, plan, seed=21)
         lam = stats(t).second_eigenvalue_modulus
-        gap0 = consensus_gap(log.initial_params)
-        for tr in log.traces:
-            assert consensus_gap(tr.params_post_agg) <= gap0 * (lam + 1e-6) ** tr.round
+        gap0 = consensus_gap(log.params[0])
+        for t, post in enumerate(log.params[1:], start=1):
+            assert consensus_gap(post) <= gap0 * (lam + 1e-6) ** t
 
     def test_monotone_nonincreasing_with_zero_deltas(self):
         t = gen_star(6)
         cfg, d, plan = small_setup(t, learning_rate=0.0)
         log = run_simulation(cfg, d, plan, seed=2)
-        gaps = [consensus_gap(log.initial_params)]
-        gaps += [consensus_gap(tr.params_post_agg) for tr in log.traces]
+        gaps = [consensus_gap(post) for post in log.params]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -350,14 +335,11 @@ class TestLogPersistence:
                 if arr is not None:
                     with pytest.raises(ValueError):
                         arr[(0,) * arr.ndim] = 1.0
-            for models in (lg.initial_params, lg.traces[-1].params_post_agg,
-                           lg.traces[-1].params_pre_agg):
+            for stack in (lg.snapshot(0), lg.snapshot(4), lg.snapshot(4, "pre")):
                 with pytest.raises(ValueError):
-                    models[0].flat[0] = 1.0
-            with pytest.raises(ValueError):
-                lg.traces[0].deltas[0][0] = 1.0
-            # a post-aggregation model is a view of the trace, not a copy
-            assert np.shares_memory(lg.traces[-1].params_post_agg[1].flat, lg.params)
+                    stack[0, 0] = 1.0
+            # a post-aggregation snapshot is a view of the trace, not a copy
+            assert np.shares_memory(lg.snapshot(4), lg.params)
 
     @pytest.mark.parametrize("damage", ["missing", "short", "shape", "float32", "object", "config"])
     def test_damaged_array_is_invalid_trace(self, tmp_path, damage):
@@ -426,3 +408,77 @@ class TestLogPersistence:
         back = load_log(tmp_path / "log")
         assert back.config.dp == cfg.dp
         assert_same_trace(log, back)
+
+
+@pytest.fixture(scope="module")
+def ring4_log():
+    cfg, d, plan = small_setup(gen_ring(4))
+    cfg = FederationConfig(topology=cfg.topology, train=cfg.train, rounds=3, hidden_sizes=(4,))
+    return run_simulation(cfg, d, plan, seed=2)
+
+
+class TestSnapshot:
+    def test_phases_read_the_arrays(self, ring4_log):
+        log = ring4_log
+        for t in range(4):
+            assert log.snapshot(t).tobytes() == log.params[t].tobytes()
+        for t in range(1, 4):
+            pre = log.params[t - 1] + log.deltas[t - 1]
+            assert log.snapshot(t, "pre").tobytes() == pre.tobytes()
+
+    def test_pre_phase_of_round_zero_is_rejected(self, ring4_log):
+        with pytest.raises(InvalidTrace, match="pre rounds 1..3"):
+            ring4_log.snapshot(0, "pre")
+
+    @pytest.mark.parametrize("phase", ["post", "pre"])
+    def test_negative_round_is_rejected(self, ring4_log, phase):
+        with pytest.raises(InvalidTrace, match="not round -1"):
+            ring4_log.snapshot(-1, phase)
+
+    @pytest.mark.parametrize("phase", ["post", "pre"])
+    def test_round_after_the_last_is_rejected(self, ring4_log, phase):
+        with pytest.raises(InvalidTrace, match="not round 4"):
+            ring4_log.snapshot(4, phase)
+
+    @pytest.mark.parametrize("phase", ["Post", "after", ""])
+    def test_unknown_phase_is_rejected(self, ring4_log, phase):
+        with pytest.raises(InvalidTrace, match="phase must be pre or post"):
+            ring4_log.snapshot(1, phase)
+
+
+SHIM = ("initial_params", "traces", "RoundTrace")
+SHIM_READS = {".initial_params", ".traces", ".models", "RoundTrace"}
+
+
+def _names_read(node):
+    """Attributes (with a leading dot), names and imports a syntax tree reads,
+    outside the shim's own definitions."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in SHIM:
+        return
+    if isinstance(node, ast.Attribute):
+        yield "." + node.attr
+    elif isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _names_read(child)
+
+
+class TestTraceShim:
+    """initial_params, traces and RoundTrace are a per-round object view of the
+    arrays that only the benchmark's closed-form check still reads."""
+
+    def test_shim_equals_the_arrays_bit_for_bit(self, ring4_log):
+        log = ring4_log
+        assert np.stack([q.flat for q in log.initial_params]).tobytes() == log.params[0].tobytes()
+        assert [tr.round for tr in log.traces] == [1, 2, 3]
+        for tr in log.traces:
+            post = np.stack([q.flat for q in tr.params_post_agg])
+            assert post.tobytes() == log.params[tr.round].tobytes()
+            assert np.stack(tr.deltas).tobytes() == log.deltas[tr.round - 1].tobytes()
+
+    def test_no_module_reads_the_shim(self):
+        for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+            reads = set(_names_read(ast.parse(path.read_text())))
+            assert not reads & SHIM_READS, path.name

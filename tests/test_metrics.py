@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from topoleak.data import Dataset, gen_blobs, partition_iid
 from topoleak.engine import FederationConfig, run_simulation
-from topoleak.errors import ConstantMetric, DegenerateModel, KnowledgeViolation, ShapeError
+from topoleak.errors import ConstantMetric, DegenerateModel, InvalidTrace, KnowledgeViolation, ShapeError
 from topoleak.metrics import (
     FeatureMatrix,
     MetricKind,
@@ -22,7 +22,6 @@ from topoleak.metrics import (
 )
 from topoleak.nn import (
     MlpArchitecture,
-    ModelParams,
     TrainConfig,
     cross_entropy,
     forward_batch,
@@ -32,9 +31,10 @@ from topoleak.nn import (
 from topoleak.topology import gen_ring
 
 
-def zero_model(d_in=2, k=2):
+def zero_models(n, d_in=2, k=2):
+    """An architecture and an (n, P) stack of all-zero models."""
     arch = MlpArchitecture((d_in, 3, k))
-    return ModelParams(arch, np.zeros(arch.n_params))
+    return arch, np.zeros((n, arch.n_params))
 
 
 def tiny_dataset(seed, n=6, d=2, k=2):
@@ -57,18 +57,19 @@ def small_log(topology=None, seed=3, rounds=None, lr=0.05, epochs=1):
 
 class TestRelativeLoss:
     def test_uniform_model_gives_log_k(self):
-        models = [zero_model(k=3) for _ in range(3)]
+        arch, params = zero_models(3, k=3)
         datasets = [tiny_dataset(s, k=3) for s in range(3)]
-        m = relative_loss(models, datasets)
+        m = relative_loss(arch, params, datasets)
         np.testing.assert_allclose(m.values, math.log(3), atol=1e-12)
 
     def test_diagonal_is_own_data_loss(self):
         rng = np.random.default_rng(0)
-        models = [init_params(MlpArchitecture((2, 3, 2)), seed=s) for s in range(3)]
+        arch = MlpArchitecture((2, 3, 2))
+        params = np.stack([init_params(arch, seed=s).flat for s in range(3)])
         datasets = [tiny_dataset(s) for s in range(3)]
-        m = relative_loss(models, datasets)
+        m = relative_loss(arch, params, datasets)
         for i in range(3):
-            own = cross_entropy(models[i], datasets[i].features, datasets[i].labels)
+            own = cross_entropy((arch, params[i]), datasets[i].features, datasets[i].labels)
             assert m.values[i, i] == pytest.approx(own, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -80,38 +81,39 @@ class TestRelativeLoss:
     def test_matches_pairwise_loop(self, sizes, act, seed):
         arch = MlpArchitecture((3, 5, 4), act)
         rng = np.random.default_rng(seed)
-        models = [init_params(arch, seed + i) for i in range(len(sizes))]
+        params = np.stack([init_params(arch, seed + i).flat for i in range(len(sizes))])
         datasets = [
             Dataset(rng.standard_normal((m, 3)) * 3, rng.integers(0, 4, size=m)) for m in sizes
         ]
         want = np.array([
-            [-log_softmax(forward_batch(p, d.features))[np.arange(d.n_samples), d.labels].mean()
+            [-log_softmax(forward_batch((arch, p), d.features))[np.arange(d.n_samples), d.labels].mean()
              for d in datasets]
-            for p in models
+            for p in params
         ])
-        np.testing.assert_allclose(relative_loss(models, datasets).values, want, rtol=1e-12, atol=0)
+        got = relative_loss(arch, params, datasets).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_missing_dataset_rejected(self):
-        models = [zero_model() for _ in range(2)]
+        arch, params = zero_models(2)
         with pytest.raises(KnowledgeViolation):
-            relative_loss(models, [tiny_dataset(0), None])
+            relative_loss(arch, params, [tiny_dataset(0), None])
 
 
 class TestCosineEuclidean:
     def test_cosine_hand_values(self):
-        m = cosine_matrix([np.array([1.0, 2.0]), np.array([2.0, 4.0]), np.array([-2.0, 1.0])])
+        m = cosine_matrix(np.array([[1.0, 2.0], [2.0, 4.0], [-2.0, 1.0]]))
         assert m.values[0, 1] == pytest.approx(1.0)  # positive scaling
         assert m.values[0, 2] == pytest.approx(0.0, abs=1e-12)  # orthogonal
         np.testing.assert_allclose(np.diag(m.values), 1.0, atol=1e-12)
 
     def test_cosine_zero_vector_rejected(self):
         with pytest.raises(DegenerateModel):
-            cosine_matrix([np.zeros(3), np.ones(3)])
+            cosine_matrix(np.array([np.zeros(3), np.ones(3)]))
 
 class TestOrientAndNormalize:
     def test_cosine_order_preserved(self):
         rng = np.random.default_rng(0)
-        vecs = [rng.standard_normal(6) for _ in range(5)]
+        vecs = rng.standard_normal((5, 6))
         m = cosine_matrix(vecs)
         f = orient_and_normalize(m)
         off = ~np.eye(5, dtype=bool)
@@ -188,22 +190,25 @@ class TestMetricFromLog:
     def test_default_is_final_round_post(self):
         log = small_log()
         m = metric_from_log(log, MetricKind.COSINE_SIMILARITY)
-        models = log.traces[-1].params_post_agg
-        np.testing.assert_allclose(m.values, cosine_matrix(models).values, atol=1e-12)
-        assert m.round == len(log.traces)
+        np.testing.assert_allclose(m.values, cosine_matrix(log.params[-1]).values, atol=1e-12)
+        assert m.round == len(log.deltas)
 
     def test_pre_phase(self):
         log = small_log()
         m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, phase="pre")
-        models = log.traces[-1].params_pre_agg
-        np.testing.assert_allclose(m.values, cosine_matrix(models).values, atol=1e-12)
+        pre = log.params[-2] + log.deltas[-1]
+        np.testing.assert_allclose(m.values, cosine_matrix(pre).values, atol=1e-12)
 
     def test_last_k_averages(self):
         log = small_log()
         m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, last_k=2)
-        a = cosine_matrix(log.traces[-1].params_post_agg).values
-        b = cosine_matrix(log.traces[-2].params_post_agg).values
+        a = cosine_matrix(log.params[-1]).values
+        b = cosine_matrix(log.params[-2]).values
         np.testing.assert_allclose(m.values, (a + b) / 2, atol=1e-12)
+
+    def test_unknown_phase_rejected(self):
+        with pytest.raises(InvalidTrace, match="phase must be pre or post"):
+            metric_from_log(small_log(), MetricKind.COSINE_SIMILARITY, phase="mid")
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_last_k_bounds(self, kind):
@@ -216,9 +221,9 @@ class TestMetricFromLog:
     def test_relative_loss_from_log_uses_full_node_sets(self):
         log = small_log()
         m = metric_from_log(log, MetricKind.RELATIVE_LOSS)
-        models = log.traces[-1].params_post_agg
         d0 = log.node_dataset(0)
-        own = cross_entropy(models[0], d0.features, d0.labels)
+        arch = log.config.architecture(log.dataset)
+        own = cross_entropy((arch, log.params[-1, 0]), d0.features, d0.labels)
         assert m.values[0, 0] == pytest.approx(own, abs=1e-12)
 
     def test_feature_from_log(self):

@@ -314,12 +314,12 @@ class TestModelParams:
         owner[1, 0] = 5.0
         assert p.flat[0] == 0.0
 
-    def test_frozen_row_is_wrapped_without_copy(self):
+    def test_frozen_row_is_copied(self):
         arch = MlpArchitecture((2, 3, 2))
         owner = np.ones((2, arch.n_params))
         owner.setflags(write=False)
         p = ModelParams(arch, owner[1])
-        assert np.shares_memory(p.flat, owner)
+        assert not np.shares_memory(p.flat, owner)
         with pytest.raises(ValueError):
             p.flat[0] = 1.0
 
@@ -344,10 +344,8 @@ class TestSerialization:
     def test_round_trip(self, saved):
         log, root = saved
         back = load_log(root)
-        for t in range(log.config.n_rounds + 1):
-            for p, q in zip(log.models(t), back.models(t), strict=True):
-                assert q.arch == p.arch == MlpArchitecture((3, 7, 2), activation="tanh")
-                np.testing.assert_array_equal(q.flat, p.flat)
+        assert back.config.architecture(back.dataset) == MlpArchitecture((3, 7, 2), activation="tanh")
+        np.testing.assert_array_equal(back.params, log.params)
 
     def test_header_is_readable_ascii(self, saved):
         log, root = saved
