@@ -32,7 +32,15 @@ from .errors import (
     Unsupported,
 )
 from .metrics import FeatureMatrix, MetricKind, feature_from_log
-from .nn import Adam, MlpArchitecture, ModelParams, backward_from_logits, forward_cached, init_params
+from .nn import (
+    Adam,
+    MlpArchitecture,
+    ModelParams,
+    Workspace,
+    backward_from_logits,
+    forward_cached,
+    init_params,
+)
 from .topology import Topology
 
 LABELED_FRACTION = 0.3
@@ -48,12 +56,11 @@ SCENARIO_FEATURE_KIND = {
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from e^-|z|,
+    which never overflows."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -237,16 +244,14 @@ def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDe
     labels = _check_pair_labels(labeled_pairs)
     rows = _pair_feature_rows(x.values, [(i, j) for i, j, _ in labeled_pairs])
     arch = MlpArchitecture((rows.shape[1], *cfg.hidden_sizes, 1), activation="relu")
-    p = init_params(arch, cfg.seed)
+    ws = Workspace(arch, init_params(arch, cfg.seed).flat)
     opt = Adam(arch.n_params, cfg.learning_rate)
-    theta = p.flat
     n = len(labels)
     for _ in range(cfg.epochs):
-        logits, cache = forward_cached((arch, theta), rows)
+        logits, cache = forward_cached(ws, rows)
         dlogits = (_sigmoid(logits[:, 0]) - labels)[:, None] / n
-        grad, _ = backward_from_logits(cache, dlogits)
-        theta = opt.step(theta, grad)
-    return EdgeDecoder(p.with_flat(theta))
+        opt.step(ws.theta, backward_from_logits(cache, dlogits))
+    return EdgeDecoder(ModelParams(arch, ws.theta))
 
 
 def edgepre_bce(decoder: EdgeDecoder, x: FeatureMatrix, labeled_pairs) -> float:
@@ -354,8 +359,9 @@ def _gat_unpack(flat: np.ndarray, d_in: int, cfg: InferGatConfig):
     return pairs[: cfg.heads], pairs[cfg.heads :]
 
 
-def _gat_forward(flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig, mask):
-    """Encoder plus pair decoder over every ordered pair at once.
+def _gat_forward(params, x: np.ndarray, cfg: InferGatConfig, mask):
+    """Encoder plus pair decoder over every ordered pair at once, on the
+    (heads, decoder) views of ``_gat_unpack``.
 
     Returns the symmetrized soft adjacency (zero diagonal) and the cache the
     backward pass reads. The decoder's first weight splits as [W_a; W_b], so
@@ -364,7 +370,7 @@ def _gat_forward(flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig
     arXiv:1611.07308). Later layers run on that grid, n^2 rows including the
     diagonal, which the loss masks out.
     """
-    heads, dec = _gat_unpack(flat, d_in, cfg)
+    heads, dec = params
     d_head = cfg.embed_dim // cfg.heads
     enc = []
     for w, a in heads:
@@ -389,63 +395,84 @@ def _gat_forward(flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig
     sig = _sigmoid(h.reshape(n, n))
     soft = 0.5 * (sig + sig.T)
     np.fill_diagonal(soft, 0.0)
-    return soft, (heads, dec, enc, z, acts, sig)
+    return soft, (enc, z, acts, sig)
+
+
+class _GatFit:
+    """One INFERGAT fit's buffers, made once: the packed parameters and a
+    gradient buffer with the ``_gat_unpack`` views of each, the attention mask
+    and the off-diagonal mask. The optimizer updates ``flat`` in place, so the
+    views stay valid for the whole fit."""
+
+    def __init__(self, flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig, mask):
+        self.flat, self.x, self.cfg, self.mask = flat, x, cfg, mask
+        self.params = _gat_unpack(flat, d_in, cfg)
+        self.grad = np.empty_like(flat)
+        self.grads = _gat_unpack(self.grad, d_in, cfg)
+        self.off = ~np.eye(x.shape[0], dtype=bool)
+
+    def loss_and_grad(self) -> float:
+        """The total loss at ``flat``; its gradient is written into ``grad``."""
+        x, cfg = self.x, self.cfg
+        n = x.shape[0]
+        (heads, dec), (g_heads, g_dec) = self.params, self.grads
+        soft, (enc, z, acts, sig) = _gat_forward(self.params, x, cfg, self.mask)
+        resid = np.where(self.off, soft - x, 0.0)
+        count = n * (n - 1)
+        loss = float((resid**2).sum() / count)
+
+        # backward: MSE -> symmetrization -> sigmoid -> decoder -> embeddings;
+        # the masked residual leaves the diagonal of delta at 0
+        d_sym = 2.0 * resid / count
+        d_raw = 0.5 * (d_sym + d_sym.T)
+        delta = (d_raw * sig * (1.0 - sig)).reshape(n * n, 1)
+        for (w, _), (gw, gb), h in zip(dec[:0:-1], g_dec[:0:-1], acts[::-1]):
+            gw[...] = h.T @ delta
+            gb[...] = delta.sum(axis=0)
+            # the last layer has one output, where delta @ w.T is the outer product
+            back = delta * w.T if w.shape[1] == 1 else delta @ w.T
+            delta = back * (1.0 - h * h)
+        # first layer: z_i reaches row i of the grid through W_a, z_j column j through W_b
+        grid = delta.reshape(n, n, -1)
+        d_rows, d_cols = grid.sum(axis=1), grid.sum(axis=0)
+        e_dim = z.shape[1]
+        w1 = dec[0][0]
+        gw1, gb1 = g_dec[0]
+        gw1[:e_dim] = z.T @ d_rows
+        gw1[e_dim:] = z.T @ d_cols
+        gb1[...] = d_rows.sum(axis=0)
+        dz = d_rows @ w1[:e_dim].T + d_cols @ w1[e_dim:].T
+
+        # encoder backward per head
+        d_head = cfg.embed_dim // cfg.heads
+        for hd, ((w, a), (gw, ga), (u, e_raw, alpha, z_h)) in enumerate(zip(heads, g_heads, enc)):
+            dz_h = dz[:, hd * d_head : (hd + 1) * d_head]
+            dh = dz_h * (1.0 - z_h * z_h)
+            dalpha = dh @ u.T
+            du = alpha.T @ dh
+            de = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+            de_raw = de * np.where(e_raw > 0, 1.0, LEAKY_SLOPE)
+            ds_l = de_raw.sum(axis=1)
+            ds_r = de_raw.sum(axis=0)
+            du += ds_l[:, None] * a[None, :d_head]
+            du += ds_r[:, None] * a[None, d_head:]
+            ga[:d_head] = u.T @ ds_l
+            ga[d_head:] = u.T @ ds_r
+            gw[...] = x.T @ du
+        return loss
 
 
 def _gat_loss_and_grad(
     flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig, mask=None
 ):
-    """Total-loss gradient for all encoder and decoder parameters at once.
+    """Total loss and its gradient for all encoder and decoder parameters at once.
 
     ``mask`` is the attention mask of x; it is built here when not given.
     """
     if mask is None:
         mask = _attention_mask(x, cfg.knn_k)
-    n = x.shape[0]
-    soft, (heads, dec, enc, z, acts, sig) = _gat_forward(flat, x, d_in, cfg, mask)
-    resid = np.where(~np.eye(n, dtype=bool), soft - x, 0.0)
-    count = n * (n - 1)
-    loss = float((resid**2).sum() / count)
-
-    # backward: MSE -> symmetrization -> sigmoid -> decoder -> embeddings;
-    # the masked residual leaves the diagonal of delta at 0
-    d_sym = 2.0 * resid / count
-    d_raw = 0.5 * (d_sym + d_sym.T)
-    delta = (d_raw * sig * (1.0 - sig)).reshape(n * n, 1)
-    dec_grads = []
-    for (w, _), h in zip(dec[:0:-1], acts[::-1]):
-        dec_grads.append(np.concatenate([(h.T @ delta).ravel(), delta.sum(axis=0)]))
-        delta = (delta @ w.T) * (1.0 - h * h)
-    # first layer: z_i reaches row i of the grid through W_a, z_j column j through W_b
-    grid = delta.reshape(n, n, -1)
-    d_rows, d_cols = grid.sum(axis=1), grid.sum(axis=0)
-    e_dim = z.shape[1]
-    w1 = dec[0][0]
-    dec_grads.append(
-        np.concatenate([(z.T @ d_rows).ravel(), (z.T @ d_cols).ravel(), d_rows.sum(axis=0)])
-    )
-    dec_grads.reverse()
-    dz = d_rows @ w1[:e_dim].T + d_cols @ w1[e_dim:].T
-
-    # encoder backward per head
-    d_head = cfg.embed_dim // cfg.heads
-    grad_parts = []
-    for hd, ((w, a), (u, e_raw, alpha, z_h)) in enumerate(zip(heads, enc)):
-        dz_h = dz[:, hd * d_head : (hd + 1) * d_head]
-        dh = dz_h * (1.0 - z_h * z_h)
-        dalpha = dh @ u.T
-        du = alpha.T @ dh
-        de = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-        de_raw = de * np.where(e_raw > 0, 1.0, LEAKY_SLOPE)
-        ds_l = de_raw.sum(axis=1)
-        ds_r = de_raw.sum(axis=0)
-        du += ds_l[:, None] * a[None, :d_head]
-        du += ds_r[:, None] * a[None, d_head:]
-        da = np.concatenate([u.T @ ds_l, u.T @ ds_r])
-        dw = x.T @ du
-        grad_parts.append(dw.ravel())
-        grad_parts.append(da)
-    return loss, np.concatenate(grad_parts + dec_grads)
+    fit = _GatFit(flat, x, d_in, cfg, mask)
+    return fit.loss_and_grad(), fit.grad
 
 
 def infergat_train(x: FeatureMatrix, cfg: InferGatConfig):
@@ -454,22 +481,21 @@ def infergat_train(x: FeatureMatrix, cfg: InferGatConfig):
     Returns (model, per-epoch loss history)."""
     vals = x.values
     d_in = vals.shape[1]
-    flat = _gat_init(d_in, cfg)
     _, dec_arch = _gat_dims(cfg)
-    mask = _attention_mask(vals, cfg.knn_k)
-    opt = Adam(flat.shape[0], cfg.learning_rate)
+    fit = _GatFit(_gat_init(d_in, cfg), vals, d_in, cfg, _attention_mask(vals, cfg.knn_k))
+    opt = Adam(fit.flat.shape, cfg.learning_rate)
     losses = []
     for _ in range(cfg.epochs):
-        loss, grad = _gat_loss_and_grad(flat, vals, d_in, cfg, mask)
-        losses.append(loss)
-        flat = opt.step(flat, grad)
-    return GatModel(flat, d_in, cfg, dec_arch), losses
+        losses.append(fit.loss_and_grad())
+        opt.step(fit.flat, fit.grad)
+    return GatModel(fit.flat, d_in, cfg, dec_arch), losses
 
 
 def infergat_infer(model: GatModel, x: FeatureMatrix) -> SoftAdjacency:
     vals = x.values
     mask = _attention_mask(vals, model.cfg.knn_k)
-    soft, _ = _gat_forward(model.flat, vals, model.d_in, model.cfg, mask)
+    params = _gat_unpack(model.flat, model.d_in, model.cfg)
+    soft, _ = _gat_forward(params, vals, model.cfg, mask)
     return SoftAdjacency(soft)
 
 

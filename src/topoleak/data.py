@@ -142,15 +142,26 @@ def partition_dirichlet(d: Dataset, n_nodes: int, alpha: float, seed: int) -> Pa
     rng = np.random.default_rng(seed)
     k = d.n_classes
     by_class = [np.flatnonzero(d.labels == c) for c in range(k)]
+    alphas = np.full(n_nodes, alpha)
     for _ in range(DIRICHLET_MAX_REDRAWS):
-        nodes: list[list[int]] = [[] for _ in range(n_nodes)]
+        # a draw is kept as (permutation, cuts) per class and split only once
+        # accepted. The cuts are nondecreasing (a cumsum of proportions >= 0),
+        # so a node's share of a class is the difference of its bounds, and
+        # its size is the difference of the bounds summed over classes.
+        draws = []
+        bounds = np.zeros(n_nodes + 1, dtype=np.int64)
+        bounds[-1] = d.n_samples
         for idx in by_class:
             idx = rng.permutation(idx)
-            props = rng.dirichlet(np.full(n_nodes, alpha))
+            props = rng.dirichlet(alphas)
             cuts = (np.cumsum(props)[:-1] * len(idx)).astype(np.int64)
-            for node, part in enumerate(np.split(idx, cuts)):
-                nodes[node].extend(int(i) for i in part)
-        if min(len(a) for a in nodes) >= k:
+            draws.append((idx, cuts))
+            bounds[1:-1] += cuts
+        if np.diff(bounds).min() >= k:
+            nodes: list[list[int]] = [[] for _ in range(n_nodes)]
+            for idx, cuts in draws:
+                for node, part in enumerate(np.split(idx, cuts)):
+                    nodes[node].extend(part.tolist())
             return PartitionPlan(tuple(tuple(a) for a in nodes), alpha=alpha)
     raise PartitionFailed(
         f"no plan with >= {k} samples per node in {DIRICHLET_MAX_REDRAWS} draws "

@@ -13,7 +13,9 @@ without that axis, and gives the same bits as its slice of any stack.
 The cached forward / backward pair is the shared differentiation core: the
 cross-entropy loss here, and the sigmoid-output decoders in the attack
 module, all reduce to a custom gradient at the logits fed through
-``backward_from_logits``.
+``backward_from_logits``.  A training loop runs it on a ``Workspace``: theta,
+its gradient and their layer views are made once per fit, and ``Adam`` and the
+SGD step update theta in place.
 """
 
 from __future__ import annotations
@@ -147,18 +149,41 @@ def _act(a: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _act_grad(a: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
-    # a = pre-activation, h = activation output
-    return (a > 0).astype(np.float64) if kind == "relu" else 1.0 - h * h
+    # a = pre-activation, h = activation output; relu's boolean mask multiplies
+    # as 1.0 / 0.0, the bits of the float mask without making it
+    return a > 0 if kind == "relu" else 1.0 - h * h
+
+
+class Workspace:
+    """One fit's buffers, made once: a writable copy of a (P,) or (g, P) theta,
+    a gradient buffer of the same shape, and the layer views of each.
+
+    ``forward_cached`` reads the views instead of unpacking, and
+    ``backward_from_logits`` writes the gradient through its views instead of
+    concatenating.  Optimizer steps update ``theta`` in place, so the views
+    stay valid for the whole fit; ``grad`` is overwritten by the next backward.
+    """
+
+    def __init__(self, arch: MlpArchitecture, theta):
+        self.arch = arch
+        self.theta = np.array(theta, dtype=np.float64)
+        self.layers = unpack((arch, self.theta))
+        self.grad = np.empty_like(self.theta)
+        self.grad_layers = unpack((arch, self.grad))
 
 
 def forward_cached(model, x_batch: np.ndarray):
     """Batched forward pass returning (logits, cache for backward): x_batch is
-    (B, d_in) for one model and (g, B, d_in) for a (g, P) stack, logits (..., B, d_out)."""
-    arch, theta = _arch_theta(model)
+    (B, d_in) for one model and (g, B, d_in) for a (g, P) stack, logits (..., B, d_out).
+    ``model`` may also be a Workspace, whose views are read as they are."""
+    if isinstance(model, Workspace):
+        arch, theta, layers = model.arch, model.theta, model.layers
+    else:
+        arch, theta = _arch_theta(model)
+        layers = unpack((arch, theta))
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != theta.ndim + 1 or x.shape[:-2] != theta.shape[:-1] or x.shape[-1] != arch.d_in:
         raise ShapeError(f"input shape {x.shape} incompatible with d_in={arch.d_in}, theta {theta.shape}")
-    layers = unpack((arch, theta))
     hs = [x]  # layer inputs
     pre = []
     h = x
@@ -167,22 +192,27 @@ def forward_cached(model, x_batch: np.ndarray):
         pre.append(a)
         h = _act(a, arch.activation) if li < len(layers) - 1 else a
         hs.append(h)
-    return hs[-1], (arch.activation, layers, hs, pre)
+    return hs[-1], (model, arch, layers, hs, pre)
 
 
-def backward_from_logits(cache, dlogits: np.ndarray):
-    """Exact gradient given d(loss)/d(logits); returns (grad_flat (..., P), dX)."""
-    activation, layers, hs, pre = cache
-    grads = [None] * len(layers)
+def backward_from_logits(cache, dlogits: np.ndarray) -> np.ndarray:
+    """Exact gradient (..., P) given d(loss)/d(logits).  For a Workspace it is
+    written into, and returned as, the workspace's ``grad`` buffer."""
+    model, arch, layers, hs, pre = cache
     delta = np.asarray(dlogits, dtype=np.float64)
-    lead = delta.shape[:-2]
+    if isinstance(model, Workspace):
+        grad, grad_layers = model.grad, model.grad_layers
+    else:
+        grad = np.empty(delta.shape[:-2] + (arch.n_params,))
+        grad_layers = unpack((arch, grad))
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        grads[li] = (hs[li].swapaxes(-1, -2) @ delta).reshape(lead + (-1,)), delta.sum(axis=-2)
-        delta = delta @ w.swapaxes(-1, -2)
-        if li > 0:
-            delta = delta * _act_grad(pre[li - 1], hs[li], activation)
-    return np.concatenate([part for layer in grads for part in layer], axis=-1), delta
+        gw, gb = grad_layers[li]
+        gw[...] = hs[li].swapaxes(-1, -2) @ delta
+        gb[...] = delta.sum(axis=-2, keepdims=True)
+        if li > 0:  # the input gradient of layer 0 is read by no caller
+            delta = delta @ layers[li][0].swapaxes(-1, -2)
+            delta = delta * _act_grad(pre[li - 1], hs[li], arch.activation)
+    return grad
 
 
 def forward(p: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -231,24 +261,39 @@ def loss_and_grad(model, x_batch: np.ndarray, labels: np.ndarray):
     logp = log_softmax(logits)
     hot = y[..., None] == np.arange(logp.shape[-1])
     loss = -logp[hot].reshape(y.shape).sum(axis=-1) / y.shape[-1]
-    grad, _ = backward_from_logits(cache, (np.exp(logp) - hot) / y.shape[-1])
+    grad = backward_from_logits(cache, (np.exp(logp) - hot) / y.shape[-1])
     return loss, grad
 
 
 class Adam:
+    """Adam (Kingma & Ba, arXiv:1412.6980) whose step updates theta, m and v in place."""
+
     def __init__(self, shape, lr: float, b1=0.9, b2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self._num = np.empty(shape)
+        self._den = np.empty(shape)
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """theta -= lr * m_hat / (sqrt(v_hat) + eps), with
+        m = b1 * m + (1 - b1) * grad and v = b2 * v + (1 - b2) * grad * grad,
+        each operation in that order, so the bits are those of the formula."""
         self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        m_hat = self.m / (1 - self.b1**self.t)
-        v_hat = self.v / (1 - self.b2**self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= self.b1
+        m += np.multiply(grad, 1 - self.b1, out=num)
+        v *= self.b2
+        np.multiply(grad, 1 - self.b2, out=num)
+        v += np.multiply(num, grad, out=num)
+        np.divide(m, 1 - self.b1**self.t, out=num)
+        num *= self.lr
+        np.divide(v, 1 - self.b2**self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        theta -= num
 
 
 def train_local(model, features: np.ndarray, labels: np.ndarray, cfg: TrainConfig, seeds):
@@ -272,13 +317,16 @@ def train_local(model, features: np.ndarray, labels: np.ndarray, cfg: TrainConfi
     # minibatches are gathered from the flattened stack, where shard k starts at row k * n_local
     flat_x, flat_y = x.reshape(-1, x.shape[2]), y.ravel()
     offsets = np.arange(0, y.size, n_local)[:, None]
-    adam = cfg.optimizer == "adam"
-    opt = Adam(theta0.shape, cfg.learning_rate) if adam else None
-    theta = theta0
+    ws = Workspace(arch, theta0)
+    opt = Adam(theta0.shape, cfg.learning_rate) if cfg.optimizer == "adam" else None
     for _ in range(cfg.local_epochs):
         order = np.stack([rng.permutation(n_local) for rng in rngs]) + offsets
         for start in range(0, n_local, cfg.batch_size):
             idx = order[:, start : start + cfg.batch_size]
-            _, grad = loss_and_grad((arch, theta), flat_x.take(idx, axis=0), flat_y.take(idx))
-            theta = opt.step(theta, grad) if opt else theta - cfg.learning_rate * grad
-    return theta, theta - theta0
+            _, grad = loss_and_grad(ws, flat_x.take(idx, axis=0), flat_y.take(idx))
+            if opt:
+                opt.step(ws.theta, grad)
+            else:  # theta - lr * grad; grad is the workspace's own buffer
+                grad *= cfg.learning_rate
+                ws.theta -= grad
+    return ws.theta, ws.theta - theta0

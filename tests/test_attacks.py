@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from topoleak import attacks
 from topoleak.attacks import (
+    LEAKY_SLOPE,
     SCENARIO_FEATURE_KIND,
     AttackResult,
     EdgeDecoder,
@@ -27,6 +29,7 @@ from topoleak.attacks import (
     _gat_forward,
     _gat_loss_and_grad,
     _gat_init,
+    _gat_unpack,
     _pair_feature_rows,
     _sigmoid,
 )
@@ -40,7 +43,7 @@ from topoleak.errors import (
     Unsupported,
 )
 from topoleak.metrics import FeatureMatrix, MetricKind
-from topoleak.nn import MlpArchitecture, ModelParams, forward_cached
+from topoleak.nn import MlpArchitecture, ModelParams, forward_cached, init_params, unpack
 from topoleak.topology import Topology, adjacency_matrix, gen_ring, gen_star
 
 
@@ -92,7 +95,8 @@ def reference_attention_mask(x, knn_k):
 def reference_pair_scores(flat, x, d_in, cfg):
     """Soft adjacency from the decoder run row by row on [z_i || z_j]."""
     n = x.shape[0]
-    _, (_, _, _, z, _, _) = _gat_forward(flat, x, d_in, cfg, _attention_mask(x, cfg.knn_k))
+    params = _gat_unpack(flat, d_in, cfg)
+    _, (_, z, _, _) = _gat_forward(params, x, cfg, _attention_mask(x, cfg.knn_k))
     _, dec_arch = _gat_dims(cfg)
     n_enc = flat.size - dec_arch.n_params
     ii, jj = np.where(~np.eye(n, dtype=bool))
@@ -102,6 +106,116 @@ def reference_pair_scores(flat, x, d_in, cfg):
     a = np.zeros((n, n))
     a[ii, jj] = _sigmoid(logits[:, 0])
     return 0.5 * (a + a.T)
+
+
+def reference_sigmoid(z):
+    """The two-branch sigmoid: boolean scatter of each sign's stable form."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class ReferenceAdam:
+    """Out-of-place Adam: every step builds new m, v and theta."""
+
+    def __init__(self, size, lr):
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros(size), np.zeros(size)
+
+    def step(self, theta, grad):
+        self.t += 1
+        self.m = 0.9 * self.m + (1 - 0.9) * grad
+        self.v = 0.999 * self.v + (1 - 0.999) * grad * grad
+        m_hat = self.m / (1 - 0.9**self.t)
+        v_hat = self.v / (1 - 0.999**self.t)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def reference_edgepre(x, labeled_pairs, cfg):
+    """EDGEPRE's out-of-place loop: unpack every epoch, concatenate the
+    gradient, compute the input gradient too, and step to a new theta."""
+    labels = np.array([label for *_, label in labeled_pairs], dtype=np.float64)
+    rows = _pair_feature_rows(x.values, [(i, j) for i, j, _ in labeled_pairs])
+    arch = MlpArchitecture((rows.shape[1], *cfg.hidden_sizes, 1), activation="relu")
+    theta = init_params(arch, cfg.seed).flat
+    opt = ReferenceAdam(arch.n_params, cfg.learning_rate)
+    for _ in range(cfg.epochs):
+        layers = unpack((arch, theta))
+        hs, pre = [rows], []
+        for li, (w, b) in enumerate(layers):
+            a = hs[-1] @ w + b
+            pre.append(a)
+            hs.append(np.maximum(a, 0.0) if li < len(layers) - 1 else a)
+        delta = (reference_sigmoid(hs[-1][:, 0]) - labels)[:, None] / len(labels)
+        grads = [None] * len(layers)
+        for li in range(len(layers) - 1, -1, -1):
+            grads[li] = (hs[li].T @ delta).ravel(), delta.sum(axis=0)
+            delta = delta @ layers[li][0].T
+            if li > 0:
+                delta = delta * (pre[li - 1] > 0).astype(np.float64)
+        theta = opt.step(theta, np.concatenate([part for layer in grads for part in layer]))
+    return theta
+
+
+def reference_gat_loss_and_grad(flat, x, d_in, cfg, mask):
+    """INFERGAT's out-of-place backward: unpack every epoch, build the
+    off-diagonal mask, run every decoder layer's delta @ w.T as a matmul and
+    concatenate the gradient."""
+    n = x.shape[0]
+    heads, dec = _gat_unpack(flat, d_in, cfg)
+    soft, (enc, z, acts, sig) = _gat_forward((heads, dec), x, cfg, mask)
+    resid = np.where(~np.eye(n, dtype=bool), soft - x, 0.0)
+    count = n * (n - 1)
+    loss = float((resid**2).sum() / count)
+    d_sym = 2.0 * resid / count
+    d_raw = 0.5 * (d_sym + d_sym.T)
+    delta = (d_raw * sig * (1.0 - sig)).reshape(n * n, 1)
+    dec_grads = []
+    for (w, _), h in zip(dec[:0:-1], acts[::-1]):
+        dec_grads.append(np.concatenate([(h.T @ delta).ravel(), delta.sum(axis=0)]))
+        delta = (delta @ w.T) * (1.0 - h * h)
+    grid = delta.reshape(n, n, -1)
+    d_rows, d_cols = grid.sum(axis=1), grid.sum(axis=0)
+    e_dim = z.shape[1]
+    w1 = dec[0][0]
+    dec_grads.append(
+        np.concatenate([(z.T @ d_rows).ravel(), (z.T @ d_cols).ravel(), d_rows.sum(axis=0)])
+    )
+    dec_grads.reverse()
+    dz = d_rows @ w1[:e_dim].T + d_cols @ w1[e_dim:].T
+    d_head = cfg.embed_dim // cfg.heads
+    grad_parts = []
+    for hd, ((w, a), (u, e_raw, alpha, z_h)) in enumerate(zip(heads, enc)):
+        dz_h = dz[:, hd * d_head : (hd + 1) * d_head]
+        dh = dz_h * (1.0 - z_h * z_h)
+        dalpha = dh @ u.T
+        du = alpha.T @ dh
+        de = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+        de_raw = de * np.where(e_raw > 0, 1.0, LEAKY_SLOPE)
+        ds_l = de_raw.sum(axis=1)
+        ds_r = de_raw.sum(axis=0)
+        du += ds_l[:, None] * a[None, :d_head]
+        du += ds_r[:, None] * a[None, d_head:]
+        grad_parts.append((x.T @ du).ravel())
+        grad_parts.append(np.concatenate([u.T @ ds_l, u.T @ ds_r]))
+    return loss, np.concatenate(grad_parts + dec_grads)
+
+
+def reference_infergat(vals, cfg):
+    """INFERGAT's out-of-place loop; returns (theta, loss history)."""
+    d_in = vals.shape[1]
+    flat = _gat_init(d_in, cfg)
+    mask = _attention_mask(vals, cfg.knn_k)
+    opt = ReferenceAdam(flat.size, cfg.learning_rate)
+    losses = []
+    for _ in range(cfg.epochs):
+        loss, grad = reference_gat_loss_and_grad(flat, vals, d_in, cfg, mask)
+        losses.append(loss)
+        flat = opt.step(flat, grad)
+    return flat, losses
 
 
 def labeled_from(adj, pairs):
@@ -370,6 +484,64 @@ class TestInferGat:
         soft = infergat_infer(model, x)
         assert losses[-1] < losses[0]
         np.testing.assert_allclose(soft.values, soft.values.T, atol=1e-12)
+
+
+class TestInPlaceTraining:
+    """The in-place loops give the bits of the out-of-place references."""
+
+    def test_sigmoid_equals_the_two_branch_form(self):
+        rng = np.random.default_rng(0)
+        z = np.concatenate(
+            [rng.standard_normal(500) * 30, [800.0, -800.0, np.inf, -np.inf, 0.0, -0.0, 1e-300]]
+        )
+        assert _sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+        grid = z[:36].reshape(6, 6)
+        assert _sigmoid(grid).tobytes() == reference_sigmoid(grid).tobytes()
+
+    @pytest.mark.parametrize("n_pairs", [13, 100])
+    @pytest.mark.parametrize("hidden", [(64, 32), (8,)])
+    def test_edgepre_equals_out_of_place_loop(self, n_pairs, hidden):
+        n = 15
+        vals = random_feature_values(n, seed=n_pairs)
+        x = FeatureMatrix(vals, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        before = x.values.tobytes()
+        pairs = all_pairs(n)[:n_pairs]
+        labeled = tuple((i, j, int(vals[i, j] > 0.5)) for i, j in pairs)
+        cfg = EdgePreConfig(hidden_sizes=hidden, epochs=300, seed=3)
+        decoder = edgepre_train(x, labeled, cfg)
+        assert decoder.params.flat.tobytes() == reference_edgepre(x, labeled, cfg).tobytes()
+        assert x.values.tobytes() == before
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("knn_k", [None, 5])
+    @pytest.mark.parametrize("decoder_hidden", [(16,), (8, 4)])
+    def test_infergat_equals_out_of_place_loop(self, heads, knn_k, decoder_hidden):
+        x = FeatureMatrix(random_feature_values(10, seed=heads), (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        before = x.values.tobytes()
+        cfg = InferGatConfig(
+            embed_dim=8, heads=heads, epochs=60, decoder_hidden=decoder_hidden, knn_k=knn_k, seed=5
+        )
+        model, losses = infergat_train(x, cfg)
+        want_flat, want_losses = reference_infergat(x.values, cfg)
+        assert model.flat.tobytes() == want_flat.tobytes()
+        assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
+        assert x.values.tobytes() == before
+
+    def test_init_params_are_left_unchanged(self, monkeypatch):
+        made = []
+
+        def recording_init(arch, seed):
+            p = init_params(arch, seed)
+            made.append((p, p.flat.tobytes()))
+            return p
+
+        monkeypatch.setattr(attacks, "init_params", recording_init)
+        x = planted_feature(two_clique_adjacency(6))
+        edgepre_train(x, labeled_from(two_clique_adjacency(6), all_pairs(6)[:5]), EdgePreConfig(epochs=5))
+        infergat_train(x, InferGatConfig(epochs=5))
+        assert len(made) == 2
+        for p, bytes_at_init in made:
+            assert p.flat.tobytes() == bytes_at_init
 
 
 class TestBaselines:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from topoleak.data import (
+    DIRICHLET_MAX_REDRAWS,
     Dataset,
     gen_blobs,
     load_csv,
@@ -79,6 +80,25 @@ class TestPartitionIid:
             partition_iid(Dataset(feats, labels), 2, seed=0)
 
 
+def reference_partition_dirichlet(d, n_nodes, alpha, seed):
+    """The list-building redraw loop: every draw is split into per-node lists
+    of Python ints before its node sizes are checked."""
+    rng = np.random.default_rng(seed)
+    k = d.n_classes
+    by_class = [np.flatnonzero(d.labels == c) for c in range(k)]
+    for _ in range(DIRICHLET_MAX_REDRAWS):
+        nodes = [[] for _ in range(n_nodes)]
+        for idx in by_class:
+            idx = rng.permutation(idx)
+            props = rng.dirichlet(np.full(n_nodes, alpha))
+            cuts = (np.cumsum(props)[:-1] * len(idx)).astype(np.int64)
+            for node, part in enumerate(np.split(idx, cuts)):
+                nodes[node].extend(int(i) for i in part)
+        if min(len(a) for a in nodes) >= k:
+            return tuple(tuple(a) for a in nodes)
+    return None
+
+
 class TestPartitionDirichlet:
     def test_exact_partition_and_minimum(self):
         rng = np.random.default_rng(42)
@@ -121,6 +141,30 @@ class TestPartitionDirichlet:
             return float(np.mean(ents))
 
         assert mean_entropy(0.1) < mean_entropy(1000.0)
+
+    @pytest.mark.parametrize(
+        "n_classes,n_per_class,n_nodes,alpha,seeds",
+        [
+            (2, 8, 6, 0.1, range(7)),  # seeds 2 and 6 raise
+            (3, 40, 10, 0.1, range(3)),  # the benchmark sweep's Dirichlet cells
+        ],
+    )
+    def test_equals_list_building_loop(self, n_classes, n_per_class, n_nodes, alpha, seeds):
+        # a partition reads only the labels, which gen_blobs lays out class by class
+        labels = np.repeat(np.arange(n_classes), n_per_class)
+        d = Dataset(np.zeros((len(labels), 2)), labels)
+        raised = []
+        for seed in seeds:
+            want = reference_partition_dirichlet(d, n_nodes, alpha, seed)
+            if want is None:
+                raised.append(seed)
+                with pytest.raises(PartitionFailed):
+                    partition_dirichlet(d, n_nodes, alpha, seed)
+            else:
+                got = partition_dirichlet(d, n_nodes, alpha, seed).assignments
+                assert got == want
+                assert all(type(i) is int for a in got for i in a)
+        assert raised == ([2, 6] if n_nodes == 6 else [])
 
     def test_retry_budget_exhausted(self):
         # 10 nodes, 2 classes, 20 samples: satisfying >= K per node needs an

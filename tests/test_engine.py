@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from topoleak import engine
-from topoleak.data import gen_blobs, partition_dirichlet, partition_iid, split_train_holdout
+from topoleak.data import Dataset, gen_blobs, partition_dirichlet, partition_iid, split_train_holdout
 from topoleak.engine import (
     DpConfig,
     FederationConfig,
@@ -162,6 +162,19 @@ class TestRunSimulation:
         with pytest.raises(DivergedTraining) as info:
             run_simulation(cfg, d, plan, seed=1)
         assert (info.value.node, info.value.round) == (3, 2)
+
+    def test_a_node_that_overflows_is_named_at_its_own_update(self):
+        # node 2's samples are scaled to 1e300, so its own first update is
+        # non-finite while the nodes stepped in the same stack stay finite
+        cfg, d, plan = small_setup(gen_ring(4), n_per_class=40, local_epochs=3)
+        features = d.features.copy()
+        features[list(plan.assignments[2])] *= 1e300
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergedTraining) as info:
+                run_simulation(cfg, Dataset(features, d.labels), plan, seed=0)
+        assert (info.value.node, info.value.round) == (2, 1)
+        assert [str(w.message) for w in caught] == []
 
     def test_dirichlet_dp_equals_per_node_loop(self):
         d = gen_blobs(4, 5, 30, 1.0, seed=6)

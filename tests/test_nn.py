@@ -10,12 +10,16 @@ from topoleak.data import gen_blobs, partition_iid
 from topoleak.engine import FederationConfig, load_log, run_simulation, save_log
 from topoleak.errors import InvalidConfig, InvalidTrace, ShapeError
 from topoleak.nn import (
+    Adam,
     MlpArchitecture,
     ModelParams,
     TrainConfig,
+    Workspace,
+    backward_from_logits,
     cross_entropy,
     forward,
     forward_batch,
+    forward_cached,
     init_params,
     loss_and_grad,
     pack,
@@ -294,6 +298,83 @@ class TestStackedTraining:
             train_local((arch, theta[:, 1:]), x, y, cfg, [0, 1])
         with pytest.raises(InvalidConfig):
             train_local((arch, theta), x[:, :0], y[:, :0], cfg, [0, 1])
+
+
+class TestInPlaceTraining:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(1,), (9,), (3, 5)]),
+        lr=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_adam_step_equals_the_formula(self, shape, lr, seed):
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(shape)
+        want = theta.copy()
+        m = np.zeros(shape)
+        v = np.zeros(shape)
+        opt = Adam(shape, lr)
+        for t in range(1, 21):
+            grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 4)
+            opt.step(theta, grad)
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad * grad
+            m_hat = m / (1 - 0.9**t)
+            v_hat = v / (1 - 0.999**t)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert theta.tobytes() == want.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_read_only_theta_stack_is_left_unchanged(self, optimizer):
+        arch = MlpArchitecture((3, 5, 2))
+        rng = np.random.default_rng(0)
+        theta = np.stack([init_params(arch, k).flat for k in range(2)])
+        theta.setflags(write=False)
+        before = theta.copy()
+        x, y = rng.standard_normal((2, 9, 3)), rng.integers(0, 2, size=(2, 9))
+        cfg = TrainConfig(local_epochs=2, learning_rate=0.1, batch_size=4, optimizer=optimizer)
+        new, delta = train_local((arch, theta), x, y, cfg, [0, 1])
+        assert theta.tobytes() == before.tobytes()
+        assert not np.shares_memory(new, theta) and not np.shares_memory(delta, new)
+        assert (delta == new - theta).all() and (delta != 0).any()
+
+    def test_a_diverging_row_leaves_the_others_bit_equal(self):
+        arch = MlpArchitecture((3, 6, 2))
+        rng = np.random.default_rng(4)
+        theta = np.stack([init_params(arch, k).flat for k in range(3)])
+        x, y = rng.standard_normal((3, 8, 3)), rng.integers(0, 2, size=(3, 8))
+        x[1] *= 1e300
+        cfg = TrainConfig(local_epochs=2, learning_rate=0.1, batch_size=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, delta = train_local((arch, theta), x, y, cfg, [5, 6, 7])
+        assert not np.isfinite(delta[1]).all()
+        for k in (0, 2):
+            _, alone = train_local((arch, theta[k : k + 1]), x[k : k + 1], y[k : k + 1], cfg, [5 + k])
+            assert delta[k].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("g", [None, 3])
+    def test_workspace_runs_the_same_core(self, g):
+        arch = MlpArchitecture((4, 5, 3), "tanh")
+        rng = np.random.default_rng(2)
+        lead = () if g is None else (g,)
+        theta = init_params(arch, 1).flat if g is None else np.stack(
+            [init_params(arch, k).flat for k in range(g)]
+        )
+        x = rng.standard_normal(lead + (6, 4))
+        ws = Workspace(arch, theta)
+        assert not np.shares_memory(ws.theta, theta)
+        got, cache = forward_cached(ws, x)
+        want, want_cache = forward_cached((arch, theta), x)
+        assert got.tobytes() == want.tobytes()
+        dlogits = rng.standard_normal(got.shape)
+        grad = backward_from_logits(cache, dlogits)
+        assert grad is ws.grad
+        assert grad.tobytes() == backward_from_logits(want_cache, dlogits).tobytes()
+        # the views follow in-place updates of theta
+        ws.theta -= 0.5
+        moved, _ = forward_cached(ws, x)
+        assert moved.tobytes() == forward_cached((arch, theta - 0.5), x)[0].tobytes()
 
 
 class TestModelParams:
