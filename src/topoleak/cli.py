@@ -17,9 +17,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .attacks import EdgePreConfig, InferGatConfig, SoftAdjacency, sample_knowledge
-from .data import Dataset, gen_blobs, load_csv, partition_dirichlet, partition_iid
-from .engine import load_log, run_simulation, save_log
+from .attacks import EdgePreConfig, InferGatConfig, SoftAdjacency
+from .data import load_csv
+from .engine import load_log, save_log
 from .errors import (
     InvalidConfig,
     InvalidProbability,
@@ -35,29 +35,28 @@ from .evaluation import (
     ExperimentDefaults,
     all_pairs,
     attack_log,
+    generate_topology,
     density_sweep,
     evaluate_soft,
-    federation_config,
-    held_out_pairs,
+    knowledge_and_pairs,
     mitigation_experiment,
+    simulate,
     size_sweep,
 )
 from .metrics import dump_matrix_csv, load_matrix_csv
-from .seeds import derive_seed
 from .topology import (
-    Topology,
     adjacency_matrix,
     aggregation_matrix,
     dump_topology,
-    gen_erdos_renyi,
-    gen_ring,
-    gen_star,
     load_topology,
     second_eigenvalue_modulus,
     stats,
 )
 
 SEED_ENV = "TOPOLEAK_SEED"
+
+# the config's names for the simulate stage's generated topologies
+TOPOLOGY_KINDS = {"ring": "ring", "star": "star", "er": "erdos_renyi"}
 
 
 # --- config schema ----------------------------------------------------------
@@ -184,41 +183,6 @@ def _read_input(path, what: str) -> str:
     return f.read_text()
 
 
-def build_topology(cfg: RunConfig, seed: int) -> Topology:
-    kind = cfg.get("topology", "kind")
-    n = cfg.get("topology", "n", 10)
-    if kind is None:
-        raise InvalidConfig("config needs [topology] kind")
-    if kind == "ring":
-        return gen_ring(n)
-    if kind == "star":
-        return gen_star(n)
-    if kind == "er":
-        p = cfg.get("topology", "p")
-        if p is None:
-            raise InvalidConfig("[topology] kind=er needs p")
-        return gen_erdos_renyi(n, p, seed=derive_seed(seed, "topology"))
-    if kind == "file":
-        path = cfg.get("topology", "path")
-        if path is None:
-            raise InvalidConfig("[topology] kind=file needs path")
-        return load_topology(_read_input(path, "topology"))
-    raise InvalidConfig(f"unknown topology kind {kind!r}")
-
-
-def build_plan(cfg: RunConfig, dataset: Dataset, n_nodes: int, seed: int):
-    method = cfg.get("partition", "method", "iid")
-    part_seed = derive_seed(seed, "partition")
-    if method == "iid":
-        return partition_iid(dataset, n_nodes, part_seed)
-    if method == "dirichlet":
-        alpha = cfg.get("partition", "alpha")
-        if alpha is None:
-            raise InvalidConfig("[partition] method=dirichlet needs alpha")
-        return partition_dirichlet(dataset, n_nodes, alpha, part_seed)
-    raise InvalidConfig(f"unknown partition method {method!r}")
-
-
 def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
     """Every pipeline knob of a config, with the CLI's defaults for absent keys."""
     return ExperimentDefaults(
@@ -245,14 +209,8 @@ def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_gen_topology(args) -> int:
-    if args.kind == "ring":
-        topo = gen_ring(args.n)
-    elif args.kind == "star":
-        topo = gen_star(args.n)
-    else:
-        if args.p is None:
-            raise InvalidConfig("--kind er needs --p")
-        topo = gen_erdos_renyi(args.n, args.p, seed=resolve_seed(args.seed, None))
+    seed = resolve_seed(args.seed, None)
+    topo = generate_topology(TOPOLOGY_KINDS[args.kind], args.n, args.p, seed)
     st = stats(topo)
     lam = second_eigenvalue_modulus(aggregation_matrix(adjacency_matrix(topo)))
 
@@ -281,27 +239,43 @@ def cmd_simulate(args) -> int:
         raise InvalidConfig("simulate needs --out or [run] out_dir")
     defaults = build_defaults(cfg)
 
-    topo = build_topology(cfg, seed)
+    # kind = file and [data] path hand the stage a topology or dataset it does not generate
+    kind = cfg.get("topology", "kind")
+    topo = None
+    if kind == "file":
+        path = cfg.get("topology", "path")
+        if path is None:
+            raise InvalidConfig("[topology] kind=file needs path")
+        topo = load_topology(_read_input(path, "topology"))
+    elif kind not in TOPOLOGY_KINDS:
+        raise InvalidConfig(f"[topology] kind must be ring, star, er or file, got {kind!r}")
     path = cfg.get("data", "path")
-    if path is None:
-        dataset = gen_blobs(
-            defaults.k_classes,
-            defaults.n_features,
-            defaults.n_per_class,
-            defaults.spread,
-            seed=derive_seed(seed, "data"),
-        )
-    else:
-        dataset = load_csv(_read_input(path, "dataset"))
-    plan = build_plan(cfg, dataset, topo.n_nodes, seed)
+    dataset = None if path is None else load_csv(_read_input(path, "dataset"))
+    method = cfg.get("partition", "method", "iid")
+    if method not in ("iid", "dirichlet"):
+        raise InvalidConfig(f"unknown partition method {method!r}")
+    alpha = cfg.get("partition", "alpha") if method == "dirichlet" else None
+    if method == "dirichlet" and alpha is None:
+        raise InvalidConfig("[partition] method=dirichlet needs alpha")
     dp = None
     if cfg.has_section("dp"):
         dp = (cfg.get("dp", "clip_norm", 1.0), cfg.get("dp", "noise_sigma", 0.5))
-    fed = federation_config(defaults, topo, seed, defaults.local_epochs, defaults.rounds, dp)
-    log = run_simulation(fed, dataset, plan, seed=derive_seed(seed, "simulate"))
+    log = simulate(
+        defaults,
+        topology_kind=TOPOLOGY_KINDS.get(kind, kind),
+        n_nodes=cfg.get("topology", "n", 10) if topo is None else topo.n_nodes,
+        er_p=cfg.get("topology", "p"),
+        alpha=alpha,
+        local_epochs=defaults.local_epochs,
+        dp=dp,
+        seed=seed,
+        rounds=defaults.rounds,
+        topology=topo,
+        dataset=dataset,
+    )
     save_log(log, out_dir)
     print(
-        f"simulated {fed.n_rounds} rounds over {topo.n_nodes} nodes "
+        f"simulated {log.config.n_rounds} rounds over {log.config.topology.n_nodes} nodes "
         f"-> {Path(out_dir) / 'manifest.txt'}"
     )
     return 0
@@ -325,6 +299,7 @@ def cmd_attack(args) -> int:
     (out_dir / f"attack_sc{args.scenario}.csv").write_text(dump_matrix_csv(res.soft.values))
     doc = {
         "scenario": args.scenario,
+        "seed": seed,
         "feature_kind": res.feature_kind.value,
         "labeled_fraction": defaults.rho if args.scenario in (1, 2) else None,
         **dataclasses.asdict(ev),
@@ -340,6 +315,22 @@ def cmd_attack(args) -> int:
     return 0
 
 
+def _attack_record(soft_path) -> tuple[int, int, float | None]:
+    """(scenario, seed, labeled fraction) from the JSON ``attack`` wrote beside a soft CSV."""
+    path = Path(soft_path).with_suffix(".result.json")
+    try:
+        doc = json.loads(_read_input(path, "attack result"))
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"attack result {path} is not JSON: {exc}") from exc
+    doc = doc if isinstance(doc, dict) else {}
+    types = {"scenario": int, "seed": int, "labeled_fraction": (int, float)}
+    needed = ("scenario", "seed") + (("labeled_fraction",) if doc.get("scenario") in (1, 2) else ())
+    missing = [k for k in needed if not isinstance(doc.get(k), types[k])]
+    if missing:
+        raise InvalidConfig(f"attack result {path} lacks a valid {', '.join(missing)}")
+    return doc["scenario"], doc["seed"], doc.get("labeled_fraction")
+
+
 def cmd_evaluate(args) -> int:
     soft_text = _read_input(args.soft, "soft adjacency")
     topo = load_topology(_read_input(args.topology, "topology"))
@@ -349,9 +340,8 @@ def cmd_evaluate(args) -> int:
             f"soft adjacency is {soft.n_nodes}x{soft.n_nodes}, topology has {topo.n_nodes} nodes"
         )
     if args.policy == HELD_OUT:
-        seed = derive_seed(resolve_seed(args.seed, None), "knowledge", 1)
-        knowledge = sample_knowledge(1, topo, rho=args.labeled_frac, seed=seed)
-        pairs = held_out_pairs(topo.n_nodes, knowledge.known_pairs)
+        scenario, seed, rho = _attack_record(args.soft)
+        _, pairs, _ = knowledge_and_pairs(scenario, topo, seed, rho, HELD_OUT)
     else:
         pairs = all_pairs(topo.n_nodes)
     ev = evaluate_soft(soft, adjacency_matrix(topo), pairs, args.policy)
@@ -367,7 +357,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    seed = resolve_seed(args.seed, cfg)
     family = cfg.get("sweep", "family")
     if family is None:
         raise InvalidConfig("sweep config needs [sweep] family")
@@ -376,7 +365,6 @@ def cmd_sweep(args) -> int:
         raise InvalidConfig("sweep needs --out or [sweep] out_csv")
     scenarios = cfg.get("sweep", "scenarios", (1, 2, 3, 4))
     seeds = cfg.get("sweep", "seeds", tuple(range(5)))
-    seeds = tuple(derive_seed(seed, "sweep", s) if args.derive_seeds else s for s in seeds)
     defaults = build_defaults(cfg)
 
     n, p = cfg.get("sweep", "n", 10), cfg.get("sweep", "p", 0.5)
@@ -460,21 +448,13 @@ def make_parser() -> argparse.ArgumentParser:
     e.add_argument("--soft", required=True)
     e.add_argument("--topology", required=True)
     e.add_argument("--policy", choices=(ALL_PAIRS, HELD_OUT), default=ALL_PAIRS)
-    e.add_argument("--labeled-frac", type=float, default=0.3)
-    e.add_argument("--seed", type=int, default=None)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_evaluate)
 
     w = sub.add_parser("sweep", help="run an experiment grid to CSV")
     w.add_argument("--config", required=True)
-    w.add_argument("--seed", type=int, default=None)
     w.add_argument("--out", default=None)
     w.add_argument("--resume", action="store_true")
-    w.add_argument(
-        "--derive-seeds",
-        action="store_true",
-        help="derive per-run seeds from the root seed instead of using [sweep] seeds directly",
-    )
     w.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("validate", help="schema-check a config file")

@@ -4,8 +4,9 @@ Scores are computed over an explicit list of node pairs so that the
 supervised attacks can be measured on pairs they never saw labels for.
 Sweeps run the pipeline in two stages, simulate (topology -> data ->
 simulation) and attack (metric -> attack -> score), and emit plot-ready CSV
-rows. Cells that share a simulation run it once. The CLI's simulate and
-attack commands run the same federation builder and attack stage.
+rows. Cells that share a simulation run it once. The CLI runs the same two
+stages, so one config and one seed give one graph, one trace and one
+labeled set wherever they are run.
 """
 
 from __future__ import annotations
@@ -21,16 +22,17 @@ from .attacks import (
     AttackResult,
     EdgePreConfig,
     InferGatConfig,
+    ScenarioKnowledge,
     SoftAdjacency,
     run_scenario,
     sample_knowledge,
 )
-from .data import gen_blobs, partition_dirichlet, partition_iid
+from .data import Dataset, gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
-from .errors import DegenerateLabels, InvalidEvalSet, TopoleakError
+from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
 from .nn import TrainConfig
 from .seeds import derive_seed
-from .topology import Topology, TopologyStats, gen_erdos_renyi, gen_ring, gen_star, stats
+from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, stats
 
 ALL_PAIRS = "all_pairs"
 HELD_OUT = "held_out"
@@ -300,37 +302,55 @@ class SweepResult:
         return float(np.mean(picked))
 
 
-def _build_topology(cell: SweepCell) -> Topology:
-    seed = derive_seed(cell.seed, "topology", cell.topology_kind, cell.n_nodes)
-    if cell.topology_kind == "ring":
-        return gen_ring(cell.n_nodes)
-    if cell.topology_kind == "star":
-        return gen_star(cell.n_nodes)
-    if cell.topology_kind == "erdos_renyi":
-        return gen_erdos_renyi(cell.n_nodes, cell.er_p, seed=seed)
-    raise TopoleakError(f"unknown topology kind {cell.topology_kind!r}")
+def generate_topology(kind: str, n_nodes: int, er_p: float | None, seed: int) -> Topology:
+    """A ring, star or Erdos-Renyi overlay; ER is drawn from (seed, kind, n_nodes)."""
+    if kind == "ring":
+        return gen_ring(n_nodes)
+    if kind == "star":
+        return gen_star(n_nodes)
+    if kind == "erdos_renyi":
+        if er_p is None:
+            raise InvalidConfig("an Erdos-Renyi topology needs an edge probability p")
+        return gen_erdos_renyi(n_nodes, er_p, seed=derive_seed(seed, "topology", kind, n_nodes))
+    raise TopoleakError(f"unknown topology kind {kind!r}")
+
+
+# the SweepCell fields the simulate stage reads; cells that agree on them share one log
+_SIM_FIELDS = ("topology_kind", "n_nodes", "er_p", "alpha", "local_epochs", "dp", "seed", "rounds")
 
 
 def _sim_key(cell: SweepCell) -> tuple:
-    """Every cell field the simulate stage reads; equal keys, equal logs."""
-    return (
-        cell.topology_kind,
-        cell.n_nodes,
-        cell.er_p,
-        cell.alpha,
-        cell.local_epochs,
-        cell.dp,
-        cell.seed,
-        cell.rounds,
-    )
+    return tuple(getattr(cell, f) for f in _SIM_FIELDS)
 
 
-def federation_config(
-    defaults: ExperimentDefaults, topology: Topology, seed: int, local_epochs: int,
-    rounds: int | None, dp: tuple[float, float] | None,
-) -> FederationConfig:
-    """One run's federation: DP is (clip, sigma) or None, its noise seeded from seed."""
-    return FederationConfig(
+def simulate(
+    defaults: ExperimentDefaults, *, topology_kind: str, n_nodes: int, er_p: float | None,
+    alpha: float | None, local_epochs: int, dp: tuple[float, float] | None, seed: int,
+    rounds: int | None, topology: Topology | None = None, dataset: Dataset | None = None,
+) -> SimulationLog:
+    """Simulate stage: topology, data, partition and the federation run.
+
+    The kind and node count key the topology, partition and simulate seeds,
+    so a topology the caller passes in is labeled by a kind too. A topology
+    or dataset the caller holds is used as given; the stage generates the
+    others. ``alpha`` None is an IID partition; ``dp`` is (clip, sigma) or None.
+    """
+    if topology is None:
+        topology = generate_topology(topology_kind, n_nodes, er_p, seed)
+    if dataset is None:
+        dataset = gen_blobs(
+            defaults.k_classes,
+            defaults.n_features,
+            defaults.n_per_class,
+            defaults.spread,
+            seed=derive_seed(seed, "data"),
+        )
+    part_seed = derive_seed(seed, "partition", topology_kind, n_nodes)
+    if alpha is None:
+        plan = partition_iid(dataset, n_nodes, part_seed)
+    else:
+        plan = partition_dirichlet(dataset, n_nodes, alpha, part_seed)
+    fed = FederationConfig(
         topology=topology,
         train=TrainConfig(
             local_epochs=local_epochs,
@@ -343,29 +363,27 @@ def federation_config(
         hidden_sizes=defaults.hidden_sizes,
         activation=defaults.activation,
     )
+    sim_seed = derive_seed(seed, "simulate", topology_kind, n_nodes)
+    return run_simulation(fed, dataset, plan, seed=sim_seed)
 
 
-def _simulate(cell: SweepCell, defaults: ExperimentDefaults) -> tuple[TopologyStats, SimulationLog]:
-    """Simulate stage: topology, stats, data, partition and the federation run."""
-    topo = _build_topology(cell)
-    st = stats(topo)
-    dataset = gen_blobs(
-        defaults.k_classes,
-        defaults.n_features,
-        defaults.n_per_class,
-        defaults.spread,
-        seed=derive_seed(cell.seed, "data"),
+def knowledge_and_pairs(
+    scenario: int, topology: Topology, seed: int, rho: float | None, policy: str | None = None,
+) -> tuple[ScenarioKnowledge, tuple[tuple[int, int], ...], str]:
+    """The attacker's knowledge for (seed, scenario), and the pairs and policy
+    that score its result.
+
+    Unless a policy is given, SC1/SC2 are scored on the pairs they hold no
+    label for and the other scenarios on every pair.
+    """
+    knowledge = sample_knowledge(
+        scenario, topology, rho=rho, seed=derive_seed(seed, "knowledge", scenario)
     )
-    part_seed = derive_seed(cell.seed, "partition", cell.topology_kind, cell.n_nodes)
-    if cell.alpha is None:
-        plan = partition_iid(dataset, cell.n_nodes, part_seed)
-    else:
-        plan = partition_dirichlet(dataset, cell.n_nodes, cell.alpha, part_seed)
-    cfg = federation_config(defaults, topo, cell.seed, cell.local_epochs, cell.rounds, cell.dp)
-    log = run_simulation(
-        cfg, dataset, plan, seed=derive_seed(cell.seed, "simulate", cell.topology_kind, cell.n_nodes)
-    )
-    return st, log
+    if policy is None:
+        policy = HELD_OUT if scenario in (1, 2) else ALL_PAIRS
+    if policy == HELD_OUT:
+        return knowledge, held_out_pairs(topology.n_nodes, knowledge.known_pairs), policy
+    return knowledge, all_pairs(topology.n_nodes), policy
 
 
 def attack_log(
@@ -374,13 +392,11 @@ def attack_log(
 ) -> tuple[AttackResult, EvalResult]:
     """Attack stage: one scenario against a simulated log, scored.
 
-    Knowledge and training are seeded from (seed, scenario). Unless a policy
-    is given, SC1/SC2 are scored on the pairs they hold no label for and the
-    other scenarios on every pair.
+    Knowledge and training are seeded from (seed, scenario); the scored pairs
+    follow ``knowledge_and_pairs``.
     """
-    topo = log.config.topology
-    knowledge = sample_knowledge(
-        scenario, topo, rho=defaults.rho, seed=derive_seed(seed, "knowledge", scenario)
+    knowledge, pairs, policy = knowledge_and_pairs(
+        scenario, log.config.topology, seed, defaults.rho, policy
     )
     attack_seed = derive_seed(seed, "attack", scenario)
     res = run_scenario(
@@ -391,12 +407,6 @@ def attack_log(
         metric_phase=defaults.metric_phase,
         metric_last_k=defaults.metric_last_k,
     )
-    if policy is None:
-        policy = HELD_OUT if scenario in (1, 2) else ALL_PAIRS
-    if policy == HELD_OUT:
-        pairs = held_out_pairs(topo.n_nodes, knowledge.known_pairs)
-    else:
-        pairs = all_pairs(topo.n_nodes)
     return res, evaluate_soft(res.soft, log.adjacency, pairs, policy)
 
 
@@ -413,10 +423,11 @@ def _run_group(cells: list[SweepCell], defaults: ExperimentDefaults) -> list[Swe
     cell with that scenario gets the row. Failures become status rows.
     """
     try:
-        st, log = _simulate(cells[0], defaults)
+        log = simulate(defaults, **{f: getattr(cells[0], f) for f in _SIM_FIELDS})
     except TopoleakError as exc:
         failed = _error_row(cells[0], exc)
         return [dataclasses.replace(failed, cell=c) for c in cells]
+    st = stats(log.config.topology)
     by_scenario: dict[int, SweepRow] = {}
     for c in cells:
         if c.scenario in by_scenario:

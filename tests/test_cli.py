@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from topoleak import evaluation
+from topoleak.attacks import EdgePreConfig
 from topoleak.cli import main, parse_config, resolve_seed
+from topoleak.data import dump_csv, gen_blobs
 from topoleak.errors import InvalidConfig
-from topoleak.metrics import dump_matrix_csv
+from topoleak.evaluation import ExperimentDefaults, SweepCell, run_cell
 
 BASE_INI = """
 [run]
@@ -190,6 +193,20 @@ class TestSimulate:
         assert "line 6: non-finite field" in capsys.readouterr().err
         assert not (tmp_path / "log").exists()
 
+    def test_file_topology_and_dataset_path_are_kept(self, tmp_path):
+        edges, csv = tmp_path / "er7.edges", tmp_path / "data.csv"
+        assert main(["gen-topology", "--kind", "er", "--n", "7", "--p", "0.4", "--seed", "3",
+                     "--out", str(edges)]) == 0
+        csv.write_text(dump_csv(gen_blobs(2, 3, 21, 1.0, seed=4)))
+        cfg = write_ini(
+            tmp_path,
+            "[topology]\nkind = file\npath = {}\n[data]\npath = {}\n"
+            "[federation]\nrounds = 2\nhidden_sizes = 4\n".format(edges, csv),
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "log")]) == 0
+        assert (tmp_path / "log" / "topology.edges").read_bytes() == edges.read_bytes()
+        assert (tmp_path / "log" / "dataset.csv").read_bytes() == csv.read_bytes()
+
     def test_out_dir_required(self, tmp_path):
         cfg = write_ini(tmp_path, "[topology]\nkind = ring\nn = 4\n")
         assert main(["simulate", "--config", cfg]) == 2
@@ -199,6 +216,78 @@ class TestSimulate:
         assert main(["simulate", "--config", write_ini(tmp_path, text)]) == 2
         assert "heads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "simlog").exists()
+
+
+SIM_INI = """
+[topology]
+kind = {kind}
+n = 7
+p = 0.5
+
+[data]
+k_classes = 2
+n_features = 4
+n_per_class = 14
+spread = 5.0
+
+[train]
+local_epochs = 2
+learning_rate = 0.1
+batch_size = 8
+
+[federation]
+rounds = 3
+hidden_sizes = 8
+{extra}"""
+
+# the simulate-stage knobs SIM_INI spells out; the attack knobs only keep run_cell quick
+SIM_DEFAULTS = ExperimentDefaults(
+    k_classes=2, n_features=4, n_per_class=14, spread=5.0, learning_rate=0.1, batch_size=8,
+    local_epochs=2, rounds=3, hidden_sizes=(8,), edgepre=EdgePreConfig(hidden_sizes=(4,), epochs=5),
+)
+
+
+class TestOneSeedPath:
+    """One config and one seed give the sweep's graph, trace and labeled set."""
+
+    @pytest.mark.parametrize(
+        "kind, extra, cell_fields",
+        [
+            ("er", "", dict(topology_kind="erdos_renyi", er_p=0.5, alpha=None, dp=None)),
+            ("ring", "", dict(topology_kind="ring", er_p=None, alpha=None, dp=None)),
+            ("star", "[partition]\nmethod = dirichlet\nalpha = 1.0\n"
+                     "[dp]\nclip_norm = 2.0\nnoise_sigma = 0.1\n",
+             dict(topology_kind="star", er_p=None, alpha=1.0, dp=(2.0, 0.1))),
+        ],
+        ids=["er", "ring", "dirichlet_dp"],
+    )
+    def test_simulate_writes_the_sweep_cells_trace(self, tmp_path, monkeypatch, kind, extra,
+                                                   cell_fields):
+        cfg = write_ini(tmp_path, SIM_INI.format(kind=kind, extra=extra))
+        assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "log")]) == 0
+
+        logs = []
+        real = evaluation.run_simulation
+
+        def capture(*args, **kwargs):
+            logs.append(real(*args, **kwargs))
+            return logs[-1]
+
+        monkeypatch.setattr(evaluation, "run_simulation", capture)
+        cell = SweepCell(index=0, experiment_id="cell", n_nodes=7, local_epochs=2, scenario=2,
+                         seed=5, rounds=3, **cell_fields)
+        assert run_cell(cell, SIM_DEFAULTS).status == "ok"
+        (log,) = logs
+        for name, arr in (("params", log.params), ("deltas", log.deltas)):
+            assert np.load(tmp_path / "log" / f"{name}.npy").tobytes() == arr.tobytes(), name
+
+    def test_gen_topology_draws_the_simulated_graph(self, tmp_path):
+        edges = tmp_path / "er7.edges"
+        assert main(["gen-topology", "--kind", "er", "--n", "7", "--p", "0.5", "--seed", "5",
+                     "--out", str(edges)]) == 0
+        cfg = write_ini(tmp_path, SIM_INI.format(kind="er", extra=""))
+        assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "log")]) == 0
+        assert (tmp_path / "log" / "topology.edges").read_bytes() == edges.read_bytes()
 
 
 @pytest.fixture
@@ -311,20 +400,31 @@ class TestEvaluate:
         assert 0.0 <= doc["auc"] <= 1.0
         assert "auc=" in capsys.readouterr().out
 
-    def test_env_seed_equals_seed_flag(self, tmp_path, monkeypatch):
-        edges = tmp_path / "er12.edges"
-        assert main(["gen-topology", "--kind", "er", "--n", "12", "--p", "0.3", "--seed", "1",
-                     "--out", str(edges)]) == 0
-        soft = np.random.default_rng(0).random((12, 12))
-        (tmp_path / "soft.csv").write_text(dump_matrix_csv((soft + soft.T) / 2))
-        args = ["evaluate", "--soft", str(tmp_path / "soft.csv"), "--topology", str(edges),
-                "--policy", "held_out"]
-        flag, env = tmp_path / "flag.json", tmp_path / "env.json"
-        monkeypatch.delenv("TOPOLEAK_SEED", raising=False)
-        assert main(args + ["--seed", "5", "--out", str(flag)]) == 0
-        monkeypatch.setenv("TOPOLEAK_SEED", "5")
-        assert main(args + ["--out", str(env)]) == 0
-        assert env.read_bytes() == flag.read_bytes()
+    @pytest.mark.parametrize("scenario", ["1", "2"])
+    def test_held_out_reproduces_attack(self, sim_log, base_cfg, tmp_path, scenario):
+        assert main(["attack", "--log", sim_log, "--scenario", scenario,
+                     "--config", base_cfg]) == 0
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--soft", str(Path(sim_log, f"attack_sc{scenario}.csv")),
+                     "--topology", str(Path(sim_log, "topology.edges")),
+                     "--policy", "held_out", "--out", str(out)]) == 0
+        attacked = json.loads(Path(sim_log, f"attack_sc{scenario}.result.json").read_text())
+        scored = json.loads(out.read_text())
+        for key in ("n_eval_pairs", "f1_05", "best_f1", "auc"):
+            assert scored[key] == attacked[key], key
+
+    @pytest.mark.parametrize("doc", [None, [1, 7, 0.3], {"scenario": 2, "labeled_fraction": 0.3},
+                                     {"scenario": 1, "seed": 7},
+                                     {"scenario": 2, "seed": "7", "labeled_fraction": 0.3}])
+    def test_held_out_needs_the_attack_result(self, tmp_path, capsys, doc):
+        (tmp_path / "t.edges").write_text("3 2\n0 1\n1 2\n")
+        soft = tmp_path / "attack_sc1.csv"
+        soft.write_text("0,1,0\n1,0,1\n0,1,0\n")
+        if doc is not None:
+            soft.with_suffix(".result.json").write_text(json.dumps(doc))
+        assert main(["evaluate", "--soft", str(soft), "--topology", str(tmp_path / "t.edges"),
+                     "--policy", "held_out"]) == 2
+        assert str(soft.with_suffix(".result.json")) in capsys.readouterr().err
 
     def test_missing_soft_file_is_config_error(self, tmp_path):
         topo = tmp_path / "t.edges"
@@ -404,6 +504,18 @@ class TestSweep:
         before = csv_path.read_text()
         assert main(["sweep", "--config", cfg, "--resume"]) == 0
         assert csv_path.read_text() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--config", "x.ini", "--seed", "1"], ["sweep", "--config", "x.ini", "--derive-seeds"],
+         ["evaluate", "--soft", "s.csv", "--topology", "t.edges", "--seed", "1"],
+         ["evaluate", "--soft", "s.csv", "--topology", "t.edges", "--labeled-frac", "0.5"]],
+        ids=["sweep_seed", "sweep_derive_seeds", "evaluate_seed", "evaluate_labeled_frac"],
+    )
+    def test_seed_flags_that_read_nothing_are_gone(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
     def test_workers_flag_removed(self, tmp_path):
         cfg = write_ini(tmp_path, SWEEP_INI.format(csv=tmp_path / "grid.csv"))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoleak.data import (
     DIRICHLET_MAX_REDRAWS,
     Dataset,
+    dump_csv,
     gen_blobs,
     load_csv,
     partition_dirichlet,
@@ -189,6 +192,16 @@ class TestSplitTrainHoldout:
         assert split_train_holdout(range(25), seed=5) == split_train_holdout(range(25), seed=5)
 
 
+@st.composite
+def datasets(draw):
+    """Finite features; labels 0..K-1 with every class present, as load_csv returns them."""
+    m, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=m * d, max_size=m * d))
+    raw = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    return Dataset(np.array(values).reshape(m, d), np.unique(raw, return_inverse=True)[1])
+
+
 class TestLoadCsv:
     def test_minimal(self):
         d = load_csv("f0,f1,label\n0.5,1.5,0\n2.5,3.5,1\n")
@@ -232,6 +245,35 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as exc:
             load_csv(text)
         assert exc.value.line == text.splitlines().index(bad) + 1
+        assert message in str(exc.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(datasets())
+    def test_dump_load_round_trip_is_bit_exact(self, d):
+        text = dump_csv(d)
+        back = load_csv(text)
+        assert back.features.tobytes() == d.features.tobytes()
+        np.testing.assert_array_equal(back.labels, d.labels)
+        assert dump_csv(back) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(datasets(), st.data())
+    def test_bad_row_names_its_line(self, d, data):
+        lines = dump_csv(d).splitlines()
+        k = data.draw(st.integers(2, len(lines)), label="line")
+        fields = lines[k - 1].split(",")
+        if data.draw(st.booleans(), label="ragged"):
+            fields.pop(data.draw(st.integers(0, len(fields) - 1)))
+            message = f"expected {d.n_features + 1} fields"
+        else:
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                st.sampled_from(["nan", "inf", "-inf", "1e999"])
+            )
+            message = "non-finite field"
+        lines[k - 1] = ",".join(fields)
+        with pytest.raises(ParseError) as exc:
+            load_csv("\n".join(lines) + "\n")
+        assert exc.value.line == k
         assert message in str(exc.value)
 
     def test_round_trip_with_blobs(self):

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from topoleak.data import Dataset, gen_blobs, partition_iid
 from topoleak.engine import FederationConfig, run_simulation
-from topoleak.errors import ConstantMetric, DegenerateModel, InvalidTrace, KnowledgeViolation, ShapeError
+from topoleak.errors import (
+    ConstantMetric,
+    DegenerateModel,
+    InvalidTrace,
+    KnowledgeViolation,
+    ParseError,
+    ShapeError,
+)
 from topoleak.metrics import (
     FeatureMatrix,
     MetricKind,
@@ -233,9 +240,46 @@ class TestMetricFromLog:
         assert f.source_kinds == (MetricKind.COSINE_SIMILARITY,)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def square_matrices(draw, min_n=1):
+    n = draw(st.integers(min_n, 6))
+    return np.array(draw(st.lists(FINITE, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
 class TestSerialization:
     def test_matrix_csv_round_trip(self):
         rng = np.random.default_rng(2)
         vals = rng.standard_normal((4, 4))
         np.testing.assert_array_equal(load_matrix_csv(dump_matrix_csv(vals)), vals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices())
+    def test_matrix_csv_round_trip_is_bit_exact(self, vals):
+        back = load_matrix_csv(dump_matrix_csv(vals))
+        assert back.shape == vals.shape and back.tobytes() == vals.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices(min_n=2), st.data())
+    def test_bad_row_names_its_line(self, vals, data):
+        lines = dump_matrix_csv(vals).splitlines()
+        ragged = data.draw(st.booleans(), label="ragged")
+        # row 1 sets the expected width, so a ragged row comes later
+        k = data.draw(st.integers(2 if ragged else 1, len(lines)), label="line")
+        if ragged:
+            lines[k - 1] += ",0.0"
+            message = f"expected {len(vals)} fields"
+        else:
+            fields = lines[k - 1].split(",")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                st.sampled_from(["nan", "inf", "-inf", "1e999"])
+            )
+            lines[k - 1] = ",".join(fields)
+            message = "non-finite field"
+        with pytest.raises(ParseError) as exc:
+            load_matrix_csv("\n".join(lines) + "\n")
+        assert exc.value.line == k
+        assert message in str(exc.value)
 

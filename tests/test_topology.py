@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoleak.errors import (
     DisconnectedGraph,
@@ -75,10 +77,37 @@ class TestGenerators:
             gen_erdos_renyi(30, 1e-6, seed=3)
 
 
+@st.composite
+def connected_topologies(draw):
+    """A random spanning tree plus any further edges."""
+    n = draw(st.integers(1, 9))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=12))
+    return Topology.from_pairs(n, tree + extra)
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         t = gen_erdos_renyi(9, 0.5, seed=11)
         assert load_topology(dump_topology(t)) == t
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_topologies())
+    def test_dump_load_round_trip(self, t):
+        text = dump_topology(t)
+        assert load_topology(text) == t
+        assert dump_topology(load_topology(text)) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_topologies().filter(lambda t: t.n_edges > 0), st.data())
+    def test_bad_edge_line_names_its_line(self, t, data):
+        lines = dump_topology(t).splitlines()
+        k = data.draw(st.integers(2, len(lines)), label="line")
+        lines[k - 1] += data.draw(st.sampled_from([" 0", " x"]))
+        with pytest.raises(ParseError) as exc:
+            load_topology("\n".join(lines) + "\n")
+        assert exc.value.line == k
 
     def test_comments_and_blank_lines(self):
         text = "# a triangle\n\n3 3\n0 1\n# middle\n1 2\n0 2\n"
