@@ -6,9 +6,12 @@ Two reconstruction strategies plus diagnostics:
   [x_ij, x_ji], trained with BCE on the attacker's labeled pairs E', then
   scoring every pair.
 - INFERGAT (unsupervised): a single-layer multi-head graph-attention encoder
-  over the complete graph embeds nodes; a sigmoid MLP decoder scores pairs;
-  the loop minimizes MSE between the symmetrized soft adjacency and the
-  feature matrix itself.
+  (Velickovic et al., arXiv:1710.10903) over the complete graph, or a k-NN
+  mask, embeds nodes; a sigmoid MLP decoder scores pairs; the loop minimizes
+  MSE between the symmetrized soft adjacency and the feature matrix itself.
+  The heads run on one leading axis, and a fit makes its parameter views,
+  gradient buffer, attention mask and decoder grid once, then trains in
+  place.
 - Baselines: logistic regression on pair features, scalar 2-means over the
   feature entries, and a fixed threshold.
 
@@ -18,7 +21,6 @@ touches the simulation's ground-truth adjacency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,7 @@ from .nn import (
     backward_from_logits,
     forward_cached,
     init_params,
+    unpack,
 )
 from .topology import Topology
 
@@ -291,6 +294,8 @@ class InferGatConfig:
             )
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
+        if self.knn_k is not None and self.knn_k < 1:
+            raise InvalidConfig(f"knn_k must be >= 1, got {self.knn_k}")
         object.__setattr__(self, "decoder_hidden", tuple(int(h) for h in self.decoder_hidden))
 
 
@@ -344,121 +349,149 @@ def _attention_mask(x: np.ndarray, knn_k: int | None) -> np.ndarray:
 
 
 def _gat_unpack(flat: np.ndarray, d_in: int, cfg: InferGatConfig):
-    """Views into the packed vector: (W, a) per head, then (W, b) per decoder layer."""
+    """Views into the packed vector: the encoder on a leading head axis, then
+    the decoder's ``nn.unpack`` layers.
+
+    Head h's block is W (d_in x d_head, row-major), then a = [a_l; a_r]; the
+    blocks sit back to back, so W is an (H, d_in, d_head) view and a_l, a_r
+    are (H, d_head) views.
+    """
     d_head, dec_arch = _gat_dims(cfg)
-    shapes = [(d_in, d_head), (2 * d_head,)] * cfg.heads
-    sizes = dec_arch.layer_sizes
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        shapes += [(fan_in, fan_out), (fan_out,)]
-    blocks, off = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        blocks.append(flat[off : off + size].reshape(shape))
-        off += size
-    pairs = list(zip(blocks[::2], blocks[1::2]))
-    return pairs[: cfg.heads], pairs[cfg.heads :]
+    n_w = d_in * d_head
+    blocks = flat[: cfg.heads * (n_w + 2 * d_head)].reshape(cfg.heads, -1)
+    w = blocks[:, :n_w].reshape(cfg.heads, d_in, d_head)
+    a_l, a_r = blocks[:, n_w : n_w + d_head], blocks[:, n_w + d_head :]
+    return (w, a_l, a_r), unpack((dec_arch, flat[blocks.size :]))
 
 
-def _gat_forward(params, x: np.ndarray, cfg: InferGatConfig, mask):
-    """Encoder plus pair decoder over every ordered pair at once, on the
-    (heads, decoder) views of ``_gat_unpack``.
+def _gat_forward(params, x: np.ndarray, att_bias: np.ndarray, grid=None):
+    """Encoder plus pair decoder over every ordered pair at once, on the views
+    of ``_gat_unpack``.
+
+    Every head runs on one leading axis: one ``x @ W``, one LeakyReLU and one
+    softmax over the (H, n, n) scores plus ``att_bias`` (0 where attention is
+    allowed, -inf where the mask forbids it), and one ``tanh(alpha @ U)``.
+    The embedding z concatenates the heads, head-major.
 
     Returns the symmetrized soft adjacency (zero diagonal) and the cache the
     backward pass reads. The decoder's first weight splits as [W_a; W_b], so
     pair (i, j)'s first pre-activation is z_i W_a + z_j W_b + b: two products
     per node, broadcast onto the (n, n) node grid (Kipf & Welling,
-    arXiv:1611.07308). Later layers run on that grid, n^2 rows including the
-    diagonal, which the loss masks out.
+    arXiv:1611.07308). The grid is written into ``grid`` when given, an
+    (n, n, hidden) buffer a fit reuses. Later layers run on that grid, n^2
+    rows including the diagonal, which the loss masks out.
     """
-    heads, dec = params
-    d_head = cfg.embed_dim // cfg.heads
-    enc = []
-    for w, a in heads:
-        u = x @ w
-        e_raw = (u @ a[:d_head])[:, None] + (u @ a[d_head:])[None, :]
-        e = np.where(e_raw > 0, e_raw, LEAKY_SLOPE * e_raw)
-        e = np.where(mask, e, -np.inf)
-        exp = np.exp(e - e.max(axis=1, keepdims=True))
-        alpha = exp / exp.sum(axis=1, keepdims=True)
-        enc.append((u, e_raw, alpha, np.tanh(alpha @ u)))
-    z = np.concatenate([z_h for *_, z_h in enc], axis=1)
+    (w, a_l, a_r), dec = params
+    u = x @ w
+    e_raw = u @ a_l[:, :, None] + (u @ a_r[:, :, None]).transpose(0, 2, 1)
+    e = np.maximum(e_raw, LEAKY_SLOPE * e_raw)
+    e += att_bias
+    e -= e.max(axis=2, keepdims=True)
+    alpha = np.exp(e, out=e)
+    alpha /= alpha.sum(axis=2, keepdims=True)
+    z_h = np.tanh(alpha @ u)
+    n = x.shape[0]
+    z = z_h.transpose(1, 0, 2).reshape(n, -1)
 
-    n, e_dim = z.shape
+    e_dim = z.shape[1]
     w1, b1 = dec[0]
-    grid = (z @ w1[:e_dim])[:, None, :] + (z @ w1[e_dim:])[None, :, :]
-    h = grid.reshape(n * n, -1) + b1
+    if grid is None:
+        grid = np.empty((n, n, w1.shape[1]))
+    np.add((z @ w1[:e_dim])[:, None, :], (z @ w1[e_dim:])[None, :, :], out=grid)
+    h = grid.reshape(n * n, -1)
+    h += b1
     acts = []
     for w, b in dec[1:]:
-        h = np.tanh(h)
+        np.tanh(h, out=h)
         acts.append(h)
         h = h @ w + b
     sig = _sigmoid(h.reshape(n, n))
     soft = 0.5 * (sig + sig.T)
     np.fill_diagonal(soft, 0.0)
-    return soft, (enc, z, acts, sig)
+    return soft, (u, e_raw, alpha, z_h, z, acts, sig)
 
 
 class _GatFit:
     """One INFERGAT fit's buffers, made once: the packed parameters and a
-    gradient buffer with the ``_gat_unpack`` views of each, the attention mask
-    and the off-diagonal mask. The optimizer updates ``flat`` in place, so the
-    views stay valid for the whole fit."""
+    gradient buffer with the ``_gat_unpack`` views of each, the additive
+    attention mask, the (n, n, hidden) decoder grid and one backward product
+    per hidden layer. The optimizer updates ``flat`` in place, so the views
+    stay valid for the whole fit.
+
+    The grid holds the first layer's pre-activation, then its tanh, and in
+    the backward 1 - tanh^2; every gradient matmul and sum writes straight
+    into its view of ``grad``.
+    """
 
     def __init__(self, flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig, mask):
-        self.flat, self.x, self.cfg, self.mask = flat, x, cfg, mask
+        n = x.shape[0]
+        self.flat, self.x = flat, x
         self.params = _gat_unpack(flat, d_in, cfg)
         self.grad = np.empty_like(flat)
         self.grads = _gat_unpack(self.grad, d_in, cfg)
-        self.off = ~np.eye(x.shape[0], dtype=bool)
+        self.att_bias = np.where(mask, 0.0, -np.inf)
+        dec_sizes = _gat_dims(cfg)[1].layer_sizes
+        self.grid = np.empty((n, n, dec_sizes[1]))
+        self.back = [np.empty((n * n, k)) for k in dec_sizes[1:-1]]
 
     def loss_and_grad(self) -> float:
         """The total loss at ``flat``; its gradient is written into ``grad``."""
-        x, cfg = self.x, self.cfg
+        x = self.x
         n = x.shape[0]
-        (heads, dec), (g_heads, g_dec) = self.params, self.grads
-        soft, (enc, z, acts, sig) = _gat_forward(self.params, x, cfg, self.mask)
-        resid = np.where(self.off, soft - x, 0.0)
+        ((_, a_l, a_r), dec), ((gw, ga_l, ga_r), g_dec) = self.params, self.grads
+        soft, (u, e_raw, alpha, z_h, z, acts, sig) = _gat_forward(
+            self.params, x, self.att_bias, self.grid
+        )
+        resid = soft - x
+        np.fill_diagonal(resid, 0.0)
         count = n * (n - 1)
         loss = float((resid**2).sum() / count)
 
         # backward: MSE -> symmetrization -> sigmoid -> decoder -> embeddings;
-        # the masked residual leaves the diagonal of delta at 0
+        # the zeroed diagonal of the residual leaves the diagonal of delta at 0
         d_sym = 2.0 * resid / count
         d_raw = 0.5 * (d_sym + d_sym.T)
         delta = (d_raw * sig * (1.0 - sig)).reshape(n * n, 1)
-        for (w, _), (gw, gb), h in zip(dec[:0:-1], g_dec[:0:-1], acts[::-1]):
-            gw[...] = h.T @ delta
-            gb[...] = delta.sum(axis=0)
+        layers = zip(dec[:0:-1], g_dec[:0:-1], acts[::-1], self.back[::-1])
+        for (w, _), (gw_l, gb_l), h, back in layers:
+            np.matmul(h.T, delta, out=gw_l)
+            np.sum(delta, axis=0, keepdims=True, out=gb_l)
             # the last layer has one output, where delta @ w.T is the outer product
-            back = delta * w.T if w.shape[1] == 1 else delta @ w.T
-            delta = back * (1.0 - h * h)
+            if w.shape[1] == 1:
+                np.multiply(delta, w.T, out=back)
+            else:
+                np.matmul(delta, w.T, out=back)
+            # h is spent: it becomes 1 - h^2 in place
+            np.multiply(h, h, out=h)
+            np.subtract(1.0, h, out=h)
+            back *= h
+            delta = back
         # first layer: z_i reaches row i of the grid through W_a, z_j column j through W_b
         grid = delta.reshape(n, n, -1)
         d_rows, d_cols = grid.sum(axis=1), grid.sum(axis=0)
         e_dim = z.shape[1]
         w1 = dec[0][0]
         gw1, gb1 = g_dec[0]
-        gw1[:e_dim] = z.T @ d_rows
-        gw1[e_dim:] = z.T @ d_cols
-        gb1[...] = d_rows.sum(axis=0)
+        np.matmul(z.T, d_rows, out=gw1[:e_dim])
+        np.matmul(z.T, d_cols, out=gw1[e_dim:])
+        np.sum(d_rows, axis=0, keepdims=True, out=gb1)
         dz = d_rows @ w1[:e_dim].T + d_cols @ w1[e_dim:].T
 
-        # encoder backward per head
-        d_head = cfg.embed_dim // cfg.heads
-        for hd, ((w, a), (gw, ga), (u, e_raw, alpha, z_h)) in enumerate(zip(heads, g_heads, enc)):
-            dz_h = dz[:, hd * d_head : (hd + 1) * d_head]
-            dh = dz_h * (1.0 - z_h * z_h)
-            dalpha = dh @ u.T
-            du = alpha.T @ dh
-            de = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-            de_raw = de * np.where(e_raw > 0, 1.0, LEAKY_SLOPE)
-            ds_l = de_raw.sum(axis=1)
-            ds_r = de_raw.sum(axis=0)
-            du += ds_l[:, None] * a[None, :d_head]
-            du += ds_r[:, None] * a[None, d_head:]
-            ga[:d_head] = u.T @ ds_l
-            ga[d_head:] = u.T @ ds_r
-            gw[...] = x.T @ du
+        # encoder backward, every head at once; dz splits head-major as z did
+        heads, _, d_head = z_h.shape
+        u_t = u.transpose(0, 2, 1)
+        dh = dz.reshape(n, heads, d_head).transpose(1, 0, 2) * (1.0 - z_h * z_h)
+        dalpha = dh @ u_t
+        du = alpha.transpose(0, 2, 1) @ dh
+        de = alpha * (dalpha - (dalpha * alpha).sum(axis=2, keepdims=True))
+        de_raw = de * np.where(e_raw > 0, 1.0, LEAKY_SLOPE)
+        ds_l = de_raw.sum(axis=2)
+        ds_r = de_raw.sum(axis=1)
+        du += ds_l[:, :, None] * a_l[:, None, :]
+        du += ds_r[:, :, None] * a_r[:, None, :]
+        np.matmul(u_t, ds_l[:, :, None], out=ga_l[:, :, None])
+        np.matmul(u_t, ds_r[:, :, None], out=ga_r[:, :, None])
+        np.matmul(x.T, du, out=gw)
         return loss
 
 
@@ -493,9 +526,9 @@ def infergat_train(x: FeatureMatrix, cfg: InferGatConfig):
 
 def infergat_infer(model: GatModel, x: FeatureMatrix) -> SoftAdjacency:
     vals = x.values
-    mask = _attention_mask(vals, model.cfg.knn_k)
+    att_bias = np.where(_attention_mask(vals, model.cfg.knn_k), 0.0, -np.inf)
     params = _gat_unpack(model.flat, model.d_in, model.cfg)
-    soft, _ = _gat_forward(params, vals, model.cfg, mask)
+    soft, _ = _gat_forward(params, vals, att_bias)
     return SoftAdjacency(soft)
 
 

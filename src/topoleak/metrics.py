@@ -67,16 +67,28 @@ class FeatureMatrix:
 
 def relative_loss(arch: MlpArchitecture, params: np.ndarray, datasets, round: int = 0) -> MetricMatrix:
     """values[i][j] = mean softmax cross-entropy of model i (row i of an (n, P)
-    stack) on dataset j, from one forward per model over the datasets concatenated."""
+    stack) on dataset j, from one forward per model over the datasets concatenated.
+
+    The datasets of one length are gathered as the rows of one array and
+    summed along them, then divided by that length: a row sum adds a dataset's
+    losses in the order its own ``.mean()`` does, so the bits are the same.
+    """
     if len(datasets) != len(params) or any(d is None for d in datasets):
         raise KnowledgeViolation("metric needs every node's dataset")
     x = np.concatenate([d.features for d in datasets])
     y = np.concatenate([d.labels for d in datasets])
-    bounds = np.cumsum([0] + [d.n_samples for d in datasets])
+    sizes = np.array([d.n_samples for d in datasets])
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for size in set(sizes.tolist()):
+        cols = np.flatnonzero(sizes == size)
+        groups.append((cols, starts[cols, None] + np.arange(size), size))
+    rows = np.arange(len(y))
     out = np.zeros((len(params), len(datasets)))
     for i, theta in enumerate(params):
-        nll = -log_softmax(forward_batch((arch, theta), x))[np.arange(len(y)), y]
-        out[i] = [nll[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
+        nll = -log_softmax(forward_batch((arch, theta), x))[rows, y]
+        for cols, idx, size in groups:
+            out[i, cols] = nll[idx].sum(axis=1) / size
     return MetricMatrix(MetricKind.RELATIVE_LOSS, out, round)
 
 

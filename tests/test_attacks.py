@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,10 +27,8 @@ from topoleak.attacks import (
     sample_knowledge,
     _attention_mask,
     _gat_dims,
-    _gat_forward,
     _gat_loss_and_grad,
     _gat_init,
-    _gat_unpack,
     _pair_feature_rows,
     _sigmoid,
 )
@@ -38,6 +37,7 @@ from topoleak.engine import FederationConfig, run_simulation
 from topoleak.errors import (
     ConstantMetric,
     DegenerateLabels,
+    InvalidConfig,
     KnowledgeViolation,
     ShapeError,
     Unsupported,
@@ -92,11 +92,58 @@ def reference_attention_mask(x, knn_k):
     return mask
 
 
+def reference_gat_unpack(flat, d_in, cfg):
+    """Views into the packed vector: (W, a) per head, then (W, b) per decoder layer."""
+    d_head, dec_arch = _gat_dims(cfg)
+    shapes = [(d_in, d_head), (2 * d_head,)] * cfg.heads
+    sizes = dec_arch.layer_sizes
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    blocks, off = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(flat[off : off + size].reshape(shape))
+        off += size
+    pairs = list(zip(blocks[::2], blocks[1::2]))
+    return pairs[: cfg.heads], pairs[cfg.heads :]
+
+
+def reference_gat_forward(params, x, cfg, mask):
+    """INFERGAT's forward one head at a time, on ``reference_gat_unpack``'s
+    views and a boolean attention mask; returns (soft, (enc, z, acts, sig))."""
+    heads, dec = params
+    d_head = cfg.embed_dim // cfg.heads
+    enc = []
+    for w, a in heads:
+        u = x @ w
+        e_raw = (u @ a[:d_head])[:, None] + (u @ a[d_head:])[None, :]
+        e = np.where(e_raw > 0, e_raw, LEAKY_SLOPE * e_raw)
+        e = np.where(mask, e, -np.inf)
+        exp = np.exp(e - e.max(axis=1, keepdims=True))
+        alpha = exp / exp.sum(axis=1, keepdims=True)
+        enc.append((u, e_raw, alpha, np.tanh(alpha @ u)))
+    z = np.concatenate([z_h for *_, z_h in enc], axis=1)
+
+    n, e_dim = z.shape
+    w1, b1 = dec[0]
+    grid = (z @ w1[:e_dim])[:, None, :] + (z @ w1[e_dim:])[None, :, :]
+    h = grid.reshape(n * n, -1) + b1
+    acts = []
+    for w, b in dec[1:]:
+        h = np.tanh(h)
+        acts.append(h)
+        h = h @ w + b
+    sig = reference_sigmoid(h.reshape(n, n))
+    soft = 0.5 * (sig + sig.T)
+    np.fill_diagonal(soft, 0.0)
+    return soft, (enc, z, acts, sig)
+
+
 def reference_pair_scores(flat, x, d_in, cfg):
     """Soft adjacency from the decoder run row by row on [z_i || z_j]."""
     n = x.shape[0]
-    params = _gat_unpack(flat, d_in, cfg)
-    _, (_, z, _, _) = _gat_forward(params, x, cfg, _attention_mask(x, cfg.knn_k))
+    params = reference_gat_unpack(flat, d_in, cfg)
+    _, (_, z, _, _) = reference_gat_forward(params, x, cfg, reference_attention_mask(x, cfg.knn_k))
     _, dec_arch = _gat_dims(cfg)
     n_enc = flat.size - dec_arch.n_params
     ii, jj = np.where(~np.eye(n, dtype=bool))
@@ -165,8 +212,8 @@ def reference_gat_loss_and_grad(flat, x, d_in, cfg, mask):
     off-diagonal mask, run every decoder layer's delta @ w.T as a matmul and
     concatenate the gradient."""
     n = x.shape[0]
-    heads, dec = _gat_unpack(flat, d_in, cfg)
-    soft, (enc, z, acts, sig) = _gat_forward((heads, dec), x, cfg, mask)
+    heads, dec = reference_gat_unpack(flat, d_in, cfg)
+    soft, (enc, z, acts, sig) = reference_gat_forward((heads, dec), x, cfg, mask)
     resid = np.where(~np.eye(n, dtype=bool), soft - x, 0.0)
     count = n * (n - 1)
     loss = float((resid**2).sum() / count)
@@ -208,7 +255,7 @@ def reference_infergat(vals, cfg):
     """INFERGAT's out-of-place loop; returns (theta, loss history)."""
     d_in = vals.shape[1]
     flat = _gat_init(d_in, cfg)
-    mask = _attention_mask(vals, cfg.knn_k)
+    mask = reference_attention_mask(vals, cfg.knn_k)
     opt = ReferenceAdam(flat.size, cfg.learning_rate)
     losses = []
     for _ in range(cfg.epochs):
@@ -356,6 +403,12 @@ class TestEdgePre:
 
 
 class TestInferGat:
+    @pytest.mark.parametrize("knn_k", [0, -1, -30])
+    def test_knn_k_below_one_rejected(self, knn_k):
+        # a slice [:, :k] would read k < 1 as "self only" or "n - 1 - |k| others"
+        with pytest.raises(InvalidConfig, match=f"knn_k must be >= 1, got {knn_k}"):
+            InferGatConfig(knn_k=knn_k)
+
     def test_loss_decreases_on_two_clique(self):
         x = planted_feature(two_clique_adjacency(6))
         _, losses = infergat_train(x, InferGatConfig(seed=0))
@@ -512,11 +565,13 @@ class TestInPlaceTraining:
         assert decoder.params.flat.tobytes() == reference_edgepre(x, labeled, cfg).tobytes()
         assert x.values.tobytes() == before
 
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize(
+        "heads,n", [(1, 10), (2, 10), (4, 10), (1, 30), (4, 30)], ids=["1", "2", "4", "1-n30", "4-n30"]
+    )
     @pytest.mark.parametrize("knn_k", [None, 5])
     @pytest.mark.parametrize("decoder_hidden", [(16,), (8, 4)])
-    def test_infergat_equals_out_of_place_loop(self, heads, knn_k, decoder_hidden):
-        x = FeatureMatrix(random_feature_values(10, seed=heads), (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+    def test_infergat_equals_out_of_place_loop(self, heads, n, knn_k, decoder_hidden):
+        x = FeatureMatrix(random_feature_values(n, seed=heads), (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
         before = x.values.tobytes()
         cfg = InferGatConfig(
             embed_dim=8, heads=heads, epochs=60, decoder_hidden=decoder_hidden, knn_k=knn_k, seed=5

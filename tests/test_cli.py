@@ -335,6 +335,13 @@ class TestAttack:
                      "--config", cfg]) == 2
         assert "unknown eval policy 'sometimes'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("knn_k", ["0", "-1"])
+    def test_knn_k_below_one_rejected_before_the_log_is_read(self, tmp_path, capsys, knn_k):
+        cfg = write_ini(tmp_path, f"[infergat]\nknn_k = {knn_k}\n")
+        assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4",
+                     "--config", cfg]) == 2
+        assert f"knn_k must be >= 1, got {knn_k}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario", ["1", "4"])
     def test_no_config_equals_empty_config(self, sim_log, tmp_path, scenario):
         empty = write_ini(tmp_path, "", name="empty.ini")

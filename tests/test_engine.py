@@ -1,10 +1,15 @@
 import ast
+import dataclasses
 import itertools
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from topoleak import engine
 from topoleak.data import Dataset, gen_blobs, partition_dirichlet, partition_iid, split_train_holdout
@@ -421,6 +426,66 @@ class TestLogPersistence:
         back = load_log(tmp_path / "log")
         assert back.config.dp == cfg.dp
         assert_same_trace(log, back)
+
+
+@st.composite
+def logs_with_drawn_arrays(draw):
+    """A small ring log whose params and deltas are replaced by drawn float64
+    arrays of the same shapes, non-finite values included."""
+    n, rounds, hidden = draw(st.integers(3, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cfg, d, plan = small_setup(gen_ring(n), n_per_class=10)
+    cfg = FederationConfig(topology=cfg.topology, train=cfg.train, rounds=rounds, hidden_sizes=(hidden,))
+    log = run_simulation(cfg, d, plan, seed=draw(st.integers(0, 2**16)))
+    return dataclasses.replace(
+        log,
+        params=draw(hnp.arrays(np.float64, log.params.shape)),
+        deltas=draw(hnp.arrays(np.float64, log.deltas.shape)),
+    )
+
+
+class TestNpyReader:
+    """Properties of the .npy files of a saved log: what save_log writes,
+    load_log reads back byte for byte, and any damage raises InvalidTrace
+    naming the file."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(log=logs_with_drawn_arrays())
+    def test_round_trip_keeps_every_byte(self, log):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_log(log, tmp)
+            back = load_log(tmp)
+        assert back.params.dtype == back.deltas.dtype == np.float64
+        assert_same_trace(log, back)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log=logs_with_drawn_arrays(),
+        name=st.sampled_from(["params.npy", "deltas.npy"]),
+        damage=st.sampled_from(["truncated", "trailing", "no_newline", "shape"]),
+        data=st.data(),
+    )
+    def test_damaged_array_is_invalid_trace(self, log, name, damage, data):
+        arr = log.params if name == "params.npy" else log.deltas
+        with tempfile.TemporaryDirectory() as tmp:
+            save_log(log, tmp)
+            path = Path(tmp, name)
+            raw = path.read_bytes()
+            header = len(raw) - arr.nbytes
+            if damage == "truncated":  # lose 1 byte up to the whole payload
+                path.write_bytes(raw[: -data.draw(st.integers(1, arr.nbytes))])
+            elif damage == "trailing":
+                path.write_bytes(raw + data.draw(st.binary(min_size=1, max_size=64)))
+            elif damage == "no_newline":  # the header's last byte, which must be \n
+                assert raw[header - 1 : header] == b"\n"
+                byte = data.draw(st.sampled_from([b" ", b"\x00", b"\r"]))
+                path.write_bytes(raw[: header - 1] + byte + raw[header:])
+            else:
+                shape = data.draw(
+                    hnp.array_shapes(min_dims=0, max_dims=4, min_side=0).filter(lambda s: s != arr.shape)
+                )
+                np.save(path, np.zeros(shape))
+            with pytest.raises(InvalidTrace, match=name):
+                load_log(tmp)
 
 
 @pytest.fixture(scope="module")

@@ -100,6 +100,32 @@ class TestRelativeLoss:
         got = relative_loss(arch, params, datasets).values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        alpha=st.sampled_from([0.1, 0.5, 5.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bytes_equal_the_per_slice_means(self, n, alpha, seed):
+        # Dirichlet shares of 20 samples per node, at least 2 each: unequal
+        # lengths, several shards of one length, and lengths past 8 and 128,
+        # where the pairwise sum changes its blocking
+        rng = np.random.default_rng(seed)
+        sizes = 2 + rng.multinomial(18 * n, rng.dirichlet(np.full(n, alpha)))
+        arch = MlpArchitecture((3, 5, 4), "tanh")
+        params = np.stack([init_params(arch, seed + i).flat for i in range(n)])
+        datasets = [
+            Dataset(rng.standard_normal((m, 3)) * 3, rng.integers(0, 4, size=m)) for m in sizes
+        ]
+        x = np.concatenate([d.features for d in datasets])
+        y = np.concatenate([d.labels for d in datasets])
+        bounds = np.cumsum([0, *sizes])
+        want = np.zeros((n, n))
+        for i, p in enumerate(params):
+            nll = -log_softmax(forward_batch((arch, p), x))[np.arange(len(y)), y]
+            want[i] = [nll[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
+        assert relative_loss(arch, params, datasets).values.tobytes() == want.tobytes()
+
     def test_missing_dataset_rejected(self):
         arch, params = zero_models(2)
         with pytest.raises(KnowledgeViolation):
