@@ -44,7 +44,7 @@ from .nn import (
     init_params,
     unpack,
 )
-from .topology import Topology
+from .topology import Topology, adjacency_matrix, pair_index
 
 LABELED_FRACTION = 0.3
 LEAKY_SLOPE = 0.2
@@ -132,20 +132,17 @@ def sample_knowledge(
     if scenario in (1, 2):
         if not (0.0 < rho < 1.0):
             raise InvalidConfig(f"labeled fraction must be in (0, 1), got {rho}")
-        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        edges = set(topology.edges)
+        candidates = pair_index(n)
+        adj = adjacency_matrix(topology).astype(np.int64)
         # floor keeps the labeled share at most rho; 45 pairs at 0.3 -> 13
-        n_take = max(1, int(rho * len(all_pairs)))
-        n_take = min(n_take, len(all_pairs) - 1)  # keep E' proper
+        n_take = max(1, int(rho * len(candidates)))
+        n_take = min(n_take, len(candidates) - 1)  # keep E' proper
         rng = np.random.default_rng(seed)
         for _ in range(_SAMPLE_RETRIES):
-            take = rng.choice(len(all_pairs), size=n_take, replace=False)
-            labeled = tuple(
-                (all_pairs[t][0], all_pairs[t][1], int(all_pairs[t] in edges)) for t in sorted(take)
-            )
-            got = {label for _, _, label in labeled}
-            if got == {0, 1}:
-                pairs = labeled
+            i, j = candidates[np.sort(rng.choice(len(candidates), size=n_take, replace=False))].T
+            labels = adj[i, j]
+            if 0 < labels.sum() < len(labels):  # both classes
+                pairs = tuple(zip(i.tolist(), j.tolist(), labels.tolist()))
                 break
         else:
             raise DegenerateLabels(
@@ -170,11 +167,14 @@ def _pair_feature_rows(values: np.ndarray, pairs) -> np.ndarray:
     return np.stack([values[i, j], values[j, i]], axis=1)
 
 
-def _check_pair_labels(labeled_pairs) -> np.ndarray:
-    labels = np.array([label for _, _, label in labeled_pairs], dtype=np.float64)
-    if len(labels) == 0 or len(set(labels.tolist())) < 2:
+def _labeled_rows(values: np.ndarray, labeled_pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows and 0/1 labels of E' (``(i, j, label)`` triples), which
+    must hold both classes."""
+    triples = np.asarray(labeled_pairs, dtype=np.int64).reshape(-1, 3)
+    labels = triples[:, 2].astype(np.float64)
+    if not 0 < labels.sum() < len(labels):
         raise DegenerateLabels("training pairs must include both classes")
-    return labels
+    return _pair_feature_rows(values, triples[:, :2]), labels
 
 
 @dataclass(frozen=True)
@@ -208,18 +208,14 @@ def binarize(soft: SoftAdjacency, tau: float = 0.5) -> np.ndarray:
     return out
 
 
-def _ordered_pairs(n: int) -> np.ndarray:
-    """Every (i, j) with i != j, in row-major order."""
-    return np.argwhere(~np.eye(n, dtype=bool))
-
-
-def _symmetric_soft(n: int, pairs: np.ndarray, scores: np.ndarray) -> SoftAdjacency:
-    """Place ordered-pair scores, average with the transpose, zero the diagonal."""
-    a = np.zeros((n, n))
-    a[pairs[:, 0], pairs[:, 1]] = scores
-    a = 0.5 * (a + a.T)
-    np.fill_diagonal(a, 0.0)
-    return SoftAdjacency(a)
+def _symmetric(n: int, scores: np.ndarray) -> np.ndarray:
+    """The n x n matrix with the pair scores, in ``pair_index(n)`` order, in
+    both triangles and a zero diagonal."""
+    a = np.zeros((n, n), dtype=scores.dtype)
+    i, j = pair_index(n).T
+    a[i, j] = scores
+    a[j, i] = scores
+    return a
 
 
 # --- EDGEPRE ----------------------------------------------------------------
@@ -234,6 +230,8 @@ class EdgePreConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 
@@ -244,8 +242,7 @@ class EdgeDecoder:
 
 def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDecoder:
     """Fit the pair decoder on E' by full-batch Adam over sigmoid BCE."""
-    labels = _check_pair_labels(labeled_pairs)
-    rows = _pair_feature_rows(x.values, [(i, j) for i, j, _ in labeled_pairs])
+    rows, labels = _labeled_rows(x.values, labeled_pairs)
     arch = MlpArchitecture((rows.shape[1], *cfg.hidden_sizes, 1), activation="relu")
     ws = Workspace(arch, init_params(arch, cfg.seed).flat)
     opt = Adam(arch.n_params, cfg.learning_rate)
@@ -259,18 +256,17 @@ def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDe
 
 def edgepre_bce(decoder: EdgeDecoder, x: FeatureMatrix, labeled_pairs) -> float:
     """Mean BCE of the decoder on a labeled pair set (training diagnostic)."""
-    labels = _check_pair_labels(labeled_pairs)
-    rows = _pair_feature_rows(x.values, [(i, j) for i, j, _ in labeled_pairs])
+    rows, labels = _labeled_rows(x.values, labeled_pairs)
     logits, _ = forward_cached(decoder.params, rows)
     z = logits[:, 0]
     return float(np.mean(_softplus(z) - labels * z))
 
 
 def edgepre_infer(decoder: EdgeDecoder, x: FeatureMatrix) -> SoftAdjacency:
-    """Score every ordered pair, average with the transpose, zero the diagonal."""
-    pairs = _ordered_pairs(x.n_nodes)
-    logits, _ = forward_cached(decoder.params, _pair_feature_rows(x.values, pairs))
-    return _symmetric_soft(x.n_nodes, pairs, _sigmoid(logits[:, 0]))
+    """Score every unordered pair once; the diagonal is zero."""
+    n = x.n_nodes
+    logits, _ = forward_cached(decoder.params, _pair_feature_rows(x.values, pair_index(n)))
+    return SoftAdjacency(_symmetric(n, _sigmoid(logits[:, 0])))
 
 
 # --- INFERGAT ---------------------------------------------------------------
@@ -294,6 +290,8 @@ class InferGatConfig:
             )
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.knn_k is not None and self.knn_k < 1:
             raise InvalidConfig(f"knn_k must be >= 1, got {self.knn_k}")
         object.__setattr__(self, "decoder_hidden", tuple(int(h) for h in self.decoder_hidden))
@@ -547,10 +545,9 @@ def baseline_logistic(
     on mean BCE + l2 * ||w||^2; the penalty covers the bias so l2 -> inf
     drives every score to 0.5.
     """
-    labels = _check_pair_labels(labeled_pairs)
+    rows, labels = _labeled_rows(x.values, labeled_pairs)
     if l2 < 0:
         raise InvalidConfig(f"l2 must be >= 0, got {l2}")
-    rows = _pair_feature_rows(x.values, [(i, j) for i, j, _ in labeled_pairs])
     rows = np.hstack([rows, np.ones((rows.shape[0], 1))])  # bias column
     w = np.zeros(rows.shape[1])
     n = len(labels)
@@ -558,18 +555,16 @@ def baseline_logistic(
         z = rows @ w
         grad = rows.T @ (_sigmoid(z) - labels) / n + 2.0 * l2 * w
         w = w - learning_rate * grad
-    pairs = _ordered_pairs(x.n_nodes)
-    all_rows = _pair_feature_rows(x.values, pairs)
+    n = x.n_nodes
+    all_rows = _pair_feature_rows(x.values, pair_index(n))
     all_rows = np.hstack([all_rows, np.ones((all_rows.shape[0], 1))])
-    return _symmetric_soft(x.n_nodes, pairs, _sigmoid(all_rows @ w))
+    return SoftAdjacency(_symmetric(n, _sigmoid(all_rows @ w)))
 
 
 def baseline_kmeans(x: FeatureMatrix, seed: int = 0, restarts: int = 50) -> np.ndarray:
-    """Scalar 2-means over off-diagonal entries; high cluster = edges."""
-    vals = x.values
-    n = vals.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    pts = vals[off]
+    """Scalar 2-means over the unordered pairs' entries; high cluster = edges."""
+    n = x.n_nodes
+    pts = x.values[tuple(pair_index(n).T)]
     if np.unique(pts).size < 2:
         raise ConstantMetric("2-means needs at least two distinct feature values")
     rng = np.random.default_rng(seed)
@@ -589,9 +584,7 @@ def baseline_kmeans(x: FeatureMatrix, seed: int = 0, restarts: int = 50) -> np.n
             best = (inertia, centers.copy(), assign.copy())
     _, centers, assign = best
     edge_cluster = int(np.argmax(centers))
-    binary = np.zeros((n, n), dtype=np.int64)
-    binary[off] = (assign == edge_cluster).astype(np.int64)
-    return binary
+    return _symmetric(n, (assign == edge_cluster).astype(np.int64))
 
 
 def baseline_threshold(x: FeatureMatrix, tau: float) -> np.ndarray:

@@ -44,14 +44,7 @@ from .evaluation import (
     size_sweep,
 )
 from .metrics import dump_matrix_csv, load_matrix_csv
-from .topology import (
-    adjacency_matrix,
-    aggregation_matrix,
-    dump_topology,
-    load_topology,
-    second_eigenvalue_modulus,
-    stats,
-)
+from .topology import adjacency_matrix, dump_topology, load_topology, stats
 
 SEED_ENV = "TOPOLEAK_SEED"
 
@@ -212,7 +205,6 @@ def cmd_gen_topology(args) -> int:
     seed = resolve_seed(args.seed, None)
     topo = generate_topology(TOPOLOGY_KINDS[args.kind], args.n, args.p, seed)
     st = stats(topo)
-    lam = second_eigenvalue_modulus(aggregation_matrix(adjacency_matrix(topo)))
 
     out = Path(args.out or f"{args.kind}{args.n}.edges")
     out.write_text(dump_topology(topo))
@@ -221,12 +213,12 @@ def cmd_gen_topology(args) -> int:
         "n_edges": st.n_edges,
         "avg_degree": st.avg_degree,
         "density": st.density,
-        "lambda2": lam,
+        "lambda2": st.second_eigenvalue_modulus,
     }
     out.with_suffix(".stats.json").write_text(json.dumps(doc, indent=2) + "\n")
     print(
         f"{args.kind}-{args.n}: n_edges={st.n_edges} avg_degree={st.avg_degree:.2f} "
-        f"density={st.density:.2f} lambda2={lam:.4f} -> {out}"
+        f"density={st.density:.2f} lambda2={st.second_eigenvalue_modulus:.4f} -> {out}"
     )
     return 0
 

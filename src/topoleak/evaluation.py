@@ -32,7 +32,7 @@ from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
 from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
 from .nn import TrainConfig
 from .seeds import derive_seed
-from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, stats
+from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, pair_index, stats
 
 ALL_PAIRS = "all_pairs"
 HELD_OUT = "held_out"
@@ -63,22 +63,23 @@ CSV_COLUMNS = (
 
 # --- pair policies ----------------------------------------------------------
 
-def all_pairs(n_nodes: int) -> tuple[tuple[int, int], ...]:
-    """Every unordered off-diagonal pair (i < j)."""
-    return tuple((i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes))
+all_pairs = pair_index  # every unordered pair i < j, row-major
 
 
-def held_out_pairs(n_nodes: int, known_pairs) -> tuple[tuple[int, int], ...]:
-    """All unordered pairs minus those the attacker holds labels for."""
-    known = {(i, j) for i, j, *_ in known_pairs}
-    return tuple(p for p in all_pairs(n_nodes) if p not in known)
+def held_out_pairs(n_nodes: int, known_pairs) -> np.ndarray:
+    """``all_pairs`` minus the pairs (i < j) the attacker holds labels for."""
+    known = np.zeros((n_nodes, n_nodes), dtype=bool)
+    for i, j, *_ in known_pairs:
+        known[i, j] = True
+    pairs = pair_index(n_nodes)
+    return pairs[~known[tuple(pairs.T)]]
 
 
 # --- scores -----------------------------------------------------------------
 
 def _pair_index(eval_pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of a nonempty, off-diagonal pair list."""
-    pairs = np.asarray(list(eval_pairs), dtype=np.intp)
+    """Row and column index arrays of a nonempty, off-diagonal (m, 2) pair array."""
+    pairs = np.asarray(eval_pairs, dtype=np.intp)
     if pairs.size == 0:
         raise InvalidEvalSet("cannot score an empty pair set")
     i, j = pairs.T
@@ -177,7 +178,6 @@ def evaluate_soft(
     """Score one soft adjacency: F1 at 0.5, best-threshold F1, and AUC."""
     values = soft.values if isinstance(soft, SoftAdjacency) else np.asarray(soft, dtype=np.float64)
     truth = np.asarray(truth)
-    eval_pairs = list(eval_pairs)
     i, j = _pair_index(eval_pairs)
     scores = values[i, j]
     labels = (truth[i, j] > 0).astype(np.int64)
@@ -198,7 +198,7 @@ def evaluate_soft(
         auc=auc,
         precision=precision,
         recall=recall,
-        n_eval_pairs=len(eval_pairs),
+        n_eval_pairs=len(i),
         eval_pair_policy=policy,
         auc_degenerate=degenerate,
     )
@@ -373,14 +373,14 @@ def knowledge_and_pairs(
     """The attacker's knowledge for (seed, scenario), and the pairs and policy
     that score its result.
 
-    Unless a policy is given, SC1/SC2 are scored on the pairs they hold no
-    label for and the other scenarios on every pair.
+    Unless a policy is given, knowledge that holds labeled pairs (SC1/SC2) is
+    scored on the pairs it holds no label for, and other knowledge on every pair.
     """
     knowledge = sample_knowledge(
         scenario, topology, rho=rho, seed=derive_seed(seed, "knowledge", scenario)
     )
     if policy is None:
-        policy = HELD_OUT if scenario in (1, 2) else ALL_PAIRS
+        policy = HELD_OUT if knowledge.known_pairs else ALL_PAIRS
     if policy == HELD_OUT:
         return knowledge, held_out_pairs(topology.n_nodes, knowledge.known_pairs), policy
     return knowledge, all_pairs(topology.n_nodes), policy

@@ -45,17 +45,22 @@ class MetricMatrix:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Oriented metric: off-diagonal min-maxed to [0, 1], diagonal = 1."""
+    """Oriented metric: off-diagonal min-maxed to [0, 1], diagonal = 1.
+
+    Square, finite and exactly symmetric: x_ij is one score of the unordered
+    pair {i, j}, so an attack reads it once, at i < j.
+    """
 
     values: np.ndarray
-    source_kinds: tuple[MetricKind, ...]
-    norm_lo: float
-    norm_hi: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if not np.isfinite(v).all():
             raise ShapeError("feature matrix entries must be finite")
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ShapeError(f"feature matrix must be square, got {v.shape}")
+        if not np.array_equal(v, v.T):
+            raise ShapeError("feature matrix must be exactly symmetric")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -119,7 +124,7 @@ def orient_and_normalize(m: MetricMatrix) -> FeatureMatrix:
         raise ConstantMetric(f"{m.kind.value} is constant off-diagonal; no signal")
     v = (v - lo) / (hi - lo)
     np.fill_diagonal(v, 1.0)
-    return FeatureMatrix(v, (m.kind,), norm_lo=lo, norm_hi=hi)
+    return FeatureMatrix(v)
 
 
 # --- computing metrics from a simulation log --------------------------------

@@ -89,8 +89,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.local_epochs < 1:
             raise InvalidConfig(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if self.learning_rate < 0:
-            raise InvalidConfig(f"learning_rate must be >= 0, got {self.learning_rate}")
+        # 0 is legal (no training); NaN passes a bare "< 0" test
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise InvalidConfig(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("sgd", "adam"):

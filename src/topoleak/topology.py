@@ -102,6 +102,14 @@ def is_connected(t: Topology) -> bool:
     return count == t.n_nodes
 
 
+def pair_index(n: int) -> np.ndarray:
+    """The (n(n-1)/2, 2) array of unordered pairs i < j in row-major order:
+    (0, 1), (0, 2), ..., (n-2, n-1), as ``np.triu_indices(n, 1)`` stacked.
+    Every per-pair array in topoleak (ER draws, labeled pairs, scored pairs,
+    pair scores) is in this order."""
+    return np.argwhere(~np.tri(n, dtype=bool))  # the cells above the diagonal
+
+
 def gen_ring(n: int) -> Topology:
     """Ring over n >= 3 nodes: node i joined to (i + 1) mod n."""
     if n < 3:
@@ -129,11 +137,10 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Topology:
     if not (0.0 < p <= 1.0):
         raise InvalidProbability(f"p must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    n_pairs = n * (n - 1) // 2
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = pair_index(n)
     for _ in range(ER_MAX_RESAMPLES):
-        mask = rng.random(n_pairs) < p
-        t = Topology(n, tuple(pair for pair, keep in zip(pairs, mask) if keep))
+        keep = rng.random(len(pairs)) < p
+        t = Topology(n, tuple(map(tuple, pairs[keep].tolist())))
         if is_connected(t):
             return t
     raise GenerationFailed(
@@ -245,7 +252,7 @@ def aggregation_matrix(a: np.ndarray) -> np.ndarray:
     """
     _check_adjacency(a)
     n = a.shape[0]
-    t = Topology.from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n) if a[i, j]])
+    t = Topology.from_pairs(n, np.argwhere(np.triu(a) != 0).tolist())
     if not is_connected(t):
         raise DisconnectedGraph("aggregation matrix requires a connected graph")
     deg = a.sum(axis=1) + 1.0

@@ -352,7 +352,7 @@ def test_criterion_07_oracle_recovery():
         noise = rng.uniform(-0.02, 0.02, size=(n, n))
         v = np.where(adj > 0, 0.9, 0.1) + 0.5 * (noise + noise.T)
         np.fill_diagonal(v, 1.0)
-        x = FeatureMatrix(v, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        x = FeatureMatrix(v)
         pairs = all_pairs(n)
         worst["threshold"] = min(
             worst["threshold"], f1_score(baseline_threshold(x, 0.5), adj, pairs)[0]

@@ -42,15 +42,15 @@ from topoleak.errors import (
     ShapeError,
     Unsupported,
 )
-from topoleak.metrics import FeatureMatrix, MetricKind
+from topoleak.metrics import FeatureMatrix, MetricKind, feature_from_log
 from topoleak.nn import MlpArchitecture, ModelParams, forward_cached, init_params, unpack
-from topoleak.topology import Topology, adjacency_matrix, gen_ring, gen_star
+from topoleak.topology import Topology, adjacency_matrix, gen_erdos_renyi, gen_ring, gen_star
 
 
 def planted_feature(adj: np.ndarray, hi=0.9, lo=0.1) -> FeatureMatrix:
     v = np.where(adj > 0, hi, lo)
     np.fill_diagonal(v, 1.0)
-    return FeatureMatrix(v, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+    return FeatureMatrix(v)
 
 
 def two_clique_adjacency(n=6) -> np.ndarray:
@@ -207,6 +207,83 @@ def reference_edgepre(x, labeled_pairs, cfg):
     return theta
 
 
+def reference_ordered_pairs(n):
+    """Every (i, j) with i != j, row-major: the pairs the attacks scored before
+    each unordered pair was scored once."""
+    return np.argwhere(~np.eye(n, dtype=bool))
+
+
+def reference_symmetric_soft(n, pairs, scores):
+    """Ordered-pair scores averaged with their transpose, zero diagonal."""
+    a = np.zeros((n, n))
+    a[pairs[:, 0], pairs[:, 1]] = scores
+    a = 0.5 * (a + a.T)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def reference_edgepre_infer(decoder, x):
+    pairs = reference_ordered_pairs(x.n_nodes)
+    logits, _ = forward_cached(decoder.params, _pair_feature_rows(x.values, pairs))
+    return reference_symmetric_soft(x.n_nodes, pairs, _sigmoid(logits[:, 0]))
+
+
+def reference_logistic(x, labeled_pairs, l2=0.0, epochs=300, learning_rate=0.1):
+    """The logistic baseline scoring every ordered pair."""
+    labels = np.array([label for *_, label in labeled_pairs], dtype=np.float64)
+    rows = _pair_feature_rows(x.values, [(i, j) for i, j, _ in labeled_pairs])
+    rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
+    w = np.zeros(rows.shape[1])
+    for _ in range(epochs):
+        z = rows @ w
+        w = w - learning_rate * (rows.T @ (_sigmoid(z) - labels) / len(labels) + 2.0 * l2 * w)
+    pairs = reference_ordered_pairs(x.n_nodes)
+    all_rows = _pair_feature_rows(x.values, pairs)
+    all_rows = np.hstack([all_rows, np.ones((all_rows.shape[0], 1))])
+    return reference_symmetric_soft(x.n_nodes, pairs, _sigmoid(all_rows @ w))
+
+
+def reference_kmeans(x, seed=0, restarts=50):
+    """Scalar 2-means over all n(n - 1) off-diagonal entries."""
+    vals = x.values
+    n = vals.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    pts = vals[off]
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        centers = rng.choice(np.unique(pts), size=2, replace=False)
+        for _ in range(100):
+            assign = np.abs(pts[:, None] - centers[None, :]).argmin(axis=1)
+            new = np.array(
+                [pts[assign == c].mean() if np.any(assign == c) else centers[c] for c in (0, 1)]
+            )
+            if np.allclose(new, centers):
+                break
+            centers = new
+        inertia = ((pts - centers[assign]) ** 2).sum()
+        if best is None or inertia < best[0]:
+            best = (inertia, centers.copy(), assign.copy())
+    _, centers, assign = best
+    binary = np.zeros((n, n), dtype=np.int64)
+    binary[off] = (assign == int(np.argmax(centers))).astype(np.int64)
+    return binary
+
+
+def reference_sample_pairs(topology, rho, seed):
+    """E' drawn over the row-major comprehension, labels read from the edge set."""
+    n = topology.n_nodes
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = set(topology.edges)
+    n_take = min(max(1, int(rho * len(pairs))), len(pairs) - 1)
+    rng = np.random.default_rng(seed)
+    while True:
+        take = rng.choice(len(pairs), size=n_take, replace=False)
+        labeled = tuple((*pairs[t], int(pairs[t] in edges)) for t in sorted(take))
+        if {label for *_, label in labeled} == {0, 1}:
+            return labeled
+
+
 def reference_gat_loss_and_grad(flat, x, d_in, cfg, mask):
     """INFERGAT's out-of-place backward: unpack every epoch, build the
     off-diagonal mask, run every decoder layer's delta @ w.T as a matmul and
@@ -326,11 +403,23 @@ class TestScenarioKnowledge:
         assert sample_knowledge(2, t, seed=9) == sample_knowledge(2, t, seed=9)
 
     def test_complete_graph_cannot_yield_negatives(self):
-        from topoleak.topology import gen_erdos_renyi
-
         t = gen_erdos_renyi(5, 1.0, seed=0)
         with pytest.raises(DegenerateLabels):
             sample_knowledge(1, t, rho=0.3, seed=0)
+
+    def test_two_nodes_cannot_yield_a_proper_labeled_set(self):
+        # one pair in all: a proper E' is empty, so it never holds both classes
+        with pytest.raises(DegenerateLabels):
+            sample_knowledge(1, gen_star(2), rho=0.3, seed=0)
+
+    @pytest.mark.parametrize("n,p", [(5, 0.5), (10, 0.3), (17, 0.5), (30, 0.2)])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("scenario,rho", [(1, 0.3), (2, 0.3), (1, 0.7)])
+    def test_labeled_pairs_reproduce_the_reference(self, n, p, seed, scenario, rho):
+        t = gen_erdos_renyi(n, p, seed=seed)
+        k = sample_knowledge(scenario, t, rho=rho, seed=seed)
+        assert k.known_pairs == reference_sample_pairs(t, rho, seed)
+        assert all(type(v) is int for triple in k.known_pairs for v in triple)
 
     def test_pair_validation(self):
         with pytest.raises(KnowledgeViolation):
@@ -348,12 +437,14 @@ class TestPairFeatures:
 
 class TestEdgePre:
     def test_separable_features_reach_tiny_bce(self):
-        # positives concatenate 1-vectors, negatives 0-vectors: separable,
-        # so the optimizer can push BCE under 0.01
+        # a symmetric block: pairs inside {0, 1, 2} read 1, pairs inside
+        # {3, 4, 5} read 0, so positives and negatives are separable and the
+        # optimizer can push BCE under 0.01
         n = 6
         vals = np.zeros((n, n))
-        vals[:3] = 1.0
-        x = FeatureMatrix(vals, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        vals[:3, :3] = 1.0
+        np.fill_diagonal(vals, 1.0)
+        x = FeatureMatrix(vals)
         labeled = ((0, 1, 1), (0, 2, 1), (3, 4, 0), (3, 5, 0))
         decoder = edgepre_train(x, labeled, EdgePreConfig(seed=1))
         assert edgepre_bce(decoder, x, labeled) < 0.01
@@ -400,6 +491,14 @@ class TestEdgePre:
                 assert soft.values[i, j] > 0.5
             else:
                 assert soft.values[i, j] < 0.5
+
+
+@pytest.mark.parametrize("config", [EdgePreConfig, InferGatConfig])
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_bad_attack_learning_rate_rejected(config, rate):
+    # NaN trains to a NaN fit that fails three stages later; <= 0 stands still or ascends
+    with pytest.raises(InvalidConfig, match="learning_rate must be finite and > 0"):
+        config(learning_rate=rate)
 
 
 class TestInferGat:
@@ -556,7 +655,7 @@ class TestInPlaceTraining:
     def test_edgepre_equals_out_of_place_loop(self, n_pairs, hidden):
         n = 15
         vals = random_feature_values(n, seed=n_pairs)
-        x = FeatureMatrix(vals, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        x = FeatureMatrix(vals)
         before = x.values.tobytes()
         pairs = all_pairs(n)[:n_pairs]
         labeled = tuple((i, j, int(vals[i, j] > 0.5)) for i, j in pairs)
@@ -571,7 +670,7 @@ class TestInPlaceTraining:
     @pytest.mark.parametrize("knn_k", [None, 5])
     @pytest.mark.parametrize("decoder_hidden", [(16,), (8, 4)])
     def test_infergat_equals_out_of_place_loop(self, heads, n, knn_k, decoder_hidden):
-        x = FeatureMatrix(random_feature_values(n, seed=heads), (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        x = FeatureMatrix(random_feature_values(n, seed=heads))
         before = x.values.tobytes()
         cfg = InferGatConfig(
             embed_dim=8, heads=heads, epochs=60, decoder_hidden=decoder_hidden, knn_k=knn_k, seed=5
@@ -597,6 +696,50 @@ class TestInPlaceTraining:
         assert len(made) == 2
         for p, bytes_at_init in made:
             assert p.flat.tobytes() == bytes_at_init
+
+
+def probe_cases():
+    """(feature, topology) pairs of every kind the attacks meet: planted features,
+    random ones with and without ties, and both metric kinds of small simulations."""
+    cases = [(planted_feature(adjacency_matrix(t)), t) for t in (gen_ring(9), gen_star(7))]
+    for n in (5, 12, 20):
+        t = gen_erdos_renyi(n, 0.4, seed=n)
+        cases += [(FeatureMatrix(random_feature_values(n, seed=n, decimals=d)), t) for d in (None, 1)]
+    for seed in range(3):
+        log = tiny_log(gen_erdos_renyi(8, 0.5, seed=seed), seed=seed)
+        cases += [(feature_from_log(log, kind, last_k=2), log.config.topology) for kind in MetricKind]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def probes():
+    """Each probe case's feature and an E' drawn from its topology."""
+    return [(x, sample_knowledge(1, t, seed=k).known_pairs) for k, (x, t) in enumerate(probe_cases())]
+
+
+class TestUnorderedPairsScoredOnce:
+    """Each unordered pair is scored once and written into both triangles;
+    the references score all n(n - 1) ordered pairs and average."""
+
+    def test_kmeans_equals_the_ordered_pair_reference(self, probes):
+        for k, (x, _) in enumerate(probes):
+            got = baseline_kmeans(x, seed=k, restarts=20)
+            assert got.dtype == np.int64
+            assert got.tobytes() == reference_kmeans(x, seed=k, restarts=20).tobytes()
+
+    def test_logistic_equals_the_ordered_pair_reference(self, probes):
+        for x, labeled in probes:
+            for l2 in (0.0, 0.05):
+                got = baseline_logistic(x, labeled, l2=l2).values
+                assert got.tobytes() == reference_logistic(x, labeled, l2=l2).tobytes()
+
+    def test_edgepre_is_symmetric_and_within_1e15_of_the_reference(self, probes):
+        for k, (x, labeled) in enumerate(probes):
+            decoder = edgepre_train(x, labeled, EdgePreConfig(hidden_sizes=(16, 8), epochs=40, seed=k))
+            got = edgepre_infer(decoder, x).values
+            assert np.array_equal(got, got.T)
+            np.testing.assert_array_equal(np.diag(got), 0.0)
+            np.testing.assert_allclose(got, reference_edgepre_infer(decoder, x), rtol=0, atol=1e-15)
 
 
 class TestBaselines:
@@ -636,7 +779,7 @@ class TestBaselines:
     def test_kmeans_constant_rejected(self):
         vals = np.full((4, 4), 0.3)
         np.fill_diagonal(vals, 1.0)
-        x = FeatureMatrix(vals, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        x = FeatureMatrix(vals)
         with pytest.raises(ConstantMetric):
             baseline_kmeans(x)
 

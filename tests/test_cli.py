@@ -12,6 +12,7 @@ from topoleak.cli import main, parse_config, resolve_seed
 from topoleak.data import dump_csv, gen_blobs
 from topoleak.errors import InvalidConfig
 from topoleak.evaluation import ExperimentDefaults, SweepCell, run_cell
+from topoleak.topology import load_topology, stats
 
 BASE_INI = """
 [run]
@@ -126,6 +127,15 @@ class TestGenTopology:
         assert doc["n_edges"] == 10
         assert doc["avg_degree"] == pytest.approx(2.0)
         assert "n_edges=10" in capsys.readouterr().out
+
+    def test_lambda2_is_the_stats_modulus(self, tmp_path, capsys):
+        out = tmp_path / "er12.edges"
+        assert main(["gen-topology", "--kind", "er", "--n", "12", "--p", "0.4",
+                     "--seed", "3", "--out", str(out)]) == 0
+        st = stats(load_topology(out.read_text()))
+        doc = json.loads(out.with_suffix(".stats.json").read_text())
+        assert doc["lambda2"] == st.second_eigenvalue_modulus
+        assert f"lambda2={st.second_eigenvalue_modulus:.4f}" in capsys.readouterr().out
 
     def test_er_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
@@ -341,6 +351,16 @@ class TestAttack:
         assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4",
                      "--config", cfg]) == 2
         assert f"knn_k must be >= 1, got {knn_k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["edgepre", "infergat"])
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
+    def test_bad_attack_learning_rate_rejected_before_the_log_is_read(
+        self, tmp_path, capsys, section, rate
+    ):
+        cfg = write_ini(tmp_path, f"[{section}]\nlearning_rate = {rate}\n")
+        assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4",
+                     "--config", cfg]) == 2
+        assert "learning_rate must be finite and > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario", ["1", "4"])
     def test_no_config_equals_empty_config(self, sim_log, tmp_path, scenario):

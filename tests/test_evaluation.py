@@ -18,6 +18,7 @@ from topoleak.errors import DegenerateLabels, InvalidEvalSet
 from topoleak.evaluation import (
     ALL_PAIRS,
     CSV_COLUMNS,
+    HELD_OUT,
     EvalResult,
     ExperimentDefaults,
     SweepCell,
@@ -27,6 +28,7 @@ from topoleak.evaluation import (
     evaluate_soft,
     f1_score,
     held_out_pairs,
+    knowledge_and_pairs,
     mitigation_experiment,
     run_cell,
     run_sweep,
@@ -268,10 +270,23 @@ class TestPairPolicies:
             n = int(rng.integers(5, 12))
             topo = gen_erdos_renyi(n, 0.5, seed=trial)
             k = sample_knowledge(1, topo, rho=0.3, seed=trial)
-            held = held_out_pairs(n, k.known_pairs)
+            # held_out_pairs is an (m, 2) array; its rows become tuples to hash
+            held = [tuple(p) for p in held_out_pairs(n, k.known_pairs).tolist()]
             known = {(i, j) for i, j, _ in k.known_pairs}
             assert not (set(held) & known)
             assert len(held) + len(known) == n * (n - 1) // 2
+            assert held == sorted(held)  # row-major, as all_pairs
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4, 5])
+    def test_default_policy_scores_labeled_knowledge_on_held_out_pairs(self, scenario):
+        topo = gen_erdos_renyi(8, 0.5, seed=1)
+        k, pairs, policy = knowledge_and_pairs(scenario, topo, seed=4, rho=0.3)
+        if scenario in (1, 2):
+            assert policy == HELD_OUT
+            np.testing.assert_array_equal(pairs, held_out_pairs(8, k.known_pairs))
+        else:
+            assert policy == ALL_PAIRS and k.known_pairs == ()
+            np.testing.assert_array_equal(pairs, all_pairs(8))
 
 
 def tiny_defaults(**kw):

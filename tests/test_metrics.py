@@ -205,7 +205,7 @@ class TestOrientAndNormalize:
     def test_feature_values_are_a_read_only_copy(self):
         # attacks read x.values directly, so no caller can alter a feature
         vals = np.full((3, 3), 0.5)
-        f = FeatureMatrix(vals, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+        f = FeatureMatrix(vals)
         vals[0, 1] = 0.9
         assert f.values[0, 1] == 0.5
         with pytest.raises(ValueError):
@@ -216,7 +216,19 @@ class TestOrientAndNormalize:
         vals = np.full((3, 3), 0.5)
         vals[2, 0] = bad
         with pytest.raises(ShapeError, match="finite"):
-            FeatureMatrix(vals, (MetricKind.COSINE_SIMILARITY,), 0.0, 1.0)
+            FeatureMatrix(vals)
+
+    def test_asymmetric_feature_matrix_rejected(self):
+        # one ulp off is enough: attacks read each pair at i < j only
+        vals = np.full((3, 3), 0.5)
+        vals[2, 0] = np.nextafter(0.5, 1.0)
+        with pytest.raises(ShapeError, match="symmetric"):
+            FeatureMatrix(vals)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (9,), (2, 2, 2)])
+    def test_non_square_feature_matrix_rejected(self, shape):
+        with pytest.raises(ShapeError, match="square"):
+            FeatureMatrix(np.full(shape, 0.5))
 
 
 class TestMetricFromLog:
@@ -259,11 +271,15 @@ class TestMetricFromLog:
         own = cross_entropy((arch, log.params[-1, 0]), d0.features, d0.labels)
         assert m.values[0, 0] == pytest.approx(own, abs=1e-12)
 
-    def test_feature_from_log(self):
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_feature_from_log(self, kind):
+        # both kinds meet the FeatureMatrix contract: exactly symmetric
         log = small_log()
-        f = feature_from_log(log, MetricKind.COSINE_SIMILARITY)
+        f = feature_from_log(log, kind, last_k=2)
         assert isinstance(f, FeatureMatrix)
-        assert f.source_kinds == (MetricKind.COSINE_SIMILARITY,)
+        expected = orient_and_normalize(metric_from_log(log, kind, last_k=2))
+        assert f.values.tobytes() == expected.values.tobytes()
+        assert np.array_equal(f.values, f.values.T)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -166,6 +166,12 @@ class TestLossAndGrad:
 
 
 class TestTrainLocal:
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -0.1])
+    def test_bad_learning_rate_rejected(self, rate):
+        # NaN passes a bare "< 0" check; 0 stays legal (no training)
+        with pytest.raises(InvalidConfig, match="learning_rate must be finite and >= 0"):
+            TrainConfig(local_epochs=1, learning_rate=rate, batch_size=8)
+
     def test_zero_lr_identity(self):
         d = gen_blobs(2, 2, 10, 1.0, seed=0)
         p = init_params(MlpArchitecture((2, 4, 2)), seed=0)

@@ -20,9 +20,44 @@ from topoleak.topology import (
     gen_star,
     is_connected,
     load_topology,
+    pair_index,
     second_eigenvalue_modulus,
     stats,
 )
+
+
+def reference_pairs(n):
+    """Row-major i < j: the comprehension ``pair_index`` replaces."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def reference_erdos_renyi(n, p, seed):
+    """G(n, p) drawn pair by pair over ``reference_pairs``, resampled until connected."""
+    rng = np.random.default_rng(seed)
+    pairs = reference_pairs(n)
+    while True:
+        mask = rng.random(len(pairs)) < p
+        t = Topology(n, tuple(pair for pair, keep in zip(pairs, mask) if keep))
+        if is_connected(t):
+            return t
+
+
+class TestPairIndex:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_equals_the_row_major_comprehension(self, n):
+        got = pair_index(n)
+        assert got.shape == (n * (n - 1) // 2, 2)
+        assert [tuple(p) for p in got.tolist()] == reference_pairs(n)
+
+    def test_one_node_has_no_pairs(self):
+        assert pair_index(1).shape == (0, 2)
+
+    @pytest.mark.parametrize("n,p", [(2, 1.0), (5, 0.5), (10, 0.3), (17, 0.5), (30, 0.1), (40, 0.9)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_erdos_renyi_reproduces_the_reference_edges(self, n, p, seed):
+        t = gen_erdos_renyi(n, p, seed)
+        assert t == reference_erdos_renyi(n, p, seed)
+        assert all(type(v) is int for e in t.edges for v in e)
 
 
 class TestGenerators:
