@@ -12,8 +12,8 @@ Two reconstruction strategies plus diagnostics:
   The heads run on one leading axis, and a fit makes its parameter views,
   gradient buffer, attention mask and decoder grid once, then trains in
   place.
-- Baselines: logistic regression on pair features, scalar 2-means over the
-  feature entries, and a fixed threshold.
+- Baselines: logistic regression on pair features, exact scalar 2-means over
+  the feature entries, and a fixed threshold.
 
 Attacks see only the FeatureMatrix and E' labels; the dispatcher never
 touches the simulation's ground-truth adjacency.
@@ -31,9 +31,8 @@ from .errors import (
     InvalidConfig,
     KnowledgeViolation,
     ShapeError,
-    Unsupported,
 )
-from .metrics import FeatureMatrix, MetricKind, feature_from_log
+from .metrics import FeatureMatrix, MetricKind, feature_from_log, frozen_symmetric
 from .nn import (
     Adam,
     MlpArchitecture,
@@ -82,8 +81,8 @@ class ScenarioKnowledge:
     known_pairs: tuple[tuple[int, int, int], ...] = ()
 
     def validate(self, n_nodes: int) -> None:
-        if self.scenario not in (1, 2, 3, 4, 5):
-            raise KnowledgeViolation(f"scenario must be 1..5, got {self.scenario}")
+        if self.scenario not in (1, 2, 3, 4):
+            raise KnowledgeViolation(f"scenario must be 1..4, got {self.scenario}")
         all_nodes = frozenset(range(n_nodes))
         n_pairs_total = n_nodes * (n_nodes - 1) // 2
         seen = set()
@@ -97,10 +96,8 @@ class ScenarioKnowledge:
             seen.add((i, j))
 
         s = self.scenario
-        if s in (1, 2, 3, 4) and self.known_models != all_nodes:
+        if self.known_models != all_nodes:
             raise KnowledgeViolation(f"SC{s} requires model access to every node")
-        if s == 5 and not (0 < len(self.known_models) < n_nodes):
-            raise KnowledgeViolation("SC5 requires a proper nonempty model subset")
         if s in (1, 3):
             if self.known_datasets != all_nodes:
                 raise KnowledgeViolation(f"SC{s} requires dataset access to every node")
@@ -122,10 +119,11 @@ def sample_knowledge(
 
     For SC1/SC2, E' is a uniform sample of a fraction rho of all unordered
     pairs carrying their true labels; resampled until both classes appear.
+    Where no proper E' can hold both classes, it raises ``DegenerateLabels``
+    before any draw.
     """
     n = topology.n_nodes
     all_nodes = frozenset(range(n))
-    models = all_nodes if scenario in (1, 2, 3, 4) else frozenset(range(max(1, n // 2)))
     datasets = all_nodes if scenario in (1, 3) else frozenset()
 
     pairs: tuple[tuple[int, int, int], ...] = ()
@@ -137,6 +135,12 @@ def sample_knowledge(
         # floor keeps the labeled share at most rho; 45 pairs at 0.3 -> 13
         n_take = max(1, int(rho * len(candidates)))
         n_take = min(n_take, len(candidates) - 1)  # keep E' proper
+        n_edges = int(adj[tuple(candidates.T)].sum())
+        if n_take < 2 or n_edges in (0, len(candidates)):
+            raise DegenerateLabels(
+                f"a proper labeled set of {max(n_take, 0)} pairs cannot hold both classes"
+                f" when {n_edges} of the {len(candidates)} pairs are edges"
+            )
         rng = np.random.default_rng(seed)
         for _ in range(_SAMPLE_RETRIES):
             i, j = candidates[np.sort(rng.choice(len(candidates), size=n_take, replace=False))].T
@@ -149,7 +153,7 @@ def sample_knowledge(
                 f"could not sample both an edge and a non-edge in {_SAMPLE_RETRIES} tries"
             )
 
-    k = ScenarioKnowledge(scenario, models, datasets, pairs)
+    k = ScenarioKnowledge(scenario, all_nodes, datasets, pairs)
     k.validate(n)
     return k
 
@@ -179,22 +183,15 @@ def _labeled_rows(values: np.ndarray, labeled_pairs) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class SoftAdjacency:
-    """Symmetric pair scores in [0, 1]; the diagonal carries no meaning."""
+    """Pair scores in [0, 1], as exactly symmetric as a FeatureMatrix; the
+    diagonal carries no meaning."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeError(f"soft adjacency must be square, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ShapeError("soft adjacency entries must be finite")
-        if not np.allclose(v, v.T, atol=1e-12):
-            raise ShapeError("soft adjacency must be symmetric")
+        v = frozen_symmetric(self.values, "soft adjacency")
         if v.min() < 0.0 or v.max() > 1.0:
             raise ShapeError("soft adjacency entries must lie in [0, 1]")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -561,30 +558,31 @@ def baseline_logistic(
     return SoftAdjacency(_symmetric(n, _sigmoid(all_rows @ w)))
 
 
-def baseline_kmeans(x: FeatureMatrix, seed: int = 0, restarts: int = 50) -> np.ndarray:
-    """Scalar 2-means over the unordered pairs' entries; high cluster = edges."""
+def two_means_cut(scores: np.ndarray) -> float:
+    """The exact scalar 2-means split as a cut: ``scores > cut`` is the high class.
+
+    The optimum splits the m sorted scores into a low prefix and a high suffix
+    (Fisher, JASA 1958; the Otsu threshold); a prefix may end only where the
+    next score is larger, so ties are never split. The prefix size k with the
+    largest k (m - k) (mu_hi - mu_lo)^2, from prefix sums, has the least
+    within-class SSE without its cancellation. The first maximum wins, and the
+    cut is the prefix's last score.
+    """
+    s = np.sort(np.ravel(scores))
+    k = np.flatnonzero(s[:-1] < s[1:]) + 1
+    if k.size == 0:
+        raise ConstantMetric("2-means needs at least two distinct feature values")
+    m, prefix = s.size, np.cumsum(s)
+    low_sum = prefix[k - 1]
+    gap = (prefix[-1] - low_sum) / (m - k) - low_sum / k
+    return float(s[k[np.argmax(k * (m - k) * gap**2)] - 1])
+
+
+def baseline_kmeans(x: FeatureMatrix) -> np.ndarray:
+    """Exact scalar 2-means over the unordered pairs' entries; high class = edges."""
     n = x.n_nodes
     pts = x.values[tuple(pair_index(n).T)]
-    if np.unique(pts).size < 2:
-        raise ConstantMetric("2-means needs at least two distinct feature values")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        centers = rng.choice(np.unique(pts), size=2, replace=False)
-        for _ in range(100):
-            assign = np.abs(pts[:, None] - centers[None, :]).argmin(axis=1)
-            new = np.array(
-                [pts[assign == c].mean() if np.any(assign == c) else centers[c] for c in (0, 1)]
-            )
-            if np.allclose(new, centers):
-                break
-            centers = new
-        inertia = ((pts - centers[assign]) ** 2).sum()
-        if best is None or inertia < best[0]:
-            best = (inertia, centers.copy(), assign.copy())
-    _, centers, assign = best
-    edge_cluster = int(np.argmax(centers))
-    return _symmetric(n, (assign == edge_cluster).astype(np.int64))
+    return _symmetric(n, (pts > two_means_cut(pts)).astype(np.int64))
 
 
 def baseline_threshold(x: FeatureMatrix, tau: float) -> np.ndarray:
@@ -619,8 +617,6 @@ def run_scenario(
     """Dispatch: SC1/SC3 use relative-loss features, SC2/SC4 cosine features;
     SC1/SC2 run the supervised decoder on E', SC3/SC4 the attention
     autoencoder; predictions are binarized at 0.5."""
-    if knowledge.scenario == 5:
-        raise Unsupported("scenario 5 (partial model access only) is not supported")
     n = log.n_nodes
     knowledge.validate(n)
     kind = SCENARIO_FEATURE_KIND[knowledge.scenario]

@@ -2,8 +2,8 @@
 
 Config files are INI-style sectioned key-value documents; every section and
 key is schema-checked before any work happens, and unknown keys are
-rejected rather than ignored.  Exit codes: 0 ok, 2 config error, 3 runtime
-failure, 4 unsupported scenario.
+rejected rather than ignored.  Exit codes: 0 ok, 2 config or usage error,
+3 runtime failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     ShapeError,
     TopoleakError,
-    Unsupported,
 )
 from .evaluation import (
     ALL_PAIRS,
@@ -429,7 +428,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("attack", help="infer the topology from a persisted trace")
     a.add_argument("--log", required=True)
-    a.add_argument("--scenario", required=True, type=int, choices=(1, 2, 3, 4, 5))
+    a.add_argument("--scenario", required=True, type=int, choices=(1, 2, 3, 4))
     a.add_argument("--config", default=None)
     a.add_argument("--labeled-frac", type=float, default=None)
     a.add_argument("--seed", type=int, default=None)
@@ -461,9 +460,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Unsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (InvalidConfig, InvalidSize, InvalidProbability, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

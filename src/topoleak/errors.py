@@ -72,7 +72,3 @@ class ConstantMetric(TopoleakError):
 
 class InvalidEvalSet(TopoleakError):
     """Evaluation pair set is empty."""
-
-
-class Unsupported(TopoleakError):
-    """Requested capability is out of scope."""

@@ -43,6 +43,21 @@ class MetricMatrix:
         return self.values.shape[0]
 
 
+def frozen_symmetric(values, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, which must be finite (checked
+    first: NaN is not equal to itself), square and exactly symmetric."""
+    v = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ShapeError(f"{name} entries must be finite")
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ShapeError(f"{name} must be square, got {v.shape}")
+    if not np.array_equal(v, v.T):
+        raise ShapeError(f"{name} must be exactly symmetric")
+    v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Oriented metric: off-diagonal min-maxed to [0, 1], diagonal = 1.
@@ -54,16 +69,7 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if not np.isfinite(v).all():
-            raise ShapeError("feature matrix entries must be finite")
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeError(f"feature matrix must be square, got {v.shape}")
-        if not np.array_equal(v, v.T):
-            raise ShapeError("feature matrix must be exactly symmetric")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", frozen_symmetric(self.values, "feature matrix"))
 
     @property
     def n_nodes(self) -> int:

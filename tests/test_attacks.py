@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoleak import attacks
 from topoleak.attacks import (
@@ -25,6 +27,7 @@ from topoleak.attacks import (
     infergat_train,
     run_scenario,
     sample_knowledge,
+    two_means_cut,
     _attention_mask,
     _gat_dims,
     _gat_loss_and_grad,
@@ -40,7 +43,6 @@ from topoleak.errors import (
     InvalidConfig,
     KnowledgeViolation,
     ShapeError,
-    Unsupported,
 )
 from topoleak.metrics import FeatureMatrix, MetricKind, feature_from_log
 from topoleak.nn import MlpArchitecture, ModelParams, forward_cached, init_params, unpack
@@ -243,31 +245,31 @@ def reference_logistic(x, labeled_pairs, l2=0.0, epochs=300, learning_rate=0.1):
     return reference_symmetric_soft(x.n_nodes, pairs, _sigmoid(all_rows @ w))
 
 
-def reference_kmeans(x, seed=0, restarts=50):
-    """Scalar 2-means over all n(n - 1) off-diagonal entries."""
-    vals = x.values
-    n = vals.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    pts = vals[off]
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        centers = rng.choice(np.unique(pts), size=2, replace=False)
-        for _ in range(100):
-            assign = np.abs(pts[:, None] - centers[None, :]).argmin(axis=1)
-            new = np.array(
-                [pts[assign == c].mean() if np.any(assign == c) else centers[c] for c in (0, 1)]
-            )
-            if np.allclose(new, centers):
-                break
-            centers = new
-        inertia = ((pts - centers[assign]) ** 2).sum()
-        if best is None or inertia < best[0]:
-            best = (inertia, centers.copy(), assign.copy())
-    _, centers, assign = best
-    binary = np.zeros((n, n), dtype=np.int64)
-    binary[off] = (assign == int(np.argmax(centers))).astype(np.int64)
-    return binary
+def two_class_sse(pts, high):
+    """Within-class sum of squares of the split of pts into ~high and high."""
+    return sum(((part - part.mean()) ** 2).sum() for part in (pts[~high], pts[high]))
+
+
+def exhaustive_split_sses(x):
+    """The pair scores of x, and the SSE of the split ``pts > t`` for every
+    t in ``np.unique(pts)[:-1]``: each split of the sorted scores that keeps
+    ties together, tried one by one."""
+    pts = x.values[np.triu_indices(x.n_nodes, 1)]
+    return pts, np.array([two_class_sse(pts, pts > t) for t in np.unique(pts)[:-1]])
+
+
+def assert_exact_two_means(x, binary):
+    """binary is symmetric, splits the pair scores into two nonempty classes
+    with every score of the high class above every score of the low class,
+    and its SSE is the exhaustive minimum within a relative 1e-12."""
+    assert binary.dtype == np.int64
+    np.testing.assert_array_equal(binary, binary.T)
+    np.testing.assert_array_equal(np.diag(binary), 0)
+    pts, sses = exhaustive_split_sses(x)
+    high = binary[np.triu_indices(x.n_nodes, 1)].astype(bool)
+    assert 0 < high.sum() < len(pts)
+    assert pts[~high].max() < pts[high].min()  # no tied value is split
+    assert two_class_sse(pts, high) == pytest.approx(sses.min(), rel=1e-12, abs=0)
 
 
 def reference_sample_pairs(topology, rho, seed):
@@ -384,10 +386,12 @@ class TestScenarioKnowledge:
                 3, frozenset(range(5)), frozenset(range(5)), ((0, 1, 1),)
             ).validate(5)
 
-    def test_sc5_needs_proper_model_subset(self):
-        ScenarioKnowledge(5, frozenset({0, 1}), frozenset()).validate(5)
-        with pytest.raises(KnowledgeViolation):
-            ScenarioKnowledge(5, frozenset(range(5)), frozenset()).validate(5)
+    @pytest.mark.parametrize("scenario", [0, 5])
+    def test_scenario_outside_1_to_4_rejected(self, scenario):
+        with pytest.raises(KnowledgeViolation, match="scenario must be 1..4"):
+            ScenarioKnowledge(scenario, frozenset({0, 1}), frozenset()).validate(5)
+        with pytest.raises(KnowledgeViolation, match="scenario must be 1..4"):
+            sample_knowledge(scenario, gen_ring(5))
 
     def test_sampled_pairs_carry_true_labels(self):
         t = gen_star(6)
@@ -402,15 +406,33 @@ class TestScenarioKnowledge:
         t = gen_ring(6)
         assert sample_knowledge(2, t, seed=9) == sample_knowledge(2, t, seed=9)
 
-    def test_complete_graph_cannot_yield_negatives(self):
+    @staticmethod
+    def refuse_draws(monkeypatch):
+        """Fail any random draw: an impossible E' is refused before sampling."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_knowledge drew at random")
+        monkeypatch.setattr(attacks.np.random, "default_rng", refuse)
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_complete_graph_cannot_yield_negatives(self, scenario, monkeypatch):
         t = gen_erdos_renyi(5, 1.0, seed=0)
-        with pytest.raises(DegenerateLabels):
+        self.refuse_draws(monkeypatch)
+        with pytest.raises(DegenerateLabels, match="when 10 of the 10 pairs are edges"):
+            sample_knowledge(scenario, t, rho=0.3, seed=0)
+
+    def test_two_nodes_cannot_yield_a_proper_labeled_set(self, monkeypatch):
+        # one pair in all: a proper E' is empty, so it never holds both classes
+        t = gen_star(2)
+        self.refuse_draws(monkeypatch)
+        with pytest.raises(DegenerateLabels, match="set of 0 pairs cannot hold both classes"):
             sample_knowledge(1, t, rho=0.3, seed=0)
 
-    def test_two_nodes_cannot_yield_a_proper_labeled_set(self):
-        # one pair in all: a proper E' is empty, so it never holds both classes
-        with pytest.raises(DegenerateLabels):
-            sample_knowledge(1, gen_star(2), rho=0.3, seed=0)
+    def test_one_labeled_pair_cannot_hold_both_classes(self, monkeypatch):
+        # floor(0.3 * 3) = 0 is raised to 1 pair, which is one class or the other
+        t = gen_star(3)
+        self.refuse_draws(monkeypatch)
+        with pytest.raises(DegenerateLabels, match="set of 1 pairs cannot hold both classes"):
+            sample_knowledge(1, t, rho=0.3, seed=0)
 
     @pytest.mark.parametrize("n,p", [(5, 0.5), (10, 0.3), (17, 0.5), (30, 0.2)])
     @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -626,7 +648,7 @@ class TestInferGat:
         x = planted_feature(two_clique_adjacency(6))
         model, _ = infergat_train(x, InferGatConfig(epochs=30, seed=1))
         soft = infergat_infer(model, x)
-        np.testing.assert_allclose(soft.values, soft.values.T, atol=1e-12)
+        assert np.array_equal(soft.values, soft.values.T)
         assert soft.values.min() >= 0 and soft.values.max() <= 1
 
     def test_knn_attention_override(self):
@@ -635,7 +657,7 @@ class TestInferGat:
         model, losses = infergat_train(x, cfg)
         soft = infergat_infer(model, x)
         assert losses[-1] < losses[0]
-        np.testing.assert_allclose(soft.values, soft.values.T, atol=1e-12)
+        assert np.array_equal(soft.values, soft.values.T)
 
 
 class TestInPlaceTraining:
@@ -721,11 +743,11 @@ class TestUnorderedPairsScoredOnce:
     """Each unordered pair is scored once and written into both triangles;
     the references score all n(n - 1) ordered pairs and average."""
 
-    def test_kmeans_equals_the_ordered_pair_reference(self, probes):
-        for k, (x, _) in enumerate(probes):
-            got = baseline_kmeans(x, seed=k, restarts=20)
-            assert got.dtype == np.int64
-            assert got.tobytes() == reference_kmeans(x, seed=k, restarts=20).tobytes()
+    def test_kmeans_is_the_exhaustive_split_optimum(self, probes):
+        # scores rounded to one decimal tie in SSE exactly, and there the cut
+        # and the oracle may pick different, equally good splits
+        for x, _ in probes:
+            assert_exact_two_means(x, baseline_kmeans(x))
 
     def test_logistic_equals_the_ordered_pair_reference(self, probes):
         for x, labeled in probes:
@@ -772,7 +794,7 @@ class TestBaselines:
     def test_kmeans_bimodal_exact_split(self):
         adj = two_clique_adjacency(6)
         x = planted_feature(adj)
-        binary = baseline_kmeans(x, seed=0)
+        binary = baseline_kmeans(x)
         assert exact_match(binary, adj)
         np.testing.assert_array_equal(binary, binary.T)
 
@@ -782,6 +804,39 @@ class TestBaselines:
         x = FeatureMatrix(vals)
         with pytest.raises(ConstantMetric):
             baseline_kmeans(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 30),
+        seed=st.integers(0, 2**32 - 1),
+        decimals=st.sampled_from([None, 1, 2]),
+        a=st.floats(0.1, 10.0),
+        b=st.floats(-5.0, 5.0),
+    )
+    def test_kmeans_exact_and_affine_invariant(self, n, seed, decimals, a, b):
+        vals = random_feature_values(n, seed, decimals)
+        if np.unique(vals[np.triu_indices(n, 1)]).size < 2:
+            return  # one distinct score: ConstantMetric, tested above
+        x = FeatureMatrix(vals)
+        binary = baseline_kmeans(x)
+        assert_exact_two_means(x, binary)
+        # a x + b with a > 0 keeps the order and scales every split's SSE by
+        # a^2, so a unique optimum gives the same edge set; exact SSE ties and
+        # scores merged by rounding may go either way
+        sses = np.sort(exhaustive_split_sses(x)[1])
+        unique_optimum = sses.size == 1 or sses[1] > sses[0] * (1 + 1e-9)
+        moved = FeatureMatrix(a * vals + b)
+        same_ties = np.unique(moved.values[np.triu_indices(n, 1)]).size == sses.size + 1
+        if unique_optimum and same_ties:
+            np.testing.assert_array_equal(baseline_kmeans(moved), binary)
+
+    def test_cut_is_the_high_class_boundary(self):
+        # a score equal to the cut is in the low class, as in binarize
+        scores = np.array([0.1, 0.1, 0.2, 0.8, 0.9, 0.9])
+        assert two_means_cut(scores) == 0.2
+        assert two_means_cut(scores[::-1]) == 0.2
+        with pytest.raises(ConstantMetric):
+            two_means_cut(np.full(5, 0.4))
 
     def test_threshold_extremes_and_monotonicity(self):
         adj = two_clique_adjacency(6)
@@ -809,7 +864,7 @@ class TestMonotoneSignalRecovery:
         x = planted_feature(adj)
 
         assert exact_match(baseline_threshold(x, 0.5), adj)
-        assert exact_match(baseline_kmeans(x, seed=0), adj)
+        assert exact_match(baseline_kmeans(x), adj)
 
         model, _ = infergat_train(x, InferGatConfig(seed=0))
         assert exact_match(binarize(infergat_infer(model, x)), adj)
@@ -827,10 +882,10 @@ class TestMonotoneSignalRecovery:
 
 
 class TestRunScenario:
-    def test_sc5_unsupported(self):
+    def test_scenario_5_is_a_knowledge_violation(self):
         log = tiny_log()
-        k = ScenarioKnowledge(5, frozenset({0, 1}), frozenset())
-        with pytest.raises(Unsupported):
+        k = ScenarioKnowledge(5, frozenset(range(log.n_nodes)), frozenset())
+        with pytest.raises(KnowledgeViolation, match="scenario must be 1..4"):
             run_scenario(k, log)
 
     def test_knowledge_mismatch_rejected(self):
@@ -905,4 +960,12 @@ class TestRunScenario:
         vals = np.full((3, 3), 0.5)
         vals[0, 1] = vals[1, 0] = bad
         with pytest.raises(ShapeError, match="finite"):
+            SoftAdjacency(vals)
+
+    def test_asymmetry_of_1e15_rejected(self):
+        # one exact contract with FeatureMatrix: every producer writes both
+        # triangles from one score, so any asymmetry is a fault
+        vals = np.full((3, 3), 0.5)
+        vals[0, 1] += 1e-15
+        with pytest.raises(ShapeError, match="exactly symmetric"):
             SoftAdjacency(vals)

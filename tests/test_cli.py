@@ -12,6 +12,7 @@ from topoleak.cli import main, parse_config, resolve_seed
 from topoleak.data import dump_csv, gen_blobs
 from topoleak.errors import InvalidConfig
 from topoleak.evaluation import ExperimentDefaults, SweepCell, run_cell
+from topoleak.metrics import load_matrix_csv
 from topoleak.topology import load_topology, stats
 
 BASE_INI = """
@@ -332,9 +333,10 @@ class TestAttack:
         assert doc["eval_pair_policy"] == "all_pairs"
         assert doc["n_eval_pairs"] == 15
 
-    def test_scenario5_is_unsupported(self, sim_log, base_cfg):
-        assert main(["attack", "--log", sim_log, "--scenario", "5",
-                     "--config", base_cfg]) == 4
+    def test_scenario5_is_a_usage_error(self, sim_log, base_cfg):
+        with pytest.raises(SystemExit) as info:
+            main(["attack", "--log", sim_log, "--scenario", "5", "--config", base_cfg])
+        assert info.value.code == 2
 
     def test_missing_log_is_runtime_error(self, tmp_path):
         assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4"]) == 3
@@ -426,6 +428,25 @@ class TestEvaluate:
         assert doc["eval_pair_policy"] == "all_pairs"
         assert 0.0 <= doc["auc"] <= 1.0
         assert "auc=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scenario", ["1", "4"])
+    def test_out_dir_soft_round_trips_exactly(self, sim_log, base_cfg, tmp_path, scenario):
+        # the CSV is written with repr, so the exactly symmetric soft adjacency
+        # is read back bit for bit and scores as the attack did
+        atk = tmp_path / "atk"
+        assert main(["attack", "--log", sim_log, "--scenario", scenario,
+                     "--config", base_cfg, "--out", str(atk)]) == 0
+        soft = load_matrix_csv(Path(atk, f"attack_sc{scenario}.csv").read_text())
+        assert np.array_equal(soft, soft.T)
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--soft", str(Path(atk, f"attack_sc{scenario}.csv")),
+                     "--topology", str(Path(sim_log, "topology.edges")),
+                     "--policy", "held_out" if scenario == "1" else "all_pairs",
+                     "--out", str(out)]) == 0
+        attacked = json.loads(Path(atk, f"attack_sc{scenario}.result.json").read_text())
+        scored = json.loads(out.read_text())
+        for key in ("n_eval_pairs", "f1_05", "best_f1", "auc"):
+            assert scored[key] == attacked[key], key
 
     @pytest.mark.parametrize("scenario", ["1", "2"])
     def test_held_out_reproduces_attack(self, sim_log, base_cfg, tmp_path, scenario):

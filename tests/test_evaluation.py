@@ -277,7 +277,7 @@ class TestPairPolicies:
             assert len(held) + len(known) == n * (n - 1) // 2
             assert held == sorted(held)  # row-major, as all_pairs
 
-    @pytest.mark.parametrize("scenario", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
     def test_default_policy_scores_labeled_knowledge_on_held_out_pairs(self, scenario):
         topo = gen_erdos_renyi(8, 0.5, seed=1)
         k, pairs, policy = knowledge_and_pairs(scenario, topo, seed=4, rho=0.3)
@@ -326,14 +326,14 @@ class TestSweeps:
         assert text[0] == ",".join(CSV_COLUMNS)
         assert len(text) == 3
 
-    def test_unsupported_scenario_becomes_status_row(self, tmp_path):
+    def test_unknown_scenario_becomes_status_row(self, tmp_path):
         out = tmp_path / "fail.csv"
         res = density_sweep([0.5], 6, [5], [0], defaults=tiny_defaults(), out_csv=out)
         assert len(res.rows) == 1
-        assert res.rows[0].status == "error:Unsupported"
+        assert res.rows[0].status == "error:KnowledgeViolation"
         assert res.rows[0].result is None
         line = out.read_text().splitlines()[1]
-        assert "error:Unsupported" in line
+        assert "error:KnowledgeViolation" in line
 
     def test_resume_skips_completed_cells(self, tmp_path):
         out = tmp_path / "resume.csv"
