@@ -4,7 +4,7 @@ Two reconstruction strategies plus diagnostics:
 
 - EDGEPRE (supervised): an MLP decoder on the pair's own feature entries
   [x_ij, x_ji], trained with BCE on the attacker's labeled pairs E', then
-  scoring every pair.
+  scoring every pair. Fits of one shape train as one (g, P) stack.
 - INFERGAT (unsupervised): a single-layer multi-head graph-attention encoder
   (Velickovic et al., arXiv:1710.10903) over the complete graph, or a k-NN
   mask, embeds nodes; a sigmoid MLP decoder scores pairs; the loop minimizes
@@ -15,8 +15,11 @@ Two reconstruction strategies plus diagnostics:
 - Baselines: logistic regression on pair features, exact scalar 2-means over
   the feature entries, and a fixed threshold.
 
-Attacks see only the FeatureMatrix and E' labels; the dispatcher never
-touches the simulation's ground-truth adjacency.
+A scenario runs in three steps, ``scenario_feature``, the SC1/SC2 decoder's
+training and ``finish_scenario``, so a caller with several scenarios on one
+log can train their decoders together. Attacks see only the FeatureMatrix and
+E' labels; the dispatcher never touches the simulation's ground-truth
+adjacency.
 """
 
 from __future__ import annotations
@@ -237,18 +240,53 @@ class EdgeDecoder:
     params: ModelParams
 
 
-def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDecoder:
-    """Fit the pair decoder on E' by full-batch Adam over sigmoid BCE."""
-    rows, labels = _labeled_rows(x.values, labeled_pairs)
-    arch = MlpArchitecture((rows.shape[1], *cfg.hidden_sizes, 1), activation="relu")
-    ws = Workspace(arch, init_params(arch, cfg.seed).flat)
-    opt = Adam(arch.n_params, cfg.learning_rate)
-    n = len(labels)
+def _edgepre_fit(
+    arch: MlpArchitecture, theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+    cfg: EdgePreConfig,
+) -> np.ndarray:
+    """The EDGEPRE loop: full-batch Adam over sigmoid BCE from ``theta``, a (P,)
+    model on (|E'|, d) rows or a (g, P) stack on (g, |E'|, d), where every
+    model gets the bits of its lone fit."""
+    ws = Workspace(arch, theta)
+    opt = Adam(ws.theta.shape, cfg.learning_rate)
+    n = labels.shape[-1]
     for _ in range(cfg.epochs):
         logits, cache = forward_cached(ws, rows)
-        dlogits = (_sigmoid(logits[:, 0]) - labels)[:, None] / n
+        dlogits = (_sigmoid(logits[..., 0]) - labels)[..., None] / n
         opt.step(ws.theta, backward_from_logits(cache, dlogits))
-    return EdgeDecoder(ModelParams(arch, ws.theta))
+    return ws.theta
+
+
+def edgepre_train_many(fits) -> list[EdgeDecoder]:
+    """``edgepre_train`` on each ``(x, labeled_pairs, cfg)`` fit, in order.
+
+    Fits that share an input width, |E'|, hidden sizes, epochs and learning
+    rate train as one (g, P) stack, each from its own seed's init; a lone fit
+    keeps the (P,) body, which is faster than a stack of one.
+    """
+    data = [(*_labeled_rows(x.values, pairs), cfg) for x, pairs, cfg in fits]
+    stacks: dict[tuple, list[int]] = {}
+    for k, (rows, _, cfg) in enumerate(data):
+        key = (rows.shape, cfg.hidden_sizes, cfg.epochs, cfg.learning_rate)
+        stacks.setdefault(key, []).append(k)
+    decoders: list[EdgeDecoder | None] = [None] * len(data)
+    for members in stacks.values():
+        rows = np.stack([data[k][0] for k in members])
+        labels = np.stack([data[k][1] for k in members])
+        cfg = data[members[0]][2]
+        arch = MlpArchitecture((rows.shape[-1], *cfg.hidden_sizes, 1), activation="relu")
+        theta = np.stack([init_params(arch, data[k][2].seed).flat for k in members])
+        if len(members) == 1:
+            rows, labels, theta = rows[0], labels[0], theta[0]
+        theta = _edgepre_fit(arch, theta, rows, labels, cfg).reshape(len(members), -1)
+        for k, t in zip(members, theta):
+            decoders[k] = EdgeDecoder(ModelParams(arch, t))
+    return decoders
+
+
+def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDecoder:
+    """Fit the pair decoder on E' by full-batch Adam over sigmoid BCE."""
+    return edgepre_train_many([(x, labeled_pairs, cfg)])[0]
 
 
 def edgepre_bce(decoder: EdgeDecoder, x: FeatureMatrix, labeled_pairs) -> float:
@@ -606,24 +644,27 @@ class AttackResult:
     train_losses: tuple[float, ...] = ()
 
 
-def run_scenario(
-    knowledge: ScenarioKnowledge,
-    log,
-    edgepre_cfg: EdgePreConfig | None = None,
-    infergat_cfg: InferGatConfig | None = None,
-    metric_phase: str = "post",
-    metric_last_k: int = 1,
-) -> AttackResult:
-    """Dispatch: SC1/SC3 use relative-loss features, SC2/SC4 cosine features;
-    SC1/SC2 run the supervised decoder on E', SC3/SC4 the attention
-    autoencoder; predictions are binarized at 0.5."""
-    n = log.n_nodes
-    knowledge.validate(n)
+def scenario_feature(
+    knowledge: ScenarioKnowledge, log, metric_phase: str = "post", metric_last_k: int = 1
+) -> FeatureMatrix:
+    """The feature the scenario's attacker reads from the log, once its
+    knowledge is checked against the log: SC1/SC3 relative loss, SC2/SC4
+    cosine similarity."""
+    knowledge.validate(log.n_nodes)
     kind = SCENARIO_FEATURE_KIND[knowledge.scenario]
-    x = feature_from_log(log, kind, phase=metric_phase, last_k=metric_last_k)
+    return feature_from_log(log, kind, phase=metric_phase, last_k=metric_last_k)
+
+
+def finish_scenario(
+    knowledge: ScenarioKnowledge,
+    x: FeatureMatrix,
+    decoder: EdgeDecoder | None,
+    infergat_cfg: InferGatConfig | None = None,
+) -> AttackResult:
+    """Score every pair of the scenario's feature: SC1/SC2 with the decoder
+    trained on their E', SC3/SC4 (whose decoder is None) with an INFERGAT fit
+    to x; predictions are binarized at 0.5."""
     if knowledge.scenario in (1, 2):
-        cfg = edgepre_cfg if edgepre_cfg is not None else EdgePreConfig()
-        decoder = edgepre_train(x, knowledge.known_pairs, cfg)
         soft = edgepre_infer(decoder, x)
         losses = ()
     else:
@@ -632,9 +673,27 @@ def run_scenario(
         soft = infergat_infer(model, x)
     return AttackResult(
         scenario=knowledge.scenario,
-        feature_kind=kind,
+        feature_kind=SCENARIO_FEATURE_KIND[knowledge.scenario],
         feature=x,
         soft=soft,
         binary=binarize(soft),
         train_losses=tuple(losses),
     )
+
+
+def run_scenario(
+    knowledge: ScenarioKnowledge,
+    log,
+    edgepre_cfg: EdgePreConfig | None = None,
+    infergat_cfg: InferGatConfig | None = None,
+    metric_phase: str = "post",
+    metric_last_k: int = 1,
+) -> AttackResult:
+    """One scenario against a log: ``scenario_feature``, the SC1/SC2 decoder
+    trained alone, then ``finish_scenario``."""
+    x = scenario_feature(knowledge, log, metric_phase, metric_last_k)
+    decoder = None
+    if knowledge.scenario in (1, 2):
+        cfg = edgepre_cfg if edgepre_cfg is not None else EdgePreConfig()
+        decoder = edgepre_train(x, knowledge.known_pairs, cfg)
+    return finish_scenario(knowledge, x, decoder, infergat_cfg)

@@ -4,9 +4,10 @@ Scores are computed over an explicit list of node pairs so that the
 supervised attacks can be measured on pairs they never saw labels for.
 Sweeps run the pipeline in two stages, simulate (topology -> data ->
 simulation) and attack (metric -> attack -> score), and emit plot-ready CSV
-rows. Cells that share a simulation run it once. The CLI runs the same two
-stages, so one config and one seed give one graph, one trace and one
-labeled set wherever they are run.
+rows. Cells that share a simulation run it once, and train their supervised
+decoders (SC1/SC2, EDGEPRE) as one stack. The CLI runs the same two stages,
+one scenario at a time, so one config and one seed give one graph, one
+trace, one labeled set and one result wherever they are run.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from .attacks import (
     InferGatConfig,
     ScenarioKnowledge,
     SoftAdjacency,
+    edgepre_train_many,
+    finish_scenario,
     run_scenario,
     sample_knowledge,
+    scenario_feature,
 )
 from .data import Dataset, gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
@@ -386,6 +390,17 @@ def knowledge_and_pairs(
     return knowledge, all_pairs(topology.n_nodes), policy
 
 
+def _attack_configs(
+    defaults: ExperimentDefaults, seed: int, scenario: int
+) -> tuple[EdgePreConfig, InferGatConfig]:
+    """The defaults' EDGEPRE and INFERGAT configs, seeded from (seed, scenario)."""
+    s = derive_seed(seed, "attack", scenario)
+    return (
+        dataclasses.replace(defaults.edgepre, seed=s),
+        dataclasses.replace(defaults.infergat, seed=s),
+    )
+
+
 def attack_log(
     scenario: int, log: SimulationLog, seed: int, defaults: ExperimentDefaults,
     policy: str | None = None,
@@ -398,29 +413,37 @@ def attack_log(
     knowledge, pairs, policy = knowledge_and_pairs(
         scenario, log.config.topology, seed, defaults.rho, policy
     )
-    attack_seed = derive_seed(seed, "attack", scenario)
+    edgepre, infergat = _attack_configs(defaults, seed, scenario)
     res = run_scenario(
         knowledge,
         log,
-        edgepre_cfg=dataclasses.replace(defaults.edgepre, seed=attack_seed),
-        infergat_cfg=dataclasses.replace(defaults.infergat, seed=attack_seed),
+        edgepre_cfg=edgepre,
+        infergat_cfg=infergat,
         metric_phase=defaults.metric_phase,
         metric_last_k=defaults.metric_last_k,
     )
     return res, evaluate_soft(res.soft, log.adjacency, pairs, policy)
 
 
-def _error_row(cell: SweepCell, exc: TopoleakError) -> SweepRow:
+def _error_row(
+    cell: SweepCell, exc: TopoleakError, n_edges: int = 0, density: float = 0.0
+) -> SweepRow:
+    """A failed cell's row; once the simulation ran, it keeps the graph's stats."""
     return SweepRow(
-        cell=cell, n_edges=0, density=0.0, result=None, status=f"error:{type(exc).__name__}"
+        cell=cell, n_edges=n_edges, density=density, result=None,
+        status=f"error:{type(exc).__name__}",
     )
 
 
 def _run_group(cells: list[SweepCell], defaults: ExperimentDefaults) -> list[SweepRow]:
     """Rows for cells sharing one simulation key, in the order given.
 
-    The group simulates once and attacks once per distinct scenario; every
-    cell with that scenario gets the row. Failures become status rows.
+    The group simulates once and attacks once per distinct scenario, in three
+    steps: it prepares each scenario (knowledge, scored pairs and feature),
+    trains the group's supervised decoders (SC1/SC2, EDGEPRE) as one stack,
+    then infers and scores each scenario. The rows equal ``attack_log``'s, bit
+    for bit. Every cell with a scenario gets its row, and a failure becomes
+    the row of the scenarios it reaches.
     """
     try:
         log = simulate(defaults, **{f: getattr(cells[0], f) for f in _SIM_FIELDS})
@@ -428,19 +451,47 @@ def _run_group(cells: list[SweepCell], defaults: ExperimentDefaults) -> list[Swe
         failed = _error_row(cells[0], exc)
         return [dataclasses.replace(failed, cell=c) for c in cells]
     st = stats(log.config.topology)
-    by_scenario: dict[int, SweepRow] = {}
+    seed = cells[0].seed  # part of the simulation key
+    first: dict[int, SweepCell] = {}
     for c in cells:
-        if c.scenario in by_scenario:
-            continue
+        first.setdefault(c.scenario, c)
+    rows: dict[int, SweepRow] = {}
+    prepared = {}  # scenario -> (knowledge, scored pairs, policy, feature)
+    for sc, c in first.items():
         try:
-            _, ev = attack_log(c.scenario, log, c.seed, defaults)
-        except TopoleakError as exc:
-            by_scenario[c.scenario] = _error_row(c, exc)
-        else:
-            by_scenario[c.scenario] = SweepRow(
-                cell=c, n_edges=st.n_edges, density=st.density, result=ev, status="ok"
+            knowledge, pairs, policy = knowledge_and_pairs(
+                sc, log.config.topology, seed, defaults.rho
             )
-    return [dataclasses.replace(by_scenario[c.scenario], cell=c) for c in cells]
+            x = scenario_feature(knowledge, log, defaults.metric_phase, defaults.metric_last_k)
+        except TopoleakError as exc:
+            rows[sc] = _error_row(c, exc, st.n_edges, st.density)
+        else:
+            prepared[sc] = knowledge, pairs, policy, x
+
+    fits = {}  # scenario -> its EDGEPRE fit
+    for sc, (knowledge, _, _, x) in prepared.items():
+        if knowledge.known_pairs:
+            fits[sc] = x, knowledge.known_pairs, _attack_configs(defaults, seed, sc)[0]
+    decoders = {}
+    try:
+        decoders = dict(zip(fits, edgepre_train_many(list(fits.values()))))
+    except TopoleakError as exc:
+        for sc in fits:
+            rows[sc] = _error_row(first[sc], exc, st.n_edges, st.density)
+            del prepared[sc]
+
+    for sc, (knowledge, pairs, policy, x) in prepared.items():
+        try:
+            infergat = _attack_configs(defaults, seed, sc)[1]
+            res = finish_scenario(knowledge, x, decoders.get(sc), infergat)
+            ev = evaluate_soft(res.soft, log.adjacency, pairs, policy)
+        except TopoleakError as exc:
+            rows[sc] = _error_row(first[sc], exc, st.n_edges, st.density)
+        else:
+            rows[sc] = SweepRow(
+                cell=first[sc], n_edges=st.n_edges, density=st.density, result=ev, status="ok"
+            )
+    return [dataclasses.replace(rows[c.scenario], cell=c) for c in cells]
 
 
 def run_cell(cell: SweepCell, defaults: ExperimentDefaults) -> SweepRow:

@@ -1,4 +1,4 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and fixtures.
 
 The acceptance module registers one summary line per numbered criterion; the
 terminal-summary hook replays them in a dedicated section so the verdict is
@@ -6,6 +6,26 @@ visible even when every test passed and stdout was captured.
 """
 
 import sys
+
+import numpy as np
+import pytest
+
+from topoleak import attacks
+
+
+@pytest.fixture
+def stack_shapes(monkeypatch):
+    """The theta shape of every EDGEPRE training loop run, in order: (P,) for
+    a lone fit, (g, P) for a stack."""
+    shapes = []
+    loop = attacks._edgepre_fit
+
+    def recording(arch, theta, *rest):
+        shapes.append(np.shape(theta))
+        return loop(arch, theta, *rest)
+
+    monkeypatch.setattr(attacks, "_edgepre_fit", recording)
+    return shapes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

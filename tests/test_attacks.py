@@ -23,6 +23,7 @@ from topoleak.attacks import (
     edgepre_bce,
     edgepre_infer,
     edgepre_train,
+    edgepre_train_many,
     infergat_infer,
     infergat_train,
     run_scenario,
@@ -718,6 +719,57 @@ class TestInPlaceTraining:
         assert len(made) == 2
         for p, bytes_at_init in made:
             assert p.flat.tobytes() == bytes_at_init
+
+
+def edgepre_fit_inputs(n, seed, n_pairs=13, **cfg):
+    """A feature on n nodes, n_pairs labeled pairs drawn from it and a config
+    seeded from ``seed``: an (x, labeled_pairs, cfg) fit."""
+    vals = random_feature_values(n, seed=seed)
+    pairs = all_pairs(n)
+    pick = np.sort(np.random.default_rng(seed).choice(len(pairs), n_pairs, replace=False))
+    labeled = tuple((i, j, int(vals[i, j] > 0.5)) for i, j in (pairs[k] for k in pick))
+    return FeatureMatrix(vals), labeled, EdgePreConfig(seed=100 + seed, **cfg)
+
+
+class TestEdgePreStack:
+    """Fits trained as one (g, P) stack get the bits of their lone fits."""
+
+    @pytest.mark.parametrize("nodes", [(10, 12), (10, 15, 12)], ids=["g2", "g3"])
+    def test_stack_equals_separate_fits(self, nodes, stack_shapes):
+        fits = [edgepre_fit_inputs(n, seed) for seed, n in enumerate(nodes)]
+        lone = [edgepre_train(*fit).params.flat.tobytes() for fit in fits]
+        P = MlpArchitecture((2, 64, 32, 1)).n_params
+        assert stack_shapes == [(P,)] * len(fits)
+        stack_shapes.clear()
+        stacked = edgepre_train_many(fits)
+        assert stack_shapes == [(len(fits), P)]
+        assert [d.params.flat.tobytes() for d in stacked] == lone
+        for fit, want in zip(fits, lone):
+            assert reference_edgepre(*fit).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "differ",
+        [dict(n_pairs=14), dict(hidden_sizes=(8,)), dict(epochs=200), dict(learning_rate=5e-3)],
+        ids=["pairs", "hidden", "epochs", "rate"],
+    )
+    def test_mismatched_fits_train_apart(self, differ, stack_shapes):
+        # every EDGEPRE input is [x_ij, x_ji], so width cannot differ here;
+        # |E'| and the config fields can
+        fits = [edgepre_fit_inputs(10, 0), edgepre_fit_inputs(12, 1, **differ),
+                edgepre_fit_inputs(11, 2)]
+        lone = [edgepre_train(*fit).params.flat.tobytes() for fit in fits]
+        stack_shapes.clear()
+        stacked = edgepre_train_many(fits)
+        P = MlpArchitecture((2, 64, 32, 1)).n_params
+        assert stack_shapes[0] == (2, P) and len(stack_shapes[1]) == 1
+        assert [d.params.flat.tobytes() for d in stacked] == lone
+
+    def test_a_bad_fit_fails_before_any_training(self, stack_shapes):
+        x, labeled, cfg = edgepre_fit_inputs(10, 0)
+        one_class = tuple((i, j, 1) for i, j, _ in labeled)
+        with pytest.raises(DegenerateLabels):
+            edgepre_train_many([(x, labeled, cfg), (x, one_class, cfg)])
+        assert stack_shapes == []
 
 
 def probe_cases():

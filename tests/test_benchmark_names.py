@@ -1,0 +1,50 @@
+"""The program names the benchmark harness reads still resolve.
+
+``perfbench/workloads.py`` and ``perfbench/checks.py`` call topoleak through
+module attributes (``evaluation.run_scenario``) and ``from topoleak.X import
+Y``. A renamed or deleted name fails every job of a workload at run time, so
+this reads their source with ``ast``, without importing the harness, and
+resolves each name against the library.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+HARNESS = Path(__file__).resolve().parents[1] / "perfbench"
+FILES = ("workloads.py", "checks.py")
+
+
+def harness_names(fname: str) -> set[tuple[str, str]]:
+    """(module, attribute) for every topoleak name the file reads."""
+    tree = ast.parse((HARNESS / fname).read_text(), filename=fname)
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "topoleak":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"topoleak.{alias.name}"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("topoleak."):
+            names |= {(node.module, alias.name) for alias in node.names}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            names.add((modules[node.value.id], node.attr))
+    return names
+
+
+NAMES = sorted(set().union(*(harness_names(f) for f in FILES)))
+
+
+def test_every_harness_file_reads_the_library():
+    for fname in FILES:
+        assert harness_names(fname), f"{fname} reads no topoleak name"
+
+
+@pytest.mark.parametrize("module,attr", NAMES, ids=[f"{m[9:]}.{a}" for m, a in NAMES])
+def test_harness_name_resolves(module, attr):
+    assert hasattr(importlib.import_module(module), attr), f"{module}.{attr} is gone"

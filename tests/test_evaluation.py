@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from topoleak import evaluation
 from topoleak.attacks import SoftAdjacency, sample_knowledge
-from topoleak.errors import DegenerateLabels, InvalidEvalSet
+from topoleak.errors import ConstantMetric, DegenerateLabels, InvalidEvalSet
 from topoleak.evaluation import (
     ALL_PAIRS,
     CSV_COLUMNS,
@@ -22,7 +22,9 @@ from topoleak.evaluation import (
     EvalResult,
     ExperimentDefaults,
     SweepCell,
+    SweepRow,
     all_pairs,
+    attack_log,
     auc_roc,
     density_sweep,
     evaluate_soft,
@@ -35,7 +37,8 @@ from topoleak.evaluation import (
     size_sweep,
 )
 from topoleak.attacks import EdgePreConfig, InferGatConfig
-from topoleak.topology import adjacency_matrix, gen_erdos_renyi, gen_ring
+from topoleak.nn import MlpArchitecture
+from topoleak.topology import adjacency_matrix, gen_erdos_renyi, gen_ring, stats
 
 
 # --- oracles ----------------------------------------------------------------
@@ -335,6 +338,18 @@ class TestSweeps:
         line = out.read_text().splitlines()[1]
         assert "error:KnowledgeViolation" in line
 
+    def test_attack_failure_row_keeps_the_graph(self, tmp_path):
+        out = tmp_path / "fail.csv"
+        res = density_sweep([0.5], 6, [1, 5], [0], defaults=tiny_defaults(), out_csv=out)
+        ok, failed = res.rows
+        assert (ok.status, failed.status) == ("ok", "error:KnowledgeViolation")
+        graph = stats(evaluation.generate_topology("erdos_renyi", 6, 0.5, 0))
+        assert graph.n_edges > 0
+        for row in (ok, failed):
+            assert (row.n_edges, row.density) == (graph.n_edges, graph.density)
+        fields = out.read_text().splitlines()[2].split(",")
+        assert fields[4:6] == [str(graph.n_edges), repr(graph.density)]
+
     def test_resume_skips_completed_cells(self, tmp_path):
         out = tmp_path / "resume.csv"
         full = density_sweep([0.4, 0.7], 6, [4], [0], defaults=tiny_defaults(), out_csv=out)
@@ -532,6 +547,99 @@ class TestSweepGrouping:
         assert [r.cell.index for r in res.rows] == [1, 2]
         assert len(calls) == 1
         assert part.read_bytes() == full.read_bytes()
+
+
+STACK_DEFAULTS = tiny_defaults(
+    n_per_class=40, local_epochs=3, edgepre=EdgePreConfig(hidden_sizes=(16, 8), epochs=50)
+)
+
+
+def attack_log_rows(cells, d):
+    """Each cell's row and soft matrix from ``attack_log``, one scenario at a
+    time on the group's log, with every EDGEPRE fit trained alone."""
+    log = evaluation.simulate(d, **{f: getattr(cells[0], f) for f in evaluation._SIM_FIELDS})
+    st = stats(log.config.topology)
+    rows, softs = [], []
+    for c in cells:
+        res, ev = attack_log(c.scenario, log, c.seed, d)
+        rows.append(SweepRow(cell=c, n_edges=st.n_edges, density=st.density, result=ev, status="ok"))
+        softs.append(res.soft.values.tobytes())
+    return rows, softs
+
+
+@pytest.fixture
+def scored_softs(monkeypatch):
+    """The soft matrix of every scenario a group scores, as bytes."""
+    softs = []
+    finish = evaluation.finish_scenario
+
+    def finishing(*args):
+        res = finish(*args)
+        softs.append(res.soft.values.tobytes())
+        return res
+
+    monkeypatch.setattr(evaluation, "finish_scenario", finishing)
+    return softs
+
+
+class TestStackedGroup:
+    """A group trains its SC1/SC2 decoders as one stack and still gives, bit for
+    bit, the rows of ``attack_log`` run one scenario at a time."""
+
+    P = MlpArchitecture((2, 16, 8, 1)).n_params
+
+    @pytest.mark.parametrize("dp", [None, (1.0, 0.5)], ids=["dp_off", "dp_on"])
+    def test_group_rows_equal_attack_log_rows(self, dp, scored_softs, stack_shapes):
+        cells = [
+            dataclasses.replace(ring_cell(k, scenario=sc), dp=dp) for k, sc in enumerate((1, 2, 3, 4))
+        ]
+        want_rows, want_softs = attack_log_rows(cells, STACK_DEFAULTS)
+        stack_shapes.clear()
+        rows = evaluation._run_group(cells, STACK_DEFAULTS)
+        assert [r.status for r in rows] == ["ok"] * 4
+        assert rows == want_rows
+        assert scored_softs == want_softs
+        assert stack_shapes == [(2, self.P)]
+
+    def test_failed_scenario_leaves_its_partners_in_the_stack(self, stack_shapes):
+        cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 5, 2))]
+        want_rows, _ = attack_log_rows([cells[0], cells[2]], STACK_DEFAULTS)
+        stack_shapes.clear()
+        rows = evaluation._run_group(cells, STACK_DEFAULTS)
+        assert rows[1].status == "error:KnowledgeViolation" and rows[1].result is None
+        assert (rows[1].n_edges, rows[1].density) == (rows[0].n_edges, rows[0].density) == (6, 0.4)
+        assert [rows[0], rows[2]] == want_rows
+        assert stack_shapes == [(2, self.P)]
+
+    def test_constant_feature_fails_its_scenario_only(
+        self, scored_softs, stack_shapes, monkeypatch
+    ):
+        feature = evaluation.scenario_feature
+
+        def constant_for_sc2(knowledge, *args):
+            if knowledge.scenario == 2:
+                raise ConstantMetric("feature is constant")
+            return feature(knowledge, *args)
+
+        monkeypatch.setattr(evaluation, "scenario_feature", constant_for_sc2)
+        cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 2, 4))]
+        want_rows, want_softs = attack_log_rows([cells[0], cells[2]], STACK_DEFAULTS)
+        stack_shapes.clear()
+        rows = evaluation._run_group(cells, STACK_DEFAULTS)
+        assert rows[1].status == "error:ConstantMetric" and rows[1].n_edges == 6
+        assert [rows[0], rows[2]] == want_rows
+        assert scored_softs == want_softs
+        assert stack_shapes == [(self.P,)]  # SC1 alone keeps the (P,) body
+
+    def test_stack_failure_fails_the_supervised_scenarios_only(self):
+        # a decoder without hidden layers is refused when the stack is built
+        d = dataclasses.replace(STACK_DEFAULTS, edgepre=EdgePreConfig(hidden_sizes=()))
+        cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 2, 3, 4))]
+        want_rows, _ = attack_log_rows(cells[2:], d)
+        rows = evaluation._run_group(cells, d)
+        assert [r.status for r in rows[:2]] == ["error:InvalidConfig"] * 2
+        assert all(r.n_edges == 6 and r.result is None for r in rows[:2])
+        assert rows[2:] == want_rows
 
 
 class TestResumeAfterCrash:
