@@ -4,7 +4,7 @@ Two reconstruction strategies plus diagnostics:
 
 - EDGEPRE (supervised): an MLP decoder on the pair's own feature entries
   [x_ij, x_ji], trained with BCE on the attacker's labeled pairs E', then
-  scoring every pair. Fits of one shape train as one (g, P) stack.
+  scoring every pair. Fits of one shape and config train as one (g, P) stack.
 - INFERGAT (unsupervised): a single-layer multi-head graph-attention encoder
   (Velickovic et al., arXiv:1710.10903) over the complete graph, or a k-NN
   mask, embeds nodes; a sigmoid MLP decoder scores pairs; the loop minimizes
@@ -15,16 +15,17 @@ Two reconstruction strategies plus diagnostics:
 - Baselines: logistic regression on pair features, exact scalar 2-means over
   the feature entries, and a fixed threshold.
 
-A scenario runs in three steps, ``scenario_feature``, the SC1/SC2 decoder's
-training and ``finish_scenario``, so a caller with several scenarios on one
-log can train their decoders together. Attacks see only the FeatureMatrix and
-E' labels; the dispatcher never touches the simulation's ground-truth
+``run_scenario`` reads a scenario's feature (``scenario_feature``), trains
+its SC1/SC2 decoder and scores every pair; a caller with several scenarios on
+one log can compute their features first, train their decoders together
+(``edgepre_train_many``) and hand both in. Attacks see only the FeatureMatrix
+and E' labels; the dispatcher never touches the simulation's ground-truth
 adjacency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -257,36 +258,37 @@ def _edgepre_fit(
     return ws.theta
 
 
+def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDecoder:
+    """Fit the pair decoder on E' by full-batch Adam over sigmoid BCE."""
+    rows, labels = _labeled_rows(x.values, labeled_pairs)
+    arch = MlpArchitecture((rows.shape[1], *cfg.hidden_sizes, 1), activation="relu")
+    theta = _edgepre_fit(arch, init_params(arch, cfg.seed).flat, rows, labels, cfg)
+    return EdgeDecoder(ModelParams(arch, theta))
+
+
 def edgepre_train_many(fits) -> list[EdgeDecoder]:
     """``edgepre_train`` on each ``(x, labeled_pairs, cfg)`` fit, in order.
 
-    Fits that share an input width, |E'|, hidden sizes, epochs and learning
-    rate train as one (g, P) stack, each from its own seed's init; a lone fit
-    keeps the (P,) body, which is faster than a stack of one.
+    Two or more fits whose E' rows share a shape and whose configs differ at
+    most in seed train as one (g, P) stack, each from its own seed's init;
+    otherwise each fit trains alone. Every fit's E' is checked before any
+    training.
     """
-    data = [(*_labeled_rows(x.values, pairs), cfg) for x, pairs, cfg in fits]
-    stacks: dict[tuple, list[int]] = {}
-    for k, (rows, _, cfg) in enumerate(data):
-        key = (rows.shape, cfg.hidden_sizes, cfg.epochs, cfg.learning_rate)
-        stacks.setdefault(key, []).append(k)
-    decoders: list[EdgeDecoder | None] = [None] * len(data)
-    for members in stacks.values():
-        rows = np.stack([data[k][0] for k in members])
-        labels = np.stack([data[k][1] for k in members])
-        cfg = data[members[0]][2]
-        arch = MlpArchitecture((rows.shape[-1], *cfg.hidden_sizes, 1), activation="relu")
-        theta = np.stack([init_params(arch, data[k][2].seed).flat for k in members])
-        if len(members) == 1:
-            rows, labels, theta = rows[0], labels[0], theta[0]
-        theta = _edgepre_fit(arch, theta, rows, labels, cfg).reshape(len(members), -1)
-        for k, t in zip(members, theta):
-            decoders[k] = EdgeDecoder(ModelParams(arch, t))
-    return decoders
-
-
-def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDecoder:
-    """Fit the pair decoder on E' by full-batch Adam over sigmoid BCE."""
-    return edgepre_train_many([(x, labeled_pairs, cfg)])[0]
+    fits = list(fits)
+    data = [_labeled_rows(x.values, pairs) for x, pairs, _ in fits]
+    cfgs = [cfg for _, _, cfg in fits]
+    if len(fits) < 2 or any(
+        r.shape != data[0][0].shape or replace(c, seed=cfgs[0].seed) != cfgs[0]
+        for (r, _), c in zip(data, cfgs)
+    ):
+        return [edgepre_train(*fit) for fit in fits]
+    rows = np.stack([r for r, _ in data])
+    labels = np.stack([lab for _, lab in data])
+    arch = MlpArchitecture((rows.shape[-1], *cfgs[0].hidden_sizes, 1), activation="relu")
+    theta = np.stack([init_params(arch, c.seed).flat for c in cfgs])
+    return [
+        EdgeDecoder(ModelParams(arch, t)) for t in _edgepre_fit(arch, theta, rows, labels, cfgs[0])
+    ]
 
 
 def edgepre_bce(decoder: EdgeDecoder, x: FeatureMatrix, labeled_pairs) -> float:
@@ -655,16 +657,32 @@ def scenario_feature(
     return feature_from_log(log, kind, phase=metric_phase, last_k=metric_last_k)
 
 
-def finish_scenario(
+def run_scenario(
     knowledge: ScenarioKnowledge,
-    x: FeatureMatrix,
-    decoder: EdgeDecoder | None,
+    log,
+    edgepre_cfg: EdgePreConfig | None = None,
     infergat_cfg: InferGatConfig | None = None,
+    metric_phase: str = "post",
+    metric_last_k: int = 1,
+    feature: FeatureMatrix | None = None,
+    decoder: EdgeDecoder | None = None,
 ) -> AttackResult:
-    """Score every pair of the scenario's feature: SC1/SC2 with the decoder
-    trained on their E', SC3/SC4 (whose decoder is None) with an INFERGAT fit
-    to x; predictions are binarized at 0.5."""
+    """Dispatch: SC1/SC3 use relative-loss features, SC2/SC4 cosine features;
+    SC1/SC2 run the supervised decoder on E', SC3/SC4 the attention
+    autoencoder; predictions are binarized at 0.5.
+
+    A caller that already holds the scenario's ``feature`` (from
+    ``scenario_feature``) and, for SC1/SC2, the ``decoder`` trained on it
+    passes them in, and the log's feature is not read again nor the decoder
+    retrained; a sweep group does so after training its decoders as one stack.
+    """
+    x = feature if feature is not None else scenario_feature(
+        knowledge, log, metric_phase, metric_last_k
+    )
     if knowledge.scenario in (1, 2):
+        if decoder is None:
+            cfg = edgepre_cfg if edgepre_cfg is not None else EdgePreConfig()
+            decoder = edgepre_train(x, knowledge.known_pairs, cfg)
         soft = edgepre_infer(decoder, x)
         losses = ()
     else:
@@ -679,21 +697,3 @@ def finish_scenario(
         binary=binarize(soft),
         train_losses=tuple(losses),
     )
-
-
-def run_scenario(
-    knowledge: ScenarioKnowledge,
-    log,
-    edgepre_cfg: EdgePreConfig | None = None,
-    infergat_cfg: InferGatConfig | None = None,
-    metric_phase: str = "post",
-    metric_last_k: int = 1,
-) -> AttackResult:
-    """One scenario against a log: ``scenario_feature``, the SC1/SC2 decoder
-    trained alone, then ``finish_scenario``."""
-    x = scenario_feature(knowledge, log, metric_phase, metric_last_k)
-    decoder = None
-    if knowledge.scenario in (1, 2):
-        cfg = edgepre_cfg if edgepre_cfg is not None else EdgePreConfig()
-        decoder = edgepre_train(x, knowledge.known_pairs, cfg)
-    return finish_scenario(knowledge, x, decoder, infergat_cfg)

@@ -26,7 +26,6 @@ from .attacks import (
     ScenarioKnowledge,
     SoftAdjacency,
     edgepre_train_many,
-    finish_scenario,
     run_scenario,
     sample_knowledge,
     scenario_feature,
@@ -401,28 +400,67 @@ def _attack_configs(
     )
 
 
+def _attack_scenarios(
+    scenarios, log: SimulationLog, seed: int, defaults: ExperimentDefaults,
+    policy: str | None = None,
+) -> dict[int, tuple[AttackResult, EvalResult] | TopoleakError]:
+    """The attack stage of each distinct scenario against one log, scored.
+
+    Three steps: prepare each scenario (knowledge, scored pairs, feature),
+    train the supervised decoders (SC1/SC2, EDGEPRE) as one stack, then run
+    and score each scenario with its feature and decoder. Knowledge and
+    training are seeded from (seed, scenario); the scored pairs follow
+    ``knowledge_and_pairs``. Each scenario maps to its result or to the error
+    that stopped it, and an error reaches only the scenarios it stops.
+    """
+    out: dict[int, tuple[AttackResult, EvalResult] | TopoleakError] = {}
+    prepared = {}  # scenario -> (knowledge, scored pairs, policy, feature)
+    for sc in dict.fromkeys(scenarios):
+        try:
+            knowledge, pairs, sc_policy = knowledge_and_pairs(
+                sc, log.config.topology, seed, defaults.rho, policy
+            )
+            x = scenario_feature(knowledge, log, defaults.metric_phase, defaults.metric_last_k)
+        except TopoleakError as exc:
+            out[sc] = exc
+        else:
+            prepared[sc] = knowledge, pairs, sc_policy, x
+
+    fits = {  # scenario -> its EDGEPRE fit
+        sc: (x, knowledge.known_pairs, _attack_configs(defaults, seed, sc)[0])
+        for sc, (knowledge, _, _, x) in prepared.items()
+        if sc in (1, 2)
+    }
+    decoders = {}
+    try:
+        decoders = dict(zip(fits, edgepre_train_many(fits.values())))
+    except TopoleakError as exc:
+        for sc in fits:
+            out[sc] = exc
+            del prepared[sc]
+
+    for sc, (knowledge, pairs, sc_policy, x) in prepared.items():
+        infergat = _attack_configs(defaults, seed, sc)[1]
+        try:
+            res = run_scenario(
+                knowledge, log, infergat_cfg=infergat, feature=x, decoder=decoders.get(sc)
+            )
+            out[sc] = res, evaluate_soft(res.soft, log.adjacency, pairs, sc_policy)
+        except TopoleakError as exc:
+            out[sc] = exc
+    return out
+
+
 def attack_log(
     scenario: int, log: SimulationLog, seed: int, defaults: ExperimentDefaults,
     policy: str | None = None,
 ) -> tuple[AttackResult, EvalResult]:
-    """Attack stage: one scenario against a simulated log, scored.
-
-    Knowledge and training are seeded from (seed, scenario); the scored pairs
-    follow ``knowledge_and_pairs``.
-    """
-    knowledge, pairs, policy = knowledge_and_pairs(
-        scenario, log.config.topology, seed, defaults.rho, policy
-    )
-    edgepre, infergat = _attack_configs(defaults, seed, scenario)
-    res = run_scenario(
-        knowledge,
-        log,
-        edgepre_cfg=edgepre,
-        infergat_cfg=infergat,
-        metric_phase=defaults.metric_phase,
-        metric_last_k=defaults.metric_last_k,
-    )
-    return res, evaluate_soft(res.soft, log.adjacency, pairs, policy)
+    """Attack stage: one scenario against a simulated log, scored; the
+    one-scenario case of a sweep group's stage, raising its error."""
+    out = _attack_scenarios([scenario], log, seed, defaults, policy)[scenario]
+    if isinstance(out, TopoleakError):
+        raise out
+    return out
 
 
 def _error_row(
@@ -438,12 +476,10 @@ def _error_row(
 def _run_group(cells: list[SweepCell], defaults: ExperimentDefaults) -> list[SweepRow]:
     """Rows for cells sharing one simulation key, in the order given.
 
-    The group simulates once and attacks once per distinct scenario, in three
-    steps: it prepares each scenario (knowledge, scored pairs and feature),
-    trains the group's supervised decoders (SC1/SC2, EDGEPRE) as one stack,
-    then infers and scores each scenario. The rows equal ``attack_log``'s, bit
-    for bit. Every cell with a scenario gets its row, and a failure becomes
-    the row of the scenarios it reaches.
+    The group simulates once, then runs ``_attack_scenarios`` once on its
+    distinct scenarios, so its supervised decoders (SC1/SC2, EDGEPRE) train
+    as one stack. Every cell with a scenario gets that scenario's row, and a
+    failure becomes the row of the cells it reaches.
     """
     try:
         log = simulate(defaults, **{f: getattr(cells[0], f) for f in _SIM_FIELDS})
@@ -452,46 +488,15 @@ def _run_group(cells: list[SweepCell], defaults: ExperimentDefaults) -> list[Swe
         return [dataclasses.replace(failed, cell=c) for c in cells]
     st = stats(log.config.topology)
     seed = cells[0].seed  # part of the simulation key
-    first: dict[int, SweepCell] = {}
-    for c in cells:
-        first.setdefault(c.scenario, c)
-    rows: dict[int, SweepRow] = {}
-    prepared = {}  # scenario -> (knowledge, scored pairs, policy, feature)
-    for sc, c in first.items():
-        try:
-            knowledge, pairs, policy = knowledge_and_pairs(
-                sc, log.config.topology, seed, defaults.rho
-            )
-            x = scenario_feature(knowledge, log, defaults.metric_phase, defaults.metric_last_k)
-        except TopoleakError as exc:
-            rows[sc] = _error_row(c, exc, st.n_edges, st.density)
-        else:
-            prepared[sc] = knowledge, pairs, policy, x
+    results = _attack_scenarios([c.scenario for c in cells], log, seed, defaults)
 
-    fits = {}  # scenario -> its EDGEPRE fit
-    for sc, (knowledge, _, _, x) in prepared.items():
-        if knowledge.known_pairs:
-            fits[sc] = x, knowledge.known_pairs, _attack_configs(defaults, seed, sc)[0]
-    decoders = {}
-    try:
-        decoders = dict(zip(fits, edgepre_train_many(list(fits.values()))))
-    except TopoleakError as exc:
-        for sc in fits:
-            rows[sc] = _error_row(first[sc], exc, st.n_edges, st.density)
-            del prepared[sc]
+    def row(c: SweepCell) -> SweepRow:
+        res = results[c.scenario]
+        if isinstance(res, TopoleakError):
+            return _error_row(c, res, st.n_edges, st.density)
+        return SweepRow(cell=c, n_edges=st.n_edges, density=st.density, result=res[1], status="ok")
 
-    for sc, (knowledge, pairs, policy, x) in prepared.items():
-        try:
-            infergat = _attack_configs(defaults, seed, sc)[1]
-            res = finish_scenario(knowledge, x, decoders.get(sc), infergat)
-            ev = evaluate_soft(res.soft, log.adjacency, pairs, policy)
-        except TopoleakError as exc:
-            rows[sc] = _error_row(first[sc], exc, st.n_edges, st.density)
-        else:
-            rows[sc] = SweepRow(
-                cell=first[sc], n_edges=st.n_edges, density=st.density, result=ev, status="ok"
-            )
-    return [dataclasses.replace(rows[c.scenario], cell=c) for c in cells]
+    return [row(c) for c in cells]
 
 
 def run_cell(cell: SweepCell, defaults: ExperimentDefaults) -> SweepRow:

@@ -752,17 +752,17 @@ class TestEdgePreStack:
         [dict(n_pairs=14), dict(hidden_sizes=(8,)), dict(epochs=200), dict(learning_rate=5e-3)],
         ids=["pairs", "hidden", "epochs", "rate"],
     )
-    def test_mismatched_fits_train_apart(self, differ, stack_shapes):
+    def test_mismatched_fits_train_alone(self, differ, stack_shapes):
         # every EDGEPRE input is [x_ij, x_ji], so width cannot differ here;
         # |E'| and the config fields can
         fits = [edgepre_fit_inputs(10, 0), edgepre_fit_inputs(12, 1, **differ),
                 edgepre_fit_inputs(11, 2)]
         lone = [edgepre_train(*fit).params.flat.tobytes() for fit in fits]
+        want_shapes = list(stack_shapes)
         stack_shapes.clear()
-        stacked = edgepre_train_many(fits)
-        P = MlpArchitecture((2, 64, 32, 1)).n_params
-        assert stack_shapes[0] == (2, P) and len(stack_shapes[1]) == 1
-        assert [d.params.flat.tobytes() for d in stacked] == lone
+        trained = edgepre_train_many(fits)
+        assert stack_shapes == want_shapes and all(len(s) == 1 for s in want_shapes)
+        assert [d.params.flat.tobytes() for d in trained] == lone
 
     def test_a_bad_fit_fails_before_any_training(self, stack_shapes):
         x, labeled, cfg = edgepre_fit_inputs(10, 0)

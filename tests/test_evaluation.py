@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoleak import evaluation
+from topoleak import attacks, evaluation
 from topoleak.attacks import SoftAdjacency, sample_knowledge
-from topoleak.errors import ConstantMetric, DegenerateLabels, InvalidEvalSet
+from topoleak.errors import ConstantMetric, DegenerateLabels, InvalidEvalSet, KnowledgeViolation
 from topoleak.evaluation import (
     ALL_PAIRS,
     CSV_COLUMNS,
@@ -554,14 +554,23 @@ STACK_DEFAULTS = tiny_defaults(
 )
 
 
-def attack_log_rows(cells, d):
-    """Each cell's row and soft matrix from ``attack_log``, one scenario at a
-    time on the group's log, with every EDGEPRE fit trained alone."""
+def lone_rows(cells, d):
+    """Each cell's row and soft matrix with every scenario attacked alone on the
+    group's log: knowledge, attack configs and scored pairs as ``attack_log``
+    derives them, then ``attacks.run_scenario``, which reads the feature and
+    trains its EDGEPRE fit itself."""
     log = evaluation.simulate(d, **{f: getattr(cells[0], f) for f in evaluation._SIM_FIELDS})
     st = stats(log.config.topology)
     rows, softs = [], []
     for c in cells:
-        res, ev = attack_log(c.scenario, log, c.seed, d)
+        knowledge, pairs, policy = knowledge_and_pairs(
+            c.scenario, log.config.topology, c.seed, d.rho
+        )
+        edgepre, infergat = evaluation._attack_configs(d, c.seed, c.scenario)
+        res = attacks.run_scenario(
+            knowledge, log, edgepre, infergat, d.metric_phase, d.metric_last_k
+        )
+        ev = evaluate_soft(res.soft, log.adjacency, pairs, policy)
         rows.append(SweepRow(cell=c, n_edges=st.n_edges, density=st.density, result=ev, status="ok"))
         softs.append(res.soft.values.tobytes())
     return rows, softs
@@ -569,41 +578,98 @@ def attack_log_rows(cells, d):
 
 @pytest.fixture
 def scored_softs(monkeypatch):
-    """The soft matrix of every scenario a group scores, as bytes."""
+    """The soft matrix of every scenario a sweep scores through
+    ``evaluation.run_scenario``, as bytes, in call order."""
     softs = []
-    finish = evaluation.finish_scenario
+    run = evaluation.run_scenario
 
-    def finishing(*args):
-        res = finish(*args)
+    def scoring(*args, **kwargs):
+        res = run(*args, **kwargs)
         softs.append(res.soft.values.tobytes())
         return res
 
-    monkeypatch.setattr(evaluation, "finish_scenario", finishing)
+    monkeypatch.setattr(evaluation, "run_scenario", scoring)
     return softs
 
 
 class TestStackedGroup:
     """A group trains its SC1/SC2 decoders as one stack and still gives, bit for
-    bit, the rows of ``attack_log`` run one scenario at a time."""
+    bit, the rows of each scenario attacked alone."""
 
     P = MlpArchitecture((2, 16, 8, 1)).n_params
 
     @pytest.mark.parametrize("dp", [None, (1.0, 0.5)], ids=["dp_off", "dp_on"])
-    def test_group_rows_equal_attack_log_rows(self, dp, scored_softs, stack_shapes):
+    def test_group_rows_equal_lone_rows(self, dp, scored_softs, stack_shapes):
         cells = [
             dataclasses.replace(ring_cell(k, scenario=sc), dp=dp) for k, sc in enumerate((1, 2, 3, 4))
         ]
-        want_rows, want_softs = attack_log_rows(cells, STACK_DEFAULTS)
+        want_rows, want_softs = lone_rows(cells, STACK_DEFAULTS)
         stack_shapes.clear()
         rows = evaluation._run_group(cells, STACK_DEFAULTS)
         assert [r.status for r in rows] == ["ok"] * 4
         assert rows == want_rows
         assert scored_softs == want_softs
         assert stack_shapes == [(2, self.P)]
+        # attack_log is the same stage on one scenario: a lone (P,) fit
+        stack_shapes.clear()
+        log = evaluation.simulate(
+            STACK_DEFAULTS, **{f: getattr(cells[0], f) for f in evaluation._SIM_FIELDS}
+        )
+        for c, want in zip(cells, want_rows):
+            _, ev = attack_log(c.scenario, log, c.seed, STACK_DEFAULTS)
+            assert ev == want.result
+        assert scored_softs[4:] == want_softs
+        assert stack_shapes == [(self.P,)] * 2
+
+    @pytest.mark.parametrize("policy", [ALL_PAIRS, HELD_OUT])
+    def test_attack_log_scores_on_the_given_policy(self, policy):
+        cell = ring_cell(0, scenario=1)
+        log = evaluation.simulate(
+            STACK_DEFAULTS, **{f: getattr(cell, f) for f in evaluation._SIM_FIELDS}
+        )
+        k, pairs, _ = knowledge_and_pairs(1, log.config.topology, 0, STACK_DEFAULTS.rho, policy)
+        res, ev = attack_log(1, log, 0, STACK_DEFAULTS, policy)
+        assert ev.eval_pair_policy == policy and ev.n_eval_pairs == len(pairs)
+        assert ev == evaluate_soft(res.soft, log.adjacency, pairs, policy)
+
+    def test_attack_log_raises_its_scenarios_error(self):
+        cell = ring_cell(0, scenario=5)
+        log = evaluation.simulate(
+            STACK_DEFAULTS, **{f: getattr(cell, f) for f in evaluation._SIM_FIELDS}
+        )
+        with pytest.raises(KnowledgeViolation, match="scenario"):
+            attack_log(5, log, 0, STACK_DEFAULTS)
+
+    def test_sweep_scores_each_group_scenario_once_through_run_scenario(
+        self, scored_softs, monkeypatch
+    ):
+        # two groups (seeds 0 and 1), each with a repeated scenario
+        cells = [
+            dataclasses.replace(ring_cell(k, scenario=sc, seed=seed), index=k)
+            for k, (seed, sc) in enumerate([(0, 1), (0, 2), (0, 1), (1, 2), (1, 4), (1, 2)])
+        ]
+        prepared = []
+        feature = evaluation.scenario_feature
+
+        def preparing(knowledge, *args):
+            prepared.append(knowledge.scenario)
+            return feature(knowledge, *args)
+
+        monkeypatch.setattr(evaluation, "scenario_feature", preparing)
+        res = run_sweep(cells, STACK_DEFAULTS)
+        assert prepared == [1, 2, 2, 4]
+        want_rows0, want_softs0 = lone_rows(cells[:2], STACK_DEFAULTS)
+        want_rows1, want_softs1 = lone_rows(cells[3:5], STACK_DEFAULTS)
+        assert [r.status for r in res.rows] == ["ok"] * 6
+        assert scored_softs == want_softs0 + want_softs1
+        assert [r.result for r in res.rows] == [
+            want_rows0[0].result, want_rows0[1].result, want_rows0[0].result,
+            want_rows1[0].result, want_rows1[1].result, want_rows1[0].result,
+        ]
 
     def test_failed_scenario_leaves_its_partners_in_the_stack(self, stack_shapes):
         cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 5, 2))]
-        want_rows, _ = attack_log_rows([cells[0], cells[2]], STACK_DEFAULTS)
+        want_rows, _ = lone_rows([cells[0], cells[2]], STACK_DEFAULTS)
         stack_shapes.clear()
         rows = evaluation._run_group(cells, STACK_DEFAULTS)
         assert rows[1].status == "error:KnowledgeViolation" and rows[1].result is None
@@ -623,7 +689,7 @@ class TestStackedGroup:
 
         monkeypatch.setattr(evaluation, "scenario_feature", constant_for_sc2)
         cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 2, 4))]
-        want_rows, want_softs = attack_log_rows([cells[0], cells[2]], STACK_DEFAULTS)
+        want_rows, want_softs = lone_rows([cells[0], cells[2]], STACK_DEFAULTS)
         stack_shapes.clear()
         rows = evaluation._run_group(cells, STACK_DEFAULTS)
         assert rows[1].status == "error:ConstantMetric" and rows[1].n_edges == 6
@@ -635,7 +701,7 @@ class TestStackedGroup:
         # a decoder without hidden layers is refused when the stack is built
         d = dataclasses.replace(STACK_DEFAULTS, edgepre=EdgePreConfig(hidden_sizes=()))
         cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 2, 3, 4))]
-        want_rows, _ = attack_log_rows(cells[2:], d)
+        want_rows, _ = lone_rows(cells[2:], d)
         rows = evaluation._run_group(cells, d)
         assert [r.status for r in rows[:2]] == ["error:InvalidConfig"] * 2
         assert all(r.n_edges == 6 and r.result is None for r in rows[:2])
