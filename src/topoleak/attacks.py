@@ -26,6 +26,7 @@ adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,13 +54,6 @@ LABELED_FRACTION = 0.3
 LEAKY_SLOPE = 0.2
 _SAMPLE_RETRIES = 1_000
 
-SCENARIO_FEATURE_KIND = {
-    1: MetricKind.RELATIVE_LOSS,
-    2: MetricKind.COSINE_SIMILARITY,
-    3: MetricKind.RELATIVE_LOSS,
-    4: MetricKind.COSINE_SIMILARITY,
-}
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from e^-|z|,
@@ -76,6 +70,36 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 # --- knowledge taxonomy -----------------------------------------------------
 
 @dataclass(frozen=True)
+class Scenario:
+    """A scenario's attacker holds every model, every dataset or none, and a
+    labeled pair set E' or none. Its feature is relative loss exactly when it
+    holds the datasets; its attack is EDGEPRE exactly when it holds E'."""
+
+    holds_data: bool
+    holds_labels: bool
+
+    @property
+    def feature_kind(self) -> MetricKind:
+        return MetricKind.RELATIVE_LOSS if self.holds_data else MetricKind.COSINE_SIMILARITY
+
+    @staticmethod
+    def of(scenario) -> "Scenario":
+        """The table's entry; any other value, hashable or not, is a KnowledgeViolation."""
+        try:
+            return SCENARIOS[scenario]
+        except (KeyError, TypeError):
+            raise KnowledgeViolation(f"scenario must be 1..4, got {scenario}") from None
+
+
+SCENARIOS = MappingProxyType({
+    1: Scenario(holds_data=True, holds_labels=True),
+    2: Scenario(holds_data=False, holds_labels=True),
+    3: Scenario(holds_data=True, holds_labels=False),
+    4: Scenario(holds_data=False, holds_labels=False),
+})
+
+
+@dataclass(frozen=True)
 class ScenarioKnowledge:
     """What the attacker holds: model set M', dataset set D', labeled pairs E'."""
 
@@ -85,8 +109,7 @@ class ScenarioKnowledge:
     known_pairs: tuple[tuple[int, int, int], ...] = ()
 
     def validate(self, n_nodes: int) -> None:
-        if self.scenario not in (1, 2, 3, 4):
-            raise KnowledgeViolation(f"scenario must be 1..4, got {self.scenario}")
+        spec = Scenario.of(self.scenario)
         all_nodes = frozenset(range(n_nodes))
         n_pairs_total = n_nodes * (n_nodes - 1) // 2
         seen = set()
@@ -102,12 +125,12 @@ class ScenarioKnowledge:
         s = self.scenario
         if self.known_models != all_nodes:
             raise KnowledgeViolation(f"SC{s} requires model access to every node")
-        if s in (1, 3):
+        if spec.holds_data:
             if self.known_datasets != all_nodes:
                 raise KnowledgeViolation(f"SC{s} requires dataset access to every node")
         elif self.known_datasets:
             raise KnowledgeViolation(f"SC{s} forbids dataset access")
-        if s in (1, 2):
+        if spec.holds_labels:
             if not (0 < len(self.known_pairs) < n_pairs_total):
                 raise KnowledgeViolation(
                     f"SC{s} requires a nonempty proper subset of labeled pairs"
@@ -119,19 +142,21 @@ class ScenarioKnowledge:
 def sample_knowledge(
     scenario: int, topology: Topology, rho: float = LABELED_FRACTION, seed: int = 0
 ) -> ScenarioKnowledge:
-    """Assemble attacker knowledge for a scenario.
+    """Assemble attacker knowledge for a scenario, as ``SCENARIOS`` describes it.
 
-    For SC1/SC2, E' is a uniform sample of a fraction rho of all unordered
-    pairs carrying their true labels; resampled until both classes appear.
+    Where the scenario holds labels (SC1/SC2), E' is a uniform sample of a
+    fraction rho of all unordered pairs carrying their true labels; resampled
+    until both classes appear.
     Where no proper E' can hold both classes, it raises ``DegenerateLabels``
     before any draw.
     """
+    spec = Scenario.of(scenario)
     n = topology.n_nodes
     all_nodes = frozenset(range(n))
-    datasets = all_nodes if scenario in (1, 3) else frozenset()
+    datasets = all_nodes if spec.holds_data else frozenset()
 
     pairs: tuple[tuple[int, int, int], ...] = ()
-    if scenario in (1, 2):
+    if spec.holds_labels:
         if not (0.0 < rho < 1.0):
             raise InvalidConfig(f"labeled fraction must be in (0, 1), got {rho}")
         candidates = pair_index(n)
@@ -650,10 +675,9 @@ def scenario_feature(
     knowledge: ScenarioKnowledge, log, metric_phase: str = "post", metric_last_k: int = 1
 ) -> FeatureMatrix:
     """The feature the scenario's attacker reads from the log, once its
-    knowledge is checked against the log: SC1/SC3 relative loss, SC2/SC4
-    cosine similarity."""
+    knowledge is checked against the log: its ``SCENARIOS`` entry's kind."""
     knowledge.validate(log.n_nodes)
-    kind = SCENARIO_FEATURE_KIND[knowledge.scenario]
+    kind = SCENARIOS[knowledge.scenario].feature_kind
     return feature_from_log(log, kind, phase=metric_phase, last_k=metric_last_k)
 
 
@@ -667,19 +691,20 @@ def run_scenario(
     feature: FeatureMatrix | None = None,
     decoder: EdgeDecoder | None = None,
 ) -> AttackResult:
-    """Dispatch: SC1/SC3 use relative-loss features, SC2/SC4 cosine features;
-    SC1/SC2 run the supervised decoder on E', SC3/SC4 the attention
-    autoencoder; predictions are binarized at 0.5.
+    """Dispatch on the scenario's ``SCENARIOS`` entry: its feature kind, then
+    the supervised decoder on E' (SC1/SC2) or the attention autoencoder
+    (SC3/SC4); predictions are binarized at 0.5.
 
     A caller that already holds the scenario's ``feature`` (from
     ``scenario_feature``) and, for SC1/SC2, the ``decoder`` trained on it
     passes them in, and the log's feature is not read again nor the decoder
     retrained; a sweep group does so after training its decoders as one stack.
     """
+    spec = Scenario.of(knowledge.scenario)
     x = feature if feature is not None else scenario_feature(
         knowledge, log, metric_phase, metric_last_k
     )
-    if knowledge.scenario in (1, 2):
+    if spec.holds_labels:  # EDGEPRE
         if decoder is None:
             cfg = edgepre_cfg if edgepre_cfg is not None else EdgePreConfig()
             decoder = edgepre_train(x, knowledge.known_pairs, cfg)
@@ -691,7 +716,7 @@ def run_scenario(
         soft = infergat_infer(model, x)
     return AttackResult(
         scenario=knowledge.scenario,
-        feature_kind=SCENARIO_FEATURE_KIND[knowledge.scenario],
+        feature_kind=spec.feature_kind,
         feature=x,
         soft=soft,
         binary=binarize(soft),

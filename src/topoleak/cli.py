@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .attacks import EdgePreConfig, InferGatConfig, SoftAdjacency
+from .attacks import SCENARIOS, EdgePreConfig, InferGatConfig, SoftAdjacency
 from .data import load_csv
 from .engine import load_log, save_log
 from .errors import (
@@ -31,6 +31,7 @@ from .errors import (
 from .evaluation import (
     ALL_PAIRS,
     HELD_OUT,
+    PAIR_POLICIES,
     ExperimentDefaults,
     all_pairs,
     attack_log,
@@ -279,7 +280,7 @@ def cmd_attack(args) -> int:
     if args.labeled_frac is not None:
         defaults = dataclasses.replace(defaults, rho=args.labeled_frac)
     policy = cfg.get("eval", "policy")
-    if policy not in (None, ALL_PAIRS, HELD_OUT):
+    if policy is not None and policy not in PAIR_POLICIES:
         raise InvalidConfig(f"unknown eval policy {policy!r}")
 
     log = load_log(args.log)
@@ -292,7 +293,7 @@ def cmd_attack(args) -> int:
         "scenario": args.scenario,
         "seed": seed,
         "feature_kind": res.feature_kind.value,
-        "labeled_fraction": defaults.rho if args.scenario in (1, 2) else None,
+        "labeled_fraction": defaults.rho if SCENARIOS[args.scenario].holds_labels else None,
         **dataclasses.asdict(ev),
     }
     (out_dir / f"attack_sc{args.scenario}.result.json").write_text(
@@ -315,7 +316,9 @@ def _attack_record(soft_path) -> tuple[int, int, float | None]:
         raise InvalidConfig(f"attack result {path} is not JSON: {exc}") from exc
     doc = doc if isinstance(doc, dict) else {}
     types = {"scenario": int, "seed": int, "labeled_fraction": (int, float)}
-    needed = ("scenario", "seed") + (("labeled_fraction",) if doc.get("scenario") in (1, 2) else ())
+    sc = doc.get("scenario")
+    labeled = isinstance(sc, int) and sc in SCENARIOS and SCENARIOS[sc].holds_labels
+    needed = ("scenario", "seed") + (("labeled_fraction",) if labeled else ())
     missing = [k for k in needed if not isinstance(doc.get(k), types[k])]
     if missing:
         raise InvalidConfig(f"attack result {path} lacks a valid {', '.join(missing)}")
@@ -354,42 +357,19 @@ def cmd_sweep(args) -> int:
     out_csv = args.out or cfg.get("sweep", "out_csv")
     if out_csv is None:
         raise InvalidConfig("sweep needs --out or [sweep] out_csv")
-    scenarios = cfg.get("sweep", "scenarios", (1, 2, 3, 4))
+    scenarios = cfg.get("sweep", "scenarios", tuple(SCENARIOS))
     seeds = cfg.get("sweep", "seeds", tuple(range(5)))
     defaults = build_defaults(cfg)
 
     n, p = cfg.get("sweep", "n", 10), cfg.get("sweep", "p", 0.5)
-
+    common = dict(defaults=defaults, out_csv=out_csv, resume=args.resume)
     if family == "density":
-        res = density_sweep(
-            cfg.get("sweep", "ps", (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
-            n,
-            scenarios,
-            seeds,
-            defaults=defaults,
-            out_csv=out_csv,
-            resume=args.resume,
-        )
+        ps = cfg.get("sweep", "ps", (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+        res = density_sweep(ps, n, scenarios, seeds, **common)
     elif family == "size":
-        res = size_sweep(
-            cfg.get("sweep", "ns", (10, 20, 30)),
-            p,
-            scenarios,
-            seeds,
-            defaults=defaults,
-            out_csv=out_csv,
-            resume=args.resume,
-        )
+        res = size_sweep(cfg.get("sweep", "ns", (10, 20, 30)), p, scenarios, seeds, **common)
     elif family == "mitigation":
-        res = mitigation_experiment(
-            scenarios,
-            seeds,
-            n_nodes=n,
-            er_p=p,
-            defaults=defaults,
-            out_csv=out_csv,
-            resume=args.resume,
-        )
+        res = mitigation_experiment(scenarios, seeds, n_nodes=n, er_p=p, **common)
     else:
         raise InvalidConfig(f"unknown sweep family {family!r}")
     n_ok = sum(1 for r in res.rows if r.status == "ok")
@@ -428,7 +408,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("attack", help="infer the topology from a persisted trace")
     a.add_argument("--log", required=True)
-    a.add_argument("--scenario", required=True, type=int, choices=(1, 2, 3, 4))
+    a.add_argument("--scenario", required=True, type=int, choices=tuple(SCENARIOS))
     a.add_argument("--config", default=None)
     a.add_argument("--labeled-frac", type=float, default=None)
     a.add_argument("--seed", type=int, default=None)
@@ -438,7 +418,7 @@ def make_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="score a soft adjacency against a topology")
     e.add_argument("--soft", required=True)
     e.add_argument("--topology", required=True)
-    e.add_argument("--policy", choices=(ALL_PAIRS, HELD_OUT), default=ALL_PAIRS)
+    e.add_argument("--policy", choices=PAIR_POLICIES, default=ALL_PAIRS)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_evaluate)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import (
+    SCENARIOS,
     AttackResult,
     EdgePreConfig,
     InferGatConfig,
@@ -39,6 +40,7 @@ from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, pair_index,
 
 ALL_PAIRS = "all_pairs"
 HELD_OUT = "held_out"
+PAIR_POLICIES = (ALL_PAIRS, HELD_OUT)
 
 # CSV layout is part of the artifact contract; order is load-bearing.
 CSV_COLUMNS = (
@@ -378,7 +380,10 @@ def knowledge_and_pairs(
 
     Unless a policy is given, knowledge that holds labeled pairs (SC1/SC2) is
     scored on the pairs it holds no label for, and other knowledge on every pair.
+    A policy outside ``PAIR_POLICIES`` is refused before any draw.
     """
+    if policy is not None and policy not in PAIR_POLICIES:
+        raise InvalidConfig(f"unknown eval policy {policy!r}")
     knowledge = sample_knowledge(
         scenario, topology, rho=rho, seed=derive_seed(seed, "knowledge", scenario)
     )
@@ -429,7 +434,7 @@ def _attack_scenarios(
     fits = {  # scenario -> its EDGEPRE fit
         sc: (x, knowledge.known_pairs, _attack_configs(defaults, seed, sc)[0])
         for sc, (knowledge, _, _, x) in prepared.items()
-        if sc in (1, 2)
+        if SCENARIOS[sc].holds_labels
     }
     decoders = {}
     try:

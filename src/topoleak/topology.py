@@ -18,14 +18,14 @@ import numpy as np
 from .errors import (
     DisconnectedGraph,
     GenerationFailed,
+    InvalidConfig,
     InvalidProbability,
     InvalidSize,
     ParseError,
+    ShapeError,
 )
 
 ER_MAX_RESAMPLES = 10_000
-EIG_TOL = 1e-10
-EIG_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,11 @@ class Topology:
         seen = set()
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop at node {u}")
+                raise InvalidConfig(f"self-loop at node {u}")
             if not (0 <= u < v < self.n_nodes):
-                raise ValueError(f"edge ({u}, {v}) outside canonical range")
+                raise InvalidConfig(f"edge ({u}, {v}) outside canonical range")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise InvalidConfig(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
 
     @staticmethod
@@ -235,13 +235,13 @@ def adjacency_matrix(t: Topology) -> np.ndarray:
 
 def _check_adjacency(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
+        raise ShapeError(f"adjacency must be square, got {a.shape}")
     if not np.array_equal(a, a.T):
-        raise ValueError("adjacency must be symmetric")
+        raise InvalidConfig("adjacency must be symmetric")
     if np.any(np.diag(a) != 0):
-        raise ValueError("adjacency must have a zero diagonal")
+        raise InvalidConfig("adjacency must have a zero diagonal")
     if not np.all((a == 0) | (a == 1)):
-        raise ValueError("adjacency entries must be 0 or 1")
+        raise InvalidConfig("adjacency entries must be 0 or 1")
 
 
 def aggregation_matrix(a: np.ndarray) -> np.ndarray:
@@ -260,43 +260,18 @@ def aggregation_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def second_eigenvalue_modulus(p: np.ndarray) -> float:
-    """|lambda_2| of the aggregation matrix via deflated power iteration.
+    """|lambda_2| of the aggregation matrix, from an exact symmetric eigensolve.
 
     P is similar to the symmetric matrix S = D^-1/2 (A + I) D^-1/2 through
-    D^1/2, so the iteration runs on S, whose dominant eigenvector (the image
-    of the all-ones consensus direction) is deflated by projection at every
-    step.  The modulus estimate is the norm growth ratio, which converges
-    even when the second eigenvalue is negative or paired.
+    D^1/2, so it has S's eigenvalues, which ``eigvalsh`` returns in ascending
+    order. The last is the consensus eigenvalue 1; |lambda_2| is the largest
+    modulus of the others, so a negative second eigenvalue counts too.
     """
-    n = p.shape[0]
-    if n == 1:
+    if p.shape[0] == 1:
         return 0.0
-    deg = 1.0 / np.diag(p)  # P_ii = 1/(degree+1) recovers D
-    d_half = np.sqrt(deg)
+    d_half = np.sqrt(1.0 / np.diag(p))  # P_ii = 1/(degree+1) recovers D
     s = p * (d_half[:, None] / d_half[None, :])
-    u1 = d_half / np.linalg.norm(d_half)
-
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    v -= (u1 @ v) * u1
-    norm = np.linalg.norm(v)
-    if norm < 1e-300:
-        return 0.0
-    v /= norm
-
-    estimate = 0.0
-    for _ in range(EIG_MAX_ITER):
-        w = s @ v
-        w -= (u1 @ w) * u1
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return 0.0
-        new_estimate = norm
-        v = w / norm
-        if abs(new_estimate - estimate) <= EIG_TOL:
-            return new_estimate
-        estimate = new_estimate
-    return estimate
+    return float(np.abs(np.linalg.eigvalsh(s)[:-1]).max())
 
 
 def stats(t: Topology) -> TopologyStats:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from topoleak import attacks
 from topoleak.attacks import (
     LEAKY_SLOPE,
-    SCENARIO_FEATURE_KIND,
+    SCENARIOS,
     AttackResult,
     EdgeDecoder,
     EdgePreConfig,
@@ -387,7 +387,7 @@ class TestScenarioKnowledge:
                 3, frozenset(range(5)), frozenset(range(5)), ((0, 1, 1),)
             ).validate(5)
 
-    @pytest.mark.parametrize("scenario", [0, 5])
+    @pytest.mark.parametrize("scenario", [0, 5, [1]], ids=["0", "5", "unhashable"])
     def test_scenario_outside_1_to_4_rejected(self, scenario):
         with pytest.raises(KnowledgeViolation, match="scenario must be 1..4"):
             ScenarioKnowledge(scenario, frozenset({0, 1}), frozenset()).validate(5)
@@ -950,15 +950,45 @@ class TestRunScenario:
 
     def test_feature_kind_per_scenario(self):
         log = tiny_log()
-        k3 = sample_knowledge(3, log.config.topology)
-        res3 = run_scenario(k3, log, infergat_cfg=InferGatConfig(epochs=5, seed=0))
-        assert res3.feature_kind is MetricKind.RELATIVE_LOSS
-        k4 = sample_knowledge(4, log.config.topology)
-        res4 = run_scenario(k4, log, infergat_cfg=InferGatConfig(epochs=5, seed=0))
-        assert res4.feature_kind is MetricKind.COSINE_SIMILARITY
+        kinds = [MetricKind.RELATIVE_LOSS, MetricKind.COSINE_SIMILARITY] * 2
+        for scenario, kind in zip((1, 2, 3, 4), kinds):
+            k = sample_knowledge(scenario, log.config.topology, seed=2)
+            res = run_scenario(
+                k, log, edgepre_cfg=EdgePreConfig(epochs=5, seed=0),
+                infergat_cfg=InferGatConfig(epochs=5, seed=0),
+            )
+            assert res.feature_kind is kind, scenario
 
     def test_every_metric_kind_is_read_by_a_scenario(self):
-        assert set(SCENARIO_FEATURE_KIND.values()) == set(MetricKind)
+        assert {spec.feature_kind for spec in SCENARIOS.values()} == set(MetricKind)
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_scenario_follows_the_table(self, scenario):
+        spec, log = SCENARIOS[scenario], tiny_log()
+        k = sample_knowledge(scenario, log.config.topology, seed=2)
+        assert k.known_datasets == (frozenset(range(5)) if spec.holds_data else frozenset())
+        assert bool(k.known_pairs) is spec.holds_labels
+
+        # relative loss exactly when the attacker holds data; EDGEPRE, which
+        # keeps no loss history, exactly when it holds labels
+        res = run_scenario(
+            k, log, edgepre_cfg=EdgePreConfig(epochs=5, seed=0),
+            infergat_cfg=InferGatConfig(epochs=5, seed=0),
+        )
+        assert (res.feature_kind is MetricKind.RELATIVE_LOSS) is spec.holds_data
+        assert (res.train_losses == ()) is spec.holds_labels
+
+        # flipping either fact of valid knowledge is a violation
+        labeled = sample_knowledge(1, log.config.topology, seed=2).known_pairs
+        flips = [
+            dataclasses.replace(
+                k, known_datasets=frozenset() if spec.holds_data else frozenset(range(5))
+            ),
+            dataclasses.replace(k, known_pairs=() if spec.holds_labels else labeled),
+        ]
+        for flipped in flips:
+            with pytest.raises(KnowledgeViolation):
+                flipped.validate(5)
 
     def test_sc1_routes_through_supervised_decoder(self, monkeypatch):
         # SC1 must produce exactly what the supervised pipeline produces when

@@ -332,6 +332,7 @@ class TestAttack:
         doc = json.loads(Path(sim_log, "attack_sc4.result.json").read_text())
         assert doc["eval_pair_policy"] == "all_pairs"
         assert doc["n_eval_pairs"] == 15
+        assert doc["labeled_fraction"] is None  # SC4 holds no labeled pairs
 
     def test_scenario5_is_a_usage_error(self, sim_log, base_cfg):
         with pytest.raises(SystemExit) as info:
@@ -463,7 +464,11 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("doc", [None, [1, 7, 0.3], {"scenario": 2, "labeled_fraction": 0.3},
                                      {"scenario": 1, "seed": 7},
-                                     {"scenario": 2, "seed": "7", "labeled_fraction": 0.3}])
+                                     {"scenario": 2, "seed": "7", "labeled_fraction": 0.3},
+                                     # a scenario the table cannot hash is invalid, not a TypeError
+                                     {"scenario": [1], "seed": 7, "labeled_fraction": 0.3},
+                                     {"scenario": {"1": 1}, "seed": 7},
+                                     {"scenario": "1", "seed": 7, "labeled_fraction": 0.3}])
     def test_held_out_needs_the_attack_result(self, tmp_path, capsys, doc):
         (tmp_path / "t.edges").write_text("3 2\n0 1\n1 2\n")
         soft = tmp_path / "attack_sc1.csv"

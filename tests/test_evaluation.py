@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from topoleak import attacks, evaluation
 from topoleak.attacks import SoftAdjacency, sample_knowledge
-from topoleak.errors import ConstantMetric, DegenerateLabels, InvalidEvalSet, KnowledgeViolation
+from topoleak.errors import (
+    ConstantMetric,
+    DegenerateLabels,
+    InvalidConfig,
+    InvalidEvalSet,
+    KnowledgeViolation,
+)
 from topoleak.evaluation import (
     ALL_PAIRS,
     CSV_COLUMNS,
@@ -639,6 +645,18 @@ class TestStackedGroup:
         )
         with pytest.raises(KnowledgeViolation, match="scenario"):
             attack_log(5, log, 0, STACK_DEFAULTS)
+
+    @pytest.mark.parametrize("policy", ["heldout", "", "ALL_PAIRS"])
+    def test_misspelt_policy_is_refused(self, policy):
+        topo = gen_ring(8)
+        with pytest.raises(InvalidConfig, match="unknown eval policy"):
+            knowledge_and_pairs(1, topo, 3, 0.3, policy)
+        cell = ring_cell(0, scenario=1)
+        log = evaluation.simulate(
+            STACK_DEFAULTS, **{f: getattr(cell, f) for f in evaluation._SIM_FIELDS}
+        )
+        with pytest.raises(InvalidConfig, match="unknown eval policy"):
+            attack_log(1, log, 3, STACK_DEFAULTS, policy)
 
     def test_sweep_scores_each_group_scenario_once_through_run_scenario(
         self, scored_softs, monkeypatch

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from topoleak.errors import (
     DisconnectedGraph,
     GenerationFailed,
+    InvalidConfig,
     InvalidProbability,
     InvalidSize,
     ParseError,
+    ShapeError,
 )
 from topoleak.topology import (
     Topology,
@@ -185,6 +187,29 @@ class TestEdgeListFormat:
             load_topology("# nothing\n")
 
 
+class TestTopologyErrors:
+    @pytest.mark.parametrize("edges,match", [
+        (((1, 1),), "self-loop"),
+        (((2, 1),), "canonical"),
+        (((0, 4),), "canonical"),
+        (((0, 1), (0, 1)), "duplicate"),
+    ], ids=["self_loop", "reversed", "out_of_range", "duplicate"])
+    def test_bad_edges_are_invalid_config(self, edges, match):
+        with pytest.raises(InvalidConfig, match=match):
+            Topology(4, edges)
+
+    @pytest.mark.parametrize("a,error,match", [
+        (np.zeros((3, 4)), ShapeError, "square"),
+        (np.zeros(4), ShapeError, "square"),
+        (np.triu(np.ones((3, 3)), 1), InvalidConfig, "symmetric"),
+        (np.ones((3, 3)), InvalidConfig, "diagonal"),
+        (np.full((3, 3), 0.5) - np.diag([0.5] * 3), InvalidConfig, "0 or 1"),
+    ], ids=["non_square", "one_dim", "asymmetric", "self_loops", "weighted"])
+    def test_bad_adjacency_is_typed(self, a, error, match):
+        with pytest.raises(error, match=match):
+            aggregation_matrix(a)
+
+
 class TestAggregationMatrix:
     def test_two_node_pair(self):
         t = Topology.from_pairs(2, [(0, 1)])
@@ -242,6 +267,12 @@ class TestSpectralModulus:
         p = aggregation_matrix(adjacency_matrix(gen_ring(10)))
         expected = (1 + 2 * np.cos(2 * np.pi / 10)) / 3
         assert second_eigenvalue_modulus(p) == pytest.approx(expected, abs=1e-9)
+
+    def test_ring_fifty_closed_form(self):
+        # |lambda_2| = 0.9947: the slowest-mixing graph here
+        p = aggregation_matrix(adjacency_matrix(gen_ring(50)))
+        expected = (1 + 2 * np.cos(2 * np.pi / 50)) / 3
+        assert second_eigenvalue_modulus(p) == pytest.approx(expected, abs=1e-12)
 
     def test_star_ten_closed_form(self):
         # leaf rows of the 10-node star give an eigenvalue 1/2 with
