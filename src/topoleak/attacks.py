@@ -101,16 +101,14 @@ SCENARIOS = MappingProxyType({
 
 @dataclass(frozen=True)
 class ScenarioKnowledge:
-    """What the attacker holds: model set M', dataset set D', labeled pairs E'."""
+    """What the attacker holds beyond every node's model: the datasets, as its
+    scenario's ``SCENARIOS`` entry says, and the labeled pairs E'."""
 
     scenario: int
-    known_models: frozenset[int]
-    known_datasets: frozenset[int]
     known_pairs: tuple[tuple[int, int, int], ...] = ()
 
     def validate(self, n_nodes: int) -> None:
         spec = Scenario.of(self.scenario)
-        all_nodes = frozenset(range(n_nodes))
         n_pairs_total = n_nodes * (n_nodes - 1) // 2
         seen = set()
         for i, j, label in self.known_pairs:
@@ -123,13 +121,6 @@ class ScenarioKnowledge:
             seen.add((i, j))
 
         s = self.scenario
-        if self.known_models != all_nodes:
-            raise KnowledgeViolation(f"SC{s} requires model access to every node")
-        if spec.holds_data:
-            if self.known_datasets != all_nodes:
-                raise KnowledgeViolation(f"SC{s} requires dataset access to every node")
-        elif self.known_datasets:
-            raise KnowledgeViolation(f"SC{s} forbids dataset access")
         if spec.holds_labels:
             if not (0 < len(self.known_pairs) < n_pairs_total):
                 raise KnowledgeViolation(
@@ -152,9 +143,6 @@ def sample_knowledge(
     """
     spec = Scenario.of(scenario)
     n = topology.n_nodes
-    all_nodes = frozenset(range(n))
-    datasets = all_nodes if spec.holds_data else frozenset()
-
     pairs: tuple[tuple[int, int, int], ...] = ()
     if spec.holds_labels:
         if not (0.0 < rho < 1.0):
@@ -182,7 +170,7 @@ def sample_knowledge(
                 f"could not sample both an edge and a non-edge in {_SAMPLE_RETRIES} tries"
             )
 
-    k = ScenarioKnowledge(scenario, all_nodes, datasets, pairs)
+    k = ScenarioKnowledge(scenario, pairs)
     k.validate(n)
     return k
 
@@ -246,6 +234,14 @@ def _symmetric(n: int, scores: np.ndarray) -> np.ndarray:
 
 # --- EDGEPRE ----------------------------------------------------------------
 
+def _hidden_sizes(name: str, sizes) -> tuple[int, ...]:
+    """A decoder's hidden layer sizes as ints: one or more, each >= 1."""
+    sizes = tuple(int(h) for h in sizes)
+    if not sizes or min(sizes) < 1:
+        raise InvalidConfig(f"{name} must be one or more sizes >= 1, got {sizes}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class EdgePreConfig:
     hidden_sizes: tuple[int, ...] = (64, 32)
@@ -258,12 +254,7 @@ class EdgePreConfig:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-
-
-@dataclass(frozen=True)
-class EdgeDecoder:
-    params: ModelParams
+        object.__setattr__(self, "hidden_sizes", _hidden_sizes("hidden_sizes", self.hidden_sizes))
 
 
 def _edgepre_fit(
@@ -283,15 +274,15 @@ def _edgepre_fit(
     return ws.theta
 
 
-def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> EdgeDecoder:
+def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> ModelParams:
     """Fit the pair decoder on E' by full-batch Adam over sigmoid BCE."""
     rows, labels = _labeled_rows(x.values, labeled_pairs)
     arch = MlpArchitecture((rows.shape[1], *cfg.hidden_sizes, 1), activation="relu")
     theta = _edgepre_fit(arch, init_params(arch, cfg.seed).flat, rows, labels, cfg)
-    return EdgeDecoder(ModelParams(arch, theta))
+    return ModelParams(arch, theta)
 
 
-def edgepre_train_many(fits) -> list[EdgeDecoder]:
+def edgepre_train_many(fits) -> list[ModelParams]:
     """``edgepre_train`` on each ``(x, labeled_pairs, cfg)`` fit, in order.
 
     Two or more fits whose E' rows share a shape and whose configs differ at
@@ -311,23 +302,21 @@ def edgepre_train_many(fits) -> list[EdgeDecoder]:
     labels = np.stack([lab for _, lab in data])
     arch = MlpArchitecture((rows.shape[-1], *cfgs[0].hidden_sizes, 1), activation="relu")
     theta = np.stack([init_params(arch, c.seed).flat for c in cfgs])
-    return [
-        EdgeDecoder(ModelParams(arch, t)) for t in _edgepre_fit(arch, theta, rows, labels, cfgs[0])
-    ]
+    return [ModelParams(arch, t) for t in _edgepre_fit(arch, theta, rows, labels, cfgs[0])]
 
 
-def edgepre_bce(decoder: EdgeDecoder, x: FeatureMatrix, labeled_pairs) -> float:
+def edgepre_bce(decoder: ModelParams, x: FeatureMatrix, labeled_pairs) -> float:
     """Mean BCE of the decoder on a labeled pair set (training diagnostic)."""
     rows, labels = _labeled_rows(x.values, labeled_pairs)
-    logits, _ = forward_cached(decoder.params, rows)
+    logits, _ = forward_cached(decoder, rows)
     z = logits[:, 0]
     return float(np.mean(_softplus(z) - labels * z))
 
 
-def edgepre_infer(decoder: EdgeDecoder, x: FeatureMatrix) -> SoftAdjacency:
+def edgepre_infer(decoder: ModelParams, x: FeatureMatrix) -> SoftAdjacency:
     """Score every unordered pair once; the diagonal is zero."""
     n = x.n_nodes
-    logits, _ = forward_cached(decoder.params, _pair_feature_rows(x.values, pair_index(n)))
+    logits, _ = forward_cached(decoder, _pair_feature_rows(x.values, pair_index(n)))
     return SoftAdjacency(_symmetric(n, _sigmoid(logits[:, 0])))
 
 
@@ -346,6 +335,8 @@ class InferGatConfig:
     def __post_init__(self):
         if self.heads < 1:
             raise InvalidConfig(f"heads must be >= 1, got {self.heads}")
+        if self.embed_dim < 1:
+            raise InvalidConfig(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.embed_dim % self.heads != 0:
             raise InvalidConfig(
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
@@ -356,7 +347,9 @@ class InferGatConfig:
             raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.knn_k is not None and self.knn_k < 1:
             raise InvalidConfig(f"knn_k must be >= 1, got {self.knn_k}")
-        object.__setattr__(self, "decoder_hidden", tuple(int(h) for h in self.decoder_hidden))
+        object.__setattr__(
+            self, "decoder_hidden", _hidden_sizes("decoder_hidden", self.decoder_hidden)
+        )
 
 
 @dataclass(frozen=True)
@@ -366,7 +359,6 @@ class GatModel:
     flat: np.ndarray
     d_in: int
     cfg: InferGatConfig
-    dec_arch: MlpArchitecture
 
 
 def _gat_dims(cfg: InferGatConfig):
@@ -574,14 +566,13 @@ def infergat_train(x: FeatureMatrix, cfg: InferGatConfig):
     Returns (model, per-epoch loss history)."""
     vals = x.values
     d_in = vals.shape[1]
-    _, dec_arch = _gat_dims(cfg)
     fit = _GatFit(_gat_init(d_in, cfg), vals, d_in, cfg, _attention_mask(vals, cfg.knn_k))
     opt = Adam(fit.flat.shape, cfg.learning_rate)
     losses = []
     for _ in range(cfg.epochs):
         losses.append(fit.loss_and_grad())
         opt.step(fit.flat, fit.grad)
-    return GatModel(fit.flat, d_in, cfg, dec_arch), losses
+    return GatModel(fit.flat, d_in, cfg), losses
 
 
 def infergat_infer(model: GatModel, x: FeatureMatrix) -> SoftAdjacency:
@@ -667,7 +658,6 @@ class AttackResult:
     feature_kind: MetricKind
     feature: FeatureMatrix
     soft: SoftAdjacency
-    binary: np.ndarray
     train_losses: tuple[float, ...] = ()
 
 
@@ -689,11 +679,11 @@ def run_scenario(
     metric_phase: str = "post",
     metric_last_k: int = 1,
     feature: FeatureMatrix | None = None,
-    decoder: EdgeDecoder | None = None,
+    decoder: ModelParams | None = None,
 ) -> AttackResult:
     """Dispatch on the scenario's ``SCENARIOS`` entry: its feature kind, then
     the supervised decoder on E' (SC1/SC2) or the attention autoencoder
-    (SC3/SC4); predictions are binarized at 0.5.
+    (SC3/SC4).
 
     A caller that already holds the scenario's ``feature`` (from
     ``scenario_feature``) and, for SC1/SC2, the ``decoder`` trained on it
@@ -719,6 +709,5 @@ def run_scenario(
         feature_kind=spec.feature_kind,
         feature=x,
         soft=soft,
-        binary=binarize(soft),
         train_losses=tuple(losses),
     )

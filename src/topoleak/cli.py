@@ -98,7 +98,6 @@ SCHEMA = {
         "decoder_hidden": _to_int_tuple,
         "knn_k": int,
     },
-    "eval": {"policy": str},
     "sweep": {
         "family": str,
         "ps": _to_float_tuple,
@@ -279,12 +278,9 @@ def cmd_attack(args) -> int:
     defaults = build_defaults(cfg)
     if args.labeled_frac is not None:
         defaults = dataclasses.replace(defaults, rho=args.labeled_frac)
-    policy = cfg.get("eval", "policy")
-    if policy is not None and policy not in PAIR_POLICIES:
-        raise InvalidConfig(f"unknown eval policy {policy!r}")
 
     log = load_log(args.log)
-    res, ev = attack_log(args.scenario, log, seed, defaults, policy)
+    res, ev = attack_log(args.scenario, log, seed, defaults)
 
     out_dir = Path(args.out or args.log)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,7 +331,7 @@ def cmd_evaluate(args) -> int:
         )
     if args.policy == HELD_OUT:
         scenario, seed, rho = _attack_record(args.soft)
-        _, pairs, _ = knowledge_and_pairs(scenario, topo, seed, rho, HELD_OUT)
+        _, pairs, _ = knowledge_and_pairs(scenario, topo, seed, rho)
     else:
         pairs = all_pairs(topo.n_nodes)
     ev = evaluate_soft(soft, adjacency_matrix(topo), pairs, args.policy)
@@ -378,7 +374,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    parse_config(args.config)
+    build_defaults(parse_config(args.config))
     print(f"config ok: {args.config}")
     return 0
 

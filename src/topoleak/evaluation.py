@@ -82,11 +82,16 @@ def held_out_pairs(n_nodes: int, known_pairs) -> np.ndarray:
 
 # --- scores -----------------------------------------------------------------
 
-def _pair_index(eval_pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of a nonempty, off-diagonal (m, 2) pair array."""
-    pairs = np.asarray(eval_pairs, dtype=np.intp)
+def _pair_index(eval_pairs, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of a nonempty (m, 2) integer pair array
+    whose indices lie in [0, n_nodes), with no diagonal pair."""
+    pairs = np.asarray(eval_pairs)
     if pairs.size == 0:
         raise InvalidEvalSet("cannot score an empty pair set")
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise InvalidEvalSet(f"eval pairs must be an (m, 2) integer array, got {pairs.shape}")
+    if pairs.min() < 0 or pairs.max() >= n_nodes:
+        raise InvalidEvalSet(f"eval pair index outside [0, {n_nodes})")
     i, j = pairs.T
     if (i == j).any():
         k = int(i[np.argmax(i == j)])
@@ -99,9 +104,10 @@ def f1_score(pred_edges: np.ndarray, truth: np.ndarray, eval_pairs) -> tuple[flo
 
     F1 is defined as 0 when precision + recall is 0.
     """
-    i, j = _pair_index(eval_pairs)
+    truth = np.asarray(truth)
+    i, j = _pair_index(eval_pairs, truth.shape[0])
     p = np.asarray(pred_edges)[i, j] > 0
-    t = np.asarray(truth)[i, j] > 0
+    t = truth[i, j] > 0
     tp, fp, fn = int((p & t).sum()), int((p & ~t).sum()), int((t & ~p).sum())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -183,7 +189,7 @@ def evaluate_soft(
     """Score one soft adjacency: F1 at 0.5, best-threshold F1, and AUC."""
     values = soft.values if isinstance(soft, SoftAdjacency) else np.asarray(soft, dtype=np.float64)
     truth = np.asarray(truth)
-    i, j = _pair_index(eval_pairs)
+    i, j = _pair_index(eval_pairs, truth.shape[0])
     scores = values[i, j]
     labels = (truth[i, j] > 0).astype(np.int64)
 
@@ -317,7 +323,7 @@ def generate_topology(kind: str, n_nodes: int, er_p: float | None, seed: int) ->
         if er_p is None:
             raise InvalidConfig("an Erdos-Renyi topology needs an edge probability p")
         return gen_erdos_renyi(n_nodes, er_p, seed=derive_seed(seed, "topology", kind, n_nodes))
-    raise TopoleakError(f"unknown topology kind {kind!r}")
+    raise InvalidConfig(f"unknown topology kind {kind!r}")
 
 
 # the SweepCell fields the simulate stage reads; cells that agree on them share one log
@@ -373,25 +379,18 @@ def simulate(
 
 
 def knowledge_and_pairs(
-    scenario: int, topology: Topology, seed: int, rho: float | None, policy: str | None = None,
-) -> tuple[ScenarioKnowledge, tuple[tuple[int, int], ...], str]:
+    scenario: int, topology: Topology, seed: int, rho: float | None
+) -> tuple[ScenarioKnowledge, np.ndarray, str]:
     """The attacker's knowledge for (seed, scenario), and the pairs and policy
-    that score its result.
-
-    Unless a policy is given, knowledge that holds labeled pairs (SC1/SC2) is
+    that score its result: knowledge that holds labeled pairs (SC1/SC2) is
     scored on the pairs it holds no label for, and other knowledge on every pair.
-    A policy outside ``PAIR_POLICIES`` is refused before any draw.
     """
-    if policy is not None and policy not in PAIR_POLICIES:
-        raise InvalidConfig(f"unknown eval policy {policy!r}")
     knowledge = sample_knowledge(
         scenario, topology, rho=rho, seed=derive_seed(seed, "knowledge", scenario)
     )
-    if policy is None:
-        policy = HELD_OUT if knowledge.known_pairs else ALL_PAIRS
-    if policy == HELD_OUT:
-        return knowledge, held_out_pairs(topology.n_nodes, knowledge.known_pairs), policy
-    return knowledge, all_pairs(topology.n_nodes), policy
+    if knowledge.known_pairs:
+        return knowledge, held_out_pairs(topology.n_nodes, knowledge.known_pairs), HELD_OUT
+    return knowledge, all_pairs(topology.n_nodes), ALL_PAIRS
 
 
 def _attack_configs(
@@ -406,8 +405,7 @@ def _attack_configs(
 
 
 def _attack_scenarios(
-    scenarios, log: SimulationLog, seed: int, defaults: ExperimentDefaults,
-    policy: str | None = None,
+    scenarios, log: SimulationLog, seed: int, defaults: ExperimentDefaults
 ) -> dict[int, tuple[AttackResult, EvalResult] | TopoleakError]:
     """The attack stage of each distinct scenario against one log, scored.
 
@@ -422,14 +420,14 @@ def _attack_scenarios(
     prepared = {}  # scenario -> (knowledge, scored pairs, policy, feature)
     for sc in dict.fromkeys(scenarios):
         try:
-            knowledge, pairs, sc_policy = knowledge_and_pairs(
-                sc, log.config.topology, seed, defaults.rho, policy
+            knowledge, pairs, policy = knowledge_and_pairs(
+                sc, log.config.topology, seed, defaults.rho
             )
             x = scenario_feature(knowledge, log, defaults.metric_phase, defaults.metric_last_k)
         except TopoleakError as exc:
             out[sc] = exc
         else:
-            prepared[sc] = knowledge, pairs, sc_policy, x
+            prepared[sc] = knowledge, pairs, policy, x
 
     fits = {  # scenario -> its EDGEPRE fit
         sc: (x, knowledge.known_pairs, _attack_configs(defaults, seed, sc)[0])
@@ -444,25 +442,24 @@ def _attack_scenarios(
             out[sc] = exc
             del prepared[sc]
 
-    for sc, (knowledge, pairs, sc_policy, x) in prepared.items():
+    for sc, (knowledge, pairs, policy, x) in prepared.items():
         infergat = _attack_configs(defaults, seed, sc)[1]
         try:
             res = run_scenario(
                 knowledge, log, infergat_cfg=infergat, feature=x, decoder=decoders.get(sc)
             )
-            out[sc] = res, evaluate_soft(res.soft, log.adjacency, pairs, sc_policy)
+            out[sc] = res, evaluate_soft(res.soft, log.adjacency, pairs, policy)
         except TopoleakError as exc:
             out[sc] = exc
     return out
 
 
 def attack_log(
-    scenario: int, log: SimulationLog, seed: int, defaults: ExperimentDefaults,
-    policy: str | None = None,
+    scenario: int, log: SimulationLog, seed: int, defaults: ExperimentDefaults
 ) -> tuple[AttackResult, EvalResult]:
     """Attack stage: one scenario against a simulated log, scored; the
     one-scenario case of a sweep group's stage, raising its error."""
-    out = _attack_scenarios([scenario], log, seed, defaults, policy)[scenario]
+    out = _attack_scenarios([scenario], log, seed, defaults)[scenario]
     if isinstance(out, TopoleakError):
         raise out
     return out

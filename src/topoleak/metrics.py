@@ -28,7 +28,6 @@ class MetricKind(Enum):
 class MetricMatrix:
     kind: MetricKind
     values: np.ndarray
-    round: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -76,7 +75,7 @@ class FeatureMatrix:
         return self.values.shape[0]
 
 
-def relative_loss(arch: MlpArchitecture, params: np.ndarray, datasets, round: int = 0) -> MetricMatrix:
+def relative_loss(arch: MlpArchitecture, params: np.ndarray, datasets) -> MetricMatrix:
     """values[i][j] = mean softmax cross-entropy of model i (row i of an (n, P)
     stack) on dataset j, from one forward per model over the datasets concatenated.
 
@@ -100,17 +99,17 @@ def relative_loss(arch: MlpArchitecture, params: np.ndarray, datasets, round: in
         nll = -log_softmax(forward_batch((arch, theta), x))[rows, y]
         for cols, idx, size in groups:
             out[i, cols] = nll[idx].sum(axis=1) / size
-    return MetricMatrix(MetricKind.RELATIVE_LOSS, out, round)
+    return MetricMatrix(MetricKind.RELATIVE_LOSS, out)
 
 
-def cosine_matrix(params: np.ndarray, round: int = 0) -> MetricMatrix:
+def cosine_matrix(params: np.ndarray) -> MetricMatrix:
     """values[i][j] = cosine similarity of rows i and j of an (n, P) stack."""
     flats = np.asarray(params, dtype=np.float64)
     norms = np.linalg.norm(flats, axis=1)
     if np.any(norms == 0):
         raise DegenerateModel("zero-norm parameter vector")
     unit = flats / norms[:, None]
-    return MetricMatrix(MetricKind.COSINE_SIMILARITY, unit @ unit.T, round)
+    return MetricMatrix(MetricKind.COSINE_SIMILARITY, unit @ unit.T)
 
 
 def orient_and_normalize(m: MetricMatrix) -> FeatureMatrix:
@@ -155,13 +154,13 @@ def metric_from_log(log, kind: MetricKind, phase: str = "post", last_k: int = 1)
     for t in range(t_final - last_k + 1, t_final + 1):
         params = log.snapshot(t, phase)
         if kind is MetricKind.RELATIVE_LOSS:
-            mats.append(relative_loss(arch, params, datasets, round=t))
+            mats.append(relative_loss(arch, params, datasets))
         elif kind is MetricKind.COSINE_SIMILARITY:
-            mats.append(cosine_matrix(params, round=t))
+            mats.append(cosine_matrix(params))
         else:
             raise KnowledgeViolation(f"unknown metric kind {kind}")
     stacked = np.mean([m.values for m in mats], axis=0)
-    return MetricMatrix(kind, stacked, round=t_final)
+    return MetricMatrix(kind, stacked)
 
 
 def feature_from_log(log, kind: MetricKind, **kw) -> FeatureMatrix:

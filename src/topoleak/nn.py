@@ -269,8 +269,10 @@ def loss_and_grad(model, x_batch: np.ndarray, labels: np.ndarray):
 class Adam:
     """Adam (Kingma & Ba, arXiv:1412.6980) whose step updates theta, m and v in place."""
 
-    def __init__(self, shape, lr: float, b1=0.9, b2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, shape, lr: float):
+        self.lr = lr
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self._num = np.empty(shape)
@@ -283,16 +285,16 @@ class Adam:
         each operation in that order, so the bits are those of the formula."""
         self.t += 1
         m, v, num, den = self.m, self.v, self._num, self._den
-        m *= self.b1
-        m += np.multiply(grad, 1 - self.b1, out=num)
-        v *= self.b2
-        np.multiply(grad, 1 - self.b2, out=num)
+        m *= self.B1
+        m += np.multiply(grad, 1 - self.B1, out=num)
+        v *= self.B2
+        np.multiply(grad, 1 - self.B2, out=num)
         v += np.multiply(num, grad, out=num)
-        np.divide(m, 1 - self.b1**self.t, out=num)
+        np.divide(m, 1 - self.B1**self.t, out=num)
         num *= self.lr
-        np.divide(v, 1 - self.b2**self.t, out=den)
+        np.divide(v, 1 - self.B2**self.t, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += self.EPS
         num /= den
         theta -= num
 

@@ -11,7 +11,6 @@ from topoleak.attacks import (
     LEAKY_SLOPE,
     SCENARIOS,
     AttackResult,
-    EdgeDecoder,
     EdgePreConfig,
     InferGatConfig,
     ScenarioKnowledge,
@@ -227,7 +226,7 @@ def reference_symmetric_soft(n, pairs, scores):
 
 def reference_edgepre_infer(decoder, x):
     pairs = reference_ordered_pairs(x.n_nodes)
-    logits, _ = forward_cached(decoder.params, _pair_feature_rows(x.values, pairs))
+    logits, _ = forward_cached(decoder, _pair_feature_rows(x.values, pairs))
     return reference_symmetric_soft(x.n_nodes, pairs, _sigmoid(logits[:, 0]))
 
 
@@ -373,24 +372,15 @@ class TestScenarioKnowledge:
         k = sample_knowledge(1, t, seed=0)
         k.validate(5)
         assert 0 < len(k.known_pairs) < 10
-        assert k.known_datasets == frozenset(range(5))
-
-    def test_sc2_forbids_datasets(self):
-        with pytest.raises(KnowledgeViolation):
-            ScenarioKnowledge(
-                2, frozenset(range(5)), frozenset({0}), ((0, 1, 1), (2, 3, 0))
-            ).validate(5)
 
     def test_sc3_forbids_pairs(self):
         with pytest.raises(KnowledgeViolation):
-            ScenarioKnowledge(
-                3, frozenset(range(5)), frozenset(range(5)), ((0, 1, 1),)
-            ).validate(5)
+            ScenarioKnowledge(3, ((0, 1, 1),)).validate(5)
 
     @pytest.mark.parametrize("scenario", [0, 5, [1]], ids=["0", "5", "unhashable"])
     def test_scenario_outside_1_to_4_rejected(self, scenario):
         with pytest.raises(KnowledgeViolation, match="scenario must be 1..4"):
-            ScenarioKnowledge(scenario, frozenset({0, 1}), frozenset()).validate(5)
+            ScenarioKnowledge(scenario).validate(5)
         with pytest.raises(KnowledgeViolation, match="scenario must be 1..4"):
             sample_knowledge(scenario, gen_ring(5))
 
@@ -446,9 +436,7 @@ class TestScenarioKnowledge:
 
     def test_pair_validation(self):
         with pytest.raises(KnowledgeViolation):
-            ScenarioKnowledge(
-                1, frozenset(range(4)), frozenset(range(4)), ((1, 0, 1),)
-            ).validate(4)
+            ScenarioKnowledge(1, ((1, 0, 1),)).validate(4)
 
 
 class TestPairFeatures:
@@ -476,7 +464,7 @@ class TestEdgePre:
         x = planted_feature(two_clique_adjacency(4))
         # the decoder's input is the pair's own entries [x_ij, x_ji]
         arch = MlpArchitecture((2, 8, 1))
-        dec = EdgeDecoder(ModelParams(arch, np.zeros(arch.n_params)))
+        dec = ModelParams(arch, np.zeros(arch.n_params))
         soft = edgepre_infer(dec, x)
         off = ~np.eye(4, dtype=bool)
         np.testing.assert_allclose(soft.values[off], 0.5, atol=1e-15)
@@ -487,7 +475,7 @@ class TestEdgePre:
         labeled = labeled_from(two_clique_adjacency(6), all_pairs(6))[:8]
         a = edgepre_train(x, labeled, EdgePreConfig(seed=4))
         b = edgepre_train(x, labeled, EdgePreConfig(seed=4))
-        np.testing.assert_array_equal(a.params.flat, b.params.flat)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_single_class_labels_rejected(self):
         x = planted_feature(two_clique_adjacency(6))
@@ -684,7 +672,7 @@ class TestInPlaceTraining:
         labeled = tuple((i, j, int(vals[i, j] > 0.5)) for i, j in pairs)
         cfg = EdgePreConfig(hidden_sizes=hidden, epochs=300, seed=3)
         decoder = edgepre_train(x, labeled, cfg)
-        assert decoder.params.flat.tobytes() == reference_edgepre(x, labeled, cfg).tobytes()
+        assert decoder.flat.tobytes() == reference_edgepre(x, labeled, cfg).tobytes()
         assert x.values.tobytes() == before
 
     @pytest.mark.parametrize(
@@ -737,13 +725,13 @@ class TestEdgePreStack:
     @pytest.mark.parametrize("nodes", [(10, 12), (10, 15, 12)], ids=["g2", "g3"])
     def test_stack_equals_separate_fits(self, nodes, stack_shapes):
         fits = [edgepre_fit_inputs(n, seed) for seed, n in enumerate(nodes)]
-        lone = [edgepre_train(*fit).params.flat.tobytes() for fit in fits]
+        lone = [edgepre_train(*fit).flat.tobytes() for fit in fits]
         P = MlpArchitecture((2, 64, 32, 1)).n_params
         assert stack_shapes == [(P,)] * len(fits)
         stack_shapes.clear()
         stacked = edgepre_train_many(fits)
         assert stack_shapes == [(len(fits), P)]
-        assert [d.params.flat.tobytes() for d in stacked] == lone
+        assert [d.flat.tobytes() for d in stacked] == lone
         for fit, want in zip(fits, lone):
             assert reference_edgepre(*fit).tobytes() == want
 
@@ -757,12 +745,12 @@ class TestEdgePreStack:
         # |E'| and the config fields can
         fits = [edgepre_fit_inputs(10, 0), edgepre_fit_inputs(12, 1, **differ),
                 edgepre_fit_inputs(11, 2)]
-        lone = [edgepre_train(*fit).params.flat.tobytes() for fit in fits]
+        lone = [edgepre_train(*fit).flat.tobytes() for fit in fits]
         want_shapes = list(stack_shapes)
         stack_shapes.clear()
         trained = edgepre_train_many(fits)
         assert stack_shapes == want_shapes and all(len(s) == 1 for s in want_shapes)
-        assert [d.params.flat.tobytes() for d in trained] == lone
+        assert [d.flat.tobytes() for d in trained] == lone
 
     def test_a_bad_fit_fails_before_any_training(self, stack_shapes):
         x, labeled, cfg = edgepre_fit_inputs(10, 0)
@@ -936,16 +924,15 @@ class TestMonotoneSignalRecovery:
 class TestRunScenario:
     def test_scenario_5_is_a_knowledge_violation(self):
         log = tiny_log()
-        k = ScenarioKnowledge(5, frozenset(range(log.n_nodes)), frozenset())
+        k = ScenarioKnowledge(5)
         with pytest.raises(KnowledgeViolation, match="scenario must be 1..4"):
             run_scenario(k, log)
 
     def test_knowledge_mismatch_rejected(self):
         log = tiny_log()
-        bad = ScenarioKnowledge(
-            2, frozenset(range(5)), frozenset({0}), ((0, 1, 1), (1, 2, 0))
-        )
-        with pytest.raises(KnowledgeViolation):
+        # E' names a node the 5-node log does not have
+        bad = ScenarioKnowledge(2, ((0, 1, 1), (1, 5, 0)))
+        with pytest.raises(KnowledgeViolation, match="not canonical for 5 nodes"):
             run_scenario(bad, log)
 
     def test_feature_kind_per_scenario(self):
@@ -966,7 +953,6 @@ class TestRunScenario:
     def test_scenario_follows_the_table(self, scenario):
         spec, log = SCENARIOS[scenario], tiny_log()
         k = sample_knowledge(scenario, log.config.topology, seed=2)
-        assert k.known_datasets == (frozenset(range(5)) if spec.holds_data else frozenset())
         assert bool(k.known_pairs) is spec.holds_labels
 
         # relative loss exactly when the attacker holds data; EDGEPRE, which
@@ -978,17 +964,11 @@ class TestRunScenario:
         assert (res.feature_kind is MetricKind.RELATIVE_LOSS) is spec.holds_data
         assert (res.train_losses == ()) is spec.holds_labels
 
-        # flipping either fact of valid knowledge is a violation
+        # flipping whether valid knowledge holds E' is a violation
         labeled = sample_knowledge(1, log.config.topology, seed=2).known_pairs
-        flips = [
-            dataclasses.replace(
-                k, known_datasets=frozenset() if spec.holds_data else frozenset(range(5))
-            ),
-            dataclasses.replace(k, known_pairs=() if spec.holds_labels else labeled),
-        ]
-        for flipped in flips:
-            with pytest.raises(KnowledgeViolation):
-                flipped.validate(5)
+        flipped = dataclasses.replace(k, known_pairs=() if spec.holds_labels else labeled)
+        with pytest.raises(KnowledgeViolation):
+            flipped.validate(5)
 
     def test_sc1_routes_through_supervised_decoder(self, monkeypatch):
         # SC1 must produce exactly what the supervised pipeline produces when
@@ -1004,9 +984,10 @@ class TestRunScenario:
         decoder = edgepre_train(x, k.known_pairs, EdgePreConfig(seed=0))
         manual = edgepre_infer(decoder, x)
         np.testing.assert_array_equal(res.soft.values, manual.values)
-        np.testing.assert_array_equal(res.binary, binarize(manual))
+        binary = binarize(res.soft)
+        np.testing.assert_array_equal(binary, binarize(manual))
         for i, j, label in k.known_pairs:
-            assert res.binary[i, j] == label
+            assert binary[i, j] == label
 
     def test_attack_never_reads_ground_truth(self):
         # removing the adjacency from the log must not affect any scenario

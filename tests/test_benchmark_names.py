@@ -2,9 +2,11 @@
 
 ``perfbench/workloads.py`` and ``perfbench/checks.py`` call topoleak through
 module attributes (``evaluation.run_scenario``) and ``from topoleak.X import
-Y``. A renamed or deleted name fails every job of a workload at run time, so
-this reads their source with ``ast``, without importing the harness, and
-resolves each name against the library.
+Y``, and ``perfbench/layers.py`` lists in ``EXPECTED`` the ``"module.name"``
+functions its per-layer metrics read. A renamed or deleted name fails every
+job of a workload at run time, or reads as missing, so this reads their
+source with ``ast``, without importing the harness, and resolves each name
+against the library.
 """
 
 import ast
@@ -37,12 +39,25 @@ def harness_names(fname: str) -> set[tuple[str, str]]:
     return names
 
 
-NAMES = sorted(set().union(*(harness_names(f) for f in FILES)))
+def expected_names() -> set[tuple[str, str]]:
+    """(module, attribute) for every ``"module.name"`` in layers.py's ``EXPECTED``."""
+    tree = ast.parse((HARNESS / "layers.py").read_text(), filename="layers.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "EXPECTED" for t in node.targets
+        ):
+            dotted = ast.literal_eval(node.value)
+            return {(f"topoleak.{m}", a) for m, a in (d.split(".") for d in dotted)}
+    raise AssertionError("layers.py assigns no EXPECTED")
+
+
+NAMES = sorted(set().union(*(harness_names(f) for f in FILES), expected_names()))
 
 
 def test_every_harness_file_reads_the_library():
     for fname in FILES:
         assert harness_names(fname), f"{fname} reads no topoleak name"
+    assert expected_names(), "layers.py lists no EXPECTED name"
 
 
 @pytest.mark.parametrize("module,attr", NAMES, ids=[f"{m[9:]}.{a}" for m, a in NAMES])

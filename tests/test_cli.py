@@ -222,10 +222,27 @@ class TestSimulate:
         cfg = write_ini(tmp_path, "[topology]\nkind = ring\nn = 4\n")
         assert main(["simulate", "--config", cfg]) == 2
 
-    def test_invalid_attack_section_is_config_error(self, tmp_path, capsys):
-        text = BASE_INI.format(out=tmp_path / "simlog").replace("heads = 1", "heads = 0")
-        assert main(["simulate", "--config", write_ini(tmp_path, text)]) == 2
-        assert "heads must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("heads = 1", "heads = 0", "heads must be >= 1"),
+            ("embed_dim = 4", "embed_dim = 0", "embed_dim must be >= 1, got 0"),
+            ("embed_dim = 4", "embed_dim = -2", "embed_dim must be >= 1, got -2"),
+            ("heads = 1", "heads = 1\ndecoder_hidden =", "decoder_hidden must be one or more"),
+            ("20\nhidden_sizes = 8", "20\nhidden_sizes = 0", "hidden_sizes must be one or more"),
+            ("20\nhidden_sizes = 8", "20\nhidden_sizes =", "sizes >= 1, got ()"),
+            ("20\nhidden_sizes = 8", "20\nhidden_sizes = -3, 4", "sizes >= 1, got (-3, 4)"),
+        ],
+        ids=["heads_0", "embed_0", "embed_neg", "gat_no_hidden", "edgepre_0", "edgepre_none",
+             "edgepre_neg"],
+    )
+    def test_invalid_attack_section_is_config_error(self, tmp_path, capsys, old, new, message):
+        text = BASE_INI.format(out=tmp_path / "simlog")
+        assert text.count(old) == 1
+        cfg = write_ini(tmp_path, text.replace(old, new))
+        assert main(["validate", cfg]) == 2
+        assert main(["simulate", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "simlog").exists()
 
 
@@ -346,7 +363,7 @@ class TestAttack:
         cfg = write_ini(tmp_path, "[eval]\npolicy = sometimes\n")
         assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "4",
                      "--config", cfg]) == 2
-        assert "unknown eval policy 'sometimes'" in capsys.readouterr().err
+        assert "unknown config section [eval]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("knn_k", ["0", "-1"])
     def test_knn_k_below_one_rejected_before_the_log_is_read(self, tmp_path, capsys, knn_k):

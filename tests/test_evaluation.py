@@ -117,6 +117,17 @@ class TestF1:
         with pytest.raises(InvalidEvalSet):
             f1_score(truth, truth, [(2, 2)])
 
+    @pytest.mark.parametrize(
+        "pairs", [[(-1, 2)], [(0, 9)], [(0, 1, 2)], [(0.0, 1.0)]],
+        ids=["negative", "past_n", "triple", "float"],
+    )
+    def test_malformed_pairs_rejected(self, pairs):
+        truth = adjacency_matrix(gen_ring(4))
+        with pytest.raises(InvalidEvalSet):
+            f1_score(truth, truth, pairs)
+        with pytest.raises(InvalidEvalSet):
+            evaluate_soft(truth.astype(float), truth, pairs)
+
     def test_matches_confusion_oracle(self):
         rng = np.random.default_rng(404)
         for _ in range(1000):
@@ -355,6 +366,15 @@ class TestSweeps:
             assert (row.n_edges, row.density) == (graph.n_edges, graph.density)
         fields = out.read_text().splitlines()[2].split(",")
         assert fields[4:6] == [str(graph.n_edges), repr(graph.density)]
+
+    def test_unknown_topology_kind_is_a_config_error(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="unknown topology kind 'grid'"):
+            evaluation.generate_topology("grid", 6, None, 0)
+        out = tmp_path / "grid.csv"
+        cell = dataclasses.replace(ring_cell(0), topology_kind="grid")
+        (row,) = run_sweep([cell], tiny_defaults(), out_csv=out).rows
+        assert (row.status, row.result, row.n_edges) == ("error:InvalidConfig", None, 0)
+        assert "error:InvalidConfig" in out.read_text().splitlines()[1]
 
     def test_resume_skips_completed_cells(self, tmp_path):
         out = tmp_path / "resume.csv"
@@ -627,17 +647,6 @@ class TestStackedGroup:
         assert scored_softs[4:] == want_softs
         assert stack_shapes == [(self.P,)] * 2
 
-    @pytest.mark.parametrize("policy", [ALL_PAIRS, HELD_OUT])
-    def test_attack_log_scores_on_the_given_policy(self, policy):
-        cell = ring_cell(0, scenario=1)
-        log = evaluation.simulate(
-            STACK_DEFAULTS, **{f: getattr(cell, f) for f in evaluation._SIM_FIELDS}
-        )
-        k, pairs, _ = knowledge_and_pairs(1, log.config.topology, 0, STACK_DEFAULTS.rho, policy)
-        res, ev = attack_log(1, log, 0, STACK_DEFAULTS, policy)
-        assert ev.eval_pair_policy == policy and ev.n_eval_pairs == len(pairs)
-        assert ev == evaluate_soft(res.soft, log.adjacency, pairs, policy)
-
     def test_attack_log_raises_its_scenarios_error(self):
         cell = ring_cell(0, scenario=5)
         log = evaluation.simulate(
@@ -645,18 +654,6 @@ class TestStackedGroup:
         )
         with pytest.raises(KnowledgeViolation, match="scenario"):
             attack_log(5, log, 0, STACK_DEFAULTS)
-
-    @pytest.mark.parametrize("policy", ["heldout", "", "ALL_PAIRS"])
-    def test_misspelt_policy_is_refused(self, policy):
-        topo = gen_ring(8)
-        with pytest.raises(InvalidConfig, match="unknown eval policy"):
-            knowledge_and_pairs(1, topo, 3, 0.3, policy)
-        cell = ring_cell(0, scenario=1)
-        log = evaluation.simulate(
-            STACK_DEFAULTS, **{f: getattr(cell, f) for f in evaluation._SIM_FIELDS}
-        )
-        with pytest.raises(InvalidConfig, match="unknown eval policy"):
-            attack_log(1, log, 3, STACK_DEFAULTS, policy)
 
     def test_sweep_scores_each_group_scenario_once_through_run_scenario(
         self, scored_softs, monkeypatch
@@ -715,12 +712,14 @@ class TestStackedGroup:
         assert scored_softs == want_softs
         assert stack_shapes == [(self.P,)]  # SC1 alone keeps the (P,) body
 
-    def test_stack_failure_fails_the_supervised_scenarios_only(self):
-        # a decoder without hidden layers is refused when the stack is built
-        d = dataclasses.replace(STACK_DEFAULTS, edgepre=EdgePreConfig(hidden_sizes=()))
+    def test_stack_failure_fails_the_supervised_scenarios_only(self, monkeypatch):
+        def refuse(fits):
+            raise InvalidConfig("the stack is refused")
+
+        monkeypatch.setattr(evaluation, "edgepre_train_many", refuse)
         cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 2, 3, 4))]
-        want_rows, _ = lone_rows(cells[2:], d)
-        rows = evaluation._run_group(cells, d)
+        want_rows, _ = lone_rows(cells[2:], STACK_DEFAULTS)
+        rows = evaluation._run_group(cells, STACK_DEFAULTS)
         assert [r.status for r in rows[:2]] == ["error:InvalidConfig"] * 2
         assert all(r.n_edges == 6 and r.result is None for r in rows[:2])
         assert rows[2:] == want_rows

@@ -160,7 +160,7 @@ class TestOrientAndNormalize:
     def test_loss_orientation_flips(self):
         # the smallest loss pair must map to feature 1.0
         vals = np.array([[0.1, 0.5, 0.9], [0.5, 0.1, 0.3], [0.9, 0.3, 0.1]])
-        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals, round=1)
+        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals)
         f = orient_and_normalize(m)
         assert f.values[1, 2] == pytest.approx(1.0)  # smallest off-diag loss 0.3
         assert f.values[0, 2] == pytest.approx(0.0)  # largest off-diag loss 0.9
@@ -169,7 +169,7 @@ class TestOrientAndNormalize:
         vals = np.array(
             [[0.0, 1.0, 0.2], [3.0, 0.0, 0.6], [0.4, 0.8, 0.0]]
         )
-        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals, round=1)
+        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals)
         f = orient_and_normalize(m)
         # symmetrized off-diagonals: (0,1)->2.0, (0,2)->0.3, (1,2)->0.7;
         # negation + min-max maps 2.0 -> 0, 0.3 -> 1, 0.7 -> (2-0.7)/1.7
@@ -180,7 +180,7 @@ class TestOrientAndNormalize:
 
     def test_two_node_constant_after_symmetrize(self):
         vals = np.array([[0.0, 1.0], [3.0, 0.0]])
-        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals, round=1)
+        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals)
         with pytest.raises(ConstantMetric):
             orient_and_normalize(m)
 
@@ -188,7 +188,7 @@ class TestOrientAndNormalize:
         rng = np.random.default_rng(1)
         raw = rng.random((4, 4))
         sym = 0.5 * (raw + raw.T)
-        a = orient_and_normalize(MetricMatrix(MetricKind.RELATIVE_LOSS, sym, round=1))
+        a = orient_and_normalize(MetricMatrix(MetricKind.RELATIVE_LOSS, sym))
         # negation + min-max of an already symmetric matrix
         off = ~np.eye(4, dtype=bool)
         neg = -sym
@@ -198,7 +198,7 @@ class TestOrientAndNormalize:
         np.testing.assert_allclose(a.values, expected, atol=1e-12)
 
     def test_constant_metric_rejected(self):
-        m = MetricMatrix(MetricKind.COSINE_SIMILARITY, np.ones((3, 3)), round=1)
+        m = MetricMatrix(MetricKind.COSINE_SIMILARITY, np.ones((3, 3)))
         with pytest.raises(ConstantMetric):
             orient_and_normalize(m)
 
@@ -236,7 +236,6 @@ class TestMetricFromLog:
         log = small_log()
         m = metric_from_log(log, MetricKind.COSINE_SIMILARITY)
         np.testing.assert_allclose(m.values, cosine_matrix(log.params[-1]).values, atol=1e-12)
-        assert m.round == len(log.deltas)
 
     def test_pre_phase(self):
         log = small_log()
@@ -261,7 +260,7 @@ class TestMetricFromLog:
         for bad in (0, 3):
             with pytest.raises(KnowledgeViolation):
                 metric_from_log(log, kind, last_k=bad)
-        assert metric_from_log(log, kind, last_k=2).round == 2
+        metric_from_log(log, kind, last_k=2)  # every round of the log may be averaged
 
     def test_relative_loss_from_log_uses_full_node_sets(self):
         log = small_log()
