@@ -4,7 +4,8 @@ Two reconstruction strategies plus diagnostics:
 
 - EDGEPRE (supervised): an MLP decoder on the pair's own feature entries
   [x_ij, x_ji], trained with BCE on the attacker's labeled pairs E', then
-  scoring every pair. Fits of one shape and config train as one (g, P) stack.
+  scoring every pair. Every fit trains in a (g, P) stack: fits of one shape and
+  config share one, fits that differ get their own, and a lone fit is g = 1.
 - INFERGAT (unsupervised): a single-layer multi-head graph-attention encoder
   (Velickovic et al., arXiv:1710.10903) over the complete graph, or a k-NN
   mask, embeds nodes; a sigmoid MLP decoder scores pairs; the loop minimizes
@@ -261,9 +262,8 @@ def _edgepre_fit(
     arch: MlpArchitecture, theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
     cfg: EdgePreConfig,
 ) -> np.ndarray:
-    """The EDGEPRE loop: full-batch Adam over sigmoid BCE from ``theta``, a (P,)
-    model on (|E'|, d) rows or a (g, P) stack on (g, |E'|, d), where every
-    model gets the bits of its lone fit."""
+    """The EDGEPRE loop: full-batch Adam over sigmoid BCE from ``theta``, a (g, P)
+    stack on (g, |E'|, d) rows, where every model gets the bits of its lone fit."""
     ws = Workspace(arch, theta)
     opt = Adam(ws.theta.shape, cfg.learning_rate)
     n = labels.shape[-1]
@@ -276,33 +276,29 @@ def _edgepre_fit(
 
 def edgepre_train(x: FeatureMatrix, labeled_pairs, cfg: EdgePreConfig) -> ModelParams:
     """Fit the pair decoder on E' by full-batch Adam over sigmoid BCE."""
-    rows, labels = _labeled_rows(x.values, labeled_pairs)
-    arch = MlpArchitecture((rows.shape[1], *cfg.hidden_sizes, 1), activation="relu")
-    theta = _edgepre_fit(arch, init_params(arch, cfg.seed).flat, rows, labels, cfg)
-    return ModelParams(arch, theta)
+    return edgepre_train_many([(x, labeled_pairs, cfg)])[0]
 
 
 def edgepre_train_many(fits) -> list[ModelParams]:
     """``edgepre_train`` on each ``(x, labeled_pairs, cfg)`` fit, in order.
 
-    Two or more fits whose E' rows share a shape and whose configs differ at
-    most in seed train as one (g, P) stack, each from its own seed's init;
-    otherwise each fit trains alone. Every fit's E' is checked before any
-    training.
+    Every fit's E' is checked before any training. Fits whose E' rows share a
+    shape and whose configs differ at most in seed train as one (g, P) stack,
+    each from its own seed's init; a lone fit is a stack of one.
     """
-    fits = list(fits)
-    data = [_labeled_rows(x.values, pairs) for x, pairs, _ in fits]
-    cfgs = [cfg for _, _, cfg in fits]
-    if len(fits) < 2 or any(
-        r.shape != data[0][0].shape or replace(c, seed=cfgs[0].seed) != cfgs[0]
-        for (r, _), c in zip(data, cfgs)
-    ):
-        return [edgepre_train(*fit) for fit in fits]
-    rows = np.stack([r for r, _ in data])
-    labels = np.stack([lab for _, lab in data])
-    arch = MlpArchitecture((rows.shape[-1], *cfgs[0].hidden_sizes, 1), activation="relu")
-    theta = np.stack([init_params(arch, c.seed).flat for c in cfgs])
-    return [ModelParams(arch, t) for t in _edgepre_fit(arch, theta, rows, labels, cfgs[0])]
+    data = [(*_labeled_rows(x.values, pairs), cfg) for x, pairs, cfg in fits]
+    groups = {}  # (rows shape, config but its seed) -> its fits, in order of first appearance
+    for k, (rows, _, cfg) in enumerate(data):
+        groups.setdefault((rows.shape, replace(cfg, seed=0)), []).append(k)
+    out = [None] * len(data)
+    for (shape, cfg), members in groups.items():
+        arch = MlpArchitecture((shape[1], *cfg.hidden_sizes, 1), activation="relu")
+        rows, labels, cfgs = zip(*(data[k] for k in members))
+        theta = np.stack([init_params(arch, c.seed).flat for c in cfgs])
+        thetas = _edgepre_fit(arch, theta, np.stack(rows), np.stack(labels), cfg)
+        for k, t in zip(members, thetas):
+            out[k] = ModelParams(arch, t)
+    return out
 
 
 def edgepre_bce(decoder: ModelParams, x: FeatureMatrix, labeled_pairs) -> float:
@@ -655,10 +651,13 @@ def baseline_threshold(x: FeatureMatrix, tau: float) -> np.ndarray:
 @dataclass(frozen=True)
 class AttackResult:
     scenario: int
-    feature_kind: MetricKind
     feature: FeatureMatrix
     soft: SoftAdjacency
     train_losses: tuple[float, ...] = ()
+
+    @property
+    def feature_kind(self) -> MetricKind:
+        return SCENARIOS[self.scenario].feature_kind
 
 
 def scenario_feature(
@@ -705,9 +704,5 @@ def run_scenario(
         model, losses = infergat_train(x, cfg)
         soft = infergat_infer(model, x)
     return AttackResult(
-        scenario=knowledge.scenario,
-        feature_kind=spec.feature_kind,
-        feature=x,
-        soft=soft,
-        train_losses=tuple(losses),
+        scenario=knowledge.scenario, feature=x, soft=soft, train_losses=tuple(losses)
     )

@@ -198,6 +198,42 @@ def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
     )
 
 
+def _topology_kind(cfg: RunConfig) -> str:
+    """[topology] kind as the simulate stage names it, or "file", which needs a path."""
+    kind = cfg.get("topology", "kind")
+    if kind == "file":
+        if cfg.get("topology", "path") is None:
+            raise InvalidConfig("[topology] kind=file needs path")
+        return kind
+    if kind not in TOPOLOGY_KINDS:
+        raise InvalidConfig(f"[topology] kind must be ring, star, er or file, got {kind!r}")
+    return TOPOLOGY_KINDS[kind]
+
+
+def _partition_alpha(cfg: RunConfig) -> float | None:
+    """[partition]: the Dirichlet alpha, or None for the IID default."""
+    method = cfg.get("partition", "method", "iid")
+    alpha = cfg.get("partition", "alpha")
+    if method not in ("iid", "dirichlet"):
+        raise InvalidConfig(f"unknown partition method {method!r}")
+    if method == "dirichlet" and alpha is None:
+        raise InvalidConfig("[partition] method=dirichlet needs alpha")
+    if method == "iid" and alpha is not None:
+        raise InvalidConfig("[partition] alpha needs method=dirichlet")
+    return alpha
+
+
+def _sweep_family(cfg: RunConfig) -> str:
+    family = cfg.get("sweep", "family")
+    if family not in ("density", "size", "mitigation"):
+        raise InvalidConfig(f"[sweep] family must be density, size or mitigation, got {family!r}")
+    return family
+
+
+# what each section's values must be from the config alone; validate checks the sections present
+SECTION_CHECKS = {"topology": _topology_kind, "partition": _partition_alpha, "sweep": _sweep_family}
+
+
 # --- subcommands ------------------------------------------------------------
 
 def cmd_gen_topology(args) -> int:
@@ -229,31 +265,20 @@ def cmd_simulate(args) -> int:
     if out_dir is None:
         raise InvalidConfig("simulate needs --out or [run] out_dir")
     defaults = build_defaults(cfg)
+    kind, alpha = _topology_kind(cfg), _partition_alpha(cfg)
 
     # kind = file and [data] path hand the stage a topology or dataset it does not generate
-    kind = cfg.get("topology", "kind")
     topo = None
     if kind == "file":
-        path = cfg.get("topology", "path")
-        if path is None:
-            raise InvalidConfig("[topology] kind=file needs path")
-        topo = load_topology(_read_input(path, "topology"))
-    elif kind not in TOPOLOGY_KINDS:
-        raise InvalidConfig(f"[topology] kind must be ring, star, er or file, got {kind!r}")
+        topo = load_topology(_read_input(cfg.get("topology", "path"), "topology"))
     path = cfg.get("data", "path")
     dataset = None if path is None else load_csv(_read_input(path, "dataset"))
-    method = cfg.get("partition", "method", "iid")
-    if method not in ("iid", "dirichlet"):
-        raise InvalidConfig(f"unknown partition method {method!r}")
-    alpha = cfg.get("partition", "alpha") if method == "dirichlet" else None
-    if method == "dirichlet" and alpha is None:
-        raise InvalidConfig("[partition] method=dirichlet needs alpha")
     dp = None
     if cfg.has_section("dp"):
         dp = (cfg.get("dp", "clip_norm", 1.0), cfg.get("dp", "noise_sigma", 0.5))
     log = simulate(
         defaults,
-        topology_kind=TOPOLOGY_KINDS.get(kind, kind),
+        topology_kind=kind,
         n_nodes=cfg.get("topology", "n", 10) if topo is None else topo.n_nodes,
         er_p=cfg.get("topology", "p"),
         alpha=alpha,
@@ -347,9 +372,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    family = cfg.get("sweep", "family")
-    if family is None:
-        raise InvalidConfig("sweep config needs [sweep] family")
+    family = _sweep_family(cfg)
     out_csv = args.out or cfg.get("sweep", "out_csv")
     if out_csv is None:
         raise InvalidConfig("sweep needs --out or [sweep] out_csv")
@@ -364,17 +387,19 @@ def cmd_sweep(args) -> int:
         res = density_sweep(ps, n, scenarios, seeds, **common)
     elif family == "size":
         res = size_sweep(cfg.get("sweep", "ns", (10, 20, 30)), p, scenarios, seeds, **common)
-    elif family == "mitigation":
+    else:  # mitigation
         res = mitigation_experiment(scenarios, seeds, n_nodes=n, er_p=p, **common)
-    else:
-        raise InvalidConfig(f"unknown sweep family {family!r}")
     n_ok = sum(1 for r in res.rows if r.status == "ok")
     print(f"sweep {family}: {len(res.rows)} rows ({n_ok} ok) -> {out_csv}")
     return 0
 
 
 def cmd_validate(args) -> int:
-    build_defaults(parse_config(args.config))
+    cfg = parse_config(args.config)
+    build_defaults(cfg)
+    for section, check in SECTION_CHECKS.items():
+        if cfg.has_section(section):
+            check(cfg)
     print(f"config ok: {args.config}")
     return 0
 

@@ -5,9 +5,10 @@ supervised attacks can be measured on pairs they never saw labels for.
 Sweeps run the pipeline in two stages, simulate (topology -> data ->
 simulation) and attack (metric -> attack -> score), and emit plot-ready CSV
 rows. Cells that share a simulation run it once, and train their supervised
-decoders (SC1/SC2, EDGEPRE) as one stack. The CLI runs the same two stages,
-one scenario at a time, so one config and one seed give one graph, one
-trace, one labeled set and one result wherever they are run.
+decoders (SC1/SC2, EDGEPRE) together, stacked by shape and config. The CLI
+runs the same two stages, one scenario at a time, so one config and one seed
+give one graph, one trace, one labeled set and one result wherever they are
+run.
 """
 
 from __future__ import annotations
@@ -240,6 +241,14 @@ class ExperimentDefaults:
         default_factory=lambda: InferGatConfig(epochs=1500, knn_k=5)
     )
 
+    def __post_init__(self):
+        if not 0.0 < self.rho < 1.0:
+            raise InvalidConfig(f"labeled fraction rho must be in (0, 1), got {self.rho}")
+        if self.metric_phase not in ("pre", "post"):
+            raise InvalidConfig(f"metric phase must be pre or post, got {self.metric_phase!r}")
+        if self.metric_last_k < 1:  # above the log's rounds is checked once a log is read
+            raise InvalidConfig(f"metric last_k must be >= 1, got {self.metric_last_k}")
+
 
 @dataclass(frozen=True)
 class SweepCell:
@@ -410,7 +419,7 @@ def _attack_scenarios(
     """The attack stage of each distinct scenario against one log, scored.
 
     Three steps: prepare each scenario (knowledge, scored pairs, feature),
-    train the supervised decoders (SC1/SC2, EDGEPRE) as one stack, then run
+    train the supervised decoders (SC1/SC2, EDGEPRE) together, then run
     and score each scenario with its feature and decoder. Knowledge and
     training are seeded from (seed, scenario); the scored pairs follow
     ``knowledge_and_pairs``. Each scenario maps to its result or to the error

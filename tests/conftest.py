@@ -15,8 +15,8 @@ from topoleak import attacks
 
 @pytest.fixture
 def stack_shapes(monkeypatch):
-    """The theta shape of every EDGEPRE training loop run, in order: (P,) for
-    a lone fit, (g, P) for a stack."""
+    """The (g, P) theta shape of every EDGEPRE training loop run, in order; a
+    lone fit is a stack of one, (1, P)."""
     shapes = []
     loop = attacks._edgepre_fit
 

@@ -720,14 +720,15 @@ def edgepre_fit_inputs(n, seed, n_pairs=13, **cfg):
 
 
 class TestEdgePreStack:
-    """Fits trained as one (g, P) stack get the bits of their lone fits."""
+    """Every EDGEPRE fit trains in a (g, P) stack and gets the bits of the
+    reference loop; a lone fit is a stack of one."""
 
     @pytest.mark.parametrize("nodes", [(10, 12), (10, 15, 12)], ids=["g2", "g3"])
     def test_stack_equals_separate_fits(self, nodes, stack_shapes):
         fits = [edgepre_fit_inputs(n, seed) for seed, n in enumerate(nodes)]
         lone = [edgepre_train(*fit).flat.tobytes() for fit in fits]
         P = MlpArchitecture((2, 64, 32, 1)).n_params
-        assert stack_shapes == [(P,)] * len(fits)
+        assert stack_shapes == [(1, P)] * len(fits)
         stack_shapes.clear()
         stacked = edgepre_train_many(fits)
         assert stack_shapes == [(len(fits), P)]
@@ -740,17 +741,32 @@ class TestEdgePreStack:
         [dict(n_pairs=14), dict(hidden_sizes=(8,)), dict(epochs=200), dict(learning_rate=5e-3)],
         ids=["pairs", "hidden", "epochs", "rate"],
     )
-    def test_mismatched_fits_train_alone(self, differ, stack_shapes):
+    def test_a_mismatched_fit_trains_in_its_own_stack(self, differ, stack_shapes):
         # every EDGEPRE input is [x_ij, x_ji], so width cannot differ here;
         # |E'| and the config fields can
         fits = [edgepre_fit_inputs(10, 0), edgepre_fit_inputs(12, 1, **differ),
                 edgepre_fit_inputs(11, 2)]
-        lone = [edgepre_train(*fit).flat.tobytes() for fit in fits]
-        want_shapes = list(stack_shapes)
-        stack_shapes.clear()
         trained = edgepre_train_many(fits)
-        assert stack_shapes == want_shapes and all(len(s) == 1 for s in want_shapes)
-        assert [d.flat.tobytes() for d in trained] == lone
+        P = MlpArchitecture((2, 64, 32, 1)).n_params
+        P_b = MlpArchitecture((2, *fits[1][2].hidden_sizes, 1)).n_params
+        assert stack_shapes == [(2, P), (1, P_b)]
+        assert [d.flat.tobytes() for d in trained] == [
+            reference_edgepre(*fit).tobytes() for fit in fits
+        ]
+
+    def test_interleaved_groups_come_back_in_input_order(self, stack_shapes):
+        a, c = edgepre_fit_inputs(10, 0), edgepre_fit_inputs(11, 2)
+        b1 = edgepre_fit_inputs(12, 1, hidden_sizes=(8,))
+        b2 = edgepre_fit_inputs(9, 3, hidden_sizes=(8,))
+        fits = [a, b1, c, b2]
+        trained = edgepre_train_many(fits)
+        P = MlpArchitecture((2, 64, 32, 1)).n_params
+        P_b = MlpArchitecture((2, 8, 1)).n_params
+        assert stack_shapes == [(2, P), (2, P_b)]
+        assert [d.arch.layer_sizes for d in trained] == [(2, 64, 32, 1), (2, 8, 1)] * 2
+        assert [d.flat.tobytes() for d in trained] == [
+            reference_edgepre(*fit).tobytes() for fit in fits
+        ]
 
     def test_a_bad_fit_fails_before_any_training(self, stack_shapes):
         x, labeled, cfg = edgepre_fit_inputs(10, 0)

@@ -596,3 +596,71 @@ class TestSweep:
     def test_unknown_family_is_config_error(self, tmp_path):
         cfg = write_ini(tmp_path, "[sweep]\nfamily = mystery\nout_csv = x.csv\n")
         assert main(["sweep", "--config", cfg]) == 2
+
+
+class TestConfigOnlyChecks:
+    """What a command refuses from the config alone, ``validate`` refuses too,
+    and the command refuses it before any work."""
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("[attack]\nrho = 1.5\n", "labeled fraction rho must be in (0, 1), got 1.5"),
+            ("[metric]\nphase = mid\n", "metric phase must be pre or post, got 'mid'"),
+            ("[metric]\nlast_k = 0\n", "metric last_k must be >= 1, got 0"),
+        ],
+        ids=["rho", "phase", "last_k"],
+    )
+    def test_attack_and_metric_values_fail_every_command(self, tmp_path, capsys, extra, message):
+        cfg = write_ini(tmp_path, BASE_INI.format(out=tmp_path / "simlog") + extra)
+        assert main(["validate", cfg]) == 2
+        assert main(["simulate", "--config", cfg]) == 2
+        assert not (tmp_path / "simlog").exists()
+        # 2, not the 3 of a missing log: the config fails before the log is read
+        assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "1",
+                     "--config", cfg]) == 2
+        assert capsys.readouterr().err.count(message) == 3
+
+    @pytest.mark.parametrize("frac", ["7", "0", "1", "nan"])
+    def test_labeled_frac_is_checked_for_every_scenario(self, tmp_path, capsys, frac):
+        assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "3",
+                     "--labeled-frac", frac]) == 2
+        assert "labeled fraction rho must be in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("kind = ring", "kind = hex", "[topology] kind must be ring, star, er or file, got 'hex'"),
+            ("kind = ring", "kind = file", "[topology] kind=file needs path"),
+            ("[train]", "[partition]\nmethod = bogus\n[train]", "unknown partition method 'bogus'"),
+            ("[train]", "[partition]\nmethod = dirichlet\n[train]", "method=dirichlet needs alpha"),
+            ("[train]", "[partition]\nalpha = 0.1\n[train]", "alpha needs method=dirichlet"),
+        ],
+        ids=["kind_hex", "file_no_path", "method_bogus", "dirichlet_no_alpha", "alpha_no_dirichlet"],
+    )
+    def test_simulate_sections_fail_validate(self, tmp_path, capsys, old, new, message):
+        text = BASE_INI.format(out=tmp_path / "simlog")
+        assert text.count(old) == 1
+        cfg = write_ini(tmp_path, text.replace(old, new))
+        assert main(["validate", cfg]) == 2
+        assert main(["simulate", "--config", cfg]) == 2
+        assert not (tmp_path / "simlog").exists()
+        assert capsys.readouterr().err.count(message) == 2
+
+    def test_sweep_family_fails_validate(self, tmp_path, capsys):
+        csv_path = tmp_path / "grid.csv"
+        cfg = write_ini(tmp_path, SWEEP_INI.format(csv=csv_path).replace("= density", "= grid"))
+        assert main(["validate", cfg]) == 2
+        assert main(["sweep", "--config", cfg]) == 2
+        assert not csv_path.exists()
+        assert capsys.readouterr().err.count("family must be density, size or mitigation, got 'grid'") == 2
+
+    def test_validate_checks_only_the_sections_present(self, tmp_path):
+        # a sweep config has no [topology], and a dirichlet partition with alpha is whole
+        sweep = write_ini(tmp_path, SWEEP_INI.format(csv=tmp_path / "grid.csv"), name="sweep.ini")
+        assert main(["validate", sweep]) == 0
+        text = BASE_INI.format(out=tmp_path / "simlog")
+        dirichlet = write_ini(
+            tmp_path, text.replace("[train]", "[partition]\nmethod = dirichlet\nalpha = 0.5\n[train]")
+        )
+        assert main(["validate", dirichlet]) == 0

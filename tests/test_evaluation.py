@@ -636,7 +636,7 @@ class TestStackedGroup:
         assert rows == want_rows
         assert scored_softs == want_softs
         assert stack_shapes == [(2, self.P)]
-        # attack_log is the same stage on one scenario: a lone (P,) fit
+        # attack_log is the same stage on one scenario: a stack of one
         stack_shapes.clear()
         log = evaluation.simulate(
             STACK_DEFAULTS, **{f: getattr(cells[0], f) for f in evaluation._SIM_FIELDS}
@@ -645,7 +645,7 @@ class TestStackedGroup:
             _, ev = attack_log(c.scenario, log, c.seed, STACK_DEFAULTS)
             assert ev == want.result
         assert scored_softs[4:] == want_softs
-        assert stack_shapes == [(self.P,)] * 2
+        assert stack_shapes == [(1, self.P)] * 2
 
     def test_attack_log_raises_its_scenarios_error(self):
         cell = ring_cell(0, scenario=5)
@@ -710,7 +710,7 @@ class TestStackedGroup:
         assert rows[1].status == "error:ConstantMetric" and rows[1].n_edges == 6
         assert [rows[0], rows[2]] == want_rows
         assert scored_softs == want_softs
-        assert stack_shapes == [(self.P,)]  # SC1 alone keeps the (P,) body
+        assert stack_shapes == [(1, self.P)]  # SC1 alone is a stack of one
 
     def test_stack_failure_fails_the_supervised_scenarios_only(self, monkeypatch):
         def refuse(fits):
@@ -756,3 +756,16 @@ class TestResumeAfterCrash:
         again = density_sweep([0.4], 6, [4], [0], defaults=tiny_defaults(), out_csv=cut, resume=True)
         assert len(again.rows) == 1
         assert cut.read_bytes() == full.read_bytes()
+
+
+class TestExperimentDefaults:
+    """Values no stage can run are refused when the defaults are built."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rho", 0.0), ("rho", 1.0), ("rho", float("nan")), ("metric_phase", "mid"),
+         ("metric_last_k", 0)],
+    )
+    def test_bad_value_is_invalid_config(self, field, value):
+        with pytest.raises(InvalidConfig):
+            ExperimentDefaults(**{field: value})
