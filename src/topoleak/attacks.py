@@ -17,11 +17,12 @@ Two reconstruction strategies plus diagnostics:
   the feature entries, and a fixed threshold.
 
 ``run_scenario`` reads a scenario's feature (``scenario_feature``), trains
-its SC1/SC2 decoder and scores every pair; a caller with several scenarios on
-one log can compute their features first, train their decoders together
-(``edgepre_train_many``) and hand both in. Attacks see only the FeatureMatrix
-and E' labels; the dispatcher never touches the simulation's ground-truth
-adjacency.
+its SC1/SC2 decoder and scores every pair. A sweep calls it in three phases:
+it computes the features of every simulation's scenarios and drops each log,
+trains every SC1/SC2 decoder of the sweep together (``edgepre_train_many``,
+one stack per E' shape and config), then hands each scenario its feature and
+decoder, with no log. Attacks see only the FeatureMatrix and E' labels; this
+module never reads the simulation's ground-truth adjacency.
 """
 
 from __future__ import annotations
@@ -686,8 +687,8 @@ def run_scenario(
 
     A caller that already holds the scenario's ``feature`` (from
     ``scenario_feature``) and, for SC1/SC2, the ``decoder`` trained on it
-    passes them in, and the log's feature is not read again nor the decoder
-    retrained; a sweep group does so after training its decoders as one stack.
+    passes them in, and the log, which may then be None, is not read nor the
+    decoder retrained; a sweep does so after training its decoders together.
     """
     spec = Scenario.of(knowledge.scenario)
     x = feature if feature is not None else scenario_feature(

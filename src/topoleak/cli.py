@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .attacks import SCENARIOS, EdgePreConfig, InferGatConfig, SoftAdjacency
 from .data import load_csv
-from .engine import load_log, save_log
+from .engine import DpConfig, load_log, save_log
 from .errors import (
     InvalidConfig,
     InvalidProbability,
@@ -176,8 +176,10 @@ def _read_input(path, what: str) -> str:
 
 
 def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
-    """Every pipeline knob of a config, with the CLI's defaults for absent keys."""
-    return ExperimentDefaults(
+    """Every pipeline knob of a config, with the CLI's defaults for absent keys,
+    once the ``SECTION_CHECKS`` of the sections present pass; every command
+    that reads a config calls it before any work."""
+    defaults = ExperimentDefaults(
         k_classes=cfg.get("data", "k_classes", 3),
         n_features=cfg.get("data", "n_features", 8),
         n_per_class=cfg.get("data", "n_per_class", 40),
@@ -196,6 +198,10 @@ def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
         edgepre=EdgePreConfig(**cfg.sections.get("edgepre", {})),
         infergat=InferGatConfig(**cfg.sections.get("infergat", {})),
     )
+    for section, check in SECTION_CHECKS.items():
+        if cfg.has_section(section):
+            check(cfg)
+    return defaults
 
 
 def _topology_kind(cfg: RunConfig) -> str:
@@ -230,8 +236,20 @@ def _sweep_family(cfg: RunConfig) -> str:
     return family
 
 
-# what each section's values must be from the config alone; validate checks the sections present
-SECTION_CHECKS = {"topology": _topology_kind, "partition": _partition_alpha, "sweep": _sweep_family}
+def _dp(cfg: RunConfig) -> tuple[float, float] | None:
+    """[dp] as (clip_norm, noise_sigma), checked as ``DpConfig`` checks them,
+    or None without the section."""
+    if not cfg.has_section("dp"):
+        return None
+    dp = (cfg.get("dp", "clip_norm", 1.0), cfg.get("dp", "noise_sigma", 0.5))
+    DpConfig(*dp)
+    return dp
+
+
+# what each section's values must be from the config alone, checked for the sections present
+SECTION_CHECKS = {
+    "topology": _topology_kind, "partition": _partition_alpha, "dp": _dp, "sweep": _sweep_family,
+}
 
 
 # --- subcommands ------------------------------------------------------------
@@ -273,9 +291,6 @@ def cmd_simulate(args) -> int:
         topo = load_topology(_read_input(cfg.get("topology", "path"), "topology"))
     path = cfg.get("data", "path")
     dataset = None if path is None else load_csv(_read_input(path, "dataset"))
-    dp = None
-    if cfg.has_section("dp"):
-        dp = (cfg.get("dp", "clip_norm", 1.0), cfg.get("dp", "noise_sigma", 0.5))
     log = simulate(
         defaults,
         topology_kind=kind,
@@ -283,7 +298,7 @@ def cmd_simulate(args) -> int:
         er_p=cfg.get("topology", "p"),
         alpha=alpha,
         local_epochs=defaults.local_epochs,
-        dp=dp,
+        dp=_dp(cfg),
         seed=seed,
         rounds=defaults.rounds,
         topology=topo,
@@ -372,13 +387,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
+    defaults = build_defaults(cfg)
     family = _sweep_family(cfg)
     out_csv = args.out or cfg.get("sweep", "out_csv")
     if out_csv is None:
         raise InvalidConfig("sweep needs --out or [sweep] out_csv")
     scenarios = cfg.get("sweep", "scenarios", tuple(SCENARIOS))
     seeds = cfg.get("sweep", "seeds", tuple(range(5)))
-    defaults = build_defaults(cfg)
 
     n, p = cfg.get("sweep", "n", 10), cfg.get("sweep", "p", 0.5)
     common = dict(defaults=defaults, out_csv=out_csv, resume=args.resume)
@@ -395,11 +410,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = parse_config(args.config)
-    build_defaults(cfg)
-    for section, check in SECTION_CHECKS.items():
-        if cfg.has_section(section):
-            check(cfg)
+    build_defaults(parse_config(args.config))
     print(f"config ok: {args.config}")
     return 0
 

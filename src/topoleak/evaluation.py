@@ -4,17 +4,20 @@ Scores are computed over an explicit list of node pairs so that the
 supervised attacks can be measured on pairs they never saw labels for.
 Sweeps run the pipeline in two stages, simulate (topology -> data ->
 simulation) and attack (metric -> attack -> score), and emit plot-ready CSV
-rows. Cells that share a simulation run it once, and train their supervised
-decoders (SC1/SC2, EDGEPRE) together, stacked by shape and config. The CLI
-runs the same two stages, one scenario at a time, so one config and one seed
-give one graph, one trace, one labeled set and one result wherever they are
-run.
+rows. Cells that share a simulation run it once. The attack stage has three
+phases: prepare each simulation's scenarios (knowledge, scored pairs,
+feature) and drop its log, train every supervised decoder (SC1/SC2,
+EDGEPRE) of the sweep at once, stacked by shape and config, then run and
+score each scenario. The CLI runs the same two stages, one scenario at a
+time, so one config and one seed give one graph, one trace, one labeled set
+and one result wherever they are run.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from .attacks import (
 from .data import Dataset, gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
 from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
-from .nn import TrainConfig
+from .nn import MlpArchitecture, TrainConfig
 from .seeds import derive_seed
 from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, pair_index, stats
 
@@ -248,6 +251,10 @@ class ExperimentDefaults:
             raise InvalidConfig(f"metric phase must be pre or post, got {self.metric_phase!r}")
         if self.metric_last_k < 1:  # above the log's rounds is checked once a log is read
             raise InvalidConfig(f"metric last_k must be >= 1, got {self.metric_last_k}")
+        # the simulate stage's own checks, run here so a bad value fails before
+        # any work; the data fixes the architecture's outer sizes, so 1 stands in
+        TrainConfig(self.local_epochs, self.learning_rate, self.batch_size, self.optimizer)
+        MlpArchitecture((1, *self.hidden_sizes, 1), self.activation)
 
 
 @dataclass(frozen=True)
@@ -413,106 +420,127 @@ def _attack_configs(
     )
 
 
-def _attack_scenarios(
-    scenarios, log: SimulationLog, seed: int, defaults: ExperimentDefaults
-) -> dict[int, tuple[AttackResult, EvalResult] | TopoleakError]:
-    """The attack stage of each distinct scenario against one log, scored.
+@dataclass
+class _Group:
+    """What the attack stage keeps of one simulation once its log is dropped:
+    the graph's stats, the truth its scenarios are scored on, each distinct
+    scenario prepared for attack (knowledge, scored pairs, policy, feature),
+    and each scenario's result or the error that stopped it."""
 
-    Three steps: prepare each scenario (knowledge, scored pairs, feature),
-    train the supervised decoders (SC1/SC2, EDGEPRE) together, then run
-    and score each scenario with its feature and decoder. Knowledge and
-    training are seeded from (seed, scenario); the scored pairs follow
-    ``knowledge_and_pairs``. Each scenario maps to its result or to the error
-    that stopped it, and an error reaches only the scenarios it stops.
-    """
-    out: dict[int, tuple[AttackResult, EvalResult] | TopoleakError] = {}
-    prepared = {}  # scenario -> (knowledge, scored pairs, policy, feature)
+    seed: int
+    n_edges: int = 0
+    density: float = 0.0
+    truth: np.ndarray | None = None
+    prepared: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
+
+
+def _frameless(exc: TopoleakError) -> TopoleakError:
+    """exc without the tracebacks of it and of the errors it chains, whose
+    frames would hold alive what the failed stage held, such as its log."""
+    e = exc
+    while e is not None:
+        e = e.with_traceback(None).__cause__ or e.__context__
+    return exc
+
+
+def _prepare(scenarios, log: SimulationLog, seed: int, defaults: ExperimentDefaults) -> _Group:
+    """Phase 1 on one log: its graph's stats and truth, then each distinct
+    scenario's knowledge, scored pairs (``knowledge_and_pairs``) and feature,
+    or its error (``_frameless``). Nothing kept refers to the log."""
+    topology = log.config.topology
+    st = stats(topology)
+    group = _Group(seed, st.n_edges, st.density, log.adjacency)
     for sc in dict.fromkeys(scenarios):
         try:
-            knowledge, pairs, policy = knowledge_and_pairs(
-                sc, log.config.topology, seed, defaults.rho
-            )
+            knowledge, pairs, policy = knowledge_and_pairs(sc, topology, seed, defaults.rho)
             x = scenario_feature(knowledge, log, defaults.metric_phase, defaults.metric_last_k)
         except TopoleakError as exc:
-            out[sc] = exc
+            group.results[sc] = _frameless(exc)
         else:
-            prepared[sc] = knowledge, pairs, policy, x
+            group.prepared[sc] = knowledge, pairs, policy, x
+    return group
 
-    fits = {  # scenario -> its EDGEPRE fit
-        sc: (x, knowledge.known_pairs, _attack_configs(defaults, seed, sc)[0])
-        for sc, (knowledge, _, _, x) in prepared.items()
+
+def _attack(groups: list[_Group], defaults: ExperimentDefaults) -> Iterator[_Group]:
+    """Phases 2 and 3 of prepared groups, yielding each group once scored.
+
+    Phase 2 trains every supervised decoder (SC1/SC2, EDGEPRE) of the groups
+    in one ``edgepre_train_many`` call, one stack per E' shape and config; a
+    refused call fails the supervised scenarios it held, and no others.
+    Phase 3 runs each group's scenarios through ``run_scenario`` on their
+    features, group by group (SC3/SC4 train INFERGAT there), and scores
+    them against the group's truth. Attack configs are seeded from
+    (seed, scenario).
+    """
+    fits = {  # (group, scenario) -> its EDGEPRE fit
+        (g, sc): (x, knowledge.known_pairs, _attack_configs(defaults, group.seed, sc)[0])
+        for g, group in enumerate(groups)
+        for sc, (knowledge, _, _, x) in group.prepared.items()
         if SCENARIOS[sc].holds_labels
     }
     decoders = {}
     try:
         decoders = dict(zip(fits, edgepre_train_many(fits.values())))
     except TopoleakError as exc:
-        for sc in fits:
-            out[sc] = exc
-            del prepared[sc]
+        for g, sc in fits:
+            groups[g].results[sc] = exc
+            del groups[g].prepared[sc]
 
-    for sc, (knowledge, pairs, policy, x) in prepared.items():
-        infergat = _attack_configs(defaults, seed, sc)[1]
-        try:
-            res = run_scenario(
-                knowledge, log, infergat_cfg=infergat, feature=x, decoder=decoders.get(sc)
-            )
-            out[sc] = res, evaluate_soft(res.soft, log.adjacency, pairs, policy)
-        except TopoleakError as exc:
-            out[sc] = exc
-    return out
+    for g, group in enumerate(groups):
+        for sc, (knowledge, pairs, policy, x) in group.prepared.items():
+            infergat = _attack_configs(defaults, group.seed, sc)[1]
+            try:
+                res = run_scenario(
+                    knowledge, None, infergat_cfg=infergat, feature=x, decoder=decoders.get((g, sc))
+                )
+                group.results[sc] = res, evaluate_soft(res.soft, group.truth, pairs, policy)
+            except TopoleakError as exc:
+                group.results[sc] = exc
+        yield group
 
 
 def attack_log(
     scenario: int, log: SimulationLog, seed: int, defaults: ExperimentDefaults
 ) -> tuple[AttackResult, EvalResult]:
     """Attack stage: one scenario against a simulated log, scored; the
-    one-scenario case of a sweep group's stage, raising its error."""
-    out = _attack_scenarios([scenario], log, seed, defaults)[scenario]
+    one-scenario case of a sweep's stage, raising its error."""
+    (group,) = _attack([_prepare([scenario], log, seed, defaults)], defaults)
+    out = group.results[scenario]
     if isinstance(out, TopoleakError):
         raise out
     return out
 
 
-def _error_row(
-    cell: SweepCell, exc: TopoleakError, n_edges: int = 0, density: float = 0.0
-) -> SweepRow:
-    """A failed cell's row; once the simulation ran, it keeps the graph's stats."""
-    return SweepRow(
-        cell=cell, n_edges=n_edges, density=density, result=None,
-        status=f"error:{type(exc).__name__}",
-    )
-
-
-def _run_group(cells: list[SweepCell], defaults: ExperimentDefaults) -> list[SweepRow]:
-    """Rows for cells sharing one simulation key, in the order given.
-
-    The group simulates once, then runs ``_attack_scenarios`` once on its
-    distinct scenarios, so its supervised decoders (SC1/SC2, EDGEPRE) train
-    as one stack. Every cell with a scenario gets that scenario's row, and a
-    failure becomes the row of the cells it reaches.
-    """
+def _simulated(cells: list[SweepCell], defaults: ExperimentDefaults) -> _Group:
+    """Phase 1 of the cells that share a simulation key: simulate once and
+    ``_prepare`` their distinct scenarios; the log is dropped on return. A
+    failed simulation fails every scenario, and its graph reads as empty."""
+    scenarios, seed = [c.scenario for c in cells], cells[0].seed
     try:
         log = simulate(defaults, **{f: getattr(cells[0], f) for f in _SIM_FIELDS})
     except TopoleakError as exc:
-        failed = _error_row(cells[0], exc)
-        return [dataclasses.replace(failed, cell=c) for c in cells]
-    st = stats(log.config.topology)
-    seed = cells[0].seed  # part of the simulation key
-    results = _attack_scenarios([c.scenario for c in cells], log, seed, defaults)
+        return _Group(seed, results=dict.fromkeys(scenarios, _frameless(exc)))
+    return _prepare(scenarios, log, seed, defaults)
 
-    def row(c: SweepCell) -> SweepRow:
-        res = results[c.scenario]
-        if isinstance(res, TopoleakError):
-            return _error_row(c, res, st.n_edges, st.density)
-        return SweepRow(cell=c, n_edges=st.n_edges, density=st.density, result=res[1], status="ok")
 
-    return [row(c) for c in cells]
+def _row(cell: SweepCell, group: _Group) -> SweepRow:
+    """The cell's row from its group's result for its scenario, or a status row
+    for the error that stopped it."""
+    res = group.results[cell.scenario]
+    if isinstance(res, TopoleakError):
+        result, status = None, f"error:{type(res).__name__}"
+    else:
+        result, status = res[1], "ok"
+    return SweepRow(
+        cell=cell, n_edges=group.n_edges, density=group.density, result=result, status=status
+    )
 
 
 def run_cell(cell: SweepCell, defaults: ExperimentDefaults) -> SweepRow:
-    """Full pipeline for one cell; failures become status rows, not raises."""
-    return _run_group([cell], defaults)[0]
+    """Full pipeline for one cell, the one-cell case of ``run_sweep``;
+    failures become status rows, not raises."""
+    return run_sweep([cell], defaults).rows[0]
 
 
 def _trim_to_complete_rows(path: Path) -> set[str]:
@@ -548,10 +576,20 @@ def run_sweep(
     """Execute cells in order; CSV rows appear in cell-index order, so reruns
     and resumes are byte-identical.
 
-    Cells that share a simulation key form one group (``_run_group``), run
-    when the first of its cells comes up, so each distinct simulation and
-    each distinct (simulation, scenario) attack runs once, and at most one
-    log is alive at a time.
+    Cells that share a simulation key form one group, and the cells still to
+    run go through the attack stage in three phases:
+
+    1. each group simulates once, keeps its graph's stats and truth, and
+       prepares each distinct scenario (knowledge, scored pairs, feature);
+       its log is dropped before the next group simulates;
+    2. every SC1/SC2 decoder of the sweep trains in one ``edgepre_train_many``
+       call, one stack per E' shape and config;
+    3. each group's scenarios run and score, in the order of the groups'
+       first cells, and each cell's row is written as soon as its group is
+       scored.
+
+    No row is written before phase 2 ends, so a sweep stopped before then
+    reruns all its pending cells on resume.
     """
     done: set[str] = set()
     fh = writer = None
@@ -570,13 +608,14 @@ def run_sweep(
     for c in todo:
         groups.setdefault(_sim_key(c), []).append(c)
     rows: list[SweepRow] = []
-    streams = {}  # group rows come back in the group's cell order
+    scored = {}  # simulation key -> its scored group
     try:
+        attacked = _attack([_simulated(g, defaults) for g in groups.values()], defaults)
         for c in todo:
             key = _sim_key(c)
-            if key not in streams:
-                streams[key] = iter(_run_group(groups.pop(key), defaults))
-            row = next(streams[key])
+            if key not in scored:  # groups are scored in the order of their first cell
+                scored[key] = next(attacked)
+            row = _row(c, scored[key])
             rows.append(row)
             if writer is not None:
                 writer.writerow(row.csv_record())

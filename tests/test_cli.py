@@ -621,6 +621,37 @@ class TestConfigOnlyChecks:
                      "--config", cfg]) == 2
         assert capsys.readouterr().err.count(message) == 3
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("batch_size = 8", "batch_size = 8\noptimizer = bogus",
+             "optimizer must be sgd or adam, got 'bogus'"),
+            ("batch_size = 8", "batch_size = 8\nlearning_rate = -1",
+             "learning_rate must be finite and >= 0, got -1.0"),
+            ("hidden_sizes = 8\n\n[edgepre]", "hidden_sizes = 8\nactivation = bogus\n\n[edgepre]",
+             "activation must be one of"),
+            ("[edgepre]", "[dp]\nclip_norm = -1\n\n[edgepre]", "clip_norm must be positive, got -1.0"),
+            ("[edgepre]", "[dp]\nnoise_sigma = -1\n\n[edgepre]", "noise_sigma must be >= 0, got -1.0"),
+        ],
+        ids=["optimizer", "learning_rate", "activation", "clip_norm", "noise_sigma"],
+    )
+    def test_simulate_stage_values_fail_every_command(self, tmp_path, capsys, old, new, message):
+        csv_path = tmp_path / "grid.csv"
+        text = BASE_INI.format(out=tmp_path / "simlog") + (
+            f"\n[sweep]\nfamily = density\nn = 6\nps = 0.5\nscenarios = 4\nseeds = 0\n"
+            f"out_csv = {csv_path}\n"
+        )
+        assert text.count(old) == 1
+        cfg = write_ini(tmp_path, text.replace(old, new))
+        assert main(["validate", cfg]) == 2
+        assert main(["simulate", "--config", cfg]) == 2
+        assert not (tmp_path / "simlog").exists()
+        assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "1",
+                     "--config", cfg]) == 2
+        assert main(["sweep", "--config", cfg]) == 2
+        assert not csv_path.exists()
+        assert capsys.readouterr().err.count(message) == 4
+
     @pytest.mark.parametrize("frac", ["7", "0", "1", "nan"])
     def test_labeled_frac_is_checked_for_every_scenario(self, tmp_path, capsys, frac):
         assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "3",

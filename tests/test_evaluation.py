@@ -6,6 +6,7 @@ relies on them.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -619,8 +620,8 @@ def scored_softs(monkeypatch):
 
 
 class TestStackedGroup:
-    """A group trains its SC1/SC2 decoders as one stack and still gives, bit for
-    bit, the rows of each scenario attacked alone."""
+    """A sweep of one group trains its SC1/SC2 decoders as one stack and still
+    gives, bit for bit, the rows of each scenario attacked alone."""
 
     P = MlpArchitecture((2, 16, 8, 1)).n_params
 
@@ -631,7 +632,7 @@ class TestStackedGroup:
         ]
         want_rows, want_softs = lone_rows(cells, STACK_DEFAULTS)
         stack_shapes.clear()
-        rows = evaluation._run_group(cells, STACK_DEFAULTS)
+        rows = list(run_sweep(cells, STACK_DEFAULTS).rows)
         assert [r.status for r in rows] == ["ok"] * 4
         assert rows == want_rows
         assert scored_softs == want_softs
@@ -686,7 +687,7 @@ class TestStackedGroup:
         cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 5, 2))]
         want_rows, _ = lone_rows([cells[0], cells[2]], STACK_DEFAULTS)
         stack_shapes.clear()
-        rows = evaluation._run_group(cells, STACK_DEFAULTS)
+        rows = list(run_sweep(cells, STACK_DEFAULTS).rows)
         assert rows[1].status == "error:KnowledgeViolation" and rows[1].result is None
         assert (rows[1].n_edges, rows[1].density) == (rows[0].n_edges, rows[0].density) == (6, 0.4)
         assert [rows[0], rows[2]] == want_rows
@@ -706,7 +707,7 @@ class TestStackedGroup:
         cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 2, 4))]
         want_rows, want_softs = lone_rows([cells[0], cells[2]], STACK_DEFAULTS)
         stack_shapes.clear()
-        rows = evaluation._run_group(cells, STACK_DEFAULTS)
+        rows = list(run_sweep(cells, STACK_DEFAULTS).rows)
         assert rows[1].status == "error:ConstantMetric" and rows[1].n_edges == 6
         assert [rows[0], rows[2]] == want_rows
         assert scored_softs == want_softs
@@ -719,10 +720,88 @@ class TestStackedGroup:
         monkeypatch.setattr(evaluation, "edgepre_train_many", refuse)
         cells = [ring_cell(k, scenario=sc) for k, sc in enumerate((1, 2, 3, 4))]
         want_rows, _ = lone_rows(cells[2:], STACK_DEFAULTS)
-        rows = evaluation._run_group(cells, STACK_DEFAULTS)
+        rows = list(run_sweep(cells, STACK_DEFAULTS).rows)
         assert [r.status for r in rows[:2]] == ["error:InvalidConfig"] * 2
         assert all(r.n_edges == 6 and r.result is None for r in rows[:2])
         assert rows[2:] == want_rows
+
+
+def lone_sweep(cells, d):
+    """``lone_rows`` of every group of a sweep: the rows in cell order, and the
+    soft matrices of each group's distinct scenarios, group by group."""
+    groups = {}
+    for c in cells:
+        groups.setdefault(evaluation._sim_key(c), {}).setdefault(c.scenario, []).append(c)
+    rows, softs = {}, []
+    for by_scenario in groups.values():
+        got_rows, got_softs = lone_rows([cs[0] for cs in by_scenario.values()], d)
+        softs += got_softs
+        for cs, row in zip(by_scenario.values(), got_rows):
+            for c in cs:
+                rows[c.index] = dataclasses.replace(row, cell=c)
+    return [rows[c.index] for c in cells], softs
+
+
+class TestSweepStack:
+    """A sweep trains the SC1/SC2 decoders of all its groups together, one stack
+    per E' shape and config, once every group's log is gone."""
+
+    P = MlpArchitecture((2, 16, 8, 1)).n_params
+
+    def mitigation(self, out_csv=None, resume=False):
+        return mitigation_experiment(
+            [1, 2], [0], topology_kinds=("star", "ring"), n_nodes=6,
+            defaults=STACK_DEFAULTS, out_csv=out_csv, resume=resume,
+        )
+
+    def test_sweep10_shape_trains_one_stack(self, tmp_path, scored_softs, stack_shapes):
+        d = ExperimentDefaults()
+        out = tmp_path / "sweep10.csv"
+        res = mitigation_experiment([1, 2], [0], n_nodes=10, defaults=d, out_csv=out)
+        # 12 distinct simulations (3 kinds x 4 configurations), each with SC1 and SC2
+        P = MlpArchitecture((2, *d.edgepre.hidden_sizes, 1)).n_params
+        assert stack_shapes == [(24, P)]
+        want_rows, want_softs = lone_sweep([r.cell for r in res.rows], d)
+        assert [r.status for r in res.rows] == ["ok"] * 36
+        assert list(res.rows) == want_rows
+        assert scored_softs == want_softs
+
+    def test_resume_across_groups_trains_a_smaller_stack(self, tmp_path, stack_shapes):
+        full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+        self.mitigation(full)
+        assert stack_shapes == [(16, self.P)]  # 2 kinds x 4 configurations x SC1, SC2
+        lines = full.read_bytes().splitlines(keepends=True)
+        part.write_bytes(b"".join(lines[:-4]))  # the dp_on cells of both kinds are missing
+        stack_shapes.clear()
+        res = self.mitigation(part, resume=True)
+        assert [r.cell.experiment_id for r in res.rows] == [
+            f"mitigation-dp_on-{kind}-sc{sc}-s0" for kind in ("star", "ring") for sc in (1, 2)
+        ]
+        assert stack_shapes == [(4, self.P)]
+        assert part.read_bytes() == full.read_bytes()
+
+    def test_every_log_is_dead_when_the_stack_trains(self, monkeypatch):
+        logs, alive = [], []
+        simulate, train = evaluation.simulate, evaluation.edgepre_train_many
+
+        def simulating(*args, **kwargs):
+            log = simulate(*args, **kwargs)
+            logs.append(weakref.ref(log))
+            return log
+
+        def training(fits):
+            alive.append(sum(ref() is not None for ref in logs))
+            return train(fits)
+
+        monkeypatch.setattr(evaluation, "simulate", simulating)
+        monkeypatch.setattr(evaluation, "edgepre_train_many", training)
+        # scenario 5 fails in the prepare phase, whose error must not hold its log
+        res = mitigation_experiment(
+            [1, 2, 5], [0], topology_kinds=("star", "ring"), n_nodes=6, defaults=STACK_DEFAULTS
+        )
+        assert {r.status for r in res.rows} == {"ok", "error:KnowledgeViolation"}
+        assert len(logs) == 8
+        assert alive == [0]
 
 
 class TestResumeAfterCrash:
@@ -764,7 +843,8 @@ class TestExperimentDefaults:
     @pytest.mark.parametrize(
         "field,value",
         [("rho", 0.0), ("rho", 1.0), ("rho", float("nan")), ("metric_phase", "mid"),
-         ("metric_last_k", 0)],
+         ("metric_last_k", 0), ("optimizer", "bogus"), ("learning_rate", -1.0),
+         ("batch_size", 0), ("local_epochs", 0), ("activation", "bogus"), ("hidden_sizes", ())],
     )
     def test_bad_value_is_invalid_config(self, field, value):
         with pytest.raises(InvalidConfig):
