@@ -10,19 +10,24 @@ Two reconstruction strategies plus diagnostics:
   (Velickovic et al., arXiv:1710.10903) over the complete graph, or a k-NN
   mask, embeds nodes; a sigmoid MLP decoder scores pairs; the loop minimizes
   MSE between the symmetrized soft adjacency and the feature matrix itself.
-  The heads run on one leading axis, and a fit makes its parameter views,
-  gradient buffer, attention mask and decoder grid once, then trains in
-  place.
+  Every fit trains in a (g, P) stack too, with a model axis in front of the
+  heads' axis and each model's own attention mask; a stack makes its
+  parameter views, gradient buffer and every intermediate of an epoch once,
+  then trains in place.
 - Baselines: logistic regression on pair features, exact scalar 2-means over
   the feature entries, and a fixed threshold.
 
+Both attacks group their fits into stacks the same way (``_train_stacks``):
+by input shape and by config with the seed set aside.
+
 ``run_scenario`` reads a scenario's feature (``scenario_feature``), trains
-its SC1/SC2 decoder and scores every pair. A sweep calls it in three phases:
-it computes the features of every simulation's scenarios and drops each log,
-trains every SC1/SC2 decoder of the sweep together (``edgepre_train_many``,
-one stack per E' shape and config), then hands each scenario its feature and
-decoder, with no log. Attacks see only the FeatureMatrix and E' labels; this
-module never reads the simulation's ground-truth adjacency.
+its model and scores every pair. A sweep calls it in three phases: it
+computes the features of every simulation's scenarios and drops each log,
+trains every model of the sweep together (the SC1/SC2 decoders in
+``edgepre_train_many``, the SC3/SC4 autoencoders in ``infergat_train_many``,
+one stack per input shape and config), then hands each scenario its feature
+and model, with no log. Attacks see only the FeatureMatrix and E' labels;
+this module never reads the simulation's ground-truth adjacency.
 """
 
 from __future__ import annotations
@@ -234,6 +239,22 @@ def _symmetric(n: int, scores: np.ndarray) -> np.ndarray:
     return a
 
 
+def _train_stacks(shapes, cfgs, train) -> list:
+    """Each fit's result, in input order, from ``train(members, cfg)`` run once
+    per stack of fits: those whose inputs share a shape and whose configs
+    differ at most in seed, in order of first appearance. ``cfg`` is their
+    config with seed 0, ``members`` their indices, and ``train`` returns one
+    result per member, in that order."""
+    stacks = {}  # (input shape, config but its seed) -> its fits
+    for k, (shape, cfg) in enumerate(zip(shapes, cfgs)):
+        stacks.setdefault((shape, replace(cfg, seed=0)), []).append(k)
+    out = [None] * len(cfgs)
+    for (_, cfg), members in stacks.items():
+        for k, result in zip(members, train(members, cfg)):
+            out[k] = result
+    return out
+
+
 # --- EDGEPRE ----------------------------------------------------------------
 
 def _hidden_sizes(name: str, sizes) -> tuple[int, ...]:
@@ -284,22 +305,20 @@ def edgepre_train_many(fits) -> list[ModelParams]:
     """``edgepre_train`` on each ``(x, labeled_pairs, cfg)`` fit, in order.
 
     Every fit's E' is checked before any training. Fits whose E' rows share a
-    shape and whose configs differ at most in seed train as one (g, P) stack,
-    each from its own seed's init; a lone fit is a stack of one.
+    shape and whose configs differ at most in seed train as one (g, P) stack
+    (``_train_stacks``), each from its own seed's init; a lone fit is a stack
+    of one.
     """
     data = [(*_labeled_rows(x.values, pairs), cfg) for x, pairs, cfg in fits]
-    groups = {}  # (rows shape, config but its seed) -> its fits, in order of first appearance
-    for k, (rows, _, cfg) in enumerate(data):
-        groups.setdefault((rows.shape, replace(cfg, seed=0)), []).append(k)
-    out = [None] * len(data)
-    for (shape, cfg), members in groups.items():
-        arch = MlpArchitecture((shape[1], *cfg.hidden_sizes, 1), activation="relu")
+
+    def train(members, cfg):
         rows, labels, cfgs = zip(*(data[k] for k in members))
+        arch = MlpArchitecture((rows[0].shape[1], *cfg.hidden_sizes, 1), activation="relu")
         theta = np.stack([init_params(arch, c.seed).flat for c in cfgs])
         thetas = _edgepre_fit(arch, theta, np.stack(rows), np.stack(labels), cfg)
-        for k, t in zip(members, thetas):
-            out[k] = ModelParams(arch, t)
-    return out
+        return [ModelParams(arch, t) for t in thetas]
+
+    return _train_stacks([rows.shape for rows, _, _ in data], [cfg for *_, cfg in data], train)
 
 
 def edgepre_bce(decoder: ModelParams, x: FeatureMatrix, labeled_pairs) -> float:
@@ -398,150 +417,220 @@ def _attention_mask(x: np.ndarray, knn_k: int | None) -> np.ndarray:
 
 
 def _gat_unpack(flat: np.ndarray, d_in: int, cfg: InferGatConfig):
-    """Views into the packed vector: the encoder on a leading head axis, then
-    the decoder's ``nn.unpack`` layers.
+    """Views into a (g, P) stack of packed vectors: the encoder on a leading
+    model axis and then a head axis, then the decoder's ``nn.unpack`` layers.
 
     Head h's block is W (d_in x d_head, row-major), then a = [a_l; a_r]; the
-    blocks sit back to back, so W is an (H, d_in, d_head) view and a_l, a_r
-    are (H, d_head) views.
+    blocks sit back to back, so W is a (g, H, d_in, d_head) view and a_l, a_r
+    are (g, H, d_head) views.
     """
     d_head, dec_arch = _gat_dims(cfg)
+    g = flat.shape[0]
     n_w = d_in * d_head
-    blocks = flat[: cfg.heads * (n_w + 2 * d_head)].reshape(cfg.heads, -1)
-    w = blocks[:, :n_w].reshape(cfg.heads, d_in, d_head)
-    a_l, a_r = blocks[:, n_w : n_w + d_head], blocks[:, n_w + d_head :]
-    return (w, a_l, a_r), unpack((dec_arch, flat[blocks.size :]))
-
-
-def _gat_forward(params, x: np.ndarray, att_bias: np.ndarray, grid=None):
-    """Encoder plus pair decoder over every ordered pair at once, on the views
-    of ``_gat_unpack``.
-
-    Every head runs on one leading axis: one ``x @ W``, one LeakyReLU and one
-    softmax over the (H, n, n) scores plus ``att_bias`` (0 where attention is
-    allowed, -inf where the mask forbids it), and one ``tanh(alpha @ U)``.
-    The embedding z concatenates the heads, head-major.
-
-    Returns the symmetrized soft adjacency (zero diagonal) and the cache the
-    backward pass reads. The decoder's first weight splits as [W_a; W_b], so
-    pair (i, j)'s first pre-activation is z_i W_a + z_j W_b + b: two products
-    per node, broadcast onto the (n, n) node grid (Kipf & Welling,
-    arXiv:1611.07308). The grid is written into ``grid`` when given, an
-    (n, n, hidden) buffer a fit reuses. Later layers run on that grid, n^2
-    rows including the diagonal, which the loss masks out.
-    """
-    (w, a_l, a_r), dec = params
-    u = x @ w
-    e_raw = u @ a_l[:, :, None] + (u @ a_r[:, :, None]).transpose(0, 2, 1)
-    e = np.maximum(e_raw, LEAKY_SLOPE * e_raw)
-    e += att_bias
-    e -= e.max(axis=2, keepdims=True)
-    alpha = np.exp(e, out=e)
-    alpha /= alpha.sum(axis=2, keepdims=True)
-    z_h = np.tanh(alpha @ u)
-    n = x.shape[0]
-    z = z_h.transpose(1, 0, 2).reshape(n, -1)
-
-    e_dim = z.shape[1]
-    w1, b1 = dec[0]
-    if grid is None:
-        grid = np.empty((n, n, w1.shape[1]))
-    np.add((z @ w1[:e_dim])[:, None, :], (z @ w1[e_dim:])[None, :, :], out=grid)
-    h = grid.reshape(n * n, -1)
-    h += b1
-    acts = []
-    for w, b in dec[1:]:
-        np.tanh(h, out=h)
-        acts.append(h)
-        h = h @ w + b
-    sig = _sigmoid(h.reshape(n, n))
-    soft = 0.5 * (sig + sig.T)
-    np.fill_diagonal(soft, 0.0)
-    return soft, (u, e_raw, alpha, z_h, z, acts, sig)
+    n_enc = cfg.heads * (n_w + 2 * d_head)
+    blocks = flat[:, :n_enc].reshape(g, cfg.heads, -1)
+    w = blocks[..., :n_w].reshape(g, cfg.heads, d_in, d_head)
+    a_l, a_r = blocks[..., n_w : n_w + d_head], blocks[..., n_w + d_head :]
+    return (w, a_l, a_r), unpack((dec_arch, flat[:, n_enc:]))
 
 
 class _GatFit:
-    """One INFERGAT fit's buffers, made once: the packed parameters and a
-    gradient buffer with the ``_gat_unpack`` views of each, the additive
-    attention mask, the (n, n, hidden) decoder grid and one backward product
-    per hidden layer. The optimizer updates ``flat`` in place, so the views
-    stay valid for the whole fit.
+    """The buffers of g INFERGAT fits that share a feature shape and a config
+    but their seed, made once: the (g, P) parameter stack and a gradient
+    buffer with the ``_gat_unpack`` views of each, each model's additive
+    attention mask, every intermediate of an epoch and the views of them an
+    epoch reads. The optimizer updates ``flat`` in place, so the views stay
+    valid for the whole fit.
 
-    The grid holds the first layer's pre-activation, then its tanh, and in
-    the backward 1 - tanh^2; every gradient matmul and sum writes straight
-    into its view of ``grad``.
+    Every model gets the bits of its lone fit: each step is the lone fit's
+    operation with a leading model axis, and every reduction runs along the
+    same axis in the same order.
     """
 
-    def __init__(self, flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig, mask):
-        n = x.shape[0]
-        self.flat, self.x = flat, x
+    def __init__(self, flats, x: np.ndarray, cfg: InferGatConfig, masks=None):
+        """A fit of a copy of the (g, P) stack ``flats`` on the (g, n, d_in)
+        features ``x``; each model's attention mask is built from its
+        feature when ``masks`` is not given."""
+        g, n, d_in = x.shape
+        heads, e_dim = cfg.heads, cfg.embed_dim
+        d_head, dec_arch = _gat_dims(cfg)
+        hidden = dec_arch.layer_sizes[1:-1]
+        if masks is None:
+            masks = np.stack([_attention_mask(v, cfg.knn_k) for v in x])
+        self.flat = flat = np.array(flats, dtype=np.float64)
+        self.x, self.n = x, n
         self.params = _gat_unpack(flat, d_in, cfg)
         self.grad = np.empty_like(flat)
         self.grads = _gat_unpack(self.grad, d_in, cfg)
-        self.att_bias = np.where(mask, 0.0, -np.inf)
-        dec_sizes = _gat_dims(cfg)[1].layer_sizes
-        self.grid = np.empty((n, n, dec_sizes[1]))
-        self.back = [np.empty((n * n, k)) for k in dec_sizes[1:-1]]
+        self.att_bias = np.where(masks, 0.0, -np.inf)[:, None]
+        att = (g, heads, n, n)
+        # forward: encoder, then the (n, n, hidden) decoder grid and each later
+        # layer's output, which is the tanh the next layer reads
+        self.u, self.z_h = np.empty((g, heads, n, d_head)), np.empty((g, heads, n, d_head))
+        self.s_l, self.s_r = np.empty((g, heads, n, 1)), np.empty((g, heads, n, 1))
+        self.e_raw, self.alpha = np.empty(att), np.empty(att)
+        self.row = np.empty((g, heads, n, 1))
+        self.z = np.empty((g, n, e_dim))
+        self.z_a, self.z_b = np.empty((g, n, hidden[0])), np.empty((g, n, hidden[0]))
+        self.grid = np.empty((g, n, n, hidden[0]))
+        self.outs = [np.empty((g, n * n, k)) for k in dec_arch.layer_sizes[2:]]
+        self.exp, self.sig, self.soft = np.empty((g, n, n)), np.empty((g, n, n)), np.empty((g, n, n))
+        self.nonneg = np.empty((g, n, n), dtype=bool)
+        # backward
+        self.resid, self.d_raw = np.empty((g, n, n)), np.empty((g, n, n))
+        self.loss = np.empty(g)
+        self.back = [np.empty((g, n * n, k)) for k in hidden]
+        self.d_rows, self.d_cols = np.empty((g, n, hidden[0])), np.empty((g, n, hidden[0]))
+        self.dz, self.dz_b = np.empty((g, n, e_dim)), np.empty((g, n, e_dim))
+        self.du, self.dalpha = np.empty((g, heads, n, d_head)), np.empty(att)
+        self.slope_at = np.empty(att, dtype=bool)
+        self.ds_l, self.ds_r = np.empty((g, heads, n)), np.empty((g, heads, n))
+        # the views an epoch reads: a_l and a_r as columns and rows, the two
+        # halves W_a, W_b of the first decoder weight and of its gradient, z
+        # and dz split by head, and each decoder layer's input
+        (_, a_l, a_r), dec = self.params
+        (_, ga_l, ga_r), g_dec = self.grads
+        w1 = dec[0][0]
+        self.x_t = x.swapaxes(1, 2)[:, None]
+        self.a_cols = a_l[..., None], a_r[..., None]
+        self.a_rows = a_l[:, :, None, :], a_r[:, :, None, :]
+        self.ga_cols = ga_l[..., None], ga_r[..., None]
+        self.ds_cols = self.ds_l[..., None], self.ds_r[..., None]
+        self.w_ab = w1[:, :e_dim], w1[:, e_dim:]
+        self.w_ab_t = w1[:, :e_dim].swapaxes(1, 2), w1[:, e_dim:].swapaxes(1, 2)
+        self.gw_ab = g_dec[0][0][:, :e_dim], g_dec[0][0][:, e_dim:]
+        self.z_heads = self.z.reshape(g, n, heads, d_head)
+        self.dz_heads = self.dz.reshape(g, n, heads, d_head).transpose(0, 2, 1, 3)
+        self.acts = [self.grid.reshape(g, n * n, -1), *self.outs[:-1]]
+        self.diag = np.s_[:, :: n + 1]
 
-    def loss_and_grad(self) -> float:
-        """The total loss at ``flat``; its gradient is written into ``grad``."""
-        x = self.x
-        n = x.shape[0]
-        ((_, a_l, a_r), dec), ((gw, ga_l, ga_r), g_dec) = self.params, self.grads
-        soft, (u, e_raw, alpha, z_h, z, acts, sig) = _gat_forward(
-            self.params, x, self.att_bias, self.grid
-        )
-        resid = soft - x
-        np.fill_diagonal(resid, 0.0)
+    def loss_and_grad(self) -> np.ndarray:
+        """Each model's total loss at ``flat``, (g,); the gradients are written
+        into ``grad``."""
+        x, n = self.x, self.n
+        dec, g_dec = self.params[1], self.grads[1]
+        soft = _gat_forward(self)
+        g = len(soft)
         count = n * (n - 1)
-        loss = float((resid**2).sum() / count)
+        resid = np.subtract(soft, x, out=self.resid)
+        resid.reshape(g, -1)[self.diag] = 0.0
+        sq = np.multiply(resid, resid, out=self.d_raw)  # d_raw's buffer as scratch
+        np.add.reduce(sq.reshape(g, -1), axis=1, out=self.loss)
+        self.loss /= count
 
         # backward: MSE -> symmetrization -> sigmoid -> decoder -> embeddings;
         # the zeroed diagonal of the residual leaves the diagonal of delta at 0
-        d_sym = 2.0 * resid / count
-        d_raw = 0.5 * (d_sym + d_sym.T)
-        delta = (d_raw * sig * (1.0 - sig)).reshape(n * n, 1)
-        layers = zip(dec[:0:-1], g_dec[:0:-1], acts[::-1], self.back[::-1])
+        d_sym = np.multiply(resid, 2.0, out=resid)
+        d_sym /= count
+        d_raw = np.add(d_sym, d_sym.swapaxes(1, 2), out=self.d_raw)
+        d_raw *= 0.5
+        d_raw *= self.sig
+        d_raw *= np.subtract(1.0, self.sig, out=resid)
+        delta = d_raw.reshape(g, n * n, 1)
+        layers = zip(dec[:0:-1], g_dec[:0:-1], self.acts[::-1], self.back[::-1])
         for (w, _), (gw_l, gb_l), h, back in layers:
-            np.matmul(h.T, delta, out=gw_l)
-            np.sum(delta, axis=0, keepdims=True, out=gb_l)
+            np.matmul(h.swapaxes(1, 2), delta, out=gw_l)
+            np.add.reduce(delta, axis=1, keepdims=True, out=gb_l)
             # the last layer has one output, where delta @ w.T is the outer product
-            if w.shape[1] == 1:
-                np.multiply(delta, w.T, out=back)
+            if w.shape[2] == 1:
+                np.einsum("gi,gj->gij", delta[..., 0], w[..., 0], out=back)
             else:
-                np.matmul(delta, w.T, out=back)
+                np.matmul(delta, w.swapaxes(1, 2), out=back)
             # h is spent: it becomes 1 - h^2 in place
             np.multiply(h, h, out=h)
             np.subtract(1.0, h, out=h)
             back *= h
             delta = back
         # first layer: z_i reaches row i of the grid through W_a, z_j column j through W_b
-        grid = delta.reshape(n, n, -1)
-        d_rows, d_cols = grid.sum(axis=1), grid.sum(axis=0)
-        e_dim = z.shape[1]
-        w1 = dec[0][0]
-        gw1, gb1 = g_dec[0]
-        np.matmul(z.T, d_rows, out=gw1[:e_dim])
-        np.matmul(z.T, d_cols, out=gw1[e_dim:])
-        np.sum(d_rows, axis=0, keepdims=True, out=gb1)
-        dz = d_rows @ w1[:e_dim].T + d_cols @ w1[e_dim:].T
+        grid = delta.reshape(g, n, n, -1)
+        d_rows = np.einsum("gijk->gik", grid, out=self.d_rows)
+        d_cols = np.add.reduce(grid, axis=1, out=self.d_cols)
+        z_t = self.z.swapaxes(1, 2)
+        np.matmul(z_t, d_rows, out=self.gw_ab[0])
+        np.matmul(z_t, d_cols, out=self.gw_ab[1])
+        np.add.reduce(d_rows, axis=1, keepdims=True, out=g_dec[0][1])
+        dz = np.matmul(d_rows, self.w_ab_t[0], out=self.dz)
+        dz += np.matmul(d_cols, self.w_ab_t[1], out=self.dz_b)
 
-        # encoder backward, every head at once; dz splits head-major as z did
-        heads, _, d_head = z_h.shape
-        u_t = u.transpose(0, 2, 1)
-        dh = dz.reshape(n, heads, d_head).transpose(1, 0, 2) * (1.0 - z_h * z_h)
-        dalpha = dh @ u_t
-        du = alpha.transpose(0, 2, 1) @ dh
-        de = alpha * (dalpha - (dalpha * alpha).sum(axis=2, keepdims=True))
-        de_raw = de * np.where(e_raw > 0, 1.0, LEAKY_SLOPE)
-        ds_l = de_raw.sum(axis=2)
-        ds_r = de_raw.sum(axis=1)
-        du += ds_l[:, :, None] * a_l[:, None, :]
-        du += ds_r[:, :, None] * a_r[:, None, :]
-        np.matmul(u_t, ds_l[:, :, None], out=ga_l[:, :, None])
-        np.matmul(u_t, ds_r[:, :, None], out=ga_r[:, :, None])
-        np.matmul(x.T, du, out=gw)
-        return loss
+        # encoder backward, every head at once; dz splits head-major as z did.
+        # Spent forward buffers hold what follows: z_h's holds 1 - z_h^2, then
+        # dh, then a du term; e_raw's holds dalpha * alpha; dalpha's holds de
+        u, alpha, z_h = self.u, self.alpha, self.z_h
+        u_t = u.swapaxes(2, 3)
+        np.multiply(z_h, z_h, out=z_h)
+        np.subtract(1.0, z_h, out=z_h)
+        dh = np.multiply(self.dz_heads, z_h, out=z_h)
+        dalpha = np.matmul(dh, u_t, out=self.dalpha)
+        du = np.matmul(alpha.swapaxes(2, 3), dh, out=self.du)
+        # LeakyReLU's slope where e_raw is not positive
+        slope_at = np.less_equal(self.e_raw, 0.0, out=self.slope_at)
+        dalpha -= np.add.reduce(
+            np.multiply(dalpha, alpha, out=self.e_raw), axis=3, keepdims=True, out=self.row
+        )
+        de = np.multiply(alpha, dalpha, out=dalpha)
+        np.multiply(de, LEAKY_SLOPE, out=de, where=slope_at)
+        np.add.reduce(de, axis=3, out=self.ds_l)
+        np.add.reduce(de, axis=2, out=self.ds_r)
+        for ds, a, ga in zip(self.ds_cols, self.a_rows, self.ga_cols):
+            du += np.multiply(ds, a, out=dh)
+            np.matmul(u_t, ds, out=ga)
+        np.matmul(self.x_t, du, out=self.grads[0][0])
+        return self.loss
+
+
+def _gat_forward(fit: _GatFit) -> np.ndarray:
+    """Encoder plus pair decoder of every model of a ``_GatFit`` over every
+    ordered pair at once, in the fit's buffers.
+
+    Every head runs on one axis after the model axis: one ``x @ W``, one
+    LeakyReLU and one softmax over the (g, H, n, n) scores plus each model's
+    attention bias (0 where attention is allowed, -inf where its mask forbids
+    it), and one ``tanh(alpha @ U)``. The embedding z concatenates the heads,
+    head-major.
+
+    Returns the (g, n, n) symmetrized soft adjacency (zero diagonal); the
+    buffers keep what the backward pass reads. The decoder's first weight
+    splits as [W_a; W_b], so pair (i, j)'s first pre-activation is
+    z_i W_a + z_j W_b + b: two products per node, broadcast onto the (n, n)
+    node grid (Kipf & Welling, arXiv:1611.07308). Later layers run on that
+    grid, n^2 rows including the diagonal, which the loss masks out.
+    """
+    (w, _, _), dec = fit.params
+    n = fit.n
+    g = len(fit.x)
+    u = np.matmul(fit.x[:, None], w, out=fit.u)
+    np.matmul(u, fit.a_cols[0], out=fit.s_l)
+    np.matmul(u, fit.a_cols[1], out=fit.s_r)
+    e_raw = np.add(fit.s_l, fit.s_r.swapaxes(2, 3), out=fit.e_raw)
+    e = np.multiply(e_raw, LEAKY_SLOPE, out=fit.alpha)
+    np.maximum(e_raw, e, out=e)
+    e += fit.att_bias
+    e -= np.maximum.reduce(e, axis=3, keepdims=True, out=fit.row)
+    alpha = np.exp(e, out=e)
+    alpha /= np.add.reduce(alpha, axis=3, keepdims=True, out=fit.row)
+    z_h = np.tanh(np.matmul(alpha, u, out=fit.z_h), out=fit.z_h)
+    np.copyto(fit.z_heads, z_h.transpose(0, 2, 1, 3))
+
+    grid = fit.grid
+    np.copyto(grid, np.matmul(fit.z, fit.w_ab[1], out=fit.z_b)[:, None, :, :])
+    grid += np.matmul(fit.z, fit.w_ab[0], out=fit.z_a)[:, :, None, :]
+    h = fit.acts[0]
+    h += dec[0][1]
+    for (w, b), out in zip(dec[1:], fit.outs):
+        np.tanh(h, out=h)
+        h = np.matmul(h, w, out=out)
+        h += b
+    # _sigmoid in the fit's buffers, with soft as scratch for 1 + e^-|h|;
+    # -|h| is h with its sign bit set
+    h = h.reshape(g, n, n)
+    ez = np.exp(np.copysign(h, -1.0, out=fit.exp), out=fit.exp)
+    d = np.add(ez, 1.0, out=fit.soft)
+    sig = np.divide(ez, d, out=fit.sig)
+    np.divide(1.0, d, out=sig, where=np.greater_equal(h, 0.0, out=fit.nonneg))
+    soft = np.add(sig, sig.swapaxes(1, 2), out=fit.soft)
+    soft *= 0.5
+    soft.reshape(g, -1)[fit.diag] = 0.0
+    return soft
 
 
 def _gat_loss_and_grad(
@@ -549,35 +638,68 @@ def _gat_loss_and_grad(
 ):
     """Total loss and its gradient for all encoder and decoder parameters at once.
 
-    ``mask`` is the attention mask of x; it is built here when not given.
+    ``flat`` is one (P,) model on (n, d_in) features, or a (g, P) stack on
+    (g, n, d_in) features, which gives (g,) losses and a (g, P) gradient.
+    ``mask`` is the attention mask of x, or of each feature of the stack; it
+    is built here when not given.
     """
-    if mask is None:
-        mask = _attention_mask(x, cfg.knn_k)
-    fit = _GatFit(flat, x, d_in, cfg, mask)
-    return fit.loss_and_grad(), fit.grad
+    lone = flat.ndim == 1
+    if lone:
+        flat, x, mask = flat[None], x[None], None if mask is None else mask[None]
+    if x.shape[2] != d_in:
+        raise ShapeError(f"features of width {x.shape[2]} for d_in = {d_in}")
+    fit = _GatFit(flat, x, cfg, mask)
+    losses = fit.loss_and_grad()
+    return (float(losses[0]), fit.grad[0]) if lone else (losses, fit.grad)
+
+
+def _infergat_fit(flats, xs: np.ndarray, cfg: InferGatConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The INFERGAT loop: full-batch Adam over the reconstruction MSE from the
+    (g, P) stack ``flats`` on (g, n, d_in) features. Returns the trained stack
+    and the (epochs, g) loss history."""
+    fit = _GatFit(flats, xs, cfg)
+    opt = Adam(fit.flat.shape, cfg.learning_rate)
+    losses = np.empty((cfg.epochs, len(xs)))
+    for epoch in losses:
+        epoch[:] = fit.loss_and_grad()
+        opt.step(fit.flat, fit.grad)
+    return fit.flat, losses
 
 
 def infergat_train(x: FeatureMatrix, cfg: InferGatConfig):
     """Fit encoder and decoder to reproduce the feature matrix off-diagonal.
 
     Returns (model, per-epoch loss history)."""
-    vals = x.values
-    d_in = vals.shape[1]
-    fit = _GatFit(_gat_init(d_in, cfg), vals, d_in, cfg, _attention_mask(vals, cfg.knn_k))
-    opt = Adam(fit.flat.shape, cfg.learning_rate)
-    losses = []
-    for _ in range(cfg.epochs):
-        losses.append(fit.loss_and_grad())
-        opt.step(fit.flat, fit.grad)
-    return GatModel(fit.flat, d_in, cfg), losses
+    return infergat_train_many([(x, cfg)])[0]
+
+
+def infergat_train_many(fits) -> list[tuple[GatModel, list[float]]]:
+    """``infergat_train`` on each ``(x, cfg)`` fit: its (model, loss history),
+    in input order.
+
+    Fits whose features share a shape and whose configs differ at most in
+    seed train as one (g, P) stack (``_train_stacks``), each from its own
+    seed's init and with its own attention mask; a lone fit is a stack of one.
+    """
+    fits = list(fits)
+    xs = [x.values for x, _ in fits]
+    cfgs = [cfg for _, cfg in fits]
+
+    def train(members, cfg):
+        d_in = xs[members[0]].shape[1]
+        inits = [_gat_init(d_in, cfgs[k]) for k in members]
+        flats, losses = _infergat_fit(inits, np.stack([xs[k] for k in members]), cfg)
+        return [
+            (GatModel(flat.copy(), d_in, cfgs[k]), history.tolist())
+            for k, flat, history in zip(members, flats, losses.T)
+        ]
+
+    return _train_stacks([x.shape for x in xs], cfgs, train)
 
 
 def infergat_infer(model: GatModel, x: FeatureMatrix) -> SoftAdjacency:
-    vals = x.values
-    att_bias = np.where(_attention_mask(vals, model.cfg.knn_k), 0.0, -np.inf)
-    params = _gat_unpack(model.flat, model.d_in, model.cfg)
-    soft, _ = _gat_forward(params, vals, att_bias)
-    return SoftAdjacency(soft)
+    fit = _GatFit(model.flat[None], x.values[None], model.cfg)
+    return SoftAdjacency(_gat_forward(fit)[0])
 
 
 # --- baselines --------------------------------------------------------------
@@ -679,16 +801,19 @@ def run_scenario(
     metric_phase: str = "post",
     metric_last_k: int = 1,
     feature: FeatureMatrix | None = None,
-    decoder: ModelParams | None = None,
+    decoder: ModelParams | tuple[GatModel, list[float]] | None = None,
 ) -> AttackResult:
     """Dispatch on the scenario's ``SCENARIOS`` entry: its feature kind, then
     the supervised decoder on E' (SC1/SC2) or the attention autoencoder
     (SC3/SC4).
 
     A caller that already holds the scenario's ``feature`` (from
-    ``scenario_feature``) and, for SC1/SC2, the ``decoder`` trained on it
-    passes them in, and the log, which may then be None, is not read nor the
-    decoder retrained; a sweep does so after training its decoders together.
+    ``scenario_feature``) and the model trained on it passes them in, and the
+    log, which may then be None, is not read nor the model retrained: the
+    ``decoder`` is the ``ModelParams`` of ``edgepre_train`` for SC1/SC2 and
+    the ``(model, losses)`` of ``infergat_train`` for SC3/SC4. A sweep does
+    so after training every model of its scenarios in stacks. Otherwise the
+    scenario trains its one model here.
     """
     spec = Scenario.of(knowledge.scenario)
     x = feature if feature is not None else scenario_feature(
@@ -701,8 +826,10 @@ def run_scenario(
         soft = edgepre_infer(decoder, x)
         losses = ()
     else:
-        cfg = infergat_cfg if infergat_cfg is not None else InferGatConfig()
-        model, losses = infergat_train(x, cfg)
+        if decoder is None:
+            cfg = infergat_cfg if infergat_cfg is not None else InferGatConfig()
+            decoder = infergat_train(x, cfg)
+        model, losses = decoder
         soft = infergat_infer(model, x)
     return AttackResult(
         scenario=knowledge.scenario, feature=x, soft=soft, train_losses=tuple(losses)

@@ -6,11 +6,11 @@ Sweeps run the pipeline in two stages, simulate (topology -> data ->
 simulation) and attack (metric -> attack -> score), and emit plot-ready CSV
 rows. Cells that share a simulation run it once. The attack stage has three
 phases: prepare each simulation's scenarios (knowledge, scored pairs,
-feature) and drop its log, train every supervised decoder (SC1/SC2,
-EDGEPRE) of the sweep at once, stacked by shape and config, then run and
-score each scenario. The CLI runs the same two stages, one scenario at a
-time, so one config and one seed give one graph, one trace, one labeled set
-and one result wherever they are run.
+feature) and drop its log, train every attack model of the sweep at once
+(the SC1/SC2 EDGEPRE decoders and the SC3/SC4 INFERGAT autoencoders),
+stacked by shape and config, then run and score each scenario. The CLI runs
+the same two stages, one scenario at a time, so one config and one seed give
+one graph, one trace, one labeled set and one result wherever they are run.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .attacks import (
     ScenarioKnowledge,
     SoftAdjacency,
     edgepre_train_many,
+    infergat_train_many,
     run_scenario,
     sample_knowledge,
     scenario_feature,
@@ -465,35 +466,38 @@ def _prepare(scenarios, log: SimulationLog, seed: int, defaults: ExperimentDefau
 def _attack(groups: list[_Group], defaults: ExperimentDefaults) -> Iterator[_Group]:
     """Phases 2 and 3 of prepared groups, yielding each group once scored.
 
-    Phase 2 trains every supervised decoder (SC1/SC2, EDGEPRE) of the groups
-    in one ``edgepre_train_many`` call, one stack per E' shape and config; a
-    refused call fails the supervised scenarios it held, and no others.
-    Phase 3 runs each group's scenarios through ``run_scenario`` on their
-    features, group by group (SC3/SC4 train INFERGAT there), and scores
-    them against the group's truth. Attack configs are seeded from
-    (seed, scenario).
+    Phase 2 trains every attack model of the groups: the supervised decoders
+    (SC1/SC2, EDGEPRE) in one ``edgepre_train_many`` call and the attention
+    autoencoders (SC3/SC4, INFERGAT) in one ``infergat_train_many`` call,
+    each with one stack per input shape and config. A refused call fails the
+    scenarios it held, and no others. Phase 3 hands each group's scenarios
+    their features and trained models through ``run_scenario``, group by
+    group, and scores them against the group's truth. Attack configs are
+    seeded from (seed, scenario).
     """
-    fits = {  # (group, scenario) -> its EDGEPRE fit
-        (g, sc): (x, knowledge.known_pairs, _attack_configs(defaults, group.seed, sc)[0])
-        for g, group in enumerate(groups)
-        for sc, (knowledge, _, _, x) in group.prepared.items()
-        if SCENARIOS[sc].holds_labels
-    }
-    decoders = {}
-    try:
-        decoders = dict(zip(fits, edgepre_train_many(fits.values())))
-    except TopoleakError as exc:
-        for g, sc in fits:
-            groups[g].results[sc] = exc
-            del groups[g].prepared[sc]
+    edgepre_fits, infergat_fits = {}, {}  # (group, scenario) -> its fit
+    for g, group in enumerate(groups):
+        for sc, (knowledge, _, _, x) in group.prepared.items():
+            edgepre, infergat = _attack_configs(defaults, group.seed, sc)
+            if SCENARIOS[sc].holds_labels:
+                edgepre_fits[(g, sc)] = x, knowledge.known_pairs, edgepre
+            else:
+                infergat_fits[(g, sc)] = x, infergat
+    trained = {}
+    for fits, train_many in (
+        (edgepre_fits, edgepre_train_many), (infergat_fits, infergat_train_many)
+    ):
+        try:
+            trained.update(zip(fits, train_many(fits.values())))
+        except TopoleakError as exc:
+            for g, sc in fits:
+                groups[g].results[sc] = exc
+                del groups[g].prepared[sc]
 
     for g, group in enumerate(groups):
         for sc, (knowledge, pairs, policy, x) in group.prepared.items():
-            infergat = _attack_configs(defaults, group.seed, sc)[1]
             try:
-                res = run_scenario(
-                    knowledge, None, infergat_cfg=infergat, feature=x, decoder=decoders.get((g, sc))
-                )
+                res = run_scenario(knowledge, None, feature=x, decoder=trained[(g, sc)])
                 group.results[sc] = res, evaluate_soft(res.soft, group.truth, pairs, policy)
             except TopoleakError as exc:
                 group.results[sc] = exc
@@ -583,7 +587,8 @@ def run_sweep(
        prepares each distinct scenario (knowledge, scored pairs, feature);
        its log is dropped before the next group simulates;
     2. every SC1/SC2 decoder of the sweep trains in one ``edgepre_train_many``
-       call, one stack per E' shape and config;
+       call and every SC3/SC4 autoencoder in one ``infergat_train_many``
+       call, one stack per input shape and config;
     3. each group's scenarios run and score, in the order of the groups'
        first cells, and each cell's row is written as soon as its group is
        scored.

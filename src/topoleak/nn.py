@@ -208,8 +208,8 @@ def backward_from_logits(cache, dlogits: np.ndarray) -> np.ndarray:
         grad_layers = unpack((arch, grad))
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[li]
-        gw[...] = hs[li].swapaxes(-1, -2) @ delta
-        gb[...] = delta.sum(axis=-2, keepdims=True)
+        np.matmul(hs[li].swapaxes(-1, -2), delta, out=gw)
+        np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
         if li > 0:  # the input gradient of layer 0 is read by no caller
             delta = delta @ layers[li][0].swapaxes(-1, -2)
             delta = delta * _act_grad(pre[li - 1], hs[li], arch.activation)

@@ -28,6 +28,21 @@ def stack_shapes(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def gat_stack_shapes(monkeypatch):
+    """The (g, P) parameter shape of every INFERGAT training loop run, in
+    order; a lone fit is a stack of one, (1, P)."""
+    shapes = []
+    loop = attacks._infergat_fit
+
+    def recording(flats, *rest):
+        shapes.append(np.shape(flats))
+        return loop(flats, *rest)
+
+    monkeypatch.setattr(attacks, "_infergat_fit", recording)
+    return shapes
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name in ("test_acceptance", "tests.test_acceptance"):
         mod = sys.modules.get(name)

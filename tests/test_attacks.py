@@ -12,6 +12,7 @@ from topoleak.attacks import (
     SCENARIOS,
     AttackResult,
     EdgePreConfig,
+    GatModel,
     InferGatConfig,
     ScenarioKnowledge,
     SoftAdjacency,
@@ -25,6 +26,7 @@ from topoleak.attacks import (
     edgepre_train_many,
     infergat_infer,
     infergat_train,
+    infergat_train_many,
     run_scenario,
     sample_knowledge,
     two_means_cut,
@@ -776,6 +778,67 @@ class TestEdgePreStack:
         assert stack_shapes == []
 
 
+def gat_fit_inputs(n, seed, **cfg):
+    """A feature on n nodes and an INFERGAT config seeded from ``seed``: an
+    (x, cfg) fit."""
+    cfg = InferGatConfig(embed_dim=8, epochs=40, seed=100 + seed, **cfg)
+    return FeatureMatrix(random_feature_values(n, seed=seed)), cfg
+
+
+def gat_n_params(n, **cfg):
+    return _gat_init(n, InferGatConfig(embed_dim=8, **cfg)).size
+
+
+class TestInferGatStack:
+    """Every INFERGAT fit trains in a (g, P) stack and gets the bits of the
+    reference loop; a lone fit is a stack of one."""
+
+    def test_mixed_fits_equal_the_reference_in_input_order(self, gat_stack_shapes):
+        fits = [
+            gat_fit_inputs(8, 0), gat_fit_inputs(10, 1), gat_fit_inputs(8, 2, heads=4),
+            gat_fit_inputs(8, 3), gat_fit_inputs(10, 4, knn_k=3), gat_fit_inputs(10, 5),
+            gat_fit_inputs(8, 6, heads=4),
+        ]
+        lone = infergat_train(*fits[0])
+        assert gat_stack_shapes == [(1, gat_n_params(8))]
+        gat_stack_shapes.clear()
+        trained = infergat_train_many(fits)
+        # stacks by feature shape and config but its seed, in order of first appearance
+        assert gat_stack_shapes == [
+            (2, gat_n_params(8)), (2, gat_n_params(10)), (2, gat_n_params(8, heads=4)),
+            (1, gat_n_params(10)),
+        ]
+        assert trained[0][0].flat.tobytes() == lone[0].flat.tobytes()
+        for (x, cfg), (model, losses) in zip(fits, trained):
+            want_flat, want_losses = reference_infergat(x.values, cfg)
+            assert model.cfg == cfg and model.d_in == x.n_nodes
+            assert model.flat.tobytes() == want_flat.tobytes()
+            assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
+
+    def test_gradient_of_a_stack_slice_matches_finite_differences(self):
+        n = 6
+        cfg = InferGatConfig(embed_dim=8, heads=2, decoder_hidden=(8, 4), knn_k=2)
+        xs = np.stack([random_feature_values(n, seed=s) for s in (11, 12)])
+        stack = np.stack([_gat_init(n, dataclasses.replace(cfg, seed=s)) for s in (3, 4)])
+        losses, grads = _gat_loss_and_grad(stack, xs, n, cfg)
+        # each slice is its lone model's loss and gradient, bit for bit
+        for k in range(2):
+            loss, grad = _gat_loss_and_grad(stack[k], xs[k], n, cfg)
+            assert losses[k] == loss
+            assert grads[k].tobytes() == grad.tobytes()
+        coords = np.random.default_rng(5).choice(stack.shape[1], size=40, replace=False)
+        step = 1e-5
+        fd = np.zeros(len(coords))
+        for k, c in enumerate(coords):
+            up, down = stack.copy(), stack.copy()
+            up[1, c] += step
+            down[1, c] -= step
+            fd[k] = (_gat_loss_and_grad(up, xs, n, cfg)[0][1]
+                     - _gat_loss_and_grad(down, xs, n, cfg)[0][1]) / (2 * step)
+        rel = np.linalg.norm(grads[1, coords] - fd) / max(np.linalg.norm(fd), 1e-12)
+        assert rel < 1e-3
+
+
 def probe_cases():
     """(feature, topology) pairs of every kind the attacks meet: planted features,
     random ones with and without ties, and both metric kinds of small simulations."""
@@ -1025,6 +1088,27 @@ class TestRunScenario:
         k1 = sample_knowledge(1, log.config.topology, seed=2)
         res1 = run_scenario(k1, log, edgepre_cfg=EdgePreConfig(epochs=20, seed=0))
         assert res1.train_losses == ()
+
+    @pytest.mark.parametrize("scenario", [3, 4])
+    def test_a_log_trains_through_infergat_train_once(self, scenario, monkeypatch):
+        # what wraps attacks.infergat_train sees every fit run_scenario trains from a log
+        calls = []
+        train = attacks.infergat_train
+
+        def counting(x, cfg):
+            out = train(x, cfg)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(attacks, "infergat_train", counting)
+        log = tiny_log()
+        cfg = InferGatConfig(epochs=7, seed=0)
+        knowledge = sample_knowledge(scenario, log.config.topology)
+        res = attacks.run_scenario(knowledge, log, infergat_cfg=cfg)
+        assert len(calls) == 1
+        model, losses = calls[0]
+        assert isinstance(model, GatModel) and len(losses) == cfg.epochs
+        assert res.train_losses == tuple(losses)
 
     def test_binarization_at_half(self):
         vals = np.array([[0.0, 0.6, 0.4], [0.6, 0.0, 0.5], [0.4, 0.5, 0.0]])

@@ -726,6 +726,23 @@ class TestStackedGroup:
         assert rows[2:] == want_rows
 
 
+    def test_infergat_stack_failure_fails_the_unsupervised_scenarios_only(self, monkeypatch):
+        def refuse(fits):
+            raise InvalidConfig("the stack is refused")
+
+        monkeypatch.setattr(evaluation, "infergat_train_many", refuse)
+        # two groups, each with SC1 and the two unsupervised scenarios
+        cells = [
+            dataclasses.replace(ring_cell(k, scenario=sc, seed=seed), index=k)
+            for k, (seed, sc) in enumerate([(s, sc) for s in (0, 1) for sc in (1, 3, 4)])
+        ]
+        want0, _ = lone_rows(cells[:1], STACK_DEFAULTS)
+        want1, _ = lone_rows(cells[3:4], STACK_DEFAULTS)
+        rows = list(run_sweep(cells, STACK_DEFAULTS).rows)
+        assert [rows[0], rows[3]] == want0 + want1
+        for r in rows[1:3] + rows[4:]:
+            assert r.status == "error:InvalidConfig" and r.result is None and r.n_edges == 6
+
 def lone_sweep(cells, d):
     """``lone_rows`` of every group of a sweep: the rows in cell order, and the
     soft matrices of each group's distinct scenarios, group by group."""
@@ -743,8 +760,9 @@ def lone_sweep(cells, d):
 
 
 class TestSweepStack:
-    """A sweep trains the SC1/SC2 decoders of all its groups together, one stack
-    per E' shape and config, once every group's log is gone."""
+    """A sweep trains the SC1/SC2 decoders and the SC3/SC4 autoencoders of all
+    its groups together, one stack per input shape and config, once every
+    group's log is gone."""
 
     P = MlpArchitecture((2, 16, 8, 1)).n_params
 
@@ -766,6 +784,16 @@ class TestSweepStack:
         assert list(res.rows) == want_rows
         assert scored_softs == want_softs
 
+    def test_mitigation_shape_trains_one_infergat_stack(self, scored_softs, gat_stack_shapes):
+        d = ExperimentDefaults(learning_rate=0.025, infergat=InferGatConfig(epochs=300, knn_k=5))
+        res = mitigation_experiment([3, 4], [0], topology_kinds=("star", "ring"), n_nodes=10, defaults=d)
+        # 8 distinct simulations (2 kinds x 4 configurations), each with SC3 and SC4
+        assert gat_stack_shapes == [(16, attacks._gat_init(10, d.infergat).size)]
+        want_rows, want_softs = lone_sweep([r.cell for r in res.rows], d)
+        assert [r.status for r in res.rows] == ["ok"] * 24
+        assert list(res.rows) == want_rows
+        assert scored_softs == want_softs
+
     def test_resume_across_groups_trains_a_smaller_stack(self, tmp_path, stack_shapes):
         full, part = tmp_path / "full.csv", tmp_path / "part.csv"
         self.mitigation(full)
@@ -782,26 +810,29 @@ class TestSweepStack:
 
     def test_every_log_is_dead_when_the_stack_trains(self, monkeypatch):
         logs, alive = [], []
-        simulate, train = evaluation.simulate, evaluation.edgepre_train_many
+        simulate = evaluation.simulate
 
         def simulating(*args, **kwargs):
             log = simulate(*args, **kwargs)
             logs.append(weakref.ref(log))
             return log
 
-        def training(fits):
-            alive.append(sum(ref() is not None for ref in logs))
-            return train(fits)
+        def counting_alive(train):
+            def training(fits):
+                alive.append(sum(ref() is not None for ref in logs))
+                return train(fits)
+            return training
 
         monkeypatch.setattr(evaluation, "simulate", simulating)
-        monkeypatch.setattr(evaluation, "edgepre_train_many", training)
+        for name in ("edgepre_train_many", "infergat_train_many"):
+            monkeypatch.setattr(evaluation, name, counting_alive(getattr(evaluation, name)))
         # scenario 5 fails in the prepare phase, whose error must not hold its log
         res = mitigation_experiment(
-            [1, 2, 5], [0], topology_kinds=("star", "ring"), n_nodes=6, defaults=STACK_DEFAULTS
+            [1, 2, 3, 5], [0], topology_kinds=("star", "ring"), n_nodes=6, defaults=STACK_DEFAULTS
         )
         assert {r.status for r in res.rows} == {"ok", "error:KnowledgeViolation"}
         assert len(logs) == 8
-        assert alive == [0]
+        assert alive == [0, 0]
 
 
 class TestResumeAfterCrash:
