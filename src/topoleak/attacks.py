@@ -7,11 +7,11 @@ Two reconstruction strategies plus diagnostics:
   scoring every pair. Every fit trains in a (g, P) stack: fits of one shape and
   config share one, fits that differ get their own, and a lone fit is g = 1.
 - INFERGAT (unsupervised): a single-layer multi-head graph-attention encoder
-  (Velickovic et al., arXiv:1710.10903) over the complete graph, or a k-NN
-  mask, embeds nodes; a sigmoid MLP decoder scores pairs; the loop minimizes
-  MSE between the symmetrized soft adjacency and the feature matrix itself.
-  Every fit trains in a (g, P) stack too, with a model axis in front of the
-  heads' axis and each model's own attention mask; a stack makes its
+  (Velickovic et al., arXiv:1710.10903) over a k-NN attention mask, or the
+  complete graph, embeds nodes; a sigmoid MLP decoder scores pairs; the loop
+  minimizes MSE between the symmetrized soft adjacency and the feature matrix
+  itself. Every fit trains in a (g, P) stack too, with a model axis in front
+  of the heads' axis and each model's own attention mask; a stack makes its
   parameter views, gradient buffer and every intermediate of an epoch once,
   then trains in place.
 - Baselines: logistic regression on pair features, exact scalar 2-means over
@@ -342,10 +342,10 @@ def edgepre_infer(decoder: ModelParams, x: FeatureMatrix) -> SoftAdjacency:
 class InferGatConfig:
     embed_dim: int = 16
     heads: int = 2
-    epochs: int = 500
+    epochs: int = 1500
     learning_rate: float = 5e-3
     decoder_hidden: tuple[int, ...] = (16,)
-    knn_k: int | None = None
+    knn_k: int | None = 5  # None: complete-graph attention
     seed: int = 0
 
     def __post_init__(self):
@@ -397,7 +397,7 @@ def _gat_init(d_in: int, cfg: InferGatConfig) -> np.ndarray:
 
 
 def _attention_mask(x: np.ndarray, knn_k: int | None) -> np.ndarray:
-    """Complete-graph attention by default; otherwise row-wise k-NN.
+    """Row-wise k-NN attention, or complete-graph attention for ``knn_k=None``.
 
     Row i attends to the min(knn_k, n - 1) entries with the smallest key
     -x[i, j], ties going to the lower index. Self's key is -inf, so self

@@ -2,8 +2,9 @@
 
 Config files are INI-style sectioned key-value documents; every section and
 key is schema-checked before any work happens, and unknown keys are
-rejected rather than ignored.  Exit codes: 0 ok, 2 config or usage error,
-3 runtime failure.
+rejected rather than ignored. A pipeline key a config leaves out keeps its
+``ExperimentDefaults`` value, the one a sweep and the library use.  Exit
+codes: 0 ok, 2 config or usage error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .attacks import SCENARIOS, EdgePreConfig, InferGatConfig, SoftAdjacency
+from .attacks import SCENARIOS, SoftAdjacency
 from .data import load_csv
 from .engine import DpConfig, load_log, save_log
 from .errors import (
@@ -175,28 +176,25 @@ def _read_input(path, what: str) -> str:
     return f.read_text()
 
 
+# the sections whose keys set ``ExperimentDefaults`` fields of the same name, but
+# for the keys in FIELD_OF_KEY; [data] path names an input file, not a field
+PIPELINE_SECTIONS = ("data", "train", "federation", "attack", "metric")
+FIELD_OF_KEY = {("metric", "phase"): "metric_phase", ("metric", "last_k"): "metric_last_k"}
+
+
 def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
-    """Every pipeline knob of a config, with the CLI's defaults for absent keys,
-    once the ``SECTION_CHECKS`` of the sections present pass; every command
-    that reads a config calls it before any work."""
-    defaults = ExperimentDefaults(
-        k_classes=cfg.get("data", "k_classes", 3),
-        n_features=cfg.get("data", "n_features", 8),
-        n_per_class=cfg.get("data", "n_per_class", 40),
-        spread=cfg.get("data", "spread", 1.0),
-        learning_rate=cfg.get("train", "learning_rate", 0.05),
-        batch_size=cfg.get("train", "batch_size", 16),
-        optimizer=cfg.get("train", "optimizer", "sgd"),
-        local_epochs=cfg.get("train", "local_epochs", 3),
-        rounds=cfg.get("federation", "rounds"),
-        hidden_sizes=cfg.get("federation", "hidden_sizes", (32, 16)),
-        activation=cfg.get("federation", "activation", "relu"),
-        rho=cfg.get("attack", "rho", 0.3),
-        metric_phase=cfg.get("metric", "phase", "post"),
-        metric_last_k=cfg.get("metric", "last_k", 1),
-        # the schema's attack keys are the configs' field names; absent keys keep their defaults
-        edgepre=EdgePreConfig(**cfg.sections.get("edgepre", {})),
-        infergat=InferGatConfig(**cfg.sections.get("infergat", {})),
+    """``ExperimentDefaults()`` with the fields the config sets replaced, the
+    ``[edgepre]`` and ``[infergat]`` keys replacing fields of its attack
+    configs, once the ``SECTION_CHECKS`` of the sections present pass; every
+    command that reads a config calls it before any work."""
+    base = ExperimentDefaults()
+    defaults = dataclasses.replace(
+        base,
+        **{FIELD_OF_KEY.get((section, key), key): value
+           for section in PIPELINE_SECTIONS for key, value in cfg.sections.get(section, {}).items()
+           if (section, key) != ("data", "path")},
+        edgepre=dataclasses.replace(base.edgepre, **cfg.sections.get("edgepre", {})),
+        infergat=dataclasses.replace(base.infergat, **cfg.sections.get("infergat", {})),
     )
     for section, check in SECTION_CHECKS.items():
         if cfg.has_section(section):

@@ -340,6 +340,29 @@ def _check_manifest(path: Path, n_nodes: int, rounds: int) -> None:
             raise InvalidTrace(f"{path} line {k} reads {g!r}, expected {w!r}")
 
 
+def _read_partition(path: Path, n_nodes: int, n_samples: int) -> tuple[tuple[int, ...], ...]:
+    """One nonempty line of sample indices per node, each index an integer in
+    [0, n_samples) that no other line holds."""
+    lines = _read_text(path).splitlines()
+    if len(lines) != n_nodes:
+        raise InvalidTrace(f"{path} has {len(lines)} lines; the topology has {n_nodes} nodes")
+    try:
+        assignments = tuple(tuple(int(i) for i in line.split()) for line in lines)
+    except ValueError as exc:
+        raise InvalidTrace(f"{path} holds a sample index that is not an integer: {exc}") from exc
+    seen = set()
+    for k, a in enumerate(assignments, start=1):
+        if not a:
+            raise InvalidTrace(f"{path} line {k} is empty")
+        for i in a:
+            if not 0 <= i < n_samples:
+                raise InvalidTrace(f"{path} line {k} holds sample {i}, outside [0, {n_samples})")
+            if i in seen:
+                raise InvalidTrace(f"{path} line {k} holds sample {i}, which is already assigned")
+            seen.add(i)
+    return assignments
+
+
 def load_log(log_dir) -> SimulationLog:
     """Read a log written by save_log; a missing or inconsistent file raises InvalidTrace."""
     root = Path(log_dir)
@@ -375,12 +398,7 @@ def load_log(log_dir) -> SimulationLog:
     n = topology.n_nodes
     _check_manifest(root / "manifest.txt", n, rounds)
     dataset = load_csv(_read_text(root / "dataset.csv"))
-    assignments = tuple(
-        tuple(int(i) for i in line.split())
-        for line in _read_text(root / "partition.txt").splitlines()
-        if line.strip()
-    )
-    plan = PartitionPlan(assignments, alpha=alpha)
+    plan = PartitionPlan(_read_partition(root / "partition.txt", n, dataset.n_samples), alpha=alpha)
     fc = FederationConfig(
         topology=topology,
         train=train,

@@ -9,8 +9,9 @@ phases: prepare each simulation's scenarios (knowledge, scored pairs,
 feature) and drop its log, train every attack model of the sweep at once
 (the SC1/SC2 EDGEPRE decoders and the SC3/SC4 INFERGAT autoencoders),
 stacked by shape and config, then run and score each scenario. The CLI runs
-the same two stages, one scenario at a time, so one config and one seed give
-one graph, one trace, one labeled set and one result wherever they are run.
+the same two stages, one scenario at a time, on ``ExperimentDefaults`` with
+the fields its config sets replaced, so one config and one seed give one
+graph, one trace, one labeled set and one result wherever they are run.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import (
+    LABELED_FRACTION,
     SCENARIOS,
     AttackResult,
     EdgePreConfig,
@@ -224,7 +226,8 @@ def evaluate_soft(
 
 @dataclass(frozen=True)
 class ExperimentDefaults:
-    """Shared pipeline knobs for sweep cells and CLI runs; one place to calibrate."""
+    """Shared pipeline knobs for sweep cells and CLI runs, the one place each
+    default is written; the attack configs are the library's own."""
 
     k_classes: int = 3
     n_features: int = 8
@@ -237,13 +240,11 @@ class ExperimentDefaults:
     rounds: int | None = None  # None: one round per node
     hidden_sizes: tuple[int, ...] = (32, 16)
     activation: str = "relu"
-    rho: float = 0.3
+    rho: float = LABELED_FRACTION
     metric_phase: str = "post"
     metric_last_k: int = 3  # average the final rounds; single snapshots are noisier
     edgepre: EdgePreConfig = field(default_factory=EdgePreConfig)
-    infergat: InferGatConfig = field(
-        default_factory=lambda: InferGatConfig(epochs=1500, knn_k=5)
-    )
+    infergat: InferGatConfig = field(default_factory=InferGatConfig)
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:

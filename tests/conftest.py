@@ -6,6 +6,7 @@ visible even when every test passed and stdout was captured.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,34 @@ def gat_stack_shapes(monkeypatch):
 
     monkeypatch.setattr(attacks, "_infergat_fit", recording)
     return shapes
+
+
+# damages to a saved log's partition.txt, as a function of its lines, and
+# what the InvalidTrace that load_log raises for each says
+PARTITION_DAMAGES = {
+    "index_999": (lambda ls: [ls[0] + " 999", *ls[1:]], "holds sample 999, outside [0, "),
+    "last_line_dropped": (lambda ls: ls[:-1], "lines; the topology has"),
+    "index_x": (lambda ls: [ls[0] + " x", *ls[1:]], "a sample index that is not an integer"),
+    "index_minus_1": (lambda ls: [ls[0] + " -1", *ls[1:]], "holds sample -1, outside [0, "),
+    "overlap": (
+        lambda ls: [ls[0], f"{ls[1]} {ls[0].split()[0]}", *ls[2:]], "which is already assigned"
+    ),
+    "empty_line": (lambda ls: [ls[0], "", *ls[2:]], "line 2 is empty"),
+}
+
+
+@pytest.fixture(params=list(PARTITION_DAMAGES))
+def partition_damage(request):
+    """Damage the partition.txt of the saved log in a directory; returns what
+    the InvalidTrace that load_log raises then says."""
+    damage, message = PARTITION_DAMAGES[request.param]
+
+    def apply(log_dir):
+        path = Path(log_dir, "partition.txt")
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        return message
+
+    return apply
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -257,7 +257,7 @@ def test_criterion_04_gradient_correctness():
     worst_gat = 0.0
     for _ in range(25):
         n = int(rng.integers(4, 8))
-        cfg = InferGatConfig(embed_dim=4, heads=1, seed=int(rng.integers(0, 2**31)))
+        cfg = InferGatConfig(embed_dim=4, heads=1, knn_k=None, seed=int(rng.integers(0, 2**31)))
         vals = rng.random((n, n))
         vals = 0.5 * (vals + vals.T)
         np.fill_diagonal(vals, 1.0)

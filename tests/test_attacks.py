@@ -523,12 +523,12 @@ class TestInferGat:
 
     def test_loss_decreases_on_two_clique(self):
         x = planted_feature(two_clique_adjacency(6))
-        _, losses = infergat_train(x, InferGatConfig(seed=0))
+        _, losses = infergat_train(x, InferGatConfig(epochs=500, knn_k=None, seed=0))
         assert losses[-1] < losses[0]
 
     def test_same_seed_identical_trajectory(self):
         x = planted_feature(two_clique_adjacency(6))
-        cfg = InferGatConfig(epochs=50, seed=2)
+        cfg = InferGatConfig(epochs=50, knn_k=None, seed=2)
         m1, l1 = infergat_train(x, cfg)
         m2, l2 = infergat_train(x, cfg)
         assert l1 == l2
@@ -537,7 +537,7 @@ class TestInferGat:
     def test_gradient_matches_finite_differences(self):
         # oracle: central differences on the packed parameter vector
         rng = np.random.default_rng(42)
-        cfg = InferGatConfig(embed_dim=4, heads=1, seed=7)
+        cfg = InferGatConfig(embed_dim=4, heads=1, knn_k=None, seed=7)
         vals = rng.random((5, 5))
         vals = 0.5 * (vals + vals.T)
         np.fill_diagonal(vals, 1.0)
@@ -628,7 +628,7 @@ class TestInferGat:
     def test_two_clique_separation_after_training(self):
         adj = two_clique_adjacency(6)
         x = planted_feature(adj)
-        model, _ = infergat_train(x, InferGatConfig(seed=0))
+        model, _ = infergat_train(x, InferGatConfig(epochs=500, knn_k=None, seed=0))
         soft = infergat_infer(model, x)
         within = soft.values[(adj > 0)]
         off = ~np.eye(6, dtype=bool)
@@ -637,7 +637,7 @@ class TestInferGat:
 
     def test_inference_symmetric_bounded(self):
         x = planted_feature(two_clique_adjacency(6))
-        model, _ = infergat_train(x, InferGatConfig(epochs=30, seed=1))
+        model, _ = infergat_train(x, InferGatConfig(epochs=30, knn_k=None, seed=1))
         soft = infergat_infer(model, x)
         assert np.array_equal(soft.values, soft.values.T)
         assert soft.values.min() >= 0 and soft.values.max() <= 1
@@ -705,7 +705,7 @@ class TestInPlaceTraining:
         monkeypatch.setattr(attacks, "init_params", recording_init)
         x = planted_feature(two_clique_adjacency(6))
         edgepre_train(x, labeled_from(two_clique_adjacency(6), all_pairs(6)[:5]), EdgePreConfig(epochs=5))
-        infergat_train(x, InferGatConfig(epochs=5))
+        infergat_train(x, InferGatConfig(epochs=5, knn_k=None))
         assert len(made) == 2
         for p, bytes_at_init in made:
             assert p.flat.tobytes() == bytes_at_init
@@ -778,10 +778,10 @@ class TestEdgePreStack:
         assert stack_shapes == []
 
 
-def gat_fit_inputs(n, seed, **cfg):
+def gat_fit_inputs(n, seed, knn_k=None, **cfg):
     """A feature on n nodes and an INFERGAT config seeded from ``seed``: an
     (x, cfg) fit."""
-    cfg = InferGatConfig(embed_dim=8, epochs=40, seed=100 + seed, **cfg)
+    cfg = InferGatConfig(embed_dim=8, epochs=40, knn_k=knn_k, seed=100 + seed, **cfg)
     return FeatureMatrix(random_feature_values(n, seed=seed)), cfg
 
 
@@ -985,7 +985,7 @@ class TestMonotoneSignalRecovery:
         assert exact_match(baseline_threshold(x, 0.5), adj)
         assert exact_match(baseline_kmeans(x), adj)
 
-        model, _ = infergat_train(x, InferGatConfig(seed=0))
+        model, _ = infergat_train(x, InferGatConfig(epochs=500, knn_k=None, seed=0))
         assert exact_match(binarize(infergat_infer(model, x)), adj)
 
     def test_edgepre_exact_on_its_labeled_pairs(self):
@@ -1021,7 +1021,7 @@ class TestRunScenario:
             k = sample_knowledge(scenario, log.config.topology, seed=2)
             res = run_scenario(
                 k, log, edgepre_cfg=EdgePreConfig(epochs=5, seed=0),
-                infergat_cfg=InferGatConfig(epochs=5, seed=0),
+                infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0),
             )
             assert res.feature_kind is kind, scenario
 
@@ -1038,7 +1038,7 @@ class TestRunScenario:
         # keeps no loss history, exactly when it holds labels
         res = run_scenario(
             k, log, edgepre_cfg=EdgePreConfig(epochs=5, seed=0),
-            infergat_cfg=InferGatConfig(epochs=5, seed=0),
+            infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0),
         )
         assert (res.feature_kind is MetricKind.RELATIVE_LOSS) is spec.holds_data
         assert (res.train_losses == ()) is spec.holds_labels
@@ -1073,7 +1073,7 @@ class TestRunScenario:
         log = tiny_log()
         blinded = dataclasses.replace(log, adjacency=None)
         k = sample_knowledge(4, log.config.topology)
-        res = run_scenario(k, blinded, infergat_cfg=InferGatConfig(epochs=5, seed=0))
+        res = run_scenario(k, blinded, infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0))
         assert isinstance(res, AttackResult)
         k1 = sample_knowledge(1, log.config.topology, seed=2)
         res1 = run_scenario(k1, blinded, edgepre_cfg=EdgePreConfig(epochs=20, seed=0))
@@ -1081,7 +1081,7 @@ class TestRunScenario:
 
     def test_infergat_loss_history_kept(self):
         log = tiny_log()
-        cfg = InferGatConfig(epochs=5, seed=0)
+        cfg = InferGatConfig(epochs=5, knn_k=None, seed=0)
         res3 = run_scenario(sample_knowledge(3, log.config.topology), log, infergat_cfg=cfg)
         assert res3.train_losses == tuple(infergat_train(res3.feature, cfg)[1])
         assert len(res3.train_losses) == 5
@@ -1102,7 +1102,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(attacks, "infergat_train", counting)
         log = tiny_log()
-        cfg = InferGatConfig(epochs=7, seed=0)
+        cfg = InferGatConfig(epochs=7, knn_k=None, seed=0)
         knowledge = sample_knowledge(scenario, log.config.topology)
         res = attacks.run_scenario(knowledge, log, infergat_cfg=cfg)
         assert len(calls) == 1

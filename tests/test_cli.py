@@ -1,5 +1,7 @@
 """Command-line behavior: schema rejection, exit codes, reproducible artifacts."""
 
+import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,9 +9,10 @@ import numpy as np
 import pytest
 
 from topoleak import evaluation
-from topoleak.attacks import EdgePreConfig
-from topoleak.cli import main, parse_config, resolve_seed
+from topoleak.attacks import EdgePreConfig, InferGatConfig
+from topoleak.cli import RunConfig, build_defaults, main, parse_config, resolve_seed
 from topoleak.data import dump_csv, gen_blobs
+from topoleak.engine import load_log
 from topoleak.errors import InvalidConfig
 from topoleak.evaluation import ExperimentDefaults, SweepCell, run_cell
 from topoleak.metrics import load_matrix_csv
@@ -99,6 +102,75 @@ class TestConfigSchema:
         assert cfg.get("run", "seed") == 7
         assert cfg.get("federation", "hidden_sizes") == (8,)
         assert cfg.get("dp", "clip_norm") is None
+
+
+# every pipeline key of a config, a value for it, and the ExperimentDefaults
+# field it sets ("edgepre.epochs" for a field of an attack config) to that value
+PIPELINE_KEYS = [
+    ("data", "k_classes", "4", "k_classes", 4),
+    ("data", "n_features", "5", "n_features", 5),
+    ("data", "n_per_class", "12", "n_per_class", 12),
+    ("data", "spread", "2.5", "spread", 2.5),
+    ("train", "local_epochs", "2", "local_epochs", 2),
+    ("train", "learning_rate", "0.05", "learning_rate", 0.05),
+    ("train", "batch_size", "8", "batch_size", 8),
+    ("train", "optimizer", "adam", "optimizer", "adam"),
+    ("federation", "rounds", "4", "rounds", 4),
+    ("federation", "hidden_sizes", "8, 4", "hidden_sizes", (8, 4)),
+    ("federation", "activation", "tanh", "activation", "tanh"),
+    ("attack", "rho", "0.5", "rho", 0.5),
+    ("metric", "phase", "pre", "metric_phase", "pre"),
+    ("metric", "last_k", "1", "metric_last_k", 1),
+    ("edgepre", "hidden_sizes", "8", "edgepre.hidden_sizes", (8,)),
+    ("edgepre", "epochs", "20", "edgepre.epochs", 20),
+    ("edgepre", "learning_rate", "0.05", "edgepre.learning_rate", 0.05),
+    ("infergat", "embed_dim", "8", "infergat.embed_dim", 8),
+    ("infergat", "heads", "4", "infergat.heads", 4),
+    ("infergat", "epochs", "10", "infergat.epochs", 10),
+    ("infergat", "learning_rate", "0.01", "infergat.learning_rate", 0.01),
+    ("infergat", "decoder_hidden", "8, 4", "infergat.decoder_hidden", (8, 4)),
+    ("infergat", "knn_k", "3", "infergat.knn_k", 3),
+]
+
+
+def with_field(defaults, path, value):
+    """``defaults`` with the field at ``path`` ("name" or "config.name") set to ``value``."""
+    name, _, sub = path.partition(".")
+    if sub:
+        value = dataclasses.replace(getattr(defaults, name), **{sub: value})
+    return dataclasses.replace(defaults, **{name: value})
+
+
+class TestDefaults:
+    """A config replaces the ExperimentDefaults fields it sets and no others."""
+
+    def test_empty_config_is_the_library_defaults(self, tmp_path):
+        assert build_defaults(RunConfig({})) == ExperimentDefaults()
+        assert build_defaults(parse_config(write_ini(tmp_path, ""))) == ExperimentDefaults()
+        # [data] path names a dataset file, not a setting
+        cfg = parse_config(write_ini(tmp_path, "[data]\npath = blobs.csv\n"))
+        assert build_defaults(cfg) == ExperimentDefaults()
+        # and the pipeline's attack configs are the library's own
+        assert ExperimentDefaults().edgepre == EdgePreConfig()
+        assert ExperimentDefaults().infergat == InferGatConfig()
+
+    @pytest.mark.parametrize(
+        "section, key, raw, path, value", PIPELINE_KEYS,
+        ids=[f"{s}.{k}" for s, k, *_ in PIPELINE_KEYS],
+    )
+    def test_each_key_sets_its_own_field(self, tmp_path, section, key, raw, path, value):
+        want = with_field(ExperimentDefaults(), path, value)
+        assert want != ExperimentDefaults()
+        cfg = parse_config(write_ini(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+        assert build_defaults(cfg) == want
+
+    def test_partial_attack_sections_keep_the_library_values(self, tmp_path):
+        cfg = parse_config(write_ini(tmp_path, "[infergat]\nepochs = 10\n[edgepre]\nepochs = 20\n"))
+        got, lib = build_defaults(cfg), ExperimentDefaults()
+        assert got.infergat == dataclasses.replace(lib.infergat, epochs=10)
+        assert got.infergat.knn_k == 5
+        assert got.edgepre == dataclasses.replace(lib.edgepre, epochs=20)
+        assert got == dataclasses.replace(lib, infergat=got.infergat, edgepre=got.edgepre)
 
 
 class TestSeedPrecedence:
@@ -393,6 +465,15 @@ class TestAttack:
         for name in (f"attack_sc{scenario}.csv", f"attack_sc{scenario}.result.json"):
             assert (bare / name).read_bytes() == (with_empty / name).read_bytes()
 
+    @pytest.mark.parametrize("scenario", [1, 3])
+    def test_no_config_is_the_library_pipeline(self, sim_log, tmp_path, scenario):
+        out = tmp_path / "bare"
+        assert main(["attack", "--log", sim_log, "--scenario", str(scenario), "--seed", "4",
+                     "--out", str(out)]) == 0
+        res, _ = evaluation.attack_log(scenario, load_log(sim_log), 4, ExperimentDefaults())
+        soft = load_matrix_csv((out / f"attack_sc{scenario}.csv").read_text())
+        assert soft.tobytes() == res.soft.values.tobytes()
+
     def test_truncated_snapshot_is_runtime_error(self, sim_log, base_cfg, capsys):
         arr = Path(sim_log, "deltas.npy")
         arr.write_bytes(arr.read_bytes()[:-5])
@@ -432,6 +513,13 @@ class TestAttack:
         assert main(["attack", "--log", sim_log, "--scenario", "4",
                      "--config", base_cfg]) == 3
         assert named in capsys.readouterr().err
+
+    def test_damaged_partition_is_invalid_trace(self, sim_log, base_cfg, capsys, partition_damage):
+        message = partition_damage(sim_log)
+        assert main(["attack", "--log", sim_log, "--scenario", "1", "--config", base_cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "partition.txt" in err and message in err
 
 
 class TestEvaluate:
@@ -547,6 +635,9 @@ batch_size = 8
 rounds = 2
 hidden_sizes = 8
 
+[metric]
+last_k = 1
+
 [edgepre]
 epochs = 10
 hidden_sizes = 8
@@ -558,6 +649,11 @@ heads = 1
 """
 
 
+def row_statuses(csv_path):
+    with open(csv_path, newline="") as fh:
+        return [row["status"] for row in csv.DictReader(fh)]
+
+
 class TestSweep:
     def test_density_family_writes_rows(self, tmp_path, capsys):
         csv_path = tmp_path / "grid.csv"
@@ -565,7 +661,8 @@ class TestSweep:
         assert main(["sweep", "--config", cfg]) == 0
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 3  # header + 2 cells
-        assert "2 rows" in capsys.readouterr().out
+        assert "2 rows (2 ok)" in capsys.readouterr().out
+        assert row_statuses(csv_path) == ["ok", "ok"]
 
     def test_resume_skips_done_cells(self, tmp_path):
         csv_path = tmp_path / "grid.csv"
@@ -574,6 +671,7 @@ class TestSweep:
         before = csv_path.read_text()
         assert main(["sweep", "--config", cfg, "--resume"]) == 0
         assert csv_path.read_text() == before
+        assert row_statuses(csv_path) == ["ok", "ok"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -495,6 +495,14 @@ def ring4_log():
     return run_simulation(cfg, d, plan, seed=2)
 
 
+def test_damaged_partition_is_invalid_trace(ring4_log, partition_damage, tmp_path):
+    save_log(ring4_log, tmp_path)
+    message = partition_damage(tmp_path)
+    with pytest.raises(InvalidTrace, match="partition.txt") as info:
+        load_log(tmp_path)
+    assert message in str(info.value)
+
+
 class TestSnapshot:
     def test_phases_read_the_arrays(self, ring4_log):
         log = ring4_log

@@ -323,7 +323,7 @@ def tiny_defaults(**kw):
         hidden_sizes=(4,),
         metric_last_k=1,
         edgepre=EdgePreConfig(hidden_sizes=(8,), epochs=10),
-        infergat=InferGatConfig(embed_dim=4, heads=1, epochs=3),
+        infergat=InferGatConfig(embed_dim=4, heads=1, epochs=3, knn_k=None),
     )
     base.update(kw)
     return ExperimentDefaults(**base)
