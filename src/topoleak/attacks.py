@@ -20,7 +20,8 @@ Two reconstruction strategies plus diagnostics:
 Both attacks group their fits into stacks the same way (``_train_stacks``):
 by input shape and by config with the seed set aside.
 
-``run_scenario`` reads a scenario's feature (``scenario_feature``), trains
+``run_scenario`` reads a scenario's feature (``scenario_feature``, by default
+as the pipeline does: ``metrics.METRIC_PHASE`` and ``METRIC_LAST_K``), trains
 its model and scores every pair. A sweep calls it in three phases: it
 computes the features of every simulation's scenarios and drops each log,
 trains every model of the sweep together (the SC1/SC2 decoders in
@@ -44,7 +45,9 @@ from .errors import (
     KnowledgeViolation,
     ShapeError,
 )
-from .metrics import FeatureMatrix, MetricKind, feature_from_log, frozen_symmetric
+from .metrics import (
+    METRIC_LAST_K, METRIC_PHASE, FeatureMatrix, MetricKind, feature_from_log, frozen_symmetric,
+)
 from .nn import (
     Adam,
     MlpArchitecture,
@@ -784,10 +787,12 @@ class AttackResult:
 
 
 def scenario_feature(
-    knowledge: ScenarioKnowledge, log, metric_phase: str = "post", metric_last_k: int = 1
+    knowledge: ScenarioKnowledge, log, metric_phase: str = METRIC_PHASE,
+    metric_last_k: int = METRIC_LAST_K,
 ) -> FeatureMatrix:
     """The feature the scenario's attacker reads from the log, once its
-    knowledge is checked against the log: its ``SCENARIOS`` entry's kind."""
+    knowledge is checked against the log: its ``SCENARIOS`` entry's kind, by
+    default in the pipeline's read (``METRIC_PHASE``, ``METRIC_LAST_K``)."""
     knowledge.validate(log.n_nodes)
     kind = SCENARIOS[knowledge.scenario].feature_kind
     return feature_from_log(log, kind, phase=metric_phase, last_k=metric_last_k)
@@ -798,8 +803,8 @@ def run_scenario(
     log,
     edgepre_cfg: EdgePreConfig | None = None,
     infergat_cfg: InferGatConfig | None = None,
-    metric_phase: str = "post",
-    metric_last_k: int = 1,
+    metric_phase: str = METRIC_PHASE,
+    metric_last_k: int = METRIC_LAST_K,
     feature: FeatureMatrix | None = None,
     decoder: ModelParams | tuple[GatModel, list[float]] | None = None,
 ) -> AttackResult:

@@ -2,9 +2,10 @@
 
 Config files are INI-style sectioned key-value documents; every section and
 key is schema-checked before any work happens, and unknown keys are
-rejected rather than ignored. A pipeline key a config leaves out keeps its
-``ExperimentDefaults`` value, the one a sweep and the library use.  Exit
-codes: 0 ok, 2 config or usage error, 3 runtime failure.
+rejected rather than ignored. A key a config leaves out keeps the library's
+value, the one a sweep uses: its ``ExperimentDefaults`` field, else the
+``evaluation`` default it feeds (``[sweep]`` grid, ``[topology] n``, ``DP_ON``).
+Exit codes: 0 ok, 2 config or usage error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .evaluation import (
     ALL_PAIRS,
+    DP_ON,
     HELD_OUT,
     PAIR_POLICIES,
     ExperimentDefaults,
@@ -55,14 +57,9 @@ TOPOLOGY_KINDS = {"ring": "ring", "star": "star", "er": "erdos_renyi"}
 
 # --- config schema ----------------------------------------------------------
 
-def _to_int_tuple(s):
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    return tuple(int(p) for p in parts)
-
-
-def _to_float_tuple(s):
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+def _tuple_of(kind):
+    """A parser of a comma-separated list of ``kind`` values; empty items are skipped."""
+    return lambda s: tuple(kind(p.strip()) for p in s.split(",") if p.strip())
 
 
 SCHEMA = {
@@ -82,12 +79,12 @@ SCHEMA = {
         "batch_size": int,
         "optimizer": str,
     },
-    "federation": {"rounds": int, "hidden_sizes": _to_int_tuple, "activation": str},
+    "federation": {"rounds": int, "hidden_sizes": _tuple_of(int), "activation": str},
     "dp": {"clip_norm": float, "noise_sigma": float},
     "metric": {"phase": str, "last_k": int},
     "attack": {"rho": float},
     "edgepre": {
-        "hidden_sizes": _to_int_tuple,
+        "hidden_sizes": _tuple_of(int),
         "epochs": int,
         "learning_rate": float,
     },
@@ -96,17 +93,17 @@ SCHEMA = {
         "heads": int,
         "epochs": int,
         "learning_rate": float,
-        "decoder_hidden": _to_int_tuple,
+        "decoder_hidden": _tuple_of(int),
         "knn_k": int,
     },
     "sweep": {
         "family": str,
-        "ps": _to_float_tuple,
-        "ns": _to_int_tuple,
+        "ps": _tuple_of(float),
+        "ns": _tuple_of(int),
         "n": int,
         "p": float,
-        "scenarios": _to_int_tuple,
-        "seeds": _to_int_tuple,
+        "scenarios": _tuple_of(int),
+        "seeds": _tuple_of(int),
         "out_csv": str,
     },
 }
@@ -227,19 +224,30 @@ def _partition_alpha(cfg: RunConfig) -> float | None:
     return alpha
 
 
+# each [sweep] family's function and the argument each of its grid keys sets;
+# scenarios and seeds set the arguments of those names in every family
+SWEEP_FAMILIES = {
+    "density": (density_sweep, {"ps": "ps", "n": "n_nodes"}),
+    "size": (size_sweep, {"ns": "ns", "p": "p"}),
+    "mitigation": (mitigation_experiment, {"n": "n_nodes", "p": "er_p"}),
+}
+
+
 def _sweep_family(cfg: RunConfig) -> str:
     family = cfg.get("sweep", "family")
-    if family not in ("density", "size", "mitigation"):
+    if family not in SWEEP_FAMILIES:
         raise InvalidConfig(f"[sweep] family must be density, size or mitigation, got {family!r}")
     return family
 
 
 def _dp(cfg: RunConfig) -> tuple[float, float] | None:
-    """[dp] as (clip_norm, noise_sigma), checked as ``DpConfig`` checks them,
-    or None without the section."""
+    """[dp] as (clip_norm, noise_sigma), a key it leaves out keeping its
+    ``DP_ON`` value, checked as ``DpConfig`` checks them, or None without the
+    section."""
     if not cfg.has_section("dp"):
         return None
-    dp = (cfg.get("dp", "clip_norm", 1.0), cfg.get("dp", "noise_sigma", 0.5))
+    clip_norm, noise_sigma = DP_ON
+    dp = (cfg.get("dp", "clip_norm", clip_norm), cfg.get("dp", "noise_sigma", noise_sigma))
     DpConfig(*dp)
     return dp
 
@@ -289,18 +297,12 @@ def cmd_simulate(args) -> int:
         topo = load_topology(_read_input(cfg.get("topology", "path"), "topology"))
     path = cfg.get("data", "path")
     dataset = None if path is None else load_csv(_read_input(path, "dataset"))
+    # a topology file sets the node count, else [topology] n if the config sets it
+    n = topo.n_nodes if topo is not None else cfg.get("topology", "n")
     log = simulate(
-        defaults,
-        topology_kind=kind,
-        n_nodes=cfg.get("topology", "n", 10) if topo is None else topo.n_nodes,
-        er_p=cfg.get("topology", "p"),
-        alpha=alpha,
-        local_epochs=defaults.local_epochs,
-        dp=_dp(cfg),
-        seed=seed,
-        rounds=defaults.rounds,
-        topology=topo,
-        dataset=dataset,
+        defaults, topology_kind=kind, er_p=cfg.get("topology", "p"), alpha=alpha,
+        local_epochs=defaults.local_epochs, dp=_dp(cfg), seed=seed, rounds=defaults.rounds,
+        topology=topo, dataset=dataset, **({} if n is None else {"n_nodes": n}),
     )
     save_log(log, out_dir)
     print(
@@ -390,18 +392,10 @@ def cmd_sweep(args) -> int:
     out_csv = args.out or cfg.get("sweep", "out_csv")
     if out_csv is None:
         raise InvalidConfig("sweep needs --out or [sweep] out_csv")
-    scenarios = cfg.get("sweep", "scenarios", tuple(SCENARIOS))
-    seeds = cfg.get("sweep", "seeds", tuple(range(5)))
-
-    n, p = cfg.get("sweep", "n", 10), cfg.get("sweep", "p", 0.5)
-    common = dict(defaults=defaults, out_csv=out_csv, resume=args.resume)
-    if family == "density":
-        ps = cfg.get("sweep", "ps", (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
-        res = density_sweep(ps, n, scenarios, seeds, **common)
-    elif family == "size":
-        res = size_sweep(cfg.get("sweep", "ns", (10, 20, 30)), p, scenarios, seeds, **common)
-    else:  # mitigation
-        res = mitigation_experiment(scenarios, seeds, n_nodes=n, er_p=p, **common)
+    run, arg_of_key = SWEEP_FAMILIES[family]
+    arg_of_key = {**arg_of_key, "scenarios": "scenarios", "seeds": "seeds"}
+    grid = {arg_of_key[k]: v for k, v in cfg.sections["sweep"].items() if k in arg_of_key}
+    res = run(**grid, defaults=defaults, out_csv=out_csv, resume=args.resume)
     n_ok = sum(1 for r in res.rows if r.status == "ok")
     print(f"sweep {family}: {len(res.rows)} rows ({n_ok} ok) -> {out_csv}")
     return 0

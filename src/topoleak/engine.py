@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, PartitionPlan, dump_csv, load_csv, split_train_holdout
-from .errors import DivergedTraining, InvalidConfig, InvalidTrace
+from .errors import DivergedTraining, InvalidConfig, InvalidTrace, TopoleakError
 from .nn import MlpArchitecture, ModelParams, TrainConfig, init_params, train_local
 from .seeds import derive_seed, rng_for
 from .topology import Topology, adjacency_matrix, aggregation_matrix, dump_topology, load_topology
@@ -332,6 +332,15 @@ def _read_text(path: Path) -> str:
         raise InvalidTrace(f"{path} is not UTF-8 text") from exc
 
 
+def _parse_text(path: Path, parse):
+    """``parse`` of the file's text; what it refuses raises InvalidTrace naming the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except TopoleakError as exc:
+        raise InvalidTrace(f"{path}: {exc}") from exc
+
+
 def _check_manifest(path: Path, n_nodes: int, rounds: int) -> None:
     """The manifest must list the topology's node count and config.ini's rounds."""
     got = _read_text(path).splitlines()
@@ -378,46 +387,25 @@ def load_log(log_dir) -> SimulationLog:
         hidden = tuple(int(h) for h in fed["hidden_sizes"].split(","))
         alpha = float(fed["alpha"]) if "alpha" in fed else None
         activation = fed["activation"]
+        t = cfg["train"]
         train = TrainConfig(
-            local_epochs=int(cfg["train"]["local_epochs"]),
-            learning_rate=float(cfg["train"]["learning_rate"]),
-            batch_size=int(cfg["train"]["batch_size"]),
-            optimizer=cfg["train"]["optimizer"],
+            int(t["local_epochs"]), float(t["learning_rate"]), int(t["batch_size"]), t["optimizer"]
         )
-        dp = None
-        if "dp" in cfg:
-            dp = DpConfig(
-                clip_norm=float(cfg["dp"]["clip_norm"]),
-                noise_sigma=float(cfg["dp"]["noise_sigma"]),
-                seed=int(cfg["dp"]["seed"]),
-            )
+        dp = None if "dp" not in cfg else DpConfig(
+            float(cfg["dp"]["clip_norm"]), float(cfg["dp"]["noise_sigma"]), int(cfg["dp"]["seed"])
+        )
     except (configparser.Error, KeyError, ValueError) as exc:
         raise InvalidTrace(f"malformed {root / 'config.ini'}: {exc!r}") from exc
 
-    topology = load_topology(_read_text(root / "topology.edges"))
+    topology = _parse_text(root / "topology.edges", load_topology)
     n = topology.n_nodes
     _check_manifest(root / "manifest.txt", n, rounds)
-    dataset = load_csv(_read_text(root / "dataset.csv"))
+    dataset = _parse_text(root / "dataset.csv", load_csv)
     plan = PartitionPlan(_read_partition(root / "partition.txt", n, dataset.n_samples), alpha=alpha)
-    fc = FederationConfig(
-        topology=topology,
-        train=train,
-        rounds=rounds,
-        dp=dp,
-        hidden_sizes=hidden,
-        activation=activation,
-    )
+    fc = FederationConfig(topology, train, rounds, dp, hidden_sizes=hidden, activation=activation)
 
     n_params = fc.architecture(dataset).n_params
     params = _read_array(root / "params.npy", (rounds + 1, n, n_params))
     deltas = _read_array(root / "deltas.npy", (rounds, n, n_params))
 
-    return SimulationLog(
-        config=fc,
-        root_seed=seed,
-        dataset=dataset,
-        plan=plan,
-        params=params,
-        deltas=deltas,
-        adjacency=adjacency_matrix(topology),
-    )
+    return SimulationLog(fc, seed, dataset, plan, params, deltas, adjacency_matrix(topology))

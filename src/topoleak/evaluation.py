@@ -41,6 +41,7 @@ from .attacks import (
 from .data import Dataset, gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
 from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
+from .metrics import METRIC_LAST_K, METRIC_PHASE
 from .nn import MlpArchitecture, TrainConfig
 from .seeds import derive_seed
 from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, pair_index, stats
@@ -227,7 +228,8 @@ def evaluate_soft(
 @dataclass(frozen=True)
 class ExperimentDefaults:
     """Shared pipeline knobs for sweep cells and CLI runs, the one place each
-    default is written; the attack configs are the library's own."""
+    default is written; the model, metric read and attack configs are the
+    library's own."""
 
     k_classes: int = 3
     n_features: int = 8
@@ -235,14 +237,14 @@ class ExperimentDefaults:
     spread: float = 5.0  # well-separated blobs keep local losses informative
     learning_rate: float = 0.1
     batch_size: int = 16
-    optimizer: str = "sgd"
+    optimizer: str = TrainConfig.optimizer
     local_epochs: int = 3
     rounds: int | None = None  # None: one round per node
-    hidden_sizes: tuple[int, ...] = (32, 16)
-    activation: str = "relu"
+    hidden_sizes: tuple[int, ...] = FederationConfig.hidden_sizes
+    activation: str = FederationConfig.activation
     rho: float = LABELED_FRACTION
-    metric_phase: str = "post"
-    metric_last_k: int = 3  # average the final rounds; single snapshots are noisier
+    metric_phase: str = METRIC_PHASE
+    metric_last_k: int = METRIC_LAST_K
     edgepre: EdgePreConfig = field(default_factory=EdgePreConfig)
     infergat: InferGatConfig = field(default_factory=InferGatConfig)
 
@@ -257,6 +259,18 @@ class ExperimentDefaults:
         # any work; the data fixes the architecture's outer sizes, so 1 stands in
         TrainConfig(self.local_epochs, self.learning_rate, self.batch_size, self.optimizer)
         MlpArchitecture((1, *self.hidden_sizes, 1), self.activation)
+
+
+# what a sweep family runs where its caller names no grid, and the node count
+# the simulate stage generates where it names none: the CLI's [sweep] and
+# [topology] n defaults
+SWEEP_SCENARIOS = tuple(SCENARIOS)
+SWEEP_SEEDS = tuple(range(5))
+N_NODES = 10
+ER_P = 0.5
+DENSITY_PS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+SIZE_NS = (10, 20, 30)
+DP_ON = (1.0, 0.5)  # (clip, sigma) of mitigation's dp_on cells and a [dp] section's defaults
 
 
 @dataclass(frozen=True)
@@ -353,9 +367,9 @@ def _sim_key(cell: SweepCell) -> tuple:
 
 
 def simulate(
-    defaults: ExperimentDefaults, *, topology_kind: str, n_nodes: int, er_p: float | None,
-    alpha: float | None, local_epochs: int, dp: tuple[float, float] | None, seed: int,
-    rounds: int | None, topology: Topology | None = None, dataset: Dataset | None = None,
+    defaults: ExperimentDefaults, *, topology_kind: str, n_nodes: int = N_NODES,
+    er_p: float | None, alpha: float | None, local_epochs: int, dp: tuple[float, float] | None,
+    seed: int, rounds: int | None, topology: Topology | None = None, dataset: Dataset | None = None,
 ) -> SimulationLog:
     """Simulate stage: topology, data, partition and the federation run.
 
@@ -651,13 +665,8 @@ def _grid(points, scenarios, seeds, defaults: ExperimentDefaults) -> list[SweepC
 
 
 def density_sweep(
-    ps,
-    n_nodes: int,
-    scenarios,
-    seeds,
-    defaults: ExperimentDefaults = ExperimentDefaults(),
-    out_csv=None,
-    resume: bool = False,
+    ps=DENSITY_PS, n_nodes: int = N_NODES, scenarios=SWEEP_SCENARIOS, seeds=SWEEP_SEEDS,
+    defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
 ) -> SweepResult:
     """Pipeline per (edge probability, scenario, seed) on ER topologies."""
     points = [
@@ -668,13 +677,8 @@ def density_sweep(
 
 
 def size_sweep(
-    ns,
-    p: float,
-    scenarios,
-    seeds,
-    defaults: ExperimentDefaults = ExperimentDefaults(),
-    out_csv=None,
-    resume: bool = False,
+    ns=SIZE_NS, p: float = ER_P, scenarios=SWEEP_SCENARIOS, seeds=SWEEP_SEEDS,
+    defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
 ) -> SweepResult:
     """Pipeline per (node count, scenario, seed); rounds track the size."""
     points = [
@@ -691,19 +695,14 @@ MITIGATION_VARIANTS = (
     ("iid", dict(alpha=None)),
     ("dirichlet01", dict(alpha=0.1)),
     ("dp_off", dict(dp=None)),
-    ("dp_on", dict(dp=(1.0, 0.5))),
+    ("dp_on", dict(dp=DP_ON)),
 )
 
 
 def mitigation_experiment(
-    scenarios,
-    seeds,
-    topology_kinds=("star", "ring", "erdos_renyi"),
-    n_nodes: int = 10,
-    er_p: float = 0.5,
-    defaults: ExperimentDefaults = ExperimentDefaults(),
-    out_csv=None,
-    resume: bool = False,
+    scenarios=SWEEP_SCENARIOS, seeds=SWEEP_SEEDS, topology_kinds=("star", "ring", "erdos_renyi"),
+    n_nodes: int = N_NODES, er_p: float = ER_P,
+    defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
 ) -> SweepResult:
     """Paired defense runs: cells in a pair share every seed, so topology,
     data, and initialization match and only the defense knob differs."""

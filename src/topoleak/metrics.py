@@ -134,14 +134,23 @@ def orient_and_normalize(m: MetricMatrix) -> FeatureMatrix:
 
 # --- computing metrics from a simulation log --------------------------------
 
-def metric_from_log(log, kind: MetricKind, phase: str = "post", last_k: int = 1) -> MetricMatrix:
-    """Compute one metric from a log's snapshots.
+# the pipeline's metric read, the one ``ExperimentDefaults`` and the CLI use:
+# the mean over the final rounds' post-aggregation models
+METRIC_PHASE = "post"
+METRIC_LAST_K = 3  # single snapshots are noisier
 
-    Defaults to the final round's post-aggregation models: aggregation pulls
-    each neighbor's update directly into a node's parameters, so the mixed
-    model scores its neighbors' data measurably better than strangers' data.
-    Pre-aggregation snapshots see that coupling only one round delayed.
-    last_k > 1 averages the metric over the last k rounds.
+
+def metric_from_log(
+    log, kind: MetricKind, phase: str = METRIC_PHASE, last_k: int = METRIC_LAST_K
+) -> MetricMatrix:
+    """Compute one metric from a log's snapshots: its mean over the last
+    ``last_k`` rounds, read in ``phase``.
+
+    Defaults to the pipeline's read, post-aggregation models: aggregation
+    pulls each neighbor's update directly into a node's parameters, so the
+    mixed model scores its neighbors' data measurably better than strangers'
+    data. Pre-aggregation snapshots see that coupling only one round delayed.
+    A log of fewer than ``last_k`` rounds raises ``KnowledgeViolation``.
     """
     t_final = len(log.deltas)
     if last_k < 1 or last_k > t_final:

@@ -58,6 +58,26 @@ PARTITION_DAMAGES = {
 }
 
 
+# damages to a saved log's topology.edges and dataset.csv: the file, its new
+# lines as a function of its lines, and what load_log's InvalidTrace says besides
+# the file's name
+INPUT_DAMAGES = {
+    "dataset_non_numeric": (
+        "dataset.csv", lambda ls: [*ls[:2], "abc," + ls[2].split(",", 1)[1], *ls[3:]],
+        "line 3: non-numeric field in 'abc,",
+    ),
+    "dataset_rows_dropped": ("dataset.csv", lambda ls: ls[:1], "line 1: no data rows"),
+    "topology_bad_sizes": (
+        "topology.edges", lambda ls: ["0 1", "1 2"], "line 1: invalid sizes N=0 M=1"
+    ),
+    "topology_edge_dropped": ("topology.edges", lambda ls: ls[:-1], "edge lines, found"),
+}
+
+
+def _rewrite_lines(path, damage):
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+
+
 @pytest.fixture(params=list(PARTITION_DAMAGES))
 def partition_damage(request):
     """Damage the partition.txt of the saved log in a directory; returns what
@@ -65,9 +85,22 @@ def partition_damage(request):
     damage, message = PARTITION_DAMAGES[request.param]
 
     def apply(log_dir):
-        path = Path(log_dir, "partition.txt")
-        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        _rewrite_lines(Path(log_dir, "partition.txt"), damage)
         return message
+
+    return apply
+
+
+@pytest.fixture(params=list(INPUT_DAMAGES))
+def input_damage(request):
+    """Damage the topology.edges or dataset.csv of the saved log in a
+    directory; returns the file's name and what the InvalidTrace that load_log
+    raises then says."""
+    name, damage, message = INPUT_DAMAGES[request.param]
+
+    def apply(log_dir):
+        _rewrite_lines(Path(log_dir, name), damage)
+        return name, message
 
     return apply
 

@@ -34,7 +34,7 @@ from topoleak.attacks import (
     edgepre_infer,
     edgepre_train,
     infergat_infer,
-    infergat_train,
+    infergat_train_many,
     run_scenario,
     sample_knowledge,
 )
@@ -345,6 +345,7 @@ def test_criterion_07_oracle_recovery():
     t0 = time.perf_counter()
     rng = np.random.default_rng(777)
     worst = {"threshold": 1.0, "kmeans": 1.0, "edgepre": 1.0, "infergat": 1.0}
+    cases = []  # (feature, truth, scored pairs) of each case, for the INFERGAT restarts
     for case in range(20):
         n = int(rng.integers(5, 21))
         topo = gen_erdos_renyi(n, 0.45, seed=int(rng.integers(0, 2**31)))
@@ -366,15 +367,22 @@ def test_criterion_07_oracle_recovery():
             worst["edgepre"],
             f1_score(binarize(edgepre_infer(decoder, x)), adj, held_out_pairs(n, k.known_pairs))[0],
         )
-        best = None  # loss-gated restarts; final loss is label-free
-        for t in range(5):
-            cfg = InferGatConfig(epochs=3000, knn_k=5, seed=case + 1000 * t)
-            model, losses = infergat_train(x, cfg)
-            if best is None or losses[-1] < best[0]:
-                best = (losses[-1], infergat_infer(model, x))
+        cases.append((x, adj, pairs))
+    # loss-gated restarts, the final loss being label-free: restart t of every
+    # case still running trains in one call (cases of one n share a stack); a
+    # case keeps its first restart below 5e-4, else its lowest final loss
+    best, running = {}, list(range(len(cases)))
+    for t in range(5):
+        fits = [
+            (cases[c][0], InferGatConfig(epochs=3000, knn_k=5, seed=c + 1000 * t)) for c in running
+        ]
+        for c, (model, losses) in zip(list(running), infergat_train_many(fits)):
+            if c not in best or losses[-1] < best[c][0]:
+                best[c] = (losses[-1], infergat_infer(model, cases[c][0]))
             if losses[-1] < 5e-4:
-                break
-        worst["infergat"] = min(worst["infergat"], f1_score(binarize(best[1]), adj, pairs)[0])
+                running.remove(c)
+    for c, (_, adj, pairs) in enumerate(cases):
+        worst["infergat"] = min(worst["infergat"], f1_score(binarize(best[c][1]), adj, pairs)[0])
     elapsed = time.perf_counter() - t0
     checks = [(f"{name} f1=1.0", f1 == 1.0) for name, f1 in worst.items()]
     checks.append(("runtime<3min", elapsed < 180.0))

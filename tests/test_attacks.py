@@ -1021,9 +1021,19 @@ class TestRunScenario:
             k = sample_knowledge(scenario, log.config.topology, seed=2)
             res = run_scenario(
                 k, log, edgepre_cfg=EdgePreConfig(epochs=5, seed=0),
-                infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0),
+                infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0), metric_last_k=1,
             )
             assert res.feature_kind is kind, scenario
+
+    @pytest.mark.parametrize("scenario", [1, 3])
+    def test_default_metric_read_is_the_pipelines(self, scenario):
+        log = tiny_log()
+        k = sample_knowledge(scenario, log.config.topology, seed=2)
+        cfgs = dict(edgepre_cfg=EdgePreConfig(epochs=5, seed=0),
+                    infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0))
+        bare = run_scenario(k, log, **cfgs)
+        pipeline = run_scenario(k, log, **cfgs, metric_phase="post", metric_last_k=3)
+        assert bare.soft.values.tobytes() == pipeline.soft.values.tobytes()
 
     def test_every_metric_kind_is_read_by_a_scenario(self):
         assert {spec.feature_kind for spec in SCENARIOS.values()} == set(MetricKind)
@@ -1038,7 +1048,7 @@ class TestRunScenario:
         # keeps no loss history, exactly when it holds labels
         res = run_scenario(
             k, log, edgepre_cfg=EdgePreConfig(epochs=5, seed=0),
-            infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0),
+            infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0), metric_last_k=1,
         )
         assert (res.feature_kind is MetricKind.RELATIVE_LOSS) is spec.holds_data
         assert (res.train_losses == ()) is spec.holds_labels
@@ -1073,20 +1083,26 @@ class TestRunScenario:
         log = tiny_log()
         blinded = dataclasses.replace(log, adjacency=None)
         k = sample_knowledge(4, log.config.topology)
-        res = run_scenario(k, blinded, infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0))
+        res = run_scenario(
+            k, blinded, infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0), metric_last_k=1
+        )
         assert isinstance(res, AttackResult)
         k1 = sample_knowledge(1, log.config.topology, seed=2)
-        res1 = run_scenario(k1, blinded, edgepre_cfg=EdgePreConfig(epochs=20, seed=0))
+        res1 = run_scenario(
+            k1, blinded, edgepre_cfg=EdgePreConfig(epochs=20, seed=0), metric_last_k=1
+        )
         assert isinstance(res1.soft, SoftAdjacency)
 
     def test_infergat_loss_history_kept(self):
         log = tiny_log()
         cfg = InferGatConfig(epochs=5, knn_k=None, seed=0)
-        res3 = run_scenario(sample_knowledge(3, log.config.topology), log, infergat_cfg=cfg)
+        res3 = run_scenario(
+            sample_knowledge(3, log.config.topology), log, infergat_cfg=cfg, metric_last_k=1
+        )
         assert res3.train_losses == tuple(infergat_train(res3.feature, cfg)[1])
         assert len(res3.train_losses) == 5
         k1 = sample_knowledge(1, log.config.topology, seed=2)
-        res1 = run_scenario(k1, log, edgepre_cfg=EdgePreConfig(epochs=20, seed=0))
+        res1 = run_scenario(k1, log, edgepre_cfg=EdgePreConfig(epochs=20, seed=0), metric_last_k=1)
         assert res1.train_losses == ()
 
     @pytest.mark.parametrize("scenario", [3, 4])
@@ -1104,7 +1120,7 @@ class TestRunScenario:
         log = tiny_log()
         cfg = InferGatConfig(epochs=7, knn_k=None, seed=0)
         knowledge = sample_knowledge(scenario, log.config.topology)
-        res = attacks.run_scenario(knowledge, log, infergat_cfg=cfg)
+        res = attacks.run_scenario(knowledge, log, infergat_cfg=cfg, metric_last_k=1)
         assert len(calls) == 1
         model, losses = calls[0]
         assert isinstance(model, GatModel) and len(losses) == cfg.epochs

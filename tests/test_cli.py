@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topoleak import evaluation
+from topoleak import cli, evaluation
 from topoleak.attacks import EdgePreConfig, InferGatConfig
 from topoleak.cli import RunConfig, build_defaults, main, parse_config, resolve_seed
 from topoleak.data import dump_csv, gen_blobs
@@ -171,6 +171,26 @@ class TestDefaults:
         assert got.infergat.knn_k == 5
         assert got.edgepre == dataclasses.replace(lib.edgepre, epochs=20)
         assert got == dataclasses.replace(lib, infergat=got.infergat, edgepre=got.edgepre)
+
+
+class TestNonPipelineDefaults:
+    """The [dp] and [topology] n defaults are the library's, not the CLI's."""
+
+    def test_bare_dp_section_is_the_mitigation_dp_on(self, tmp_path):
+        dp_on = dict(evaluation.MITIGATION_VARIANTS)["dp_on"]["dp"]
+        assert dp_on == evaluation.DP_ON
+        assert cli._dp(parse_config(write_ini(tmp_path, "[dp]\n"))) == dp_on
+        assert cli._dp(RunConfig({"dp": {"noise_sigma": 0.1}})) == (dp_on[0], 0.1)
+
+    def test_simulate_without_topology_n_passes_none(self, tmp_path, monkeypatch):
+        # TestOneSeedPath covers a config that sets n
+        calls, real = [], cli.simulate
+        monkeypatch.setattr(cli, "simulate", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        cfg = write_ini(tmp_path, "[topology]\nkind = ring\n[federation]\nrounds = 1\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "log")]) == 0
+        (kwargs,) = calls
+        assert "n_nodes" not in kwargs
+        assert load_log(tmp_path / "log").n_nodes == evaluation.N_NODES
 
 
 class TestSeedPrecedence:
@@ -521,6 +541,13 @@ class TestAttack:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "partition.txt" in err and message in err
 
+    def test_damaged_input_is_invalid_trace(self, sim_log, base_cfg, capsys, input_damage):
+        name, message = input_damage(sim_log)
+        assert main(["attack", "--log", sim_log, "--scenario", "1", "--config", base_cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err and message in err
+
 
 class TestEvaluate:
     def test_scores_soft_against_topology(self, sim_log, base_cfg, tmp_path, capsys):
@@ -694,6 +721,36 @@ class TestSweep:
     def test_unknown_family_is_config_error(self, tmp_path):
         cfg = write_ini(tmp_path, "[sweep]\nfamily = mystery\nout_csv = x.csv\n")
         assert main(["sweep", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "family, grid, want",
+        [
+            ("density", "", {}),
+            ("size", "", {}),
+            ("mitigation", "", {}),
+            ("density", "ps = 0.3, 0.6\nn = 7\np = 0.9\nns = 4\n", dict(ps=(0.3, 0.6), n_nodes=7)),
+            ("size", "ns = 4, 6\np = 0.6\nn = 7\nps = 0.3\n", dict(ns=(4, 6), p=0.6)),
+            ("mitigation", "n = 7\np = 0.6\nps = 0.3\n", dict(n_nodes=7, er_p=0.6)),
+            ("mitigation", "scenarios = 2\nseeds = 1, 4\n", dict(scenarios=(2,), seeds=(1, 4))),
+        ],
+        ids=["density", "size", "mitigation", "density_grid", "size_grid", "mitigation_grid",
+             "mitigation_scenarios_seeds"],
+    )
+    def test_family_gets_only_the_grid_keys_set(self, tmp_path, monkeypatch, family, grid, want):
+        # a grid key the config leaves out keeps the family function's default
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return evaluation.SweepResult(rows=())
+
+        monkeypatch.setitem(cli.SWEEP_FAMILIES, family, (record, cli.SWEEP_FAMILIES[family][1]))
+        cfg = write_ini(tmp_path, f"[sweep]\nfamily = {family}\n{grid}")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "grid.csv")]) == 0
+        (args, kwargs), = calls
+        assert args == ()
+        assert kwargs == dict(want, defaults=ExperimentDefaults(), out_csv=str(tmp_path / "grid.csv"),
+                              resume=False)
 
 
 class TestConfigOnlyChecks:

@@ -503,6 +503,15 @@ def test_damaged_partition_is_invalid_trace(ring4_log, partition_damage, tmp_pat
     assert message in str(info.value)
 
 
+def test_damaged_input_is_invalid_trace(ring4_log, input_damage, tmp_path):
+    # the parsers' own errors (ParseError, ...) come back as InvalidTrace naming the file
+    save_log(ring4_log, tmp_path)
+    name, message = input_damage(tmp_path)
+    with pytest.raises(InvalidTrace) as info:
+        load_log(tmp_path)
+    assert str(info.value).startswith(f"{tmp_path / name}: ") and message in str(info.value)
+
+
 class TestSnapshot:
     def test_phases_read_the_arrays(self, ring4_log):
         log = ring4_log

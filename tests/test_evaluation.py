@@ -6,6 +6,7 @@ relies on them.
 """
 
 import dataclasses
+import inspect
 import weakref
 
 import numpy as np
@@ -44,6 +45,7 @@ from topoleak.evaluation import (
     size_sweep,
 )
 from topoleak.attacks import EdgePreConfig, InferGatConfig
+from topoleak.metrics import metric_from_log
 from topoleak.nn import MlpArchitecture
 from topoleak.topology import adjacency_matrix, gen_erdos_renyi, gen_ring, stats
 
@@ -880,3 +882,14 @@ class TestExperimentDefaults:
     def test_bad_value_is_invalid_config(self, field, value):
         with pytest.raises(InvalidConfig):
             ExperimentDefaults(**{field: value})
+
+    def test_metric_read_is_every_entry_points_default(self):
+        # a library call that names no metric read reads the pipeline's
+        want = (ExperimentDefaults().metric_phase, ExperimentDefaults().metric_last_k)
+        for fn, names in (
+            (metric_from_log, ("phase", "last_k")),
+            (attacks.scenario_feature, ("metric_phase", "metric_last_k")),
+            (attacks.run_scenario, ("metric_phase", "metric_last_k")),
+        ):
+            params = inspect.signature(fn).parameters
+            assert tuple(params[name].default for name in names) == want, fn.__name__

@@ -234,12 +234,12 @@ class TestOrientAndNormalize:
 class TestMetricFromLog:
     def test_default_is_final_round_post(self):
         log = small_log()
-        m = metric_from_log(log, MetricKind.COSINE_SIMILARITY)
+        m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, last_k=1)
         np.testing.assert_allclose(m.values, cosine_matrix(log.params[-1]).values, atol=1e-12)
 
     def test_pre_phase(self):
         log = small_log()
-        m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, phase="pre")
+        m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, phase="pre", last_k=1)
         pre = log.params[-2] + log.deltas[-1]
         np.testing.assert_allclose(m.values, cosine_matrix(pre).values, atol=1e-12)
 
@@ -264,7 +264,7 @@ class TestMetricFromLog:
 
     def test_relative_loss_from_log_uses_full_node_sets(self):
         log = small_log()
-        m = metric_from_log(log, MetricKind.RELATIVE_LOSS)
+        m = metric_from_log(log, MetricKind.RELATIVE_LOSS, last_k=1)
         d0 = log.node_dataset(0)
         arch = log.config.architecture(log.dataset)
         own = cross_entropy((arch, log.params[-1, 0]), d0.features, d0.labels)
