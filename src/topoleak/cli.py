@@ -1,11 +1,12 @@
 """Command-line entry point wiring config files to the pipeline.
 
 Config files are INI-style sectioned key-value documents; every section and
-key is schema-checked before any work happens, and unknown keys are
-rejected rather than ignored. A key a config leaves out keeps the library's
-value, the one a sweep uses: its ``ExperimentDefaults`` field, else the
-``evaluation`` default it feeds (``[sweep]`` grid, ``[topology] n``, ``DP_ON``).
-Exit codes: 0 ok, 2 config or usage error, 3 runtime failure.
+key is schema-checked before any work happens, and a key nothing reads is
+rejected rather than ignored. A key is declared once, by the field or sweep
+argument it sets, whose type hint gives its parser. A key a config leaves out
+keeps the library's value, the one a sweep uses: its ``ExperimentDefaults``
+field, else the ``evaluation`` default it feeds (``[sweep]`` grid, ``[topology]
+n``, ``DP_ON``). Exit codes: 0 ok, 2 config or usage error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,51 +64,68 @@ def _tuple_of(kind):
     return lambda s: tuple(kind(p.strip()) for p in s.split(",") if p.strip())
 
 
+def _parser(hint):
+    """A key's parser from its field's type hint: ``X | None`` parses as ``X``,
+    ``tuple[X, ...]`` as a comma list of ``X``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return _tuple_of(args[0])
+    return hint if origin is None else _parser(next(a for a in args if a is not type(None)))
+
+
+_HINTS = typing.get_type_hints(ExperimentDefaults)
+# the ExperimentDefaults fields each section sets; [edgepre] and [infergat] set
+# every field but the seed of the attack config of their name
+ATTACK_SECTIONS = ("edgepre", "infergat")
+SECTION_FIELDS = {
+    "data": ("k_classes", "n_features", "n_per_class", "spread"),
+    "train": ("local_epochs", "learning_rate", "batch_size", "optimizer"),
+    "federation": ("rounds", "hidden_sizes", "activation"),
+    "attack": ("rho",),
+    "metric": ("metric_phase", "metric_last_k"),
+    **{s: tuple(f.name for f in dataclasses.fields(_HINTS[s]) if f.name != "seed")
+       for s in ATTACK_SECTIONS},
+}
+
+
+def _field_keys(section: str) -> dict:
+    """{key: (field, parser)} of a section in SECTION_FIELDS; a key is its
+    field's name less the section's as a prefix ([metric] phase: metric_phase)."""
+    hints = typing.get_type_hints(_HINTS[section]) if section in ATTACK_SECTIONS else _HINTS
+    return {f.removeprefix(f"{section}_"): (f, _parser(hints[f])) for f in SECTION_FIELDS[section]}
+
+
+FIELD_KEYS = {section: _field_keys(section) for section in SECTION_FIELDS}
+
+# each [sweep] family's function and the argument each of its grid keys sets
+_CELLS = dict(scenarios="scenarios", seeds="seeds")
+SWEEP_FAMILIES = {
+    "density": (density_sweep, dict(ps="ps", n="n_nodes", **_CELLS)),
+    "size": (size_sweep, dict(ns="ns", p="p", **_CELLS)),
+    "mitigation": (mitigation_experiment, dict(n="n_nodes", p="er_p", **_CELLS)),
+}
+
+
+def _grid_keys() -> dict:
+    """Each [sweep] grid key's parser, from the hint of the argument it sets in every family."""
+    hints = {}
+    for run, arg_of_key in SWEEP_FAMILIES.values():
+        for key, arg in arg_of_key.items():
+            hint = typing.get_type_hints(run)[arg]
+            if hints.setdefault(key, hint) != hint:
+                raise TypeError(f"[sweep] {key} is {hints[key]} in one family, {hint} in another")
+    return {key: _parser(hint) for key, hint in hints.items()}
+
+
 SCHEMA = {
     "run": {"seed": int, "out_dir": str},
     "topology": {"kind": str, "n": int, "p": float, "path": str},
-    "data": {
-        "k_classes": int,
-        "n_features": int,
-        "n_per_class": int,
-        "spread": float,
-        "path": str,
-    },
+    **{s: {k: parse for k, (_, parse) in keys.items()} for s, keys in FIELD_KEYS.items()},
     "partition": {"method": str, "alpha": float},
-    "train": {
-        "local_epochs": int,
-        "learning_rate": float,
-        "batch_size": int,
-        "optimizer": str,
-    },
-    "federation": {"rounds": int, "hidden_sizes": _tuple_of(int), "activation": str},
     "dp": {"clip_norm": float, "noise_sigma": float},
-    "metric": {"phase": str, "last_k": int},
-    "attack": {"rho": float},
-    "edgepre": {
-        "hidden_sizes": _tuple_of(int),
-        "epochs": int,
-        "learning_rate": float,
-    },
-    "infergat": {
-        "embed_dim": int,
-        "heads": int,
-        "epochs": int,
-        "learning_rate": float,
-        "decoder_hidden": _tuple_of(int),
-        "knn_k": int,
-    },
-    "sweep": {
-        "family": str,
-        "ps": _tuple_of(float),
-        "ns": _tuple_of(int),
-        "n": int,
-        "p": float,
-        "scenarios": _tuple_of(int),
-        "seeds": _tuple_of(int),
-        "out_csv": str,
-    },
+    "sweep": {"family": str, **_grid_keys(), "out_csv": str},
 }
+SCHEMA["data"]["path"] = str  # a dataset file, not a field
 
 
 @dataclass(frozen=True)
@@ -118,19 +137,13 @@ class RunConfig:
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def has_section(self, section: str) -> bool:
-        return section in self.sections
-
 
 def parse_config(path) -> RunConfig:
     """Read and schema-check an INI document; unknown keys are errors."""
     p = Path(path)
-    if not p.exists():
-        raise InvalidConfig(f"config file not found: {p}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        with p.open() as fh:
-            cp.read_file(fh)
+        cp.read_string(_read_input(p, "config"), source=str(p))
     except configparser.Error as exc:
         raise InvalidConfig(f"malformed config {p}: {exc}") from exc
 
@@ -159,9 +172,7 @@ def resolve_seed(flag_seed: int | None, cfg: RunConfig | None) -> int:
             return int(env)
         except ValueError as exc:
             raise InvalidConfig(f"{SEED_ENV} must be an integer, got {env!r}") from exc
-    if cfg is not None:
-        return cfg.get("run", "seed", 0)
-    return 0
+    return 0 if cfg is None else cfg.get("run", "seed", 0)
 
 
 # --- config -> pipeline objects --------------------------------------------
@@ -173,42 +184,40 @@ def _read_input(path, what: str) -> str:
     return f.read_text()
 
 
-# the sections whose keys set ``ExperimentDefaults`` fields of the same name, but
-# for the keys in FIELD_OF_KEY; [data] path names an input file, not a field
-PIPELINE_SECTIONS = ("data", "train", "federation", "attack", "metric")
-FIELD_OF_KEY = {("metric", "phase"): "metric_phase", ("metric", "last_k"): "metric_last_k"}
-
-
 def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
     """``ExperimentDefaults()`` with the fields the config sets replaced, the
     ``[edgepre]`` and ``[infergat]`` keys replacing fields of its attack
     configs, once the ``SECTION_CHECKS`` of the sections present pass; every
     command that reads a config calls it before any work."""
     base = ExperimentDefaults()
+    fields = {s: {keys[k][0]: v for k, v in cfg.sections.get(s, {}).items() if k in keys}
+              for s, keys in FIELD_KEYS.items()}
     defaults = dataclasses.replace(
         base,
-        **{FIELD_OF_KEY.get((section, key), key): value
-           for section in PIPELINE_SECTIONS for key, value in cfg.sections.get(section, {}).items()
-           if (section, key) != ("data", "path")},
-        edgepre=dataclasses.replace(base.edgepre, **cfg.sections.get("edgepre", {})),
-        infergat=dataclasses.replace(base.infergat, **cfg.sections.get("infergat", {})),
+        **{f: v for s in SECTION_FIELDS if s not in ATTACK_SECTIONS for f, v in fields[s].items()},
+        **{s: dataclasses.replace(getattr(base, s), **fields[s]) for s in ATTACK_SECTIONS},
     )
     for section, check in SECTION_CHECKS.items():
-        if cfg.has_section(section):
+        if section in cfg.sections:
             check(cfg)
     return defaults
 
 
 def _topology_kind(cfg: RunConfig) -> str:
-    """[topology] kind as the simulate stage names it, or "file", which needs a path."""
-    kind = cfg.get("topology", "kind")
-    if kind == "file":
-        if cfg.get("topology", "path") is None:
-            raise InvalidConfig("[topology] kind=file needs path")
-        return kind
-    if kind not in TOPOLOGY_KINDS:
+    """[topology] kind as the simulate stage names it, or "file"; the kind must
+    have the key it needs (er: p, file: path) and read every key the section
+    sets (a file sets its own node count)."""
+    kind, keys = cfg.get("topology", "kind"), cfg.sections.get("topology", {})
+    if kind != "file" and kind not in TOPOLOGY_KINDS:
         raise InvalidConfig(f"[topology] kind must be ring, star, er or file, got {kind!r}")
-    return TOPOLOGY_KINDS[kind]
+    needs = {"er": "p", "file": "path"}.get(kind)
+    if needs is not None and needs not in keys:
+        raise InvalidConfig(f"[topology] kind={kind} needs {needs}")
+    reads = ("kind", "path") if kind == "file" else ("kind", "n", needs)
+    unread = [k for k in keys if k not in reads]
+    if unread:
+        raise InvalidConfig(f"[topology] kind={kind} does not read {', '.join(unread)}")
+    return TOPOLOGY_KINDS.get(kind, kind)
 
 
 def _partition_alpha(cfg: RunConfig) -> float | None:
@@ -224,19 +233,15 @@ def _partition_alpha(cfg: RunConfig) -> float | None:
     return alpha
 
 
-# each [sweep] family's function and the argument each of its grid keys sets;
-# scenarios and seeds set the arguments of those names in every family
-SWEEP_FAMILIES = {
-    "density": (density_sweep, {"ps": "ps", "n": "n_nodes"}),
-    "size": (size_sweep, {"ns": "ns", "p": "p"}),
-    "mitigation": (mitigation_experiment, {"n": "n_nodes", "p": "er_p"}),
-}
-
-
 def _sweep_family(cfg: RunConfig) -> str:
+    """[sweep] family, whose function must read every grid key the section sets."""
     family = cfg.get("sweep", "family")
     if family not in SWEEP_FAMILIES:
         raise InvalidConfig(f"[sweep] family must be density, size or mitigation, got {family!r}")
+    reads = ("family", "out_csv", *SWEEP_FAMILIES[family][1])
+    unread = [k for k in cfg.sections["sweep"] if k not in reads]
+    if unread:
+        raise InvalidConfig(f"[sweep] family={family} does not read {', '.join(unread)}")
     return family
 
 
@@ -244,7 +249,7 @@ def _dp(cfg: RunConfig) -> tuple[float, float] | None:
     """[dp] as (clip_norm, noise_sigma), a key it leaves out keeping its
     ``DP_ON`` value, checked as ``DpConfig`` checks them, or None without the
     section."""
-    if not cfg.has_section("dp"):
+    if "dp" not in cfg.sections:
         return None
     clip_norm, noise_sigma = DP_ON
     dp = (cfg.get("dp", "clip_norm", clip_norm), cfg.get("dp", "noise_sigma", noise_sigma))
@@ -292,11 +297,9 @@ def cmd_simulate(args) -> int:
     kind, alpha = _topology_kind(cfg), _partition_alpha(cfg)
 
     # kind = file and [data] path hand the stage a topology or dataset it does not generate
-    topo = None
-    if kind == "file":
-        topo = load_topology(_read_input(cfg.get("topology", "path"), "topology"))
-    path = cfg.get("data", "path")
-    dataset = None if path is None else load_csv(_read_input(path, "dataset"))
+    edges, csv = cfg.get("topology", "path"), cfg.get("data", "path")
+    topo = None if edges is None else load_topology(_read_input(edges, "topology"))
+    dataset = None if csv is None else load_csv(_read_input(csv, "dataset"))
     # a topology file sets the node count, else [topology] n if the config sets it
     n = topo.n_nodes if topo is not None else cfg.get("topology", "n")
     log = simulate(
@@ -393,7 +396,6 @@ def cmd_sweep(args) -> int:
     if out_csv is None:
         raise InvalidConfig("sweep needs --out or [sweep] out_csv")
     run, arg_of_key = SWEEP_FAMILIES[family]
-    arg_of_key = {**arg_of_key, "scenarios": "scenarios", "seeds": "seeds"}
     grid = {arg_of_key[k]: v for k, v in cfg.sections["sweep"].items() if k in arg_of_key}
     res = run(**grid, defaults=defaults, out_csv=out_csv, resume=args.resume)
     n_ok = sum(1 for r in res.rows if r.status == "ok")
@@ -464,10 +466,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, InvalidSize, InvalidProbability, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidConfig, InvalidSize, InvalidProbability, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TopoleakError as exc:

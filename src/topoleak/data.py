@@ -72,9 +72,6 @@ class PartitionPlan:
     def n_nodes(self) -> int:
         return len(self.assignments)
 
-    def sizes(self) -> list[int]:
-        return [len(a) for a in self.assignments]
-
 
 def _class_centers(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Distinct hypercube corners scaled to norm sqrt(d); random directions

@@ -394,8 +394,11 @@ def load_log(log_dir) -> SimulationLog:
         dp = None if "dp" not in cfg else DpConfig(
             float(cfg["dp"]["clip_norm"]), float(cfg["dp"]["noise_sigma"]), int(cfg["dp"]["seed"])
         )
+        MlpArchitecture((1, *hidden, 1), activation)  # the data fixes the outer sizes
     except (configparser.Error, KeyError, ValueError) as exc:
         raise InvalidTrace(f"malformed {root / 'config.ini'}: {exc!r}") from exc
+    except InvalidConfig as exc:  # a value the simulation would refuse
+        raise InvalidTrace(f"{root / 'config.ini'}: {exc}") from exc
 
     topology = _parse_text(root / "topology.edges", load_topology)
     n = topology.n_nodes

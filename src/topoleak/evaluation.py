@@ -327,23 +327,6 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
-    def select(self, **field_equals) -> list[SweepRow]:
-        out = []
-        for row in self.rows:
-            if all(getattr(row.cell, k) == v for k, v in field_equals.items()):
-                out.append(row)
-        return out
-
-    def mean(self, attr: str, **field_equals) -> float:
-        picked = [
-            getattr(r.result, attr)
-            for r in self.select(**field_equals)
-            if r.result is not None
-        ]
-        if not picked:
-            raise InvalidEvalSet(f"no scored rows match {field_equals}")
-        return float(np.mean(picked))
-
 
 def generate_topology(kind: str, n_nodes: int, er_p: float | None, seed: int) -> Topology:
     """A ring, star or Erdos-Renyi overlay; ER is drawn from (seed, kind, n_nodes)."""
@@ -665,7 +648,8 @@ def _grid(points, scenarios, seeds, defaults: ExperimentDefaults) -> list[SweepC
 
 
 def density_sweep(
-    ps=DENSITY_PS, n_nodes: int = N_NODES, scenarios=SWEEP_SCENARIOS, seeds=SWEEP_SEEDS,
+    ps: tuple[float, ...] = DENSITY_PS, n_nodes: int = N_NODES,
+    scenarios: tuple[int, ...] = SWEEP_SCENARIOS, seeds: tuple[int, ...] = SWEEP_SEEDS,
     defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
 ) -> SweepResult:
     """Pipeline per (edge probability, scenario, seed) on ER topologies."""
@@ -677,7 +661,8 @@ def density_sweep(
 
 
 def size_sweep(
-    ns=SIZE_NS, p: float = ER_P, scenarios=SWEEP_SCENARIOS, seeds=SWEEP_SEEDS,
+    ns: tuple[int, ...] = SIZE_NS, p: float = ER_P,
+    scenarios: tuple[int, ...] = SWEEP_SCENARIOS, seeds: tuple[int, ...] = SWEEP_SEEDS,
     defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
 ) -> SweepResult:
     """Pipeline per (node count, scenario, seed); rounds track the size."""
@@ -700,8 +685,8 @@ MITIGATION_VARIANTS = (
 
 
 def mitigation_experiment(
-    scenarios=SWEEP_SCENARIOS, seeds=SWEEP_SEEDS, topology_kinds=("star", "ring", "erdos_renyi"),
-    n_nodes: int = N_NODES, er_p: float = ER_P,
+    scenarios: tuple[int, ...] = SWEEP_SCENARIOS, seeds: tuple[int, ...] = SWEEP_SEEDS,
+    topology_kinds=("star", "ring", "erdos_renyi"), n_nodes: int = N_NODES, er_p: float = ER_P,
     defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
 ) -> SweepResult:
     """Paired defense runs: cells in a pair share every seed, so topology,

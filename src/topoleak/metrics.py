@@ -37,10 +37,6 @@ class MetricMatrix:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
 
 def frozen_symmetric(values, name: str) -> np.ndarray:
     """A read-only float64 copy of ``values``, which must be finite (checked

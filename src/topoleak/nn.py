@@ -51,10 +51,6 @@ class MlpArchitecture:
     def d_in(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def d_out(self) -> int:
-        return self.layer_sizes[-1]
-
     @cached_property
     def n_params(self) -> int:
         sizes = self.layer_sizes
@@ -216,15 +212,6 @@ def backward_from_logits(cache, dlogits: np.ndarray) -> np.ndarray:
     return grad
 
 
-def forward(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-d feature vector, got shape {x.shape}")
-    logits, _ = forward_cached(p, x[None, :])
-    return logits[0]
-
-
 def forward_batch(p: ModelParams, x_batch: np.ndarray) -> np.ndarray:
     logits, _ = forward_cached(p, x_batch)
     return logits
@@ -234,10 +221,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     m = z.max(axis=-1, keepdims=True)
     return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
 
 
 def cross_entropy(p: ModelParams, x_batch: np.ndarray, labels: np.ndarray) -> float:

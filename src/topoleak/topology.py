@@ -58,11 +58,6 @@ class Topology:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = [v for u, v in self.edges if u == i]
-        out += [u for u, v in self.edges if v == i]
-        return sorted(out)
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=np.int64)
         for u, v in self.edges:

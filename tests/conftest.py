@@ -74,6 +74,31 @@ INPUT_DAMAGES = {
 }
 
 
+def _set(key, value):
+    """A damage that sets ``key`` of config.ini to ``value``."""
+    return lambda ls: [f"{key} = {value}" if ln.startswith(f"{key} = ") else ln for ln in ls]
+
+
+# damages to a saved log's config.ini that the simulation's own checks refuse,
+# in INPUT_DAMAGES' shape
+CONFIG_DAMAGES = {
+    "local_epochs_0": ("config.ini", _set("local_epochs", 0), "local_epochs must be >= 1, got 0"),
+    "batch_size_0": ("config.ini", _set("batch_size", 0), "batch_size must be >= 1, got 0"),
+    "learning_rate_nan": (
+        "config.ini", _set("learning_rate", "nan"), "learning_rate must be finite and >= 0, got nan"
+    ),
+    "optimizer_bogus": (
+        "config.ini", _set("optimizer", "bogus"), "optimizer must be sgd or adam, got 'bogus'"
+    ),
+    "hidden_sizes_0": ("config.ini", _set("hidden_sizes", 0), "all layer sizes must be >= 1"),
+    "activation_bogus": ("config.ini", _set("activation", "bogus"), "activation must be one of"),
+    "dp_clip_norm_negative": (
+        "config.ini", lambda ls: [*ls, "[dp]", "clip_norm = -1", "noise_sigma = 0.5", "seed = 0"],
+        "clip_norm must be positive, got -1.0",
+    ),
+}
+
+
 def _rewrite_lines(path, damage):
     path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
 
@@ -91,12 +116,12 @@ def partition_damage(request):
     return apply
 
 
-@pytest.fixture(params=list(INPUT_DAMAGES))
+@pytest.fixture(params=[*INPUT_DAMAGES, *CONFIG_DAMAGES])
 def input_damage(request):
-    """Damage the topology.edges or dataset.csv of the saved log in a
-    directory; returns the file's name and what the InvalidTrace that load_log
-    raises then says."""
-    name, damage, message = INPUT_DAMAGES[request.param]
+    """Damage the topology.edges, dataset.csv or config.ini of the saved log in
+    a directory; returns the file's name and what the InvalidTrace that
+    load_log raises then says."""
+    name, damage, message = {**INPUT_DAMAGES, **CONFIG_DAMAGES}[request.param]
 
     def apply(log_dir):
         _rewrite_lines(Path(log_dir, name), damage)

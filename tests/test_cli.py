@@ -104,9 +104,10 @@ class TestConfigSchema:
         assert cfg.get("dp", "clip_norm") is None
 
 
-# every pipeline key of a config, a value for it, and the ExperimentDefaults
-# field it sets ("edgepre.epochs" for a field of an attack config) to that value
-PIPELINE_KEYS = [
+# every key of a config, a value for it, the ExperimentDefaults field it sets
+# ("edgepre.epochs" for a field of an attack config; None for a key that sets
+# no field) and what the value parses to
+CONFIG_KEYS = [
     ("data", "k_classes", "4", "k_classes", 4),
     ("data", "n_features", "5", "n_features", 5),
     ("data", "n_per_class", "12", "n_per_class", 12),
@@ -130,7 +131,77 @@ PIPELINE_KEYS = [
     ("infergat", "learning_rate", "0.01", "infergat.learning_rate", 0.01),
     ("infergat", "decoder_hidden", "8, 4", "infergat.decoder_hidden", (8, 4)),
     ("infergat", "knn_k", "3", "infergat.knn_k", 3),
+    ("run", "seed", "7", None, 7),
+    ("run", "out_dir", "out", None, "out"),
+    ("topology", "kind", "er", None, "er"),
+    ("topology", "n", "12", None, 12),
+    ("topology", "p", "0.25", None, 0.25),
+    ("topology", "path", "g.edges", None, "g.edges"),
+    ("data", "path", "blobs.csv", None, "blobs.csv"),
+    ("partition", "method", "dirichlet", None, "dirichlet"),
+    ("partition", "alpha", "0.1", None, 0.1),
+    ("dp", "clip_norm", "2", None, 2.0),
+    ("dp", "noise_sigma", "0.1", None, 0.1),
+    ("sweep", "family", "size", None, "size"),
+    ("sweep", "ps", "0.3, 0.6", None, (0.3, 0.6)),
+    ("sweep", "ns", "4, 6", None, (4, 6)),
+    ("sweep", "n", "7", None, 7),
+    ("sweep", "p", "0.6", None, 0.6),
+    ("sweep", "scenarios", "1, 3", None, (1, 3)),
+    ("sweep", "seeds", "0, 4", None, (0, 4)),
+    ("sweep", "out_csv", "grid.csv", None, "grid.csv"),
 ]
+PIPELINE_KEYS = [k for k in CONFIG_KEYS if k[3] is not None]
+
+
+class TestKeys:
+    """Each key is declared once, by the field or sweep argument it sets, and
+    parses as it did when SCHEMA listed every key by hand."""
+
+    def test_schema_is_every_key(self):
+        want = {(section, key) for section, key, *_ in CONFIG_KEYS}
+        assert len(want) == len(CONFIG_KEYS) == 42
+        assert {(section, key) for section, keys in cli.SCHEMA.items() for key in keys} == want
+
+    @pytest.mark.parametrize(
+        "section, key, raw, value", [(s, k, r, v) for s, k, r, _, v in CONFIG_KEYS],
+        ids=[f"{s}.{k}" for s, k, *_ in CONFIG_KEYS],
+    )
+    def test_each_key_parses_as_before(self, tmp_path, section, key, raw, value):
+        got = parse_config(write_ini(tmp_path, f"[{section}]\n{key} = {raw}\n")).get(section, key)
+        assert repr(got) == repr(value)
+        if isinstance(value, int):  # an int key takes integers only
+            with pytest.raises(InvalidConfig, match=f"bad value for \\[{section}\\] {key}"):
+                parse_config(write_ini(tmp_path, f"[{section}]\n{key} = 1.5\n"))
+
+    @pytest.mark.parametrize("section, key", [("federation", "rounds"), ("infergat", "knn_k")])
+    def test_none_is_not_a_value(self, tmp_path, capsys, section, key):
+        # the field takes None in the library; a config sets an integer or leaves the key out
+        assert main(["validate", write_ini(tmp_path, f"[{section}]\n{key} = none\n")]) == 2
+        assert f"bad value for [{section}] {key}: 'none'" in capsys.readouterr().err
+
+    def test_families_that_disagree_on_a_key_fail_the_import(self, monkeypatch):
+        def other(n: float = 0.5, seeds: tuple[int, ...] = ()):
+            return evaluation.SweepResult(rows=())
+
+        monkeypatch.setitem(cli.SWEEP_FAMILIES, "other", (other, dict(n="n", seeds="seeds")))
+        with pytest.raises(TypeError, match=r"\[sweep\] n is <class 'int'> in one family, <class 'float'>"):
+            cli._grid_keys()
+        monkeypatch.setitem(cli.SWEEP_FAMILIES, "other", (other, dict(seeds="seeds")))
+        assert cli._grid_keys().keys() == cli.SCHEMA["sweep"].keys() - {"family", "out_csv"}
+
+    def test_every_field_is_a_key(self):
+        # a field added to ExperimentDefaults or an attack config is a key, or this fails
+        attack = {"edgepre": EdgePreConfig, "infergat": InferGatConfig}
+        pipeline = [f for s, keys in cli.FIELD_KEYS.items() if s not in attack
+                    for f, _ in keys.values()]
+        assert sorted(pipeline) == sorted(
+            f.name for f in dataclasses.fields(ExperimentDefaults) if f.name not in attack
+        )
+        for section, cls in attack.items():
+            assert [f for f, _ in cli.FIELD_KEYS[section].values()] == [
+                f.name for f in dataclasses.fields(cls) if f.name != "seed"
+            ]
 
 
 def with_field(defaults, path, value):
@@ -342,7 +413,7 @@ SIM_INI = """
 [topology]
 kind = {kind}
 n = 7
-p = 0.5
+{p}
 
 [data]
 k_classes = 2
@@ -359,6 +430,12 @@ batch_size = 8
 rounds = 3
 hidden_sizes = 8
 {extra}"""
+
+
+def sim_ini(kind, extra=""):
+    """SIM_INI for a generated topology of ``kind``; only er reads p."""
+    return SIM_INI.format(kind=kind, p="p = 0.5" if kind == "er" else "", extra=extra)
+
 
 # the simulate-stage knobs SIM_INI spells out; the attack knobs only keep run_cell quick
 SIM_DEFAULTS = ExperimentDefaults(
@@ -383,7 +460,7 @@ class TestOneSeedPath:
     )
     def test_simulate_writes_the_sweep_cells_trace(self, tmp_path, monkeypatch, kind, extra,
                                                    cell_fields):
-        cfg = write_ini(tmp_path, SIM_INI.format(kind=kind, extra=extra))
+        cfg = write_ini(tmp_path, sim_ini(kind, extra))
         assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "log")]) == 0
 
         logs = []
@@ -405,7 +482,7 @@ class TestOneSeedPath:
         edges = tmp_path / "er7.edges"
         assert main(["gen-topology", "--kind", "er", "--n", "7", "--p", "0.5", "--seed", "5",
                      "--out", str(edges)]) == 0
-        cfg = write_ini(tmp_path, SIM_INI.format(kind="er", extra=""))
+        cfg = write_ini(tmp_path, sim_ini("er"))
         assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "log")]) == 0
         assert (tmp_path / "log" / "topology.edges").read_bytes() == edges.read_bytes()
 
@@ -728,9 +805,9 @@ class TestSweep:
             ("density", "", {}),
             ("size", "", {}),
             ("mitigation", "", {}),
-            ("density", "ps = 0.3, 0.6\nn = 7\np = 0.9\nns = 4\n", dict(ps=(0.3, 0.6), n_nodes=7)),
-            ("size", "ns = 4, 6\np = 0.6\nn = 7\nps = 0.3\n", dict(ns=(4, 6), p=0.6)),
-            ("mitigation", "n = 7\np = 0.6\nps = 0.3\n", dict(n_nodes=7, er_p=0.6)),
+            ("density", "ps = 0.3, 0.6\nn = 7\n", dict(ps=(0.3, 0.6), n_nodes=7)),
+            ("size", "ns = 4, 6\np = 0.6\n", dict(ns=(4, 6), p=0.6)),
+            ("mitigation", "n = 7\np = 0.6\n", dict(n_nodes=7, er_p=0.6)),
             ("mitigation", "scenarios = 2\nseeds = 1, 4\n", dict(scenarios=(2,), seeds=(1, 4))),
         ],
         ids=["density", "size", "mitigation", "density_grid", "size_grid", "mitigation_grid",
@@ -751,6 +828,19 @@ class TestSweep:
         assert args == ()
         assert kwargs == dict(want, defaults=ExperimentDefaults(), out_csv=str(tmp_path / "grid.csv"),
                               resume=False)
+
+    @pytest.mark.parametrize(
+        "family, key", [("density", "p"), ("density", "ns"), ("size", "n"), ("size", "ps"),
+                        ("mitigation", "ps"), ("mitigation", "ns")],
+    )
+    def test_a_key_the_family_does_not_read_is_refused(self, tmp_path, capsys, family, key):
+        csv_path = tmp_path / "grid.csv"
+        value = {"p": "0.6", "n": "7", "ps": "0.3", "ns": "4"}[key]
+        cfg = write_ini(tmp_path, f"[sweep]\nfamily = {family}\n{key} = {value}\nout_csv = {csv_path}\n")
+        assert main(["validate", cfg]) == 2
+        assert main(["sweep", "--config", cfg]) == 2
+        assert not csv_path.exists()
+        assert capsys.readouterr().err.count(f"[sweep] family={family} does not read {key}\n") == 2
 
 
 class TestConfigOnlyChecks:
@@ -832,6 +922,34 @@ class TestConfigOnlyChecks:
         assert main(["simulate", "--config", cfg]) == 2
         assert not (tmp_path / "simlog").exists()
         assert capsys.readouterr().err.count(message) == 2
+
+    @pytest.mark.parametrize(
+        "topology, message",
+        [
+            ("kind = er\nn = 6", "[topology] kind=er needs p"),
+            ("kind = ring\nn = 6\np = 0.5", "[topology] kind=ring does not read p"),
+            ("kind = star\np = 0.5", "[topology] kind=star does not read p"),
+            ("kind = ring\npath = g.edges", "[topology] kind=ring does not read path"),
+            ("kind = er\np = 0.5\npath = g.edges", "[topology] kind=er does not read path"),
+            ("kind = file\npath = g.edges\nn = 6", "[topology] kind=file does not read n"),
+            ("kind = file\npath = g.edges\np = 0.5", "[topology] kind=file does not read p"),
+        ],
+        ids=["er_no_p", "ring_p", "star_p", "ring_path", "er_path", "file_n", "file_p"],
+    )
+    def test_topology_keys_the_kind_does_not_read_fail_every_command(
+        self, tmp_path, capsys, topology, message
+    ):
+        csv_path = tmp_path / "grid.csv"
+        text = SWEEP_INI.format(csv=csv_path).replace("seed = 3", f"out_dir = {tmp_path / 'simlog'}")
+        cfg = write_ini(tmp_path, f"{text}\n[topology]\n{topology}\n")
+        assert main(["validate", cfg]) == 2
+        assert main(["simulate", "--config", cfg]) == 2
+        assert not (tmp_path / "simlog").exists()
+        assert main(["attack", "--log", str(tmp_path / "absent"), "--scenario", "1",
+                     "--config", cfg]) == 2
+        assert main(["sweep", "--config", cfg]) == 2
+        assert not csv_path.exists()
+        assert capsys.readouterr().err.count(message + "\n") == 4
 
     def test_sweep_family_fails_validate(self, tmp_path, capsys):
         csv_path = tmp_path / "grid.csv"

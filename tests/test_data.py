@@ -60,13 +60,13 @@ class TestPartitionIid:
     def test_equal_split(self):
         d = gen_blobs(2, 2, 50, 1.0, seed=0)  # 100 samples
         plan = partition_iid(d, 10, seed=1)
-        assert plan.sizes() == [10] * 10
+        assert [len(a) for a in plan.assignments] == [10] * 10
 
     def test_near_equal_split(self):
         feats = np.zeros((101, 2))
         labels = np.array([0, 1] * 50 + [0])
         plan = partition_iid(Dataset(feats, labels), 10, seed=1)
-        assert sorted(set(plan.sizes())) == [10, 11]
+        assert sorted({len(a) for a in plan.assignments}) == [10, 11]
 
     def test_exact_partition_property(self):
         rng = np.random.default_rng(42)
@@ -110,7 +110,7 @@ class TestPartitionDirichlet:
             plan = partition_dirichlet(d, 5, alpha=0.1, seed=int(rng.integers(1 << 31)))
             flat = sorted(i for a in plan.assignments for i in a)
             assert flat == list(range(d.n_samples))
-            assert min(plan.sizes()) >= d.n_classes
+            assert min(len(a) for a in plan.assignments) >= d.n_classes
 
     def test_reproducible(self):
         d = gen_blobs(3, 2, 100, 1.0, seed=0)

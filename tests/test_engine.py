@@ -504,7 +504,7 @@ def test_damaged_partition_is_invalid_trace(ring4_log, partition_damage, tmp_pat
 
 
 def test_damaged_input_is_invalid_trace(ring4_log, input_damage, tmp_path):
-    # the parsers' own errors (ParseError, ...) come back as InvalidTrace naming the file
+    # the parsers' and the config classes' own errors come back as InvalidTrace naming the file
     save_log(ring4_log, tmp_path)
     name, message = input_damage(tmp_path)
     with pytest.raises(InvalidTrace) as info:

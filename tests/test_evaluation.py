@@ -415,15 +415,6 @@ class TestSweeps:
         epochs = {r.cell.local_epochs for r in by_variant["epochs10"]}
         assert epochs == {10}
 
-    def test_sweep_result_select_and_mean(self):
-        res = size_sweep([4, 6], 0.6, [4], [0], defaults=tiny_defaults())
-        picked = res.select(n_nodes=4)
-        assert len(picked) == 1
-        m = res.mean("f1_05", n_nodes=4)
-        assert 0.0 <= m <= 1.0
-        with pytest.raises(InvalidEvalSet):
-            res.mean("f1_05", n_nodes=99)
-
 
 class TestGridCells:
     """The cells each sweep family builds: ids, order and every SweepCell field."""
