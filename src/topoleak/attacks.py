@@ -226,7 +226,7 @@ class SoftAdjacency:
         return self.values.shape[0]
 
 
-def binarize(soft: SoftAdjacency, tau: float = 0.5) -> np.ndarray:
+def binarize(soft: SoftAdjacency | FeatureMatrix, tau: float = 0.5) -> np.ndarray:
     out = (soft.values > tau).astype(np.int64)
     np.fill_diagonal(out, 0)
     return out
@@ -260,12 +260,17 @@ def _train_stacks(shapes, cfgs, train) -> list:
 
 # --- EDGEPRE ----------------------------------------------------------------
 
-def _hidden_sizes(name: str, sizes) -> tuple[int, ...]:
-    """A decoder's hidden layer sizes as ints: one or more, each >= 1."""
-    sizes = tuple(int(h) for h in sizes)
+def _check_fit(cfg, decoder_sizes: str) -> None:
+    """The bounds both attack configs check: epochs >= 1, a finite learning_rate
+    above 0, and one or more decoder sizes >= 1 (the field ``decoder_sizes``, made ints)."""
+    if cfg.epochs < 1:
+        raise InvalidConfig(f"epochs must be >= 1, got {cfg.epochs}")
+    if not (np.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+        raise InvalidConfig(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
+    sizes = tuple(int(h) for h in getattr(cfg, decoder_sizes))
     if not sizes or min(sizes) < 1:
-        raise InvalidConfig(f"{name} must be one or more sizes >= 1, got {sizes}")
-    return sizes
+        raise InvalidConfig(f"{decoder_sizes} must be one or more sizes >= 1, got {sizes}")
+    object.__setattr__(cfg, decoder_sizes, sizes)
 
 
 @dataclass(frozen=True)
@@ -276,11 +281,7 @@ class EdgePreConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        object.__setattr__(self, "hidden_sizes", _hidden_sizes("hidden_sizes", self.hidden_sizes))
+        _check_fit(self, "hidden_sizes")
 
 
 def _edgepre_fit(
@@ -360,15 +361,9 @@ class InferGatConfig:
             raise InvalidConfig(
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
             )
-        if self.epochs < 1:
-            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        _check_fit(self, "decoder_hidden")
         if self.knn_k is not None and self.knn_k < 1:
             raise InvalidConfig(f"knn_k must be >= 1, got {self.knn_k}")
-        object.__setattr__(
-            self, "decoder_hidden", _hidden_sizes("decoder_hidden", self.decoder_hidden)
-        )
 
 
 @dataclass(frozen=True)
@@ -767,9 +762,7 @@ def baseline_threshold(x: FeatureMatrix, tau: float) -> np.ndarray:
     """Edge wherever the feature strictly exceeds tau."""
     if not (0.0 <= tau <= 1.0):
         raise InvalidConfig(f"tau must be in [0, 1], got {tau}")
-    binary = (x.values > tau).astype(np.int64)
-    np.fill_diagonal(binary, 0)
-    return binary
+    return binarize(x, tau)
 
 
 # --- scenario dispatch ------------------------------------------------------

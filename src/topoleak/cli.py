@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .attacks import SCENARIOS, SoftAdjacency
-from .data import load_csv
-from .engine import DpConfig, load_log, save_log
+from .data import check_alpha, gen_blobs, load_csv
+from .engine import DpConfig, FederationConfig, field_parser, load_log, save_log
 from .errors import (
     InvalidConfig,
     InvalidProbability,
@@ -36,10 +36,12 @@ from .evaluation import (
     ALL_PAIRS,
     DP_ON,
     HELD_OUT,
+    N_NODES,
     PAIR_POLICIES,
     ExperimentDefaults,
     all_pairs,
     attack_log,
+    defaults_taken_by,
     generate_topology,
     density_sweep,
     evaluate_soft,
@@ -49,7 +51,8 @@ from .evaluation import (
     size_sweep,
 )
 from .metrics import dump_matrix_csv, load_matrix_csv
-from .topology import adjacency_matrix, dump_topology, load_topology, stats
+from .nn import TrainConfig
+from .topology import adjacency_matrix, check_generator, dump_topology, load_topology, stats
 
 SEED_ENV = "TOPOLEAK_SEED"
 
@@ -59,40 +62,30 @@ TOPOLOGY_KINDS = {"ring": "ring", "star": "star", "er": "erdos_renyi"}
 
 # --- config schema ----------------------------------------------------------
 
-def _tuple_of(kind):
-    """A parser of a comma-separated list of ``kind`` values; empty items are skipped."""
-    return lambda s: tuple(kind(p.strip()) for p in s.split(",") if p.strip())
-
-
-def _parser(hint):
-    """A key's parser from its field's type hint: ``X | None`` parses as ``X``,
-    ``tuple[X, ...]`` as a comma list of ``X``."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:
-        return _tuple_of(args[0])
-    return hint if origin is None else _parser(next(a for a in args if a is not type(None)))
+def _settable(cls) -> dict:
+    """{field: type hint} of every field of a config class but its seed."""
+    return {f: hint for f, hint in typing.get_type_hints(cls).items() if f != "seed"}
 
 
 _HINTS = typing.get_type_hints(ExperimentDefaults)
-# the ExperimentDefaults fields each section sets; [edgepre] and [infergat] set
-# every field but the seed of the attack config of their name
+# the ExperimentDefaults fields each section sets: [data], [train] and [federation] those the data
+# generator and configs take, and [edgepre] and [infergat] every field but its attack config's seed
 ATTACK_SECTIONS = ("edgepre", "infergat")
 SECTION_FIELDS = {
-    "data": ("k_classes", "n_features", "n_per_class", "spread"),
-    "train": ("local_epochs", "learning_rate", "batch_size", "optimizer"),
-    "federation": ("rounds", "hidden_sizes", "activation"),
+    "data": defaults_taken_by(gen_blobs),
+    "train": defaults_taken_by(TrainConfig),
+    "federation": defaults_taken_by(FederationConfig),
     "attack": ("rho",),
     "metric": ("metric_phase", "metric_last_k"),
-    **{s: tuple(f.name for f in dataclasses.fields(_HINTS[s]) if f.name != "seed")
-       for s in ATTACK_SECTIONS},
+    **{s: tuple(_settable(_HINTS[s])) for s in ATTACK_SECTIONS},
 }
 
 
 def _field_keys(section: str) -> dict:
     """{key: (field, parser)} of a section in SECTION_FIELDS; a key is its
     field's name less the section's as a prefix ([metric] phase: metric_phase)."""
-    hints = typing.get_type_hints(_HINTS[section]) if section in ATTACK_SECTIONS else _HINTS
-    return {f.removeprefix(f"{section}_"): (f, _parser(hints[f])) for f in SECTION_FIELDS[section]}
+    hints = _settable(_HINTS[section]) if section in ATTACK_SECTIONS else _HINTS
+    return {f.removeprefix(f"{section}_"): (f, field_parser(hints[f])) for f in SECTION_FIELDS[section]}
 
 
 FIELD_KEYS = {section: _field_keys(section) for section in SECTION_FIELDS}
@@ -114,7 +107,7 @@ def _grid_keys() -> dict:
             hint = typing.get_type_hints(run)[arg]
             if hints.setdefault(key, hint) != hint:
                 raise TypeError(f"[sweep] {key} is {hints[key]} in one family, {hint} in another")
-    return {key: _parser(hint) for key, hint in hints.items()}
+    return {key: field_parser(hint) for key, hint in hints.items()}
 
 
 SCHEMA = {
@@ -122,7 +115,7 @@ SCHEMA = {
     "topology": {"kind": str, "n": int, "p": float, "path": str},
     **{s: {k: parse for k, (_, parse) in keys.items()} for s, keys in FIELD_KEYS.items()},
     "partition": {"method": str, "alpha": float},
-    "dp": {"clip_norm": float, "noise_sigma": float},
+    "dp": {f: field_parser(hint) for f, hint in _settable(DpConfig).items()},
     "sweep": {"family": str, **_grid_keys(), "out_csv": str},
 }
 SCHEMA["data"]["path"] = str  # a dataset file, not a field
@@ -205,8 +198,8 @@ def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
 
 def _topology_kind(cfg: RunConfig) -> str:
     """[topology] kind as the simulate stage names it, or "file"; the kind must
-    have the key it needs (er: p, file: path) and read every key the section
-    sets (a file sets its own node count)."""
+    have the key it needs (er: p, file: path), read every key the section sets
+    (a file sets its own node count), and pass its generator's n and p checks."""
     kind, keys = cfg.get("topology", "kind"), cfg.sections.get("topology", {})
     if kind != "file" and kind not in TOPOLOGY_KINDS:
         raise InvalidConfig(f"[topology] kind must be ring, star, er or file, got {kind!r}")
@@ -217,6 +210,8 @@ def _topology_kind(cfg: RunConfig) -> str:
     unread = [k for k in keys if k not in reads]
     if unread:
         raise InvalidConfig(f"[topology] kind={kind} does not read {', '.join(unread)}")
+    if kind != "file":
+        check_generator(TOPOLOGY_KINDS[kind], keys.get("n", N_NODES), keys.get("p"))
     return TOPOLOGY_KINDS.get(kind, kind)
 
 
@@ -230,6 +225,8 @@ def _partition_alpha(cfg: RunConfig) -> float | None:
         raise InvalidConfig("[partition] method=dirichlet needs alpha")
     if method == "iid" and alpha is not None:
         raise InvalidConfig("[partition] alpha needs method=dirichlet")
+    if alpha is not None:
+        check_alpha(alpha)
     return alpha
 
 
@@ -246,15 +243,13 @@ def _sweep_family(cfg: RunConfig) -> str:
 
 
 def _dp(cfg: RunConfig) -> tuple[float, float] | None:
-    """[dp] as (clip_norm, noise_sigma), a key it leaves out keeping its
-    ``DP_ON`` value, checked as ``DpConfig`` checks them, or None without the
-    section."""
+    """[dp] as the (clip_norm, noise_sigma) of its ``DpConfig``, a key it leaves
+    out keeping its ``DP_ON`` value, or None without the section."""
     if "dp" not in cfg.sections:
         return None
     clip_norm, noise_sigma = DP_ON
-    dp = (cfg.get("dp", "clip_norm", clip_norm), cfg.get("dp", "noise_sigma", noise_sigma))
-    DpConfig(*dp)
-    return dp
+    dp = DpConfig(**{"clip_norm": clip_norm, "noise_sigma": noise_sigma, **cfg.sections["dp"]})
+    return dp.clip_norm, dp.noise_sigma
 
 
 # what each section's values must be from the config alone, checked for the sections present
@@ -266,8 +261,10 @@ SECTION_CHECKS = {
 # --- subcommands ------------------------------------------------------------
 
 def cmd_gen_topology(args) -> int:
+    flags = {k: v for k, v in vars(args).items() if k in ("kind", "n", "p") and v is not None}
+    kind = _topology_kind(RunConfig({"topology": flags}))  # checked as the [topology] they stand for
     seed = resolve_seed(args.seed, None)
-    topo = generate_topology(TOPOLOGY_KINDS[args.kind], args.n, args.p, seed)
+    topo = generate_topology(kind, args.n, args.p, seed)
     st = stats(topo)
 
     out = Path(args.out or f"{args.kind}{args.n}.edges")

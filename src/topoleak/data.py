@@ -26,8 +26,8 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        f = np.array(self.features, dtype=np.float64)  # a copy: the caller's arrays stay writeable
+        y = np.array(self.labels, dtype=np.int64)
         if f.ndim != 2 or f.shape[0] == 0:
             raise InvalidConfig(f"features must be a nonempty 2-d array, got shape {f.shape}")
         if y.shape != (f.shape[0],):
@@ -53,7 +53,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy())
+        return Dataset(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,21 @@ def _class_centers(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return dirs * np.sqrt(d)
 
 
-def gen_blobs(
-    k_classes: int, n_features: int, n_per_class: int, spread: float, seed: int
-) -> Dataset:
-    """Isotropic Gaussian blob per class, exactly n_per_class samples each."""
+def check_blobs(k_classes: int, n_features: int, n_per_class: int, spread: float) -> None:
+    """What ``gen_blobs`` refuses before it draws."""
     if k_classes < 2:
         raise InvalidConfig(f"k_classes must be >= 2, got {k_classes}")
     if n_features < 2:
         raise InvalidConfig(f"n_features must be >= 2, got {n_features}")
     if n_per_class < 10:
         raise InvalidConfig(f"n_per_class must be >= 10, got {n_per_class}")
-    if spread <= 0:
+    if not spread > 0:  # NaN fails too
         raise InvalidConfig(f"spread must be positive, got {spread}")
+
+
+def gen_blobs(k_classes: int, n_features: int, n_per_class: int, spread: float, seed: int) -> Dataset:
+    """Isotropic Gaussian blob per class, exactly n_per_class samples each."""
+    check_blobs(k_classes, n_features, n_per_class, spread)
     rng = np.random.default_rng(seed)
     centers = _class_centers(k_classes, n_features, rng)
     blocks = [
@@ -127,15 +130,20 @@ def partition_iid(d: Dataset, n_nodes: int, seed: int) -> PartitionPlan:
     return PartitionPlan(tuple(tuple(int(i) for i in c) for c in chunks))
 
 
+def check_alpha(alpha: float) -> None:
+    """What ``partition_dirichlet`` refuses of its concentration alpha."""
+    if not alpha > 0:  # NaN fails too
+        raise InvalidConfig(f"alpha must be positive, got {alpha}")
+
+
 def partition_dirichlet(d: Dataset, n_nodes: int, alpha: float, seed: int) -> PartitionPlan:
     """Label-skewed split: per class, node proportions ~ Dirichlet(alpha).
 
     Redraws the whole plan until every node holds at least K samples
     (K = number of classes); K per node keeps relative-loss entries defined.
     """
+    check_alpha(alpha)
     _check_partition_pre(d, n_nodes)
-    if alpha <= 0:
-        raise InvalidConfig(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)
     k = d.n_classes
     by_class = [np.flatnonzero(d.labels == c) for c in range(k)]

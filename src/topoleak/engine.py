@@ -18,7 +18,8 @@ bit-exactly and independent of execution order.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, zip_longest
 from pathlib import Path
 
@@ -40,9 +41,9 @@ class DpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:  # NaN fails too
             raise InvalidConfig(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # a NaN sigma would add no noise at all
             raise InvalidConfig(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
@@ -59,6 +60,7 @@ class FederationConfig:
         if self.rounds is not None and self.rounds < 1:
             raise InvalidConfig(f"rounds must be >= 1, got {self.rounds}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        MlpArchitecture((1, *self.hidden_sizes, 1), self.activation)  # the data fixes the outer sizes
 
     @property
     def n_rounds(self) -> int:
@@ -136,18 +138,14 @@ class RoundTrace:
         return self.log.deltas[self.round - 1]
 
 
-def apply_dp(delta: np.ndarray, clip_norm: float, noise_sigma: float, rng) -> np.ndarray:
+def apply_dp(delta: np.ndarray, dp: DpConfig, rng) -> np.ndarray:
     """Scale delta to L2 norm <= clip_norm, add N(0, (sigma*clip)^2) noise."""
-    if clip_norm <= 0:
-        raise InvalidConfig(f"clip_norm must be positive, got {clip_norm}")
-    if noise_sigma < 0:
-        raise InvalidConfig(f"noise_sigma must be >= 0, got {noise_sigma}")
     d = np.asarray(delta, dtype=np.float64)
     norm = float(np.linalg.norm(d))
-    if norm > clip_norm:
-        d = d * (clip_norm / norm)
-    if noise_sigma > 0:
-        d = d + rng.normal(0.0, noise_sigma * clip_norm, size=d.shape)
+    if norm > dp.clip_norm:
+        d = d * (dp.clip_norm / norm)
+    if dp.noise_sigma > 0:
+        d = d + rng.normal(0.0, dp.noise_sigma * dp.clip_norm, size=d.shape)
     return d
 
 
@@ -203,7 +201,7 @@ def run_simulation(
             if cfg.dp is not None:
                 for i, row in enumerate(deltas[t - 1]):
                     rng = rng_for(cfg.dp.seed, "dp", i, t)
-                    row[:] = apply_dp(row, cfg.dp.clip_norm, cfg.dp.noise_sigma, rng)
+                    row[:] = apply_dp(row, cfg.dp, rng)
             bad = ~np.isfinite(deltas[t - 1]).all(axis=1)
             if bad.any():
                 raise DivergedTraining(int(np.argmax(bad)), t)
@@ -244,37 +242,47 @@ def closed_form_final(p_matrix: np.ndarray, m0: np.ndarray, deltas) -> np.ndarra
 
 # --- log persistence --------------------------------------------------------
 
+def field_parser(hint):
+    """A field's parser from its type hint: ``X | None`` parses as ``X``, and
+    ``tuple[X, ...]`` as a comma list of ``X`` whose empty items are skipped."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return lambda s: tuple(args[0](p.strip()) for p in s.split(",") if p.strip())
+    return hint if origin is None else field_parser(next(a for a in args if a is not type(None)))
+
+
+def _ini_section(values: dict) -> dict[str, str]:
+    """Named values as INI text that ``field_parser`` reads back: a tuple as a
+    comma list, another value as its str (a float's repr); None is left out."""
+    return {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for k, v in values.items() if v is not None}
+
+
+def _from_section(cls, section, **given):
+    """``cls`` with the fields ``given`` names, and each other field parsed from
+    the INI section's value of its name by the field's type hint."""
+    return cls(**given, **{f: field_parser(hint)(section[f])
+                           for f, hint in typing.get_type_hints(cls).items() if f not in given})
+
+
 def save_log(log: SimulationLog, out_dir) -> None:
-    """Persist a log as plain-text docs plus params.npy and deltas.npy."""
+    """Persist a log as plain-text docs plus params.npy and deltas.npy; config.ini's
+    [train] and [dp] sections are the fields of the run's TrainConfig and DpConfig."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
-    cfg = configparser.ConfigParser()
-    fed = {
-        "seed": str(log.root_seed),
-        "rounds": str(log.config.n_rounds),
-        "hidden_sizes": ",".join(str(h) for h in log.config.hidden_sizes),
-        "activation": log.config.activation,
-    }
-    if log.plan.alpha is not None:
-        fed["alpha"] = repr(float(log.plan.alpha))
-    cfg["federation"] = fed
-    cfg["train"] = {
-        "local_epochs": str(log.config.train.local_epochs),
-        "learning_rate": repr(log.config.train.learning_rate),
-        "batch_size": str(log.config.train.batch_size),
-        "optimizer": log.config.train.optimizer,
-    }
-    if log.config.dp is not None:
-        cfg["dp"] = {
-            "clip_norm": repr(log.config.dp.clip_norm),
-            "noise_sigma": repr(log.config.dp.noise_sigma),
-            "seed": str(log.config.dp.seed),
-        }
+    fc, cfg = log.config, configparser.ConfigParser()
+    cfg["federation"] = _ini_section({
+        "seed": log.root_seed, "rounds": fc.n_rounds, "hidden_sizes": fc.hidden_sizes,
+        "activation": fc.activation, "alpha": log.plan.alpha,
+    })
+    cfg["train"] = _ini_section(asdict(fc.train))
+    if fc.dp is not None:
+        cfg["dp"] = _ini_section(asdict(fc.dp))
     with open(root / "config.ini", "w") as fh:
         cfg.write(fh)
 
-    (root / "topology.edges").write_text(dump_topology(log.config.topology))
+    (root / "topology.edges").write_text(dump_topology(fc.topology))
     (root / "dataset.csv").write_text(dump_csv(log.dataset))
     (root / "partition.txt").write_text(
         "\n".join(" ".join(str(i) for i in a) for a in log.plan.assignments) + "\n"
@@ -283,7 +291,7 @@ def save_log(log: SimulationLog, out_dir) -> None:
     np.save(root / "params.npy", log.params, allow_pickle=False)
     np.save(root / "deltas.npy", log.deltas, allow_pickle=False)
 
-    manifest = _manifest_lines(log.n_nodes, log.config.n_rounds)
+    manifest = _manifest_lines(log.n_nodes, fc.n_rounds)
     (root / "manifest.txt").write_text("\n".join(manifest) + "\n")
 
 
@@ -378,34 +386,24 @@ def load_log(log_dir) -> SimulationLog:
     if not (root / "manifest.txt").exists():
         raise InvalidTrace(f"no manifest in {root}")
 
+    topology = _parse_text(root / "topology.edges", load_topology)
     cfg = configparser.ConfigParser()
     try:
         cfg.read_string(_read_text(root / "config.ini"))
         fed = cfg["federation"]
-        seed = int(fed["seed"])
-        rounds = int(fed["rounds"])
-        hidden = tuple(int(h) for h in fed["hidden_sizes"].split(","))
-        alpha = float(fed["alpha"]) if "alpha" in fed else None
-        activation = fed["activation"]
-        t = cfg["train"]
-        train = TrainConfig(
-            int(t["local_epochs"]), float(t["learning_rate"]), int(t["batch_size"]), t["optimizer"]
-        )
-        dp = None if "dp" not in cfg else DpConfig(
-            float(cfg["dp"]["clip_norm"]), float(cfg["dp"]["noise_sigma"]), int(cfg["dp"]["seed"])
-        )
-        MlpArchitecture((1, *hidden, 1), activation)  # the data fixes the outer sizes
+        seed, alpha = int(fed["seed"]), float(fed["alpha"]) if "alpha" in fed else None
+        train = _from_section(TrainConfig, cfg["train"])
+        dp = _from_section(DpConfig, cfg["dp"]) if "dp" in cfg else None
+        fc = _from_section(FederationConfig, fed, topology=topology, train=train, dp=dp)
     except (configparser.Error, KeyError, ValueError) as exc:
         raise InvalidTrace(f"malformed {root / 'config.ini'}: {exc!r}") from exc
     except InvalidConfig as exc:  # a value the simulation would refuse
         raise InvalidTrace(f"{root / 'config.ini'}: {exc}") from exc
 
-    topology = _parse_text(root / "topology.edges", load_topology)
-    n = topology.n_nodes
+    n, rounds = topology.n_nodes, fc.n_rounds
     _check_manifest(root / "manifest.txt", n, rounds)
     dataset = _parse_text(root / "dataset.csv", load_csv)
     plan = PartitionPlan(_read_partition(root / "partition.txt", n, dataset.n_samples), alpha=alpha)
-    fc = FederationConfig(topology, train, rounds, dp, hidden_sizes=hidden, activation=activation)
 
     n_params = fc.architecture(dataset).n_params
     params = _read_array(root / "params.npy", (rounds + 1, n, n_params))

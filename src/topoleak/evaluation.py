@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,11 +39,11 @@ from .attacks import (
     sample_knowledge,
     scenario_feature,
 )
-from .data import Dataset, gen_blobs, partition_dirichlet, partition_iid
+from .data import Dataset, check_blobs, gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
 from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
 from .metrics import METRIC_LAST_K, METRIC_PHASE
-from .nn import MlpArchitecture, TrainConfig
+from .nn import TrainConfig
 from .seeds import derive_seed
 from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, pair_index, stats
 
@@ -256,9 +257,20 @@ class ExperimentDefaults:
         if self.metric_last_k < 1:  # above the log's rounds is checked once a log is read
             raise InvalidConfig(f"metric last_k must be >= 1, got {self.metric_last_k}")
         # the simulate stage's own checks, run here so a bad value fails before
-        # any work; the data fixes the architecture's outer sizes, so 1 stands in
-        TrainConfig(self.local_epochs, self.learning_rate, self.batch_size, self.optimizer)
-        MlpArchitecture((1, *self.hidden_sizes, 1), self.activation)
+        # any work; no check reads the topology, which the stage makes later
+        self.call(check_blobs)
+        self.call(FederationConfig, topology=None, train=self.call(TrainConfig))
+
+    def call(self, fn, **given):
+        """``fn`` on the fields it takes by name (``defaults_taken_by``), ``given`` added or replacing."""
+        return fn(**{**{f: getattr(self, f) for f in defaults_taken_by(fn)}, **given})
+
+
+def defaults_taken_by(fn) -> tuple[str, ...]:
+    """The ExperimentDefaults fields that ``fn``, a function or a config class,
+    takes as arguments of the same names, in field order."""
+    takes = inspect.signature(fn).parameters
+    return tuple(f.name for f in dataclasses.fields(ExperimentDefaults) if f.name in takes)
 
 
 # what a sweep family runs where its caller names no grid, and the node count
@@ -360,35 +372,21 @@ def simulate(
     so a topology the caller passes in is labeled by a kind too. A topology
     or dataset the caller holds is used as given; the stage generates the
     others. ``alpha`` None is an IID partition; ``dp`` is (clip, sigma) or None.
+    The data, ``TrainConfig`` and ``FederationConfig`` take the defaults'
+    fields of their arguments' names (``ExperimentDefaults.call``).
     """
     if topology is None:
         topology = generate_topology(topology_kind, n_nodes, er_p, seed)
     if dataset is None:
-        dataset = gen_blobs(
-            defaults.k_classes,
-            defaults.n_features,
-            defaults.n_per_class,
-            defaults.spread,
-            seed=derive_seed(seed, "data"),
-        )
+        dataset = defaults.call(gen_blobs, seed=derive_seed(seed, "data"))
     part_seed = derive_seed(seed, "partition", topology_kind, n_nodes)
     if alpha is None:
         plan = partition_iid(dataset, n_nodes, part_seed)
     else:
         plan = partition_dirichlet(dataset, n_nodes, alpha, part_seed)
-    fed = FederationConfig(
-        topology=topology,
-        train=TrainConfig(
-            local_epochs=local_epochs,
-            learning_rate=defaults.learning_rate,
-            batch_size=defaults.batch_size,
-            optimizer=defaults.optimizer,
-        ),
-        rounds=rounds,
-        dp=None if dp is None else DpConfig(dp[0], dp[1], seed=derive_seed(seed, "dp")),
-        hidden_sizes=defaults.hidden_sizes,
-        activation=defaults.activation,
-    )
+    dp = None if dp is None else DpConfig(clip_norm=dp[0], noise_sigma=dp[1], seed=derive_seed(seed, "dp"))
+    train = defaults.call(TrainConfig, local_epochs=local_epochs)
+    fed = defaults.call(FederationConfig, topology=topology, train=train, rounds=rounds, dp=dp)
     sim_seed = derive_seed(seed, "simulate", topology_kind, n_nodes)
     return run_simulation(fed, dataset, plan, seed=sim_seed)
 

@@ -105,17 +105,25 @@ def pair_index(n: int) -> np.ndarray:
     return np.argwhere(~np.tri(n, dtype=bool))  # the cells above the diagonal
 
 
+def check_generator(kind: str, n: int, p: float | None = None) -> None:
+    """What the generator of ``kind`` (ring, star or erdos_renyi) refuses
+    before it draws: fewer nodes than it needs, or an ER p outside (0, 1]."""
+    least, name = {"ring": (3, "ring"), "star": (2, "star"), "erdos_renyi": (2, "Erdos-Renyi")}[kind]
+    if n < least:
+        raise InvalidSize(f"{name} needs n >= {least}, got {n}")
+    if kind == "erdos_renyi" and not (0.0 < p <= 1.0):
+        raise InvalidProbability(f"p must be in (0, 1], got {p}")
+
+
 def gen_ring(n: int) -> Topology:
     """Ring over n >= 3 nodes: node i joined to (i + 1) mod n."""
-    if n < 3:
-        raise InvalidSize(f"ring needs n >= 3, got {n}")
+    check_generator("ring", n)
     return Topology.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def gen_star(n: int) -> Topology:
     """Star over n >= 2 nodes with node 0 as the hub."""
-    if n < 2:
-        raise InvalidSize(f"star needs n >= 2, got {n}")
+    check_generator("star", n)
     return Topology.from_pairs(n, [(0, i) for i in range(1, n)])
 
 
@@ -127,10 +135,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Topology:
     out connected.  The edge set is a deterministic function of
     (n, p, seed).
     """
-    if n < 2:
-        raise InvalidSize(f"Erdos-Renyi needs n >= 2, got {n}")
-    if not (0.0 < p <= 1.0):
-        raise InvalidProbability(f"p must be in (0, 1], got {p}")
+    check_generator("erdos_renyi", n, p)
     rng = np.random.default_rng(seed)
     pairs = pair_index(n)
     for _ in range(ER_MAX_RESAMPLES):

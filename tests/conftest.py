@@ -92,6 +92,7 @@ CONFIG_DAMAGES = {
     ),
     "hidden_sizes_0": ("config.ini", _set("hidden_sizes", 0), "all layer sizes must be >= 1"),
     "activation_bogus": ("config.ini", _set("activation", "bogus"), "activation must be one of"),
+    "rounds_negative": ("config.ini", _set("rounds", -2), "rounds must be >= 1, got -2"),
     "dp_clip_norm_negative": (
         "config.ini", lambda ls: [*ls, "[dp]", "clip_norm = -1", "noise_sigma = 0.5", "seed = 0"],
         "clip_norm must be positive, got -1.0",

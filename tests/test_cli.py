@@ -327,6 +327,13 @@ class TestGenTopology:
         out = tmp_path / "er.edges"
         assert main(["gen-topology", "--kind", "er", "--n", "5", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("kind", ["ring", "star"])
+    def test_p_is_refused_as_topology_p_is(self, tmp_path, capsys, kind):
+        out = tmp_path / "g.edges"
+        assert main(["gen-topology", "--kind", kind, "--n", "5", "--p", "0.3", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"[topology] kind={kind} does not read p" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_log_and_reruns_identically(self, tmp_path, base_cfg):
@@ -395,9 +402,11 @@ class TestSimulate:
             ("20\nhidden_sizes = 8", "20\nhidden_sizes = 0", "hidden_sizes must be one or more"),
             ("20\nhidden_sizes = 8", "20\nhidden_sizes =", "sizes >= 1, got ()"),
             ("20\nhidden_sizes = 8", "20\nhidden_sizes = -3, 4", "sizes >= 1, got (-3, 4)"),
+            ("epochs = 20", "epochs = 0", "epochs must be >= 1, got 0"),
+            ("epochs = 10", "epochs = 0", "epochs must be >= 1, got 0"),
         ],
         ids=["heads_0", "embed_0", "embed_neg", "gat_no_hidden", "edgepre_0", "edgepre_none",
-             "edgepre_neg"],
+             "edgepre_neg", "edgepre_epochs_0", "gat_epochs_0"],
     )
     def test_invalid_attack_section_is_config_error(self, tmp_path, capsys, old, new, message):
         text = BASE_INI.format(out=tmp_path / "simlog")
@@ -877,8 +886,22 @@ class TestConfigOnlyChecks:
              "activation must be one of"),
             ("[edgepre]", "[dp]\nclip_norm = -1\n\n[edgepre]", "clip_norm must be positive, got -1.0"),
             ("[edgepre]", "[dp]\nnoise_sigma = -1\n\n[edgepre]", "noise_sigma must be >= 0, got -1.0"),
+            ("rounds = 3", "rounds = 0", "rounds must be >= 1, got 0"),
+            ("n_per_class = 20", "n_per_class = 5", "n_per_class must be >= 10, got 5"),
+            ("k_classes = 2", "k_classes = 1", "k_classes must be >= 2, got 1"),
+            ("n_per_class = 20", "n_per_class = 20\nspread = 0", "spread must be positive, got 0.0"),
+            ("kind = ring\nn = 6", "kind = ring\nn = 2", "ring needs n >= 3, got 2"),
+            ("kind = ring\nn = 6", "kind = er\nn = 6\np = 1.5", "p must be in (0, 1], got 1.5"),
+            ("[edgepre]", "[partition]\nmethod = dirichlet\nalpha = -1\n\n[edgepre]",
+             "alpha must be positive, got -1.0"),
+            ("[edgepre]", "[partition]\nmethod = dirichlet\nalpha = nan\n\n[edgepre]",
+             "alpha must be positive, got nan"),
+            ("n_per_class = 20", "n_per_class = 20\nspread = nan", "spread must be positive, got nan"),
+            ("[edgepre]", "[dp]\nnoise_sigma = nan\n\n[edgepre]", "noise_sigma must be >= 0, got nan"),
         ],
-        ids=["optimizer", "learning_rate", "activation", "clip_norm", "noise_sigma"],
+        ids=["optimizer", "learning_rate", "activation", "clip_norm", "noise_sigma", "rounds",
+             "n_per_class", "k_classes", "spread", "ring_n", "er_p", "alpha", "alpha_nan",
+             "spread_nan", "noise_sigma_nan"],
     )
     def test_simulate_stage_values_fail_every_command(self, tmp_path, capsys, old, new, message):
         csv_path = tmp_path / "grid.csv"

@@ -45,6 +45,14 @@ class TestGenBlobs:
         d = gen_blobs(8, 2, 10, spread=0.1, seed=1)  # 8 classes > 4 corners
         assert d.n_classes == 8
 
+    def test_callers_arrays_stay_writeable(self):
+        f, y = np.zeros((3, 2)), np.array([0, 1, 0], dtype=np.int64)
+        d = Dataset(f, y)
+        assert f.flags.writeable and y.flags.writeable
+        assert not d.features.flags.writeable and not d.labels.flags.writeable
+        f[0, 0], y[0] = 1.0, 1  # the dataset holds its own copy
+        assert d.features[0, 0] == 0.0 and d.labels[0] == 0
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidConfig):
             gen_blobs(1, 2, 10, 1.0, 0)

