@@ -140,6 +140,12 @@ class ScenarioKnowledge:
             raise KnowledgeViolation(f"SC{s} forbids labeled pairs")
 
 
+def check_labeled_fraction(rho: float) -> None:
+    """What ``sample_knowledge`` refuses of the labeled fraction: rho outside (0, 1)."""
+    if not 0.0 < rho < 1.0:  # NaN fails too
+        raise InvalidConfig(f"labeled fraction rho must be in (0, 1), got {rho}")
+
+
 def sample_knowledge(
     scenario: int, topology: Topology, rho: float = LABELED_FRACTION, seed: int = 0
 ) -> ScenarioKnowledge:
@@ -155,8 +161,7 @@ def sample_knowledge(
     n = topology.n_nodes
     pairs: tuple[tuple[int, int, int], ...] = ()
     if spec.holds_labels:
-        if not (0.0 < rho < 1.0):
-            raise InvalidConfig(f"labeled fraction must be in (0, 1), got {rho}")
+        check_labeled_fraction(rho)
         candidates = pair_index(n)
         adj = adjacency_matrix(topology).astype(np.int64)
         # floor keeps the labeled share at most rho; 45 pairs at 0.3 -> 13

@@ -42,13 +42,14 @@ from .evaluation import (
     all_pairs,
     attack_log,
     defaults_taken_by,
-    generate_topology,
-    density_sweep,
+    density_cells,
     evaluate_soft,
+    generate_topology,
     knowledge_and_pairs,
-    mitigation_experiment,
+    mitigation_cells,
+    run_sweep,
     simulate,
-    size_sweep,
+    size_cells,
 )
 from .metrics import dump_matrix_csv, load_matrix_csv
 from .nn import TrainConfig
@@ -90,12 +91,12 @@ def _field_keys(section: str) -> dict:
 
 FIELD_KEYS = {section: _field_keys(section) for section in SECTION_FIELDS}
 
-# each [sweep] family's function and the argument each of its grid keys sets
+# each [sweep] family's cell builder and the argument each of its grid keys sets
 _CELLS = dict(scenarios="scenarios", seeds="seeds")
 SWEEP_FAMILIES = {
-    "density": (density_sweep, dict(ps="ps", n="n_nodes", **_CELLS)),
-    "size": (size_sweep, dict(ns="ns", p="p", **_CELLS)),
-    "mitigation": (mitigation_experiment, dict(n="n_nodes", p="er_p", **_CELLS)),
+    "density": (density_cells, dict(ps="ps", n="n_nodes", **_CELLS)),
+    "size": (size_cells, dict(ns="ns", p="p", **_CELLS)),
+    "mitigation": (mitigation_cells, dict(n="n_nodes", p="er_p", **_CELLS)),
 }
 
 
@@ -180,8 +181,9 @@ def _read_input(path, what: str) -> str:
 def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
     """``ExperimentDefaults()`` with the fields the config sets replaced, the
     ``[edgepre]`` and ``[infergat]`` keys replacing fields of its attack
-    configs, once the ``SECTION_CHECKS`` of the sections present pass; every
-    command that reads a config calls it before any work."""
+    configs, once the ``SECTION_CHECKS`` of the sections present pass and each
+    graph it hands the simulate stage passes ``check_graph``; every command
+    that reads a config calls it before any work."""
     base = ExperimentDefaults()
     fields = {s: {keys[k][0]: v for k, v in cfg.sections.get(s, {}).items() if k in keys}
               for s, keys in FIELD_KEYS.items()}
@@ -193,6 +195,11 @@ def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
     for section, check in SECTION_CHECKS.items():
         if section in cfg.sections:
             check(cfg)
+    kind = TOPOLOGY_KINDS.get(cfg.get("topology", "kind"))
+    if kind is not None and cfg.get("data", "path") is None:  # a file's counts are checked once read
+        defaults.check_graph(kind, cfg.get("topology", "n", N_NODES), cfg.get("topology", "p"))
+    if "sweep" in cfg.sections:
+        _sweep_cells(cfg, defaults)  # the builder checks each grid point
     return defaults
 
 
@@ -230,16 +237,18 @@ def _partition_alpha(cfg: RunConfig) -> float | None:
     return alpha
 
 
-def _sweep_family(cfg: RunConfig) -> str:
-    """[sweep] family, whose function must read every grid key the section sets."""
+def _sweep_cells(cfg: RunConfig, defaults: ExperimentDefaults) -> list:
+    """The cells of the [sweep] family and grid; the family's builder must read
+    every grid key the section sets."""
     family = cfg.get("sweep", "family")
     if family not in SWEEP_FAMILIES:
         raise InvalidConfig(f"[sweep] family must be density, size or mitigation, got {family!r}")
-    reads = ("family", "out_csv", *SWEEP_FAMILIES[family][1])
-    unread = [k for k in cfg.sections["sweep"] if k not in reads]
+    cells_of, arg_of_key = SWEEP_FAMILIES[family]
+    unread = [k for k in cfg.sections["sweep"] if k not in ("family", "out_csv", *arg_of_key)]
     if unread:
         raise InvalidConfig(f"[sweep] family={family} does not read {', '.join(unread)}")
-    return family
+    return cells_of(**{arg_of_key[k]: v for k, v in cfg.sections["sweep"].items() if k in arg_of_key},
+                    defaults=defaults)
 
 
 def _dp(cfg: RunConfig) -> tuple[float, float] | None:
@@ -253,9 +262,7 @@ def _dp(cfg: RunConfig) -> tuple[float, float] | None:
 
 
 # what each section's values must be from the config alone, checked for the sections present
-SECTION_CHECKS = {
-    "topology": _topology_kind, "partition": _partition_alpha, "dp": _dp, "sweep": _sweep_family,
-}
+SECTION_CHECKS = {"topology": _topology_kind, "partition": _partition_alpha, "dp": _dp}
 
 
 # --- subcommands ------------------------------------------------------------
@@ -305,10 +312,7 @@ def cmd_simulate(args) -> int:
         topology=topo, dataset=dataset, **({} if n is None else {"n_nodes": n}),
     )
     save_log(log, out_dir)
-    print(
-        f"simulated {log.config.n_rounds} rounds over {log.config.topology.n_nodes} nodes "
-        f"-> {Path(out_dir) / 'manifest.txt'}"
-    )
+    print(f"simulated {log.config.n_rounds} rounds over {log.config.topology.n_nodes} nodes -> {out_dir}")
     return 0
 
 
@@ -388,15 +392,13 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     defaults = build_defaults(cfg)
-    family = _sweep_family(cfg)
+    cells = _sweep_cells(cfg, defaults)
     out_csv = args.out or cfg.get("sweep", "out_csv")
     if out_csv is None:
         raise InvalidConfig("sweep needs --out or [sweep] out_csv")
-    run, arg_of_key = SWEEP_FAMILIES[family]
-    grid = {arg_of_key[k]: v for k, v in cfg.sections["sweep"].items() if k in arg_of_key}
-    res = run(**grid, defaults=defaults, out_csv=out_csv, resume=args.resume)
+    res = run_sweep(cells, defaults, out_csv, args.resume)
     n_ok = sum(1 for r in res.rows if r.status == "ok")
-    print(f"sweep {family}: {len(res.rows)} rows ({n_ok} ok) -> {out_csv}")
+    print(f"sweep {cfg.get('sweep', 'family')}: {len(res.rows)} rows ({n_ok} ok) -> {out_csv}")
     return 0
 
 

@@ -111,19 +111,18 @@ def gen_blobs(k_classes: int, n_features: int, n_per_class: int, spread: float, 
     return Dataset(features, labels)
 
 
-def _check_partition_pre(d: Dataset, n_nodes: int) -> None:
+def check_node_count(n_samples: int, n_classes: int, n_nodes: int) -> None:
+    """What a partition refuses of its node count: below 2, or more nodes
+    than the samples can give ``n_classes`` each."""
     if n_nodes < 2:
         raise InvalidConfig(f"need n_nodes >= 2, got {n_nodes}")
-    if d.n_samples < n_nodes * d.n_classes:
-        raise InvalidConfig(
-            f"{d.n_samples} samples cannot give {n_nodes} nodes "
-            f">= {d.n_classes} samples each"
-        )
+    if n_samples < n_nodes * n_classes:
+        raise InvalidConfig(f"{n_samples} samples cannot give {n_nodes} nodes >= {n_classes} samples each")
 
 
 def partition_iid(d: Dataset, n_nodes: int, seed: int) -> PartitionPlan:
     """Shuffle all indices and split near-equally (sizes differ by <= 1)."""
-    _check_partition_pre(d, n_nodes)
+    check_node_count(d.n_samples, d.n_classes, n_nodes)
     rng = np.random.default_rng(seed)
     order = rng.permutation(d.n_samples)
     chunks = np.array_split(order, n_nodes)
@@ -143,7 +142,7 @@ def partition_dirichlet(d: Dataset, n_nodes: int, alpha: float, seed: int) -> Pa
     (K = number of classes); K per node keeps relative-loss entries defined.
     """
     check_alpha(alpha)
-    _check_partition_pre(d, n_nodes)
+    check_node_count(d.n_samples, d.n_classes, n_nodes)
     rng = np.random.default_rng(seed)
     k = d.n_classes
     by_class = [np.flatnonzero(d.labels == c) for c in range(k)]
@@ -197,6 +196,29 @@ def dump_csv(d: Dataset) -> str:
     return "\n".join([header] + rows) + "\n"
 
 
+def number_rows(lines, width: int | None = None) -> list[list[float]]:
+    """Each numbered line that is not blank as a row of finite comma-separated
+    numbers, all ``width`` long (by default the first row's); a row that is not
+    raises ParseError at its line."""
+    rows = []
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        if len(fields) != width:
+            raise ParseError(lineno, f"expected {width} fields, got {len(fields)}")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            raise ParseError(lineno, f"non-numeric field in {line!r}") from None
+        if not np.isfinite(row).all():
+            raise ParseError(lineno, f"non-finite field in {line!r}")
+        rows.append(row)
+    return rows
+
+
 def load_csv(text: str) -> Dataset:
     """Parse "f0,...,f{d-1},label" CSV; labels remapped to contiguous 0..K-1."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
@@ -209,20 +231,6 @@ def load_csv(text: str) -> Dataset:
         raise ParseError(head_line, f"header must be 'f0,...,f{{d-1}},label', got {head!r}")
     if len(lines) == 1:
         raise ParseError(head_line, "no data rows")
-    feats, raw_labels = [], []
-    for lineno, line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != d + 1:
-            raise ParseError(lineno, f"expected {d + 1} fields, got {len(fields)}")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise ParseError(lineno, f"non-numeric field in {line!r}") from None
-        if not np.isfinite(values).all():
-            raise ParseError(lineno, f"non-finite field in {line!r}")
-        feats.append(values[:d])
-        raw_labels.append(values[d])
-    uniq = sorted(set(raw_labels))
-    remap = {v: i for i, v in enumerate(uniq)}
-    labels = [remap[v] for v in raw_labels]
-    return Dataset(np.array(feats, dtype=np.float64), np.array(labels, dtype=np.int64))
+    rows = np.array(number_rows(lines[1:], d + 1), dtype=np.float64)
+    _, labels = np.unique(rows[:, d], return_inverse=True)
+    return Dataset(rows[:, :d], labels)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import typing
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, zip_longest
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -90,11 +90,15 @@ class SimulationLog:
     plan: PartitionPlan
     params: np.ndarray
     deltas: np.ndarray
-    adjacency: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return self.params.shape[1]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The ground truth, from ``config.topology``; no attack reads it."""
+        return adjacency_matrix(self.config.topology)
 
     def snapshot(self, round: int, phase: str = "post") -> np.ndarray:
         """Every node's model in one round as a read-only (n, P) stack: "post" is
@@ -173,8 +177,7 @@ def run_simulation(
         raise InvalidConfig("every node needs a nonempty local dataset")
 
     arch = cfg.architecture(dataset)
-    adjacency = adjacency_matrix(cfg.topology)
-    p_matrix = aggregation_matrix(adjacency)
+    p_matrix = aggregation_matrix(adjacency_matrix(cfg.topology))
 
     splits = [
         split_train_holdout(a, derive_seed(seed, "split", i))[0] for i, a in enumerate(plan.assignments)
@@ -218,7 +221,6 @@ def run_simulation(
         plan=plan,
         params=_frozen(params),
         deltas=_frozen(deltas),
-        adjacency=adjacency,
     )
 
 
@@ -291,13 +293,6 @@ def save_log(log: SimulationLog, out_dir) -> None:
     np.save(root / "params.npy", log.params, allow_pickle=False)
     np.save(root / "deltas.npy", log.deltas, allow_pickle=False)
 
-    manifest = _manifest_lines(log.n_nodes, fc.n_rounds)
-    (root / "manifest.txt").write_text("\n".join(manifest) + "\n")
-
-
-def _manifest_lines(n_nodes: int, rounds: int) -> list[str]:
-    return [f"nodes {n_nodes}", f"rounds {rounds}"] + [f"round {t}" for t in range(1, rounds + 1)]
-
 
 def _read_bytes(path: Path) -> bytes:
     try:
@@ -349,14 +344,6 @@ def _parse_text(path: Path, parse):
         raise InvalidTrace(f"{path}: {exc}") from exc
 
 
-def _check_manifest(path: Path, n_nodes: int, rounds: int) -> None:
-    """The manifest must list the topology's node count and config.ini's rounds."""
-    got = _read_text(path).splitlines()
-    for k, (g, w) in enumerate(zip_longest(got, _manifest_lines(n_nodes, rounds), fillvalue=""), start=1):
-        if g != w:
-            raise InvalidTrace(f"{path} line {k} reads {g!r}, expected {w!r}")
-
-
 def _read_partition(path: Path, n_nodes: int, n_samples: int) -> tuple[tuple[int, ...], ...]:
     """One nonempty line of sample indices per node, each index an integer in
     [0, n_samples) that no other line holds."""
@@ -381,11 +368,9 @@ def _read_partition(path: Path, n_nodes: int, n_samples: int) -> tuple[tuple[int
 
 
 def load_log(log_dir) -> SimulationLog:
-    """Read a log written by save_log; a missing or inconsistent file raises InvalidTrace."""
+    """Read a log written by save_log; a missing or inconsistent file raises
+    InvalidTrace. Any other file in the directory is not read."""
     root = Path(log_dir)
-    if not (root / "manifest.txt").exists():
-        raise InvalidTrace(f"no manifest in {root}")
-
     topology = _parse_text(root / "topology.edges", load_topology)
     cfg = configparser.ConfigParser()
     try:
@@ -401,7 +386,6 @@ def load_log(log_dir) -> SimulationLog:
         raise InvalidTrace(f"{root / 'config.ini'}: {exc}") from exc
 
     n, rounds = topology.n_nodes, fc.n_rounds
-    _check_manifest(root / "manifest.txt", n, rounds)
     dataset = _parse_text(root / "dataset.csv", load_csv)
     plan = PartitionPlan(_read_partition(root / "partition.txt", n, dataset.n_samples), alpha=alpha)
 
@@ -409,4 +393,4 @@ def load_log(log_dir) -> SimulationLog:
     params = _read_array(root / "params.npy", (rounds + 1, n, n_params))
     deltas = _read_array(root / "deltas.npy", (rounds, n, n_params))
 
-    return SimulationLog(fc, seed, dataset, plan, params, deltas, adjacency_matrix(topology))
+    return SimulationLog(fc, seed, dataset, plan, params, deltas)

@@ -33,19 +33,20 @@ from .attacks import (
     InferGatConfig,
     ScenarioKnowledge,
     SoftAdjacency,
+    check_labeled_fraction,
     edgepre_train_many,
     infergat_train_many,
     run_scenario,
     sample_knowledge,
     scenario_feature,
 )
-from .data import Dataset, check_blobs, gen_blobs, partition_dirichlet, partition_iid
+from .data import Dataset, check_blobs, check_node_count, gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
 from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
-from .metrics import METRIC_LAST_K, METRIC_PHASE
+from .metrics import METRIC_LAST_K, METRIC_PHASE, check_last_k
 from .nn import TrainConfig
 from .seeds import derive_seed
-from .topology import Topology, gen_erdos_renyi, gen_ring, gen_star, pair_index, stats
+from .topology import Topology, check_generator, gen_erdos_renyi, gen_ring, gen_star, pair_index, stats
 
 ALL_PAIRS = "all_pairs"
 HELD_OUT = "held_out"
@@ -250,16 +251,20 @@ class ExperimentDefaults:
     infergat: InferGatConfig = field(default_factory=InferGatConfig)
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise InvalidConfig(f"labeled fraction rho must be in (0, 1), got {self.rho}")
+        check_labeled_fraction(self.rho)
         if self.metric_phase not in ("pre", "post"):
             raise InvalidConfig(f"metric phase must be pre or post, got {self.metric_phase!r}")
-        if self.metric_last_k < 1:  # above the log's rounds is checked once a log is read
-            raise InvalidConfig(f"metric last_k must be >= 1, got {self.metric_last_k}")
+        check_last_k(self.metric_last_k)  # above the log's rounds is checked once a log is read
         # the simulate stage's own checks, run here so a bad value fails before
         # any work; no check reads the topology, which the stage makes later
         self.call(check_blobs)
         self.call(FederationConfig, topology=None, train=self.call(TrainConfig))
+
+    def check_graph(self, kind: str, n_nodes: int, er_p: float | None) -> None:
+        """What the simulate stage refuses of a graph it generates on data it
+        generates (``n_per_class`` samples per class), before it draws either."""
+        check_generator(kind, n_nodes, er_p)
+        check_node_count(self.k_classes * self.n_per_class, self.k_classes, n_nodes)
 
     def call(self, fn, **given):
         """``fn`` on the fields it takes by name (``defaults_taken_by``), ``given`` added or replacing."""
@@ -342,15 +347,12 @@ class SweepResult:
 
 def generate_topology(kind: str, n_nodes: int, er_p: float | None, seed: int) -> Topology:
     """A ring, star or Erdos-Renyi overlay; ER is drawn from (seed, kind, n_nodes)."""
+    check_generator(kind, n_nodes, er_p)
     if kind == "ring":
         return gen_ring(n_nodes)
     if kind == "star":
         return gen_star(n_nodes)
-    if kind == "erdos_renyi":
-        if er_p is None:
-            raise InvalidConfig("an Erdos-Renyi topology needs an edge probability p")
-        return gen_erdos_renyi(n_nodes, er_p, seed=derive_seed(seed, "topology", kind, n_nodes))
-    raise InvalidConfig(f"unknown topology kind {kind!r}")
+    return gen_erdos_renyi(n_nodes, er_p, seed=derive_seed(seed, "topology", kind, n_nodes))
 
 
 # the SweepCell fields the simulate stage reads; cells that agree on them share one log
@@ -628,11 +630,14 @@ def run_sweep(
 
 
 def _grid(points, scenarios, seeds, defaults: ExperimentDefaults) -> list[SweepCell]:
-    """One cell per (point, scenario, seed), nested in that order.
+    """One cell per (point, scenario, seed), nested in that order, once every
+    point passes ``ExperimentDefaults.check_graph``.
 
     A point is an experiment id prefix and the SweepCell fields it sets; the
     others run IID, without DP, at the defaults' local epochs and rounds.
     """
+    for _, fields in points:
+        defaults.check_graph(fields["topology_kind"], fields["n_nodes"], fields["er_p"])
     base = dict(alpha=None, local_epochs=defaults.local_epochs, dp=None, rounds=defaults.rounds)
     cells = []
     for prefix, fields in points:
@@ -645,31 +650,39 @@ def _grid(points, scenarios, seeds, defaults: ExperimentDefaults) -> list[SweepC
     return cells
 
 
-def density_sweep(
+def _sweep_of(cells_of):
+    """The sweep that runs what the cell builder ``cells_of`` builds."""
+    def sweep(*grid, defaults=ExperimentDefaults(), out_csv=None, resume=False, **named) -> SweepResult:
+        """The grid's cells run by ``run_sweep``, to ``out_csv`` if given."""
+        return run_sweep(cells_of(*grid, defaults=defaults, **named), defaults, out_csv, resume)
+    return sweep
+
+
+def density_cells(
     ps: tuple[float, ...] = DENSITY_PS, n_nodes: int = N_NODES,
     scenarios: tuple[int, ...] = SWEEP_SCENARIOS, seeds: tuple[int, ...] = SWEEP_SEEDS,
-    defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
-) -> SweepResult:
-    """Pipeline per (edge probability, scenario, seed) on ER topologies."""
+    defaults: ExperimentDefaults = ExperimentDefaults(),
+) -> list[SweepCell]:
+    """A cell per (edge probability, scenario, seed) on ER topologies."""
     points = [
         (f"density-p{p:g}", dict(topology_kind="erdos_renyi", n_nodes=n_nodes, er_p=float(p)))
         for p in ps
     ]
-    return run_sweep(_grid(points, scenarios, seeds, defaults), defaults, out_csv, resume)
+    return _grid(points, scenarios, seeds, defaults)
 
 
-def size_sweep(
+def size_cells(
     ns: tuple[int, ...] = SIZE_NS, p: float = ER_P,
     scenarios: tuple[int, ...] = SWEEP_SCENARIOS, seeds: tuple[int, ...] = SWEEP_SEEDS,
-    defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
-) -> SweepResult:
-    """Pipeline per (node count, scenario, seed); rounds track the size."""
+    defaults: ExperimentDefaults = ExperimentDefaults(),
+) -> list[SweepCell]:
+    """A cell per (node count, scenario, seed); rounds track the size."""
     points = [
         (f"size-n{n}", dict(topology_kind="erdos_renyi", n_nodes=int(n), er_p=float(p),
                             rounds=int(n)))
         for n in ns
     ]
-    return run_sweep(_grid(points, scenarios, seeds, defaults), defaults, out_csv, resume)
+    return _grid(points, scenarios, seeds, defaults)
 
 
 MITIGATION_VARIANTS = (
@@ -682,12 +695,12 @@ MITIGATION_VARIANTS = (
 )
 
 
-def mitigation_experiment(
+def mitigation_cells(
     scenarios: tuple[int, ...] = SWEEP_SCENARIOS, seeds: tuple[int, ...] = SWEEP_SEEDS,
     topology_kinds=("star", "ring", "erdos_renyi"), n_nodes: int = N_NODES, er_p: float = ER_P,
-    defaults: ExperimentDefaults = ExperimentDefaults(), out_csv=None, resume: bool = False,
-) -> SweepResult:
-    """Paired defense runs: cells in a pair share every seed, so topology,
+    defaults: ExperimentDefaults = ExperimentDefaults(),
+) -> list[SweepCell]:
+    """Paired defense cells: cells in a pair share every seed, so topology,
     data, and initialization match and only the defense knob differs."""
     points = [
         (
@@ -698,4 +711,9 @@ def mitigation_experiment(
         for variant, overrides in MITIGATION_VARIANTS
         for kind in topology_kinds
     ]
-    return run_sweep(_grid(points, scenarios, seeds, defaults), defaults, out_csv, resume)
+    return _grid(points, scenarios, seeds, defaults)
+
+
+density_sweep = _sweep_of(density_cells)
+size_sweep = _sweep_of(size_cells)
+mitigation_experiment = _sweep_of(mitigation_cells)

@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConstantMetric, DegenerateModel, KnowledgeViolation, ParseError, ShapeError
+from .data import number_rows
+from .errors import ConstantMetric, DegenerateModel, InvalidConfig, KnowledgeViolation, ShapeError
 from .nn import MlpArchitecture, forward_batch, log_softmax
 
 
@@ -136,6 +137,12 @@ METRIC_PHASE = "post"
 METRIC_LAST_K = 3  # single snapshots are noisier
 
 
+def check_last_k(last_k: int) -> None:
+    """What ``metric_from_log`` refuses of ``last_k`` before it reads a log."""
+    if last_k < 1:
+        raise InvalidConfig(f"metric last_k must be >= 1, got {last_k}")
+
+
 def metric_from_log(
     log, kind: MetricKind, phase: str = METRIC_PHASE, last_k: int = METRIC_LAST_K
 ) -> MetricMatrix:
@@ -148,8 +155,9 @@ def metric_from_log(
     data. Pre-aggregation snapshots see that coupling only one round delayed.
     A log of fewer than ``last_k`` rounds raises ``KnowledgeViolation``.
     """
+    check_last_k(last_k)
     t_final = len(log.deltas)
-    if last_k < 1 or last_k > t_final:
+    if last_k > t_final:
         raise KnowledgeViolation(
             f"last_k={last_k} needs more rounds than the log's {t_final}"
         )
@@ -180,18 +188,4 @@ def dump_matrix_csv(values: np.ndarray) -> str:
 
 def load_matrix_csv(text: str) -> np.ndarray:
     """Rows of finite numbers, all of one length; blank lines are skipped."""
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(x) for x in line.split(",")]
-        except ValueError:
-            raise ParseError(lineno, f"non-numeric field in {line!r}") from None
-        if not np.isfinite(row).all():
-            raise ParseError(lineno, f"non-finite field in {line!r}")
-        if rows and len(row) != len(rows[0]):
-            raise ParseError(lineno, f"expected {len(rows[0])} fields, got {len(row)}")
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
-
+    return np.array(number_rows(enumerate(text.splitlines(), start=1)), dtype=np.float64)

@@ -107,12 +107,19 @@ def pair_index(n: int) -> np.ndarray:
 
 def check_generator(kind: str, n: int, p: float | None = None) -> None:
     """What the generator of ``kind`` (ring, star or erdos_renyi) refuses
-    before it draws: fewer nodes than it needs, or an ER p outside (0, 1]."""
-    least, name = {"ring": (3, "ring"), "star": (2, "star"), "erdos_renyi": (2, "Erdos-Renyi")}[kind]
+    before it draws: fewer nodes than it needs, or an ER p absent or outside
+    (0, 1]; another kind is an InvalidConfig."""
+    sizes = {"ring": (3, "ring"), "star": (2, "star"), "erdos_renyi": (2, "Erdos-Renyi")}
+    if kind not in sizes:
+        raise InvalidConfig(f"unknown topology kind {kind!r}")
+    least, name = sizes[kind]
     if n < least:
         raise InvalidSize(f"{name} needs n >= {least}, got {n}")
-    if kind == "erdos_renyi" and not (0.0 < p <= 1.0):
-        raise InvalidProbability(f"p must be in (0, 1], got {p}")
+    if kind == "erdos_renyi":
+        if p is None:
+            raise InvalidConfig("an Erdos-Renyi topology needs an edge probability p")
+        if not (0.0 < p <= 1.0):
+            raise InvalidProbability(f"p must be in (0, 1], got {p}")
 
 
 def gen_ring(n: int) -> Topology:

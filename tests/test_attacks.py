@@ -10,7 +10,6 @@ from topoleak import attacks
 from topoleak.attacks import (
     LEAKY_SLOPE,
     SCENARIOS,
-    AttackResult,
     EdgePreConfig,
     GatModel,
     InferGatConfig,
@@ -374,6 +373,12 @@ class TestScenarioKnowledge:
         k = sample_knowledge(1, t, seed=0)
         k.validate(5)
         assert 0 < len(k.known_pairs) < 10
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, math.nan])
+    def test_labeled_fraction_outside_0_1_rejected(self, rho):
+        # ExperimentDefaults refuses the same values with the same message
+        with pytest.raises(InvalidConfig, match=r"labeled fraction rho must be in \(0, 1\)"):
+            sample_knowledge(1, gen_ring(5), rho=rho)
 
     def test_sc3_forbids_pairs(self):
         with pytest.raises(KnowledgeViolation):
@@ -1079,19 +1084,17 @@ class TestRunScenario:
             assert binary[i, j] == label
 
     def test_attack_never_reads_ground_truth(self):
-        # removing the adjacency from the log must not affect any scenario
+        # the log's truth swapped for another graph on the same nodes changes no bit of
+        # any scenario's result: the truth reaches an attack only through its E' labels
         log = tiny_log()
-        blinded = dataclasses.replace(log, adjacency=None)
-        k = sample_knowledge(4, log.config.topology)
-        res = run_scenario(
-            k, blinded, infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0), metric_last_k=1
-        )
-        assert isinstance(res, AttackResult)
-        k1 = sample_knowledge(1, log.config.topology, seed=2)
-        res1 = run_scenario(
-            k1, blinded, edgepre_cfg=EdgePreConfig(epochs=20, seed=0), metric_last_k=1
-        )
-        assert isinstance(res1.soft, SoftAdjacency)
+        swapped = dataclasses.replace(log, config=dataclasses.replace(log.config, topology=gen_star(5)))
+        assert not np.array_equal(swapped.adjacency, log.adjacency)
+        cfgs = dict(edgepre_cfg=EdgePreConfig(epochs=20, seed=0),
+                    infergat_cfg=InferGatConfig(epochs=5, knn_k=None, seed=0), metric_last_k=1)
+        for scenario in SCENARIOS:
+            k = sample_knowledge(scenario, log.config.topology, seed=2)
+            res, blind = (run_scenario(k, lg, **cfgs) for lg in (log, swapped))
+            assert res.soft.values.tobytes() == blind.soft.values.tobytes()
 
     def test_infergat_loss_history_kept(self):
         log = tiny_log()

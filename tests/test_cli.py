@@ -16,7 +16,7 @@ from topoleak.engine import load_log
 from topoleak.errors import InvalidConfig
 from topoleak.evaluation import ExperimentDefaults, SweepCell, run_cell
 from topoleak.metrics import load_matrix_csv
-from topoleak.topology import load_topology, stats
+from topoleak.topology import dump_topology, gen_ring, load_topology, stats
 
 BASE_INI = """
 [run]
@@ -336,12 +336,15 @@ class TestGenTopology:
 
 
 class TestSimulate:
-    def test_writes_log_and_reruns_identically(self, tmp_path, base_cfg):
+    def test_writes_log_and_reruns_identically(self, tmp_path, base_cfg, capsys):
         assert main(["simulate", "--config", base_cfg]) == 0
         log_a = tmp_path / "simlog"
-        assert (log_a / "manifest.txt").exists()
+        assert capsys.readouterr().out.endswith(f"-> {log_a}\n")
         assert main(["simulate", "--config", base_cfg, "--out", str(tmp_path / "again")]) == 0
-        for name in ("manifest.txt", "dataset.csv", "topology.edges"):
+        names = sorted(p.name for p in log_a.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "again").iterdir())
+        assert len(names) == 6
+        for name in names:
             assert (log_a / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     def test_seed_changes_artifacts(self, tmp_path, base_cfg):
@@ -606,8 +609,8 @@ class TestAttack:
         [
             ("params.npy", None, "params.npy"),
             ("config.ini", None, "config.ini"),
-            ("manifest.txt", "nodes 6\nrounds 2\nround 1\nround 2\nround 3\n", "rounds 2"),
-            ("manifest.txt", "hello\n", "hello"),
+            ("topology.edges", dump_topology(gen_ring(5)), "partition.txt has 6 lines"),
+            ("topology.edges", dump_topology(gen_ring(7)), "partition.txt has 6 lines"),
         ],
     )
     def test_damaged_log_is_invalid_trace(self, sim_log, base_cfg, capsys, rel, text, named):
@@ -823,20 +826,18 @@ class TestSweep:
              "mitigation_scenarios_seeds"],
     )
     def test_family_gets_only_the_grid_keys_set(self, tmp_path, monkeypatch, family, grid, want):
-        # a grid key the config leaves out keeps the family function's default
+        # a grid key the config leaves out keeps the family's cell builder's default
         calls = []
 
         def record(*args, **kwargs):
             calls.append((args, kwargs))
-            return evaluation.SweepResult(rows=())
+            return []
 
         monkeypatch.setitem(cli.SWEEP_FAMILIES, family, (record, cli.SWEEP_FAMILIES[family][1]))
         cfg = write_ini(tmp_path, f"[sweep]\nfamily = {family}\n{grid}")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "grid.csv")]) == 0
-        (args, kwargs), = calls
-        assert args == ()
-        assert kwargs == dict(want, defaults=ExperimentDefaults(), out_csv=str(tmp_path / "grid.csv"),
-                              resume=False)
+        # built once by the config check, once to run
+        assert calls == [((), dict(want, defaults=ExperimentDefaults()))] * 2
 
     @pytest.mark.parametrize(
         "family, key", [("density", "p"), ("density", "ns"), ("size", "n"), ("size", "ps"),
@@ -898,10 +899,13 @@ class TestConfigOnlyChecks:
              "alpha must be positive, got nan"),
             ("n_per_class = 20", "n_per_class = 20\nspread = nan", "spread must be positive, got nan"),
             ("[edgepre]", "[dp]\nnoise_sigma = nan\n\n[edgepre]", "noise_sigma must be >= 0, got nan"),
+            ("ps = 0.5", "ps = 0.5, 1.5", "p must be in (0, 1], got 1.5"),
+            ("family = density\nn = 6\nps = 0.5", "family = size\nns = 6, 21",
+             "40 samples cannot give 21 nodes >= 2 samples each"),
         ],
         ids=["optimizer", "learning_rate", "activation", "clip_norm", "noise_sigma", "rounds",
              "n_per_class", "k_classes", "spread", "ring_n", "er_p", "alpha", "alpha_nan",
-             "spread_nan", "noise_sigma_nan"],
+             "spread_nan", "noise_sigma_nan", "sweep_ps", "sweep_ns"],
     )
     def test_simulate_stage_values_fail_every_command(self, tmp_path, capsys, old, new, message):
         csv_path = tmp_path / "grid.csv"
@@ -919,6 +923,13 @@ class TestConfigOnlyChecks:
         assert main(["sweep", "--config", cfg]) == 2
         assert not csv_path.exists()
         assert capsys.readouterr().err.count(message) == 4
+
+    def test_node_count_the_default_data_cannot_split(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, f"[run]\nout_dir = {tmp_path / 'simlog'}\n[topology]\nkind = ring\nn = 50\n")
+        assert main(["validate", cfg]) == 2
+        assert main(["simulate", "--config", cfg]) == 2
+        assert not (tmp_path / "simlog").exists()
+        assert capsys.readouterr().err.count("120 samples cannot give 50 nodes >= 3 samples each") == 2
 
     @pytest.mark.parametrize("frac", ["7", "0", "1", "nan"])
     def test_labeled_frac_is_checked_for_every_scenario(self, tmp_path, capsys, frac):

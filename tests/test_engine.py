@@ -31,6 +31,7 @@ from topoleak.topology import (
     Topology,
     adjacency_matrix,
     aggregation_matrix,
+    dump_topology,
     gen_erdos_renyi,
     gen_ring,
     gen_star,
@@ -54,8 +55,15 @@ LOG_FILES = (
     "partition.txt",
     "params.npy",
     "deltas.npy",
-    "manifest.txt",
 )
+
+
+def assert_same_log(a, b):
+    """Every field of two logs equal: the configs, seed and plan by value, the arrays bit for bit."""
+    assert (a.config, a.root_seed, a.plan) == (b.config, b.root_seed, b.plan)
+    for x, y in ((a.dataset.features, b.dataset.features), (a.dataset.labels, b.dataset.labels)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert_same_trace(a, b)
 
 
 def assert_same_trace(a, b):
@@ -338,6 +346,16 @@ class TestLogPersistence:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_adjacency_is_derived_from_the_topology(self, tmp_path):
+        # the truth is held once, in config.topology, and a saved log does not restate it
+        cfg, d, plan = small_setup(gen_star(4))
+        log = run_simulation(cfg, d, plan, seed=0)
+        fields = [f.name for f in dataclasses.fields(log)]
+        assert fields == ["config", "root_seed", "dataset", "plan", "params", "deltas"]
+        save_log(log, tmp_path)
+        for lg in (log, load_log(tmp_path)):
+            assert lg.adjacency.tobytes() == adjacency_matrix(gen_star(4)).tobytes()
+
     def test_trace_is_read_only(self, tmp_path):
         cfg, d, plan = small_setup(gen_ring(4))
         log = run_simulation(cfg, d, plan, seed=2)
@@ -363,7 +381,7 @@ class TestLogPersistence:
             path.unlink()
         elif damage == "short":
             path.write_bytes(path.read_bytes()[:-5])
-        elif damage == "shape":  # one round fewer than config.ini and the manifest
+        elif damage == "shape":  # one round fewer than config.ini
             np.save(path, params[:-1])
         elif damage == "float32":
             np.save(path, params.astype(np.float32))
@@ -376,28 +394,34 @@ class TestLogPersistence:
             load_log(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
+        # an empty directory, which lacks every file of a log of either layout
         with pytest.raises(InvalidTrace):
             load_log(tmp_path)
 
     @pytest.mark.parametrize(
-        "manifest",
-        [
-            "nodes 5\nrounds 4\nround 1\nround 2\nround 3\nround 4\n",
-            "nodes 4\nrounds 3\nround 1\nround 2\nround 3\nround 4\n",
-            "nodes 4\nrounds 4\nround 1\nround 2\nround 4\n",
-            "nodes 4\nrounds 4\nround 1\nround 2\nround 3\nround 4\nround 4\n",
-            "nodes 4\nnodes 4\nrounds 4\nround 1\nround 2\nround 3\nround 4\n",
-            "nodes 4\nrounds four\n",
-            "hello\n",
-            "",
-        ],
+        "damage, named",
+        [("rounds", "params.npy"), ("fewer_nodes", "partition.txt"), ("more_nodes", "partition.txt")],
     )
-    def test_manifest_must_match_topology_and_config(self, tmp_path, manifest):
+    def test_files_must_agree_on_nodes_and_rounds(self, tmp_path, damage, named):
         cfg, d, plan = small_setup(gen_ring(4))  # 4 nodes, 4 rounds
         save_log(run_simulation(cfg, d, plan, seed=2), tmp_path)
-        (tmp_path / "manifest.txt").write_text(manifest)
-        with pytest.raises(InvalidTrace, match="manifest.txt"):
+        if damage == "rounds":
+            text = (tmp_path / "config.ini").read_text()
+            (tmp_path / "config.ini").write_text(text.replace("rounds = 4", "rounds = 3"))
+        else:
+            n = 3 if damage == "fewer_nodes" else 5
+            (tmp_path / "topology.edges").write_text(dump_topology(gen_ring(n)))
+        with pytest.raises(InvalidTrace, match=named):
             load_log(tmp_path)
+
+    def test_old_manifest_is_ignored(self, tmp_path):
+        # logs written before the layout dropped manifest.txt still load, to the same log
+        cfg, d, plan = small_setup(gen_ring(4))
+        save_log(run_simulation(cfg, d, plan, seed=2), tmp_path)
+        new = load_log(tmp_path)
+        manifest = ["nodes 4", "rounds 4"] + [f"round {t}" for t in range(1, 5)]
+        (tmp_path / "manifest.txt").write_text("\n".join(manifest) + "\n")
+        assert_same_log(load_log(tmp_path), new)
 
     def test_config_without_federation_section(self, tmp_path):
         cfg, d, plan = small_setup(gen_ring(4))

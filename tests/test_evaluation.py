@@ -34,14 +34,17 @@ from topoleak.evaluation import (
     all_pairs,
     attack_log,
     auc_roc,
+    density_cells,
     density_sweep,
     evaluate_soft,
     f1_score,
     held_out_pairs,
     knowledge_and_pairs,
+    mitigation_cells,
     mitigation_experiment,
     run_cell,
     run_sweep,
+    size_cells,
     size_sweep,
 )
 from topoleak.attacks import EdgePreConfig, InferGatConfig
@@ -419,12 +422,8 @@ class TestSweeps:
 class TestGridCells:
     """The cells each sweep family builds: ids, order and every SweepCell field."""
 
-    @pytest.fixture(autouse=True)
-    def cells_only(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "run_sweep", lambda cells, *rest: cells)
-
     def test_density(self):
-        cells = density_sweep(
+        cells = density_cells(
             [0.4, 0.75], 6, [1, 4], [0, 3], defaults=tiny_defaults(local_epochs=2, rounds=5)
         )
         # (index, id, kind, n, er_p, alpha, local_epochs, dp, scenario, seed, rounds)
@@ -440,7 +439,7 @@ class TestGridCells:
         ]
 
     def test_size(self):
-        cells = size_sweep([4, 7], 0.6, [2], [1, 5], defaults=tiny_defaults(local_epochs=2))
+        cells = size_cells([4, 7], 0.6, [2], [1, 5], defaults=tiny_defaults(local_epochs=2))
         assert [dataclasses.astuple(c) for c in cells] == [
             (0, "size-n4-sc2-s1", "erdos_renyi", 4, 0.6, None, 2, None, 2, 1, 4),
             (1, "size-n4-sc2-s5", "erdos_renyi", 4, 0.6, None, 2, None, 2, 5, 4),
@@ -449,7 +448,7 @@ class TestGridCells:
         ]
 
     def test_mitigation(self):
-        cells = mitigation_experiment(
+        cells = mitigation_cells(
             [3], [2], topology_kinds=("ring", "erdos_renyi"), n_nodes=5, er_p=0.4,
             defaults=tiny_defaults(local_epochs=2, rounds=4),
         )

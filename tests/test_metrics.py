@@ -10,6 +10,7 @@ from topoleak.engine import FederationConfig, run_simulation
 from topoleak.errors import (
     ConstantMetric,
     DegenerateModel,
+    InvalidConfig,
     InvalidTrace,
     KnowledgeViolation,
     ParseError,
@@ -257,9 +258,11 @@ class TestMetricFromLog:
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_last_k_bounds(self, kind):
         log = small_log(rounds=2)
-        for bad in (0, 3):
-            with pytest.raises(KnowledgeViolation):
-                metric_from_log(log, kind, last_k=bad)
+        # below 1 is the config bound ExperimentDefaults checks; above the rounds only a log knows
+        with pytest.raises(InvalidConfig, match="metric last_k must be >= 1, got 0"):
+            metric_from_log(log, kind, last_k=0)
+        with pytest.raises(KnowledgeViolation):
+            metric_from_log(log, kind, last_k=3)
         metric_from_log(log, kind, last_k=2)  # every round of the log may be averaged
 
     def test_relative_loss_from_log_uses_full_node_sets(self):
@@ -291,6 +294,12 @@ def square_matrices(draw, min_n=1):
 
 
 class TestSerialization:
+    def test_blank_lines_are_skipped_and_keep_line_numbers(self):
+        np.testing.assert_array_equal(load_matrix_csv("\n1,2\n  \n3,4\n"), [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ParseError) as exc:
+            load_matrix_csv("1,2\n\n3\n")
+        assert exc.value.line == 3
+
     def test_matrix_csv_round_trip(self):
         rng = np.random.default_rng(2)
         vals = rng.standard_normal((4, 4))
