@@ -197,7 +197,8 @@ def build_defaults(cfg: RunConfig) -> ExperimentDefaults:
             check(cfg)
     kind = TOPOLOGY_KINDS.get(cfg.get("topology", "kind"))
     if kind is not None and cfg.get("data", "path") is None:  # a file's counts are checked once read
-        defaults.check_graph(kind, cfg.get("topology", "n", N_NODES), cfg.get("topology", "p"))
+        n, p = cfg.get("topology", "n", N_NODES), cfg.get("topology", "p")
+        defaults.check_graph(kind, n, p, defaults.rounds)
     if "sweep" in cfg.sections:
         _sweep_cells(cfg, defaults)  # the builder checks each grid point
     return defaults
@@ -239,7 +240,8 @@ def _partition_alpha(cfg: RunConfig) -> float | None:
 
 def _sweep_cells(cfg: RunConfig, defaults: ExperimentDefaults) -> list:
     """The cells of the [sweep] family and grid; the family's builder must read
-    every grid key the section sets."""
+    every grid key the section sets, and the config may set nothing the
+    family's cells set themselves (graph, partition, DP, seed, data)."""
     family = cfg.get("sweep", "family")
     if family not in SWEEP_FAMILIES:
         raise InvalidConfig(f"[sweep] family must be density, size or mitigation, got {family!r}")
@@ -247,8 +249,13 @@ def _sweep_cells(cfg: RunConfig, defaults: ExperimentDefaults) -> list:
     unread = [k for k in cfg.sections["sweep"] if k not in ("family", "out_csv", *arg_of_key)]
     if unread:
         raise InvalidConfig(f"[sweep] family={family} does not read {', '.join(unread)}")
-    return cells_of(**{arg_of_key[k]: v for k, v in cfg.sections["sweep"].items() if k in arg_of_key},
-                    defaults=defaults)
+    cells = cells_of(**{arg_of_key[k]: v for k, v in cfg.sections["sweep"].items() if k in arg_of_key},
+                     defaults=defaults)
+    unread = [f"[{s}]" for s in ("run", "topology", "partition", "dp") if s in cfg.sections]
+    unread += ["[data] path"] if cfg.get("data", "path") is not None else []
+    if unread:
+        raise InvalidConfig(f"[sweep] family={family} does not read {', '.join(unread)}")
+    return cells
 
 
 def _dp(cfg: RunConfig) -> tuple[float, float] | None:

@@ -18,6 +18,9 @@ bit-exactly and independent of execution order.
 from __future__ import annotations
 
 import configparser
+import io
+import math
+import os
 import typing
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -47,6 +50,11 @@ class DpConfig:
             raise InvalidConfig(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
+def rounds_run(rounds: int | None, n_nodes: int) -> int:
+    """The rounds a federation runs: ``rounds``, or one per node if None."""
+    return n_nodes if rounds is None else rounds
+
+
 @dataclass(frozen=True)
 class FederationConfig:
     topology: Topology
@@ -64,7 +72,7 @@ class FederationConfig:
 
     @property
     def n_rounds(self) -> int:
-        return self.rounds if self.rounds is not None else self.topology.n_nodes
+        return rounds_run(self.rounds, self.topology.n_nodes)
 
     def architecture(self, dataset: Dataset) -> MlpArchitecture:
         return MlpArchitecture((dataset.n_features, *self.hidden_sizes, dataset.n_classes), self.activation)
@@ -267,9 +275,28 @@ def _from_section(cls, section, **given):
                            for f, hint in typing.get_type_hints(cls).items() if f not in given})
 
 
+def _replace_files(root: Path, files: dict) -> None:
+    """Write each of ``files`` (name: text, or an array as .npy) under a temporary name
+    in ``root``, then move all onto their names: a failed write leaves every name as it
+    was, and a map of an old file lives on."""
+    tmps = {root / name: root / (name + ".tmp") for name in files}
+    try:
+        for tmp, data in zip(tmps.values(), files.values()):
+            with open(tmp, "wb") as fh:
+                if isinstance(data, str):
+                    fh.write(data.encode())
+                else:
+                    np.save(fh, data, allow_pickle=False)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+
+
 def save_log(log: SimulationLog, out_dir) -> None:
-    """Persist a log as plain-text docs plus params.npy and deltas.npy; config.ini's
-    [train] and [dp] sections are the fields of the run's TrainConfig and DpConfig."""
+    """Persist a log as plain-text docs plus params.npy and deltas.npy, all six moved into
+    place once written; config.ini's [train] and [dp] are the run's TrainConfig and DpConfig."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -281,17 +308,14 @@ def save_log(log: SimulationLog, out_dir) -> None:
     cfg["train"] = _ini_section(asdict(fc.train))
     if fc.dp is not None:
         cfg["dp"] = _ini_section(asdict(fc.dp))
-    with open(root / "config.ini", "w") as fh:
-        cfg.write(fh)
-
-    (root / "topology.edges").write_text(dump_topology(fc.topology))
-    (root / "dataset.csv").write_text(dump_csv(log.dataset))
-    (root / "partition.txt").write_text(
-        "\n".join(" ".join(str(i) for i in a) for a in log.plan.assignments) + "\n"
-    )
-
-    np.save(root / "params.npy", log.params, allow_pickle=False)
-    np.save(root / "deltas.npy", log.deltas, allow_pickle=False)
+    ini = io.StringIO()
+    cfg.write(ini)
+    partition = "".join(" ".join(map(str, a)) + "\n" for a in log.plan.assignments)
+    _replace_files(root, {
+        "config.ini": ini.getvalue(), "topology.edges": dump_topology(fc.topology),
+        "dataset.csv": dump_csv(log.dataset), "partition.txt": partition,
+        "params.npy": log.params, "deltas.npy": log.deltas,
+    })
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -302,30 +326,37 @@ def _read_bytes(path: Path) -> bytes:
 
 
 def _read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 array of the given shape from an .npy file, made read-only.
+    """A read-only float64 array of the given shape, mapped from an .npy file:
+    only the header is read here, and a row's pages when the row is.
 
     The file must hold one array and nothing else: a header that ends in a
     newline, as the .npy format requires, then exactly the payload.
     """
+    fmt = np.lib.format
     try:
         with open(path, "rb") as fh:
-            a = np.lib.format.read_array(fh, allow_pickle=False)
-            end = fh.tell()
-            fh.seek(end - a.nbytes - 1)
-            header_end = fh.read(1)
-            fh.seek(end)
-            trailing = fh.read(1)
+            version = fmt.read_magic(fh)
+            if version not in ((1, 0), (2, 0), (3, 0)):
+                raise ValueError(f"unknown format version {version}")
+            read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+            held, fortran, dtype = read_header(fh)
+            offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
+            fh.seek(offset - 1)
+            if fh.read(1) != b"\n":
+                raise InvalidTrace(f"{path} has an .npy header that does not end in a newline")
+            if dtype != np.float64 or held != shape:
+                raise InvalidTrace(f"{path} holds {dtype} {held}; the log's config needs float64 {shape}")
+            extra = size - offset - dtype.itemsize * math.prod(shape)
+            if extra < 0:
+                raise ValueError(f"its payload is {-extra} bytes short")
+            if extra > 0:
+                raise InvalidTrace(f"{path} has bytes after its array payload")
+            mapped = np.memmap(fh, dtype, "r", offset, shape, "F" if fortran else "C")
     except OSError as exc:
         raise InvalidTrace(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (ValueError, EOFError) as exc:
         raise InvalidTrace(f"{path} is not a complete .npy array: {exc}") from exc
-    if header_end != b"\n":
-        raise InvalidTrace(f"{path} has an .npy header that does not end in a newline")
-    if trailing:
-        raise InvalidTrace(f"{path} has bytes after its array payload")
-    if a.dtype != np.float64 or a.shape != shape:
-        raise InvalidTrace(f"{path} holds {a.dtype} {a.shape}; the log's config needs float64 {shape}")
-    return _frozen(a)
+    return mapped.view(np.ndarray)
 
 
 def _read_text(path: Path) -> str:

@@ -41,7 +41,7 @@ from .attacks import (
     scenario_feature,
 )
 from .data import Dataset, check_blobs, check_node_count, gen_blobs, partition_dirichlet, partition_iid
-from .engine import DpConfig, FederationConfig, SimulationLog, run_simulation
+from .engine import DpConfig, FederationConfig, SimulationLog, rounds_run, run_simulation
 from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
 from .metrics import METRIC_LAST_K, METRIC_PHASE, check_last_k
 from .nn import TrainConfig
@@ -254,17 +254,20 @@ class ExperimentDefaults:
         check_labeled_fraction(self.rho)
         if self.metric_phase not in ("pre", "post"):
             raise InvalidConfig(f"metric phase must be pre or post, got {self.metric_phase!r}")
-        check_last_k(self.metric_last_k)  # above the log's rounds is checked once a log is read
+        check_last_k(self.metric_last_k)  # above the rounds: check_graph, and metric_from_log on a log
         # the simulate stage's own checks, run here so a bad value fails before
         # any work; no check reads the topology, which the stage makes later
         self.call(check_blobs)
         self.call(FederationConfig, topology=None, train=self.call(TrainConfig))
 
-    def check_graph(self, kind: str, n_nodes: int, er_p: float | None) -> None:
+    def check_graph(self, kind: str, n_nodes: int, er_p: float | None, rounds: int | None) -> None:
         """What the simulate stage refuses of a graph it generates on data it
-        generates (``n_per_class`` samples per class), before it draws either."""
+        generates (``n_per_class`` samples per class), before it draws either,
+        and what the metric read refuses of the rounds it runs (``rounds``, or
+        one per node if None)."""
         check_generator(kind, n_nodes, er_p)
         check_node_count(self.k_classes * self.n_per_class, self.k_classes, n_nodes)
+        check_last_k(self.metric_last_k, rounds_run(rounds, n_nodes))
 
     def call(self, fn, **given):
         """``fn`` on the fields it takes by name (``defaults_taken_by``), ``given`` added or replacing."""
@@ -389,6 +392,7 @@ def simulate(
     dp = None if dp is None else DpConfig(clip_norm=dp[0], noise_sigma=dp[1], seed=derive_seed(seed, "dp"))
     train = defaults.call(TrainConfig, local_epochs=local_epochs)
     fed = defaults.call(FederationConfig, topology=topology, train=train, rounds=rounds, dp=dp)
+    check_last_k(defaults.metric_last_k, fed.n_rounds)  # a file's node count is known only here
     sim_seed = derive_seed(seed, "simulate", topology_kind, n_nodes)
     return run_simulation(fed, dataset, plan, seed=sim_seed)
 
@@ -596,23 +600,23 @@ def run_sweep(
     """
     done: set[str] = set()
     fh = writer = None
-    if out_csv is not None:
-        path = Path(out_csv)
-        if resume:
-            done = _trim_to_complete_rows(path)
-        mode = "a" if (resume and path.exists() and path.stat().st_size) else "w"
-        fh = path.open(mode, newline="")
-        writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(CSV_COLUMNS)
-
-    todo = [c for c in cells if c.experiment_id not in done]
-    groups: dict[tuple, list[SweepCell]] = {}
-    for c in todo:
-        groups.setdefault(_sim_key(c), []).append(c)
     rows: list[SweepRow] = []
     scored = {}  # simulation key -> its scored group
     try:
+        if out_csv is not None:
+            path = Path(out_csv)
+            if resume:
+                done = _trim_to_complete_rows(path)
+            mode = "a" if (resume and path.exists() and path.stat().st_size) else "w"
+            fh = path.open(mode, newline="")
+            writer = csv.writer(fh)
+            if mode == "w":
+                writer.writerow(CSV_COLUMNS)
+
+        todo = [c for c in cells if c.experiment_id not in done]
+        groups: dict[tuple, list[SweepCell]] = {}
+        for c in todo:
+            groups.setdefault(_sim_key(c), []).append(c)
         attacked = _attack([_simulated(g, defaults) for g in groups.values()], defaults)
         for c in todo:
             key = _sim_key(c)
@@ -636,16 +640,17 @@ def _grid(points, scenarios, seeds, defaults: ExperimentDefaults) -> list[SweepC
     A point is an experiment id prefix and the SweepCell fields it sets; the
     others run IID, without DP, at the defaults' local epochs and rounds.
     """
-    for _, fields in points:
-        defaults.check_graph(fields["topology_kind"], fields["n_nodes"], fields["er_p"])
     base = dict(alpha=None, local_epochs=defaults.local_epochs, dp=None, rounds=defaults.rounds)
+    points = [(prefix, {**base, **fields}) for prefix, fields in points]
+    for _, f in points:
+        defaults.check_graph(f["topology_kind"], f["n_nodes"], f["er_p"], f["rounds"])
     cells = []
     for prefix, fields in points:
         for scenario in scenarios:
             for seed in seeds:
                 cells.append(SweepCell(
                     index=len(cells), experiment_id=f"{prefix}-sc{scenario}-s{seed}",
-                    scenario=int(scenario), seed=int(seed), **{**base, **fields},
+                    scenario=int(scenario), seed=int(seed), **fields,
                 ))
     return cells
 

@@ -137,10 +137,13 @@ METRIC_PHASE = "post"
 METRIC_LAST_K = 3  # single snapshots are noisier
 
 
-def check_last_k(last_k: int) -> None:
-    """What ``metric_from_log`` refuses of ``last_k`` before it reads a log."""
+def check_last_k(last_k: int, rounds: int | None = None, error=InvalidConfig) -> None:
+    """What ``metric_from_log`` refuses of ``last_k``: below 1, or, raised as
+    ``error``, above the ``rounds`` of a log or of a config that will run them."""
     if last_k < 1:
         raise InvalidConfig(f"metric last_k must be >= 1, got {last_k}")
+    if rounds is not None and last_k > rounds:
+        raise error(f"metric last_k={last_k} is above the run's {rounds} rounds")
 
 
 def metric_from_log(
@@ -155,12 +158,8 @@ def metric_from_log(
     data. Pre-aggregation snapshots see that coupling only one round delayed.
     A log of fewer than ``last_k`` rounds raises ``KnowledgeViolation``.
     """
-    check_last_k(last_k)
     t_final = len(log.deltas)
-    if last_k > t_final:
-        raise KnowledgeViolation(
-            f"last_k={last_k} needs more rounds than the log's {t_final}"
-        )
+    check_last_k(last_k, t_final, KnowledgeViolation)
     datasets = [log.node_dataset(i) for i in range(log.n_nodes)]
     arch = log.config.architecture(log.dataset)
     mats = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from topoleak import cli, evaluation
-from topoleak.attacks import EdgePreConfig, InferGatConfig
+from topoleak.attacks import SCENARIOS, EdgePreConfig, InferGatConfig
 from topoleak.cli import RunConfig, build_defaults, main, parse_config, resolve_seed
 from topoleak.data import dump_csv, gen_blobs
 from topoleak.engine import load_log
@@ -257,7 +257,8 @@ class TestNonPipelineDefaults:
         # TestOneSeedPath covers a config that sets n
         calls, real = [], cli.simulate
         monkeypatch.setattr(cli, "simulate", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
-        cfg = write_ini(tmp_path, "[topology]\nkind = ring\n[federation]\nrounds = 1\n")
+        text = "[topology]\nkind = ring\n[federation]\nrounds = 1\n[metric]\nlast_k = 1\n"
+        cfg = write_ini(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "log")]) == 0
         (kwargs,) = calls
         assert "n_nodes" not in kwargs
@@ -385,7 +386,7 @@ class TestSimulate:
         cfg = write_ini(
             tmp_path,
             "[topology]\nkind = file\npath = {}\n[data]\npath = {}\n"
-            "[federation]\nrounds = 2\nhidden_sizes = 4\n".format(edges, csv),
+            "[federation]\nrounds = 2\nhidden_sizes = 4\n[metric]\nlast_k = 2\n".format(edges, csv),
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "log")]) == 0
         assert (tmp_path / "log" / "topology.edges").read_bytes() == edges.read_bytes()
@@ -583,6 +584,29 @@ class TestAttack:
         soft = load_matrix_csv((out / f"attack_sc{scenario}.csv").read_text())
         assert soft.tobytes() == res.soft.values.tobytes()
 
+    def test_attack_reads_only_the_rounds_it_scores(self, tmp_path):
+        # the metric read is the last 3 post-aggregation rounds of 6: NaN in params rounds
+        # 0..3 and in every delta leaves each scenario's CSV and JSON byte for byte
+        text = BASE_INI.format(out=tmp_path / "simlog").replace("rounds = 3", "rounds = 6")
+        cfg, log = write_ini(tmp_path, text), tmp_path / "simlog"
+        assert main(["simulate", "--config", cfg]) == 0
+
+        def outputs(out):
+            for sc in SCENARIOS:
+                assert main(["attack", "--log", str(log), "--scenario", str(sc), "--config", cfg,
+                             "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        before = outputs(tmp_path / "before")
+        for name, rows in (("params.npy", 4), ("deltas.npy", 6)):
+            path, arr = log / name, np.load(log / name)
+            raw, header = path.read_bytes(), path.stat().st_size - arr.nbytes
+            nan = np.full((rows, *arr.shape[1:]), np.nan).tobytes()
+            path.write_bytes(raw[:header] + nan + raw[header + len(nan):])
+        assert np.isnan(np.load(log / "params.npy")[:4]).all()
+        assert np.isnan(np.load(log / "deltas.npy")).all()
+        assert len(before) == 8 and outputs(tmp_path / "after") == before
+
     def test_truncated_snapshot_is_runtime_error(self, sim_log, base_cfg, capsys):
         arr = Path(sim_log, "deltas.npy")
         arr.write_bytes(arr.read_bytes()[:-5])
@@ -728,9 +752,6 @@ class TestEvaluate:
 
 
 SWEEP_INI = """
-[run]
-seed = 3
-
 [sweep]
 family = density
 ps = 0.5
@@ -852,6 +873,30 @@ class TestSweep:
         assert not csv_path.exists()
         assert capsys.readouterr().err.count(f"[sweep] family={family} does not read {key}\n") == 2
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (("", "[partition]\nmethod = dirichlet\nalpha = 0.5\n"
+                  "[dp]\nclip_norm = 0.5\nnoise_sigma = 0.1\n"), "[partition], [dp]"),
+            (("", "[dp]\n"), "[dp]"),
+            (("[data]\n", "[data]\npath = data.csv\n"), "[data] path"),
+            (("", "[topology]\nkind = ring\nn = 6\n"), "[topology]"),
+            (("", "[run]\nseed = 3\n"), "[run]"),
+        ],
+        ids=["partition_dp", "bare_dp", "data_path", "topology", "run_seed"],
+    )
+    def test_a_section_the_sweep_does_not_read_is_refused(self, tmp_path, capsys, edit, named):
+        # the family sets each cell's graph, partition, DP, data and seed itself
+        csv_path = tmp_path / "grid.csv"
+        old, new = edit
+        text = SWEEP_INI.format(csv=csv_path)
+        text = text.replace(old, new) if old else text + new
+        cfg = write_ini(tmp_path, text)
+        assert main(["validate", cfg]) == 2
+        assert main(["sweep", "--config", cfg]) == 2
+        assert not csv_path.exists()
+        assert capsys.readouterr().err.count(f"[sweep] family=density does not read {named}\n") == 2
+
 
 class TestConfigOnlyChecks:
     """What a command refuses from the config alone, ``validate`` refuses too,
@@ -924,6 +969,42 @@ class TestConfigOnlyChecks:
         assert not csv_path.exists()
         assert capsys.readouterr().err.count(message) == 4
 
+    @pytest.mark.parametrize(
+        "command, text, last_k, rounds",
+        [
+            ("validate", "[topology]\nkind = ring\nn = 5\n[federation]\nrounds = 2\n", 3, 2),
+            ("simulate", "[topology]\nkind = ring\nn = 5\n[federation]\nrounds = 2\n", 3, 2),
+            ("simulate", "[topology]\nkind = ring\nn = 3\n[metric]\nlast_k = 4\n", 4, 3),
+            ("simulate", "[topology]\nkind = file\npath = {edges}\n[federation]\nrounds = 2\n", 3, 2),
+            ("simulate", "[topology]\nkind = file\npath = {edges}\n[metric]\nlast_k = 6\n", 6, 5),
+            ("sweep", "[sweep]\nfamily = density\nn = 5\nps = 0.5\n[federation]\nrounds = 2\n", 3, 2),
+            ("sweep", "[sweep]\nfamily = size\nns = 4, 2\n", 3, 2),
+        ],
+        ids=["validate", "simulate", "simulate_rounds_per_node", "simulate_file",
+             "simulate_file_rounds_per_node", "sweep_density", "sweep_size"],
+    )
+    def test_last_k_above_the_rounds_fails_before_any_work(
+        self, tmp_path, capsys, command, text, last_k, rounds
+    ):
+        # a config runs [federation] rounds, else one round per node (a file's node count)
+        edges, out = tmp_path / "ring5.edges", tmp_path / "out"
+        edges.write_text(dump_topology(gen_ring(5)))
+        cfg = write_ini(tmp_path, text.format(edges=edges))
+        argv = [cfg] if command == "validate" else ["--config", cfg, "--out", str(out)]
+        assert main([command, *argv]) == 2
+        assert not out.exists()
+        assert f"metric last_k={last_k} is above the run's {rounds} rounds" in capsys.readouterr().err
+
+    def test_last_k_above_a_logs_rounds_fails_the_attack(self, tmp_path, capsys):
+        # a log simulated with another config is checked once it is read (exit 3)
+        text = BASE_INI.format(out=tmp_path / "simlog").replace("rounds = 3", "rounds = 2")
+        short = write_ini(tmp_path, text + "[metric]\nlast_k = 2\n")
+        assert main(["simulate", "--config", short]) == 0
+        assert main(["attack", "--log", str(tmp_path / "simlog"), "--scenario", "3", "--out",
+                     str(tmp_path / "out")]) == 3
+        assert "metric last_k=3 is above the run's 2 rounds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_node_count_the_default_data_cannot_split(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, f"[run]\nout_dir = {tmp_path / 'simlog'}\n[topology]\nkind = ring\nn = 50\n")
         assert main(["validate", cfg]) == 2
@@ -974,7 +1055,7 @@ class TestConfigOnlyChecks:
         self, tmp_path, capsys, topology, message
     ):
         csv_path = tmp_path / "grid.csv"
-        text = SWEEP_INI.format(csv=csv_path).replace("seed = 3", f"out_dir = {tmp_path / 'simlog'}")
+        text = SWEEP_INI.format(csv=csv_path) + f"\n[run]\nout_dir = {tmp_path / 'simlog'}\n"
         cfg = write_ini(tmp_path, f"{text}\n[topology]\n{topology}\n")
         assert main(["validate", cfg]) == 2
         assert main(["simulate", "--config", cfg]) == 2

@@ -371,6 +371,76 @@ class TestLogPersistence:
             # a post-aggregation snapshot is a view of the trace, not a copy
             assert np.shares_memory(lg.snapshot(4), lg.params)
 
+    def test_loaded_arrays_are_read_only_views_of_a_file_map(self, tmp_path):
+        cfg, d, plan = small_setup(gen_ring(4))
+        save_log(run_simulation(cfg, d, plan, seed=2), tmp_path)
+        log = load_log(tmp_path)
+        for name, arr in (("params.npy", log.params), ("deltas.npy", log.deltas)):
+            # a plain array, so nothing computed from it is a memmap
+            assert type(arr) is np.ndarray and not arr.flags.writeable
+            assert isinstance(arr.base, np.memmap) and arr.base.mode == "r"
+            assert not arr.base.flags.writeable
+            assert Path(arr.base.filename) == tmp_path / name
+
+    def test_fortran_order_is_mapped_and_other_formats_refused(self, tmp_path):
+        cfg, d, plan = small_setup(gen_ring(4))
+        log = run_simulation(cfg, d, plan, seed=2)
+        save_log(log, tmp_path)
+        np.save(tmp_path / "params.npy", np.asfortranarray(log.params))
+        back = load_log(tmp_path)
+        assert back.params.flags.f_contiguous and back.params.tobytes() == log.params.tobytes()
+        path = tmp_path / "deltas.npy"
+        np.save(path, log.deltas.astype(">f8"))
+        with pytest.raises(InvalidTrace, match=r"deltas.npy holds >f8"):
+            load_log(tmp_path)
+        with open(path, "wb") as fh:  # a version 2.0 header is read as well as 1.0
+            np.lib.format.write_array(fh, log.deltas, version=(2, 0))
+        assert load_log(tmp_path).deltas.tobytes() == log.deltas.tobytes()
+        raw = path.read_bytes()
+        path.write_bytes(raw[:6] + b"\x09\x00" + raw[8:])  # a version numpy does not know
+        with pytest.raises(InvalidTrace, match=r"deltas.npy is not a complete .npy array"):
+            load_log(tmp_path)
+
+    def test_resave_into_a_loaded_logs_directory(self, tmp_path):
+        cfg, d, plan = small_setup(gen_ring(4))
+        first, other = (run_simulation(cfg, d, plan, seed=s) for s in (2, 3))
+        save_log(first, tmp_path)
+        loaded = load_log(tmp_path)
+        save_log(loaded, tmp_path)  # each file it maps is replaced while it is live
+        assert_same_log(load_log(tmp_path), loaded)
+        save_log(other, tmp_path)  # the same shapes, other values
+        assert_same_trace(load_log(tmp_path), other)
+        assert_same_trace(loaded, first)  # a live log keeps the bytes it was loaded from
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(LOG_FILES)
+
+    @pytest.mark.parametrize("failing", [0, 1])  # params.npy, or deltas.npy after params.npy
+    def test_a_save_that_fails_midway_leaves_every_name_as_it_was(self, tmp_path, monkeypatch, failing):
+        cfg, d, plan = small_setup(gen_ring(4))
+        old, new = (run_simulation(cfg, d, plan, seed=s) for s in (2, 3))
+        for name in ("old", "log"):
+            save_log(old, tmp_path / name)
+        saves = []
+
+        def fail_midway(fh, arr, allow_pickle):
+            saves.append(arr)
+            if len(saves) > failing:
+                fh.write(b"\x93NUMPY\x01\x00")  # part of a header
+                raise OSError(28, "No space left on device")
+            real_save(fh, arr, allow_pickle=allow_pickle)
+
+        real_save = np.save
+        monkeypatch.setattr(np, "save", fail_midway)
+        for name in ("log", "fresh"):
+            saves.clear()
+            with pytest.raises(OSError, match="No space left"):
+                save_log(new, tmp_path / name)
+        monkeypatch.undo()
+        # every name holds the old log byte for byte; no temporary file is left
+        assert sorted(p.name for p in (tmp_path / "log").iterdir()) == sorted(LOG_FILES)
+        for name in LOG_FILES:
+            assert (tmp_path / "log" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+        assert list((tmp_path / "fresh").iterdir()) == []
+
     @pytest.mark.parametrize("damage", ["missing", "short", "shape", "float32", "object", "config"])
     def test_damaged_array_is_invalid_trace(self, tmp_path, damage):
         cfg, d, plan = small_setup(gen_ring(4))

@@ -8,6 +8,8 @@ relies on them.
 import dataclasses
 import inspect
 import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,6 +384,15 @@ class TestSweeps:
         assert (row.status, row.result, row.n_edges) == ("error:InvalidConfig", None, 0)
         assert "error:InvalidConfig" in out.read_text().splitlines()[1]
 
+    def test_a_cell_list_that_fails_to_group_closes_the_csv(self, tmp_path, monkeypatch):
+        opened, path_open = [], Path.open
+        monkeypatch.setattr(Path, "open", lambda p, *a, **kw: opened.append(path_open(p, *a, **kw)) or opened[-1])
+        cells = [ring_cell(0), SimpleNamespace(experiment_id="no-key")]  # no simulation key fields
+        with pytest.raises(AttributeError, match="topology_kind"):
+            run_sweep(cells, tiny_defaults(), out_csv=tmp_path / "grid.csv")
+        assert len(opened) == 1 and opened[0].closed
+        assert (tmp_path / "grid.csv").read_text().splitlines() == [",".join(CSV_COLUMNS)]
+
     def test_resume_skips_completed_cells(self, tmp_path):
         out = tmp_path / "resume.csv"
         full = density_sweep([0.4, 0.7], 6, [4], [0], defaults=tiny_defaults(), out_csv=out)
@@ -437,6 +448,15 @@ class TestGridCells:
             (6, "density-p0.75-sc4-s0", "erdos_renyi", 6, 0.75, None, 2, None, 4, 0, 5),
             (7, "density-p0.75-sc4-s3", "erdos_renyi", 6, 0.75, None, 2, None, 4, 3, 5),
         ]
+
+    def test_last_k_is_checked_against_each_points_rounds(self):
+        # a size point runs n rounds whatever the defaults' rounds; other points run those
+        short = ExperimentDefaults(rounds=2)  # the metric reads the last 3
+        assert [c.rounds for c in size_cells([3, 4], 0.6, [4], [0], defaults=short)] == [3, 4]
+        with pytest.raises(InvalidConfig, match="metric last_k=3 is above the run's 2 rounds"):
+            size_cells([3, 2], 0.6, [4], [0])
+        with pytest.raises(InvalidConfig, match="metric last_k=3 is above the run's 2 rounds"):
+            density_cells([0.5], 6, [4], [0], defaults=short)
 
     def test_size(self):
         cells = size_cells([4, 7], 0.6, [2], [1, 5], defaults=tiny_defaults(local_epochs=2))
