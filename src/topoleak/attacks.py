@@ -450,21 +450,19 @@ class _GatFit:
     same axis in the same order.
     """
 
-    def __init__(self, flats, x: np.ndarray, cfg: InferGatConfig, masks=None):
+    def __init__(self, flats, x: np.ndarray, cfg: InferGatConfig):
         """A fit of a copy of the (g, P) stack ``flats`` on the (g, n, d_in)
-        features ``x``; each model's attention mask is built from its
-        feature when ``masks`` is not given."""
+        features ``x``; each model's attention mask is built from its feature."""
         g, n, d_in = x.shape
         heads, e_dim = cfg.heads, cfg.embed_dim
         d_head, dec_arch = _gat_dims(cfg)
         hidden = dec_arch.layer_sizes[1:-1]
-        if masks is None:
-            masks = np.stack([_attention_mask(v, cfg.knn_k) for v in x])
         self.flat = flat = np.array(flats, dtype=np.float64)
         self.x, self.n = x, n
         self.params = _gat_unpack(flat, d_in, cfg)
         self.grad = np.empty_like(flat)
         self.grads = _gat_unpack(self.grad, d_in, cfg)
+        masks = np.stack([_attention_mask(v, cfg.knn_k) for v in x])
         self.att_bias = np.where(masks, 0.0, -np.inf)[:, None]
         att = (g, heads, n, n)
         # forward: encoder, then the (n, n, hidden) decoder grid and each later
@@ -636,22 +634,18 @@ def _gat_forward(fit: _GatFit) -> np.ndarray:
     return soft
 
 
-def _gat_loss_and_grad(
-    flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig, mask=None
-):
+def _gat_loss_and_grad(flat: np.ndarray, x: np.ndarray, d_in: int, cfg: InferGatConfig):
     """Total loss and its gradient for all encoder and decoder parameters at once.
 
     ``flat`` is one (P,) model on (n, d_in) features, or a (g, P) stack on
     (g, n, d_in) features, which gives (g,) losses and a (g, P) gradient.
-    ``mask`` is the attention mask of x, or of each feature of the stack; it
-    is built here when not given.
     """
     lone = flat.ndim == 1
     if lone:
-        flat, x, mask = flat[None], x[None], None if mask is None else mask[None]
+        flat, x = flat[None], x[None]
     if x.shape[2] != d_in:
         raise ShapeError(f"features of width {x.shape[2]} for d_in = {d_in}")
-    fit = _GatFit(flat, x, cfg, mask)
+    fit = _GatFit(flat, x, cfg)
     losses = fit.loss_and_grad()
     return (float(losses[0]), fit.grad[0]) if lone else (losses, fit.grad)
 
@@ -701,6 +695,8 @@ def infergat_train_many(fits) -> list[tuple[GatModel, list[float]]]:
 
 
 def infergat_infer(model: GatModel, x: FeatureMatrix) -> SoftAdjacency:
+    if x.n_nodes != model.d_in:
+        raise ShapeError(f"the model was trained on {model.d_in} nodes, the feature has {x.n_nodes}")
     fit = _GatFit(model.flat[None], x.values[None], model.cfg)
     return SoftAdjacency(_gat_forward(fit)[0])
 

@@ -241,7 +241,8 @@ def _partition_alpha(cfg: RunConfig) -> float | None:
 def _sweep_cells(cfg: RunConfig, defaults: ExperimentDefaults) -> list:
     """The cells of the [sweep] family and grid; the family's builder must read
     every grid key the section sets, and the config may set nothing the
-    family's cells set themselves (graph, partition, DP, seed, data)."""
+    family's cells set themselves (graph, partition, DP, seed, data, and a
+    size sweep's rounds)."""
     family = cfg.get("sweep", "family")
     if family not in SWEEP_FAMILIES:
         raise InvalidConfig(f"[sweep] family must be density, size or mitigation, got {family!r}")
@@ -252,7 +253,8 @@ def _sweep_cells(cfg: RunConfig, defaults: ExperimentDefaults) -> list:
     cells = cells_of(**{arg_of_key[k]: v for k, v in cfg.sections["sweep"].items() if k in arg_of_key},
                      defaults=defaults)
     unread = [f"[{s}]" for s in ("run", "topology", "partition", "dp") if s in cfg.sections]
-    unread += ["[data] path"] if cfg.get("data", "path") is not None else []
+    keys = [("data", "path")] + ([("federation", "rounds")] if family == "size" else [])
+    unread += [f"[{s}] {k}" for s, k in keys if cfg.get(s, k) is not None]
     if unread:
         raise InvalidConfig(f"[sweep] family={family} does not read {', '.join(unread)}")
     return cells

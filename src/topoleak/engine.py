@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 import os
 import typing
 from dataclasses import asdict, dataclass, field
@@ -30,6 +29,7 @@ import numpy as np
 
 from .data import Dataset, PartitionPlan, dump_csv, load_csv, split_train_holdout
 from .errors import DivergedTraining, InvalidConfig, InvalidTrace, TopoleakError
+from .metrics import check_phase
 from .nn import MlpArchitecture, ModelParams, TrainConfig, init_params, train_local
 from .seeds import derive_seed, rng_for
 from .topology import Topology, adjacency_matrix, aggregation_matrix, dump_topology, load_topology
@@ -79,10 +79,8 @@ class FederationConfig:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """Make a and the array owning its memory read-only; returns a."""
-    for arr in (a, a.base):
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
+    """Make a, an array that owns its memory, read-only; returns a."""
+    a.setflags(write=False)
     return a
 
 
@@ -111,8 +109,7 @@ class SimulationLog:
     def snapshot(self, round: int, phase: str = "post") -> np.ndarray:
         """Every node's model in one round as a read-only (n, P) stack: "post" is
         after aggregation (round 0 is the init), "pre" before it (rounds 1..T)."""
-        if phase not in ("pre", "post"):
-            raise InvalidTrace(f"phase must be pre or post, got {phase!r}")
+        check_phase(phase, InvalidTrace)
         first, last = (0 if phase == "post" else 1), len(self.deltas)
         if not first <= round <= last:
             raise InvalidTrace(f"the log holds {phase} rounds {first}..{last}, not round {round}")
@@ -277,8 +274,9 @@ def _from_section(cls, section, **given):
 
 def _replace_files(root: Path, files: dict) -> None:
     """Write each of ``files`` (name: text, or an array as .npy) under a temporary name
-    in ``root``, then move all onto their names: a failed write leaves every name as it
-    was, and a map of an old file lives on."""
+    in ``root``, then move all onto their names, the last name removed before the first
+    move: a failed write leaves every name as it was, a crash between moves leaves no
+    last name, and a map of an old file lives on."""
     tmps = {root / name: root / (name + ".tmp") for name in files}
     try:
         for tmp, data in zip(tmps.values(), files.values()):
@@ -287,6 +285,8 @@ def _replace_files(root: Path, files: dict) -> None:
                     fh.write(data.encode())
                 else:
                     np.save(fh, data, allow_pickle=False)
+        *_, last = tmps
+        last.unlink(missing_ok=True)
         for path, tmp in tmps.items():
             os.replace(tmp, path)
     finally:
@@ -296,7 +296,8 @@ def _replace_files(root: Path, files: dict) -> None:
 
 def save_log(log: SimulationLog, out_dir) -> None:
     """Persist a log as plain-text docs plus params.npy and deltas.npy, all six moved into
-    place once written; config.ini's [train] and [dp] are the run's TrainConfig and DpConfig."""
+    place once written and config.ini last, so a directory without it is a save cut short;
+    config.ini's [train] and [dp] are the run's TrainConfig and DpConfig."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -312,56 +313,43 @@ def save_log(log: SimulationLog, out_dir) -> None:
     cfg.write(ini)
     partition = "".join(" ".join(map(str, a)) + "\n" for a in log.plan.assignments)
     _replace_files(root, {
-        "config.ini": ini.getvalue(), "topology.edges": dump_topology(fc.topology),
-        "dataset.csv": dump_csv(log.dataset), "partition.txt": partition,
-        "params.npy": log.params, "deltas.npy": log.deltas,
+        "topology.edges": dump_topology(fc.topology), "dataset.csv": dump_csv(log.dataset),
+        "partition.txt": partition, "params.npy": log.params, "deltas.npy": log.deltas,
+        "config.ini": ini.getvalue(),
     })
 
 
-def _read_bytes(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise InvalidTrace(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only float64 array of the given shape, mapped from an .npy file:
-    only the header is read here, and a row's pages when the row is.
-
-    The file must hold one array and nothing else: a header that ends in a
-    newline, as the .npy format requires, then exactly the payload.
-    """
-    fmt = np.lib.format
+    """A read-only float64 array of the given shape, mapped by ``np.load`` so that
+    a row's pages are read only when the row is. The file must hold the array and
+    nothing else, which numpy does not check: a header that ends in a newline, as
+    the .npy format requires, then exactly the payload."""
     try:
+        arr = np.load(path, mmap_mode="r", allow_pickle=False)
+        if not isinstance(arr, np.memmap):
+            arr.close()
+            raise InvalidTrace(f"{path} is an .npz archive, not an .npy array")
         with open(path, "rb") as fh:
-            version = fmt.read_magic(fh)
-            if version not in ((1, 0), (2, 0), (3, 0)):
-                raise ValueError(f"unknown format version {version}")
-            read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
-            held, fortran, dtype = read_header(fh)
-            offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
-            fh.seek(offset - 1)
-            if fh.read(1) != b"\n":
-                raise InvalidTrace(f"{path} has an .npy header that does not end in a newline")
-            if dtype != np.float64 or held != shape:
-                raise InvalidTrace(f"{path} holds {dtype} {held}; the log's config needs float64 {shape}")
-            extra = size - offset - dtype.itemsize * math.prod(shape)
-            if extra < 0:
-                raise ValueError(f"its payload is {-extra} bytes short")
-            if extra > 0:
-                raise InvalidTrace(f"{path} has bytes after its array payload")
-            mapped = np.memmap(fh, dtype, "r", offset, shape, "F" if fortran else "C")
+            fh.seek(arr.offset - 1)
+            newline, size = fh.read(1) == b"\n", os.fstat(fh.fileno()).st_size
     except OSError as exc:
         raise InvalidTrace(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (ValueError, EOFError) as exc:
         raise InvalidTrace(f"{path} is not a complete .npy array: {exc}") from exc
-    return mapped.view(np.ndarray)
+    if not newline:
+        raise InvalidTrace(f"{path} has an .npy header that does not end in a newline")
+    if arr.dtype != np.float64 or arr.shape != shape:
+        raise InvalidTrace(f"{path} holds {arr.dtype} {arr.shape}; the log's config needs float64 {shape}")
+    if size != arr.offset + arr.nbytes:
+        raise InvalidTrace(f"{path} has bytes after its array payload")
+    return arr.view(np.ndarray)
 
 
 def _read_text(path: Path) -> str:
     try:
-        return _read_bytes(path).decode("utf-8")
+        return path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise InvalidTrace(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidTrace(f"{path} is not UTF-8 text") from exc
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import inspect
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,8 +41,8 @@ from .attacks import (
 )
 from .data import Dataset, check_blobs, check_node_count, gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, rounds_run, run_simulation
-from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
-from .metrics import METRIC_LAST_K, METRIC_PHASE, check_last_k
+from .errors import DegenerateLabels, InvalidEvalSet, TopoleakError
+from .metrics import METRIC_LAST_K, METRIC_PHASE, check_last_k, check_phase
 from .nn import TrainConfig
 from .seeds import derive_seed
 from .topology import Topology, check_generator, gen_erdos_renyi, gen_ring, gen_star, pair_index, stats
@@ -252,8 +251,7 @@ class ExperimentDefaults:
 
     def __post_init__(self):
         check_labeled_fraction(self.rho)
-        if self.metric_phase not in ("pre", "post"):
-            raise InvalidConfig(f"metric phase must be pre or post, got {self.metric_phase!r}")
+        check_phase(self.metric_phase)
         check_last_k(self.metric_last_k)  # above the rounds: check_graph, and metric_from_log on a log
         # the simulate stage's own checks, run here so a bad value fails before
         # any work; no check reads the topology, which the stage makes later
@@ -465,8 +463,8 @@ def _prepare(scenarios, log: SimulationLog, seed: int, defaults: ExperimentDefau
     return group
 
 
-def _attack(groups: list[_Group], defaults: ExperimentDefaults) -> Iterator[_Group]:
-    """Phases 2 and 3 of prepared groups, yielding each group once scored.
+def _attack(groups: list[_Group], defaults: ExperimentDefaults) -> list[_Group]:
+    """Phases 2 and 3 of prepared groups; returns the groups, each scored.
 
     Phase 2 trains every attack model of the groups: the supervised decoders
     (SC1/SC2, EDGEPRE) in one ``edgepre_train_many`` call and the attention
@@ -474,8 +472,8 @@ def _attack(groups: list[_Group], defaults: ExperimentDefaults) -> Iterator[_Gro
     each with one stack per input shape and config. A refused call fails the
     scenarios it held, and no others. Phase 3 hands each group's scenarios
     their features and trained models through ``run_scenario``, group by
-    group, and scores them against the group's truth. Attack configs are
-    seeded from (seed, scenario).
+    group, and scores them against the group's truth into its ``results``.
+    Attack configs are seeded from (seed, scenario).
     """
     edgepre_fits, infergat_fits = {}, {}  # (group, scenario) -> its fit
     for g, group in enumerate(groups):
@@ -503,7 +501,7 @@ def _attack(groups: list[_Group], defaults: ExperimentDefaults) -> Iterator[_Gro
                 group.results[sc] = res, evaluate_soft(res.soft, group.truth, pairs, policy)
             except TopoleakError as exc:
                 group.results[sc] = exc
-        yield group
+    return groups
 
 
 def attack_log(
@@ -592,16 +590,14 @@ def run_sweep(
        call and every SC3/SC4 autoencoder in one ``infergat_train_many``
        call, one stack per input shape and config;
     3. each group's scenarios run and score, in the order of the groups'
-       first cells, and each cell's row is written as soon as its group is
-       scored.
+       first cells; then each cell's row is written, in cell order.
 
-    No row is written before phase 2 ends, so a sweep stopped before then
+    No row is written before phase 3 ends, so a sweep stopped before then
     reruns all its pending cells on resume.
     """
     done: set[str] = set()
     fh = writer = None
     rows: list[SweepRow] = []
-    scored = {}  # simulation key -> its scored group
     try:
         if out_csv is not None:
             path = Path(out_csv)
@@ -617,12 +613,9 @@ def run_sweep(
         groups: dict[tuple, list[SweepCell]] = {}
         for c in todo:
             groups.setdefault(_sim_key(c), []).append(c)
-        attacked = _attack([_simulated(g, defaults) for g in groups.values()], defaults)
+        scored = dict(zip(groups, _attack([_simulated(g, defaults) for g in groups.values()], defaults)))
         for c in todo:
-            key = _sim_key(c)
-            if key not in scored:  # groups are scored in the order of their first cell
-                scored[key] = next(attacked)
-            row = _row(c, scored[key])
+            row = _row(c, scored[_sim_key(c)])
             rows.append(row)
             if writer is not None:
                 writer.writerow(row.csv_record())

@@ -146,6 +146,12 @@ def check_last_k(last_k: int, rounds: int | None = None, error=InvalidConfig) ->
         raise error(f"metric last_k={last_k} is above the run's {rounds} rounds")
 
 
+def check_phase(phase: str, error=InvalidConfig) -> None:
+    """What ``SimulationLog.snapshot`` refuses of ``phase``, raised as ``error``."""
+    if phase not in ("pre", "post"):
+        raise error(f"metric phase must be pre or post, got {phase!r}")
+
+
 def metric_from_log(
     log, kind: MetricKind, phase: str = METRIC_PHASE, last_k: int = METRIC_LAST_K
 ) -> MetricMatrix:

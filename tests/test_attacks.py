@@ -590,16 +590,6 @@ class TestInferGat:
         rel = np.linalg.norm(grad[coords] - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-3
 
-    @pytest.mark.parametrize("knn_k", [None, 2])
-    def test_explicit_mask_gives_same_loss_and_gradient(self, knn_k):
-        cfg = InferGatConfig(embed_dim=4, heads=2, knn_k=knn_k, seed=1)
-        vals = random_feature_values(7, seed=2)
-        flat = _gat_init(7, cfg)
-        l_built, g_built = _gat_loss_and_grad(flat, vals, 7, cfg)
-        l_given, g_given = _gat_loss_and_grad(flat, vals, 7, cfg, _attention_mask(vals, knn_k))
-        assert l_built == l_given
-        np.testing.assert_array_equal(g_built, g_given)
-
     @pytest.mark.parametrize("n", [5, 30])
     @pytest.mark.parametrize("k", [1, 2, 5, "n"])
     def test_attention_mask_matches_row_loop(self, n, k):
@@ -629,6 +619,13 @@ class TestInferGat:
         # and the training loss is the MSE of exactly this grid
         loss, _ = _gat_loss_and_grad(model.flat, x.values, model.d_in, cfg)
         assert loss == pytest.approx(((soft - x.values)[off] ** 2).mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_inference_refuses_a_feature_of_another_node_count(self, n):
+        model, _ = infergat_train(planted_feature(adjacency_matrix(gen_ring(10))), InferGatConfig(epochs=2))
+        x = planted_feature(adjacency_matrix(gen_ring(n)))
+        with pytest.raises(ShapeError, match=f"trained on 10 nodes, the feature has {n}"):
+            infergat_infer(model, x)
 
     def test_two_clique_separation_after_training(self):
         adj = two_clique_adjacency(6)

@@ -882,20 +882,23 @@ class TestSweep:
             (("[data]\n", "[data]\npath = data.csv\n"), "[data] path"),
             (("", "[topology]\nkind = ring\nn = 6\n"), "[topology]"),
             (("", "[run]\nseed = 3\n"), "[run]"),
+            # SWEEP_INI sets [federation] rounds = 2, which a size point replaces by its n
+            (("family = density\nps = 0.5\n", "family = size\nns = 4, 5\n"), "[federation] rounds"),
         ],
-        ids=["partition_dp", "bare_dp", "data_path", "topology", "run_seed"],
+        ids=["partition_dp", "bare_dp", "data_path", "topology", "run_seed", "size_rounds"],
     )
     def test_a_section_the_sweep_does_not_read_is_refused(self, tmp_path, capsys, edit, named):
-        # the family sets each cell's graph, partition, DP, data and seed itself
+        # the family sets each cell's graph, partition, DP, data and seed itself, and size its rounds
         csv_path = tmp_path / "grid.csv"
         old, new = edit
         text = SWEEP_INI.format(csv=csv_path)
         text = text.replace(old, new) if old else text + new
+        family = "size" if "family = size" in text else "density"
         cfg = write_ini(tmp_path, text)
         assert main(["validate", cfg]) == 2
         assert main(["sweep", "--config", cfg]) == 2
         assert not csv_path.exists()
-        assert capsys.readouterr().err.count(f"[sweep] family=density does not read {named}\n") == 2
+        assert capsys.readouterr().err.count(f"[sweep] family={family} does not read {named}\n") == 2
 
 
 class TestConfigOnlyChecks:

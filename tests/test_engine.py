@@ -401,6 +401,15 @@ class TestLogPersistence:
         with pytest.raises(InvalidTrace, match=r"deltas.npy is not a complete .npy array"):
             load_log(tmp_path)
 
+    def test_an_npz_archive_under_the_name_is_refused(self, tmp_path):
+        cfg, d, plan = small_setup(gen_ring(4))
+        log = run_simulation(cfg, d, plan, seed=2)
+        save_log(log, tmp_path)
+        with open(tmp_path / "params.npy", "wb") as fh:
+            np.savez(fh, params=log.params)
+        with pytest.raises(InvalidTrace, match=r"params.npy is an .npz archive"):
+            load_log(tmp_path)
+
     def test_resave_into_a_loaded_logs_directory(self, tmp_path):
         cfg, d, plan = small_setup(gen_ring(4))
         first, other = (run_simulation(cfg, d, plan, seed=s) for s in (2, 3))
@@ -441,16 +450,51 @@ class TestLogPersistence:
             assert (tmp_path / "log" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
         assert list((tmp_path / "fresh").iterdir()) == []
 
-    @pytest.mark.parametrize("damage", ["missing", "short", "shape", "float32", "object", "config"])
+    @pytest.mark.parametrize("moved", range(len(LOG_FILES)))
+    def test_a_save_cut_between_moves_leaves_no_log_to_load(self, tmp_path, monkeypatch, moved):
+        # a crash after `moved` of the six moves: config.ini is gone until the last
+        # one, so the directory is refused rather than read as a mix of two logs
+        cfg, d, plan = small_setup(gen_ring(4))
+        old, new = (run_simulation(cfg, d, plan, seed=s) for s in (2, 3))
+        save_log(old, tmp_path)
+
+        class Crash(BaseException):
+            pass
+
+        def cut(src, dst):
+            if len(moves) == moved:
+                raise Crash
+            moves.append(Path(dst).name)
+            real_replace(src, dst)
+
+        moves, real_replace = [], engine.os.replace
+        monkeypatch.setattr(engine.os, "replace", cut)
+        with pytest.raises(Crash):
+            save_log(new, tmp_path)
+        monkeypatch.undo()
+        assert "config.ini" not in moves and not (tmp_path / "config.ini").exists()
+        with pytest.raises(InvalidTrace, match="config.ini"):
+            load_log(tmp_path)
+        save_log(new, tmp_path)  # the next whole save mends it
+        assert_same_trace(load_log(tmp_path), new)
+
+    @pytest.mark.parametrize(
+        "damage", ["missing", "short", "trailing", "no_newline", "shape", "float32", "object", "config"]
+    )
     def test_damaged_array_is_invalid_trace(self, tmp_path, damage):
         cfg, d, plan = small_setup(gen_ring(4))
         save_log(run_simulation(cfg, d, plan, seed=2), tmp_path)
         path = tmp_path / "params.npy"
         params = np.load(path)
+        raw, header = path.read_bytes(), path.stat().st_size - params.nbytes
         if damage == "missing":
             path.unlink()
         elif damage == "short":
-            path.write_bytes(path.read_bytes()[:-5])
+            path.write_bytes(raw[:-5])
+        elif damage == "trailing":
+            path.write_bytes(raw + b"\0")
+        elif damage == "no_newline":  # a space parses as the header's padding
+            path.write_bytes(raw[: header - 1] + b" " + raw[header:])
         elif damage == "shape":  # one round fewer than config.ini
             np.save(path, params[:-1])
         elif damage == "float32":

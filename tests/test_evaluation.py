@@ -393,6 +393,26 @@ class TestSweeps:
         assert len(opened) == 1 and opened[0].closed
         assert (tmp_path / "grid.csv").read_text().splitlines() == [",".join(CSV_COLUMNS)]
 
+    def test_no_row_is_written_before_every_group_is_scored(self, tmp_path, monkeypatch):
+        # a stop while the second group scores leaves no row, so a resume reruns every cell
+        class Stop(Exception):
+            pass
+
+        scored, real_evaluate = [], evaluation.evaluate_soft
+
+        def stop_on_second(*args, **kwargs):
+            if scored:
+                raise Stop
+            scored.append(real_evaluate(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(evaluation, "evaluate_soft", stop_on_second)
+        out = tmp_path / "grid.csv"
+        with pytest.raises(Stop):
+            density_sweep([0.4, 0.7], 6, [2], [0], defaults=tiny_defaults(), out_csv=out)
+        assert len(scored) == 1
+        assert out.read_text().splitlines() == [",".join(CSV_COLUMNS)]
+
     def test_resume_skips_completed_cells(self, tmp_path):
         out = tmp_path / "resume.csv"
         full = density_sweep([0.4, 0.7], 6, [4], [0], defaults=tiny_defaults(), out_csv=out)

@@ -16,6 +16,7 @@ from topoleak.errors import (
     ParseError,
     ShapeError,
 )
+from topoleak.evaluation import ExperimentDefaults
 from topoleak.metrics import (
     FeatureMatrix,
     MetricKind,
@@ -254,6 +255,13 @@ class TestMetricFromLog:
     def test_unknown_phase_rejected(self):
         with pytest.raises(InvalidTrace, match="phase must be pre or post"):
             metric_from_log(small_log(), MetricKind.COSINE_SIMILARITY, phase="mid")
+
+    def test_a_config_and_a_trace_refuse_a_phase_in_one_message(self):
+        with pytest.raises(InvalidConfig) as config_error:
+            ExperimentDefaults(metric_phase="mid")
+        with pytest.raises(InvalidTrace) as trace_error:
+            small_log().snapshot(1, "mid")
+        assert str(trace_error.value) == str(config_error.value) == "metric phase must be pre or post, got 'mid'"
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_last_k_bounds(self, kind):
