@@ -442,8 +442,9 @@ class _GatFit:
     but their seed, made once: the (g, P) parameter stack and a gradient
     buffer with the ``_gat_unpack`` views of each, each model's additive
     attention mask, every intermediate of an epoch and the views of them an
-    epoch reads. The optimizer updates ``flat`` in place, so the views stay
-    valid for the whole fit.
+    epoch reads, but ``sig``, which each forward pass sets to a new
+    ``_sigmoid`` of the decoder's output for the backward pass to read. The
+    optimizer updates ``flat`` in place, so the views stay valid for the whole fit.
 
     Every model gets the bits of its lone fit: each step is the lone fit's
     operation with a leading model axis, and every reduction runs along the
@@ -475,8 +476,7 @@ class _GatFit:
         self.z_a, self.z_b = np.empty((g, n, hidden[0])), np.empty((g, n, hidden[0]))
         self.grid = np.empty((g, n, n, hidden[0]))
         self.outs = [np.empty((g, n * n, k)) for k in dec_arch.layer_sizes[2:]]
-        self.exp, self.sig, self.soft = np.empty((g, n, n)), np.empty((g, n, n)), np.empty((g, n, n))
-        self.nonneg = np.empty((g, n, n), dtype=bool)
+        self.soft = np.empty((g, n, n))
         # backward
         self.resid, self.d_raw = np.empty((g, n, n)), np.empty((g, n, n))
         self.loss = np.empty(g)
@@ -621,13 +621,7 @@ def _gat_forward(fit: _GatFit) -> np.ndarray:
         np.tanh(h, out=h)
         h = np.matmul(h, w, out=out)
         h += b
-    # _sigmoid in the fit's buffers, with soft as scratch for 1 + e^-|h|;
-    # -|h| is h with its sign bit set
-    h = h.reshape(g, n, n)
-    ez = np.exp(np.copysign(h, -1.0, out=fit.exp), out=fit.exp)
-    d = np.add(ez, 1.0, out=fit.soft)
-    sig = np.divide(ez, d, out=fit.sig)
-    np.divide(1.0, d, out=sig, where=np.greater_equal(h, 0.0, out=fit.nonneg))
+    sig = fit.sig = _sigmoid(h.reshape(g, n, n))
     soft = np.add(sig, sig.swapaxes(1, 2), out=fit.soft)
     soft *= 0.5
     soft.reshape(g, -1)[fit.diag] = 0.0

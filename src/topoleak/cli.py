@@ -356,22 +356,24 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _attack_record(soft_path) -> tuple[int, int, float | None]:
-    """(scenario, seed, labeled fraction) from the JSON ``attack`` wrote beside a soft CSV."""
+def _attack_record(soft_path) -> tuple[int, int, float]:
+    """(scenario, seed, labeled fraction) from the JSON ``attack`` wrote beside a
+    soft CSV; a scenario that holds no labels held no pairs out."""
     path = Path(soft_path).with_suffix(".result.json")
     try:
         doc = json.loads(_read_input(path, "attack result"))
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"attack result {path} is not JSON: {exc}") from exc
     doc = doc if isinstance(doc, dict) else {}
-    types = {"scenario": int, "seed": int, "labeled_fraction": (int, float)}
     sc = doc.get("scenario")
-    labeled = isinstance(sc, int) and sc in SCENARIOS and SCENARIOS[sc].holds_labels
-    needed = ("scenario", "seed") + (("labeled_fraction",) if labeled else ())
-    missing = [k for k in needed if not isinstance(doc.get(k), types[k])]
+    if isinstance(sc, int) and sc in SCENARIOS and not SCENARIOS[sc].holds_labels:
+        raise InvalidConfig(f"attack result {path} is SC{sc}, which holds out no labeled "
+                            "pairs; use --policy all_pairs")
+    types = {"scenario": int, "seed": int, "labeled_fraction": (int, float)}
+    missing = [k for k in types if not isinstance(doc.get(k), types[k])]
     if missing:
         raise InvalidConfig(f"attack result {path} lacks a valid {', '.join(missing)}")
-    return doc["scenario"], doc["seed"], doc.get("labeled_fraction")
+    return doc["scenario"], doc["seed"], doc["labeled_fraction"]
 
 
 def cmd_evaluate(args) -> int:
@@ -474,7 +476,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, InvalidSize, InvalidProbability, ParseError, FileNotFoundError) as exc:
+    except (InvalidConfig, InvalidSize, InvalidProbability, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TopoleakError as exc:

@@ -93,8 +93,8 @@ def check_blobs(k_classes: int, n_features: int, n_per_class: int, spread: float
         raise InvalidConfig(f"n_features must be >= 2, got {n_features}")
     if n_per_class < 10:
         raise InvalidConfig(f"n_per_class must be >= 10, got {n_per_class}")
-    if not spread > 0:  # NaN fails too
-        raise InvalidConfig(f"spread must be positive, got {spread}")
+    if not 0 < spread < np.inf:  # NaN fails too
+        raise InvalidConfig(f"spread must be finite and > 0, got {spread}")
 
 
 def gen_blobs(k_classes: int, n_features: int, n_per_class: int, spread: float, seed: int) -> Dataset:
@@ -131,8 +131,8 @@ def partition_iid(d: Dataset, n_nodes: int, seed: int) -> PartitionPlan:
 
 def check_alpha(alpha: float) -> None:
     """What ``partition_dirichlet`` refuses of its concentration alpha."""
-    if not alpha > 0:  # NaN fails too
-        raise InvalidConfig(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:  # NaN fails too
+        raise InvalidConfig(f"alpha must be finite and > 0, got {alpha}")
 
 
 def partition_dirichlet(d: Dataset, n_nodes: int, alpha: float, seed: int) -> PartitionPlan:

@@ -44,10 +44,10 @@ class DpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.clip_norm > 0:  # NaN fails too
-            raise InvalidConfig(f"clip_norm must be positive, got {self.clip_norm}")
-        if not self.noise_sigma >= 0:  # a NaN sigma would add no noise at all
-            raise InvalidConfig(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 < self.clip_norm < np.inf:  # NaN fails too
+            raise InvalidConfig(f"clip_norm must be finite and > 0, got {self.clip_norm}")
+        if not 0 <= self.noise_sigma < np.inf:  # a NaN sigma would add no noise at all
+            raise InvalidConfig(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def rounds_run(rounds: int | None, n_nodes: int) -> int:

@@ -3,15 +3,16 @@
 Two metrics compare node i's model with node j's, one per attacker
 knowledge level: relative loss (model i evaluated on dataset j) for
 attackers that hold the node datasets, and cosine similarity of parameter
-vectors for those that do not.  ``orient_and_normalize`` turns either into
-a FeatureMatrix in [0, 1] where larger means "more likely neighbors",
-which is what the attack decoders consume.
+vectors for those that do not.  Each is a plain float64 (n, n) array;
+``orient_and_normalize(values, kind)`` turns either into a FeatureMatrix in
+[0, 1] where larger means "more likely neighbors", which the attacks consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -23,20 +24,6 @@ from .nn import MlpArchitecture, forward_batch, log_softmax
 class MetricKind(Enum):
     RELATIVE_LOSS = "relative_loss"
     COSINE_SIMILARITY = "cosine_similarity"
-
-
-@dataclass(frozen=True)
-class MetricMatrix:
-    kind: MetricKind
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeError(f"metric matrix must be square, got {v.shape}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def frozen_symmetric(values, name: str) -> np.ndarray:
@@ -72,8 +59,8 @@ class FeatureMatrix:
         return self.values.shape[0]
 
 
-def relative_loss(arch: MlpArchitecture, params: np.ndarray, datasets) -> MetricMatrix:
-    """values[i][j] = mean softmax cross-entropy of model i (row i of an (n, P)
+def relative_loss(arch: MlpArchitecture, params: np.ndarray, datasets) -> np.ndarray:
+    """out[i][j] = mean softmax cross-entropy of model i (row i of an (n, P)
     stack) on dataset j, from one forward per model over the datasets concatenated.
 
     The datasets of one length are gathered as the rows of one array and
@@ -96,34 +83,36 @@ def relative_loss(arch: MlpArchitecture, params: np.ndarray, datasets) -> Metric
         nll = -log_softmax(forward_batch((arch, theta), x))[rows, y]
         for cols, idx, size in groups:
             out[i, cols] = nll[idx].sum(axis=1) / size
-    return MetricMatrix(MetricKind.RELATIVE_LOSS, out)
+    return out
 
 
-def cosine_matrix(params: np.ndarray) -> MetricMatrix:
-    """values[i][j] = cosine similarity of rows i and j of an (n, P) stack."""
+def cosine_matrix(params: np.ndarray) -> np.ndarray:
+    """[i][j] = cosine similarity of rows i and j of an (n, P) stack, (n, n)."""
     flats = np.asarray(params, dtype=np.float64)
     norms = np.linalg.norm(flats, axis=1)
     if np.any(norms == 0):
         raise DegenerateModel("zero-norm parameter vector")
     unit = flats / norms[:, None]
-    return MetricMatrix(MetricKind.COSINE_SIMILARITY, unit @ unit.T)
+    return unit @ unit.T
 
 
-def orient_and_normalize(m: MetricMatrix) -> FeatureMatrix:
-    """Map a metric to [0, 1] with larger = more likely connected.
+def orient_and_normalize(values: np.ndarray, kind: MetricKind) -> FeatureMatrix:
+    """Map a square metric of ``kind`` to [0, 1] with larger = more likely connected.
 
     Cosine passes through.  Relative loss need not be symmetric, so it is
     averaged with its transpose, then negated (a lower loss is more alike).
     Off-diagonal entries are min-max normalized; the diagonal is set to 1.
     """
-    v = m.values
-    if m.kind is MetricKind.RELATIVE_LOSS:
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ShapeError(f"metric matrix must be square, got {v.shape}")
+    if kind is MetricKind.RELATIVE_LOSS:
         v = -0.5 * (v + v.T)
     n = v.shape[0]
     off = ~np.eye(n, dtype=bool)
     lo, hi = float(v[off].min()), float(v[off].max())
     if hi - lo <= 0.0:
-        raise ConstantMetric(f"{m.kind.value} is constant off-diagonal; no signal")
+        raise ConstantMetric(f"{kind.value} is constant off-diagonal; no signal")
     v = (v - lo) / (hi - lo)
     np.fill_diagonal(v, 1.0)
     return FeatureMatrix(v)
@@ -154,9 +143,9 @@ def check_phase(phase: str, error=InvalidConfig) -> None:
 
 def metric_from_log(
     log, kind: MetricKind, phase: str = METRIC_PHASE, last_k: int = METRIC_LAST_K
-) -> MetricMatrix:
+) -> np.ndarray:
     """Compute one metric from a log's snapshots: its mean over the last
-    ``last_k`` rounds, read in ``phase``.
+    ``last_k`` rounds, read in ``phase``, as a float64 (n, n) array.
 
     Defaults to the pipeline's read, post-aggregation models: aggregation
     pulls each neighbor's update directly into a node's parameters, so the
@@ -166,23 +155,19 @@ def metric_from_log(
     """
     t_final = len(log.deltas)
     check_last_k(last_k, t_final, KnowledgeViolation)
-    datasets = [log.node_dataset(i) for i in range(log.n_nodes)]
-    arch = log.config.architecture(log.dataset)
-    mats = []
-    for t in range(t_final - last_k + 1, t_final + 1):
-        params = log.snapshot(t, phase)
-        if kind is MetricKind.RELATIVE_LOSS:
-            mats.append(relative_loss(arch, params, datasets))
-        elif kind is MetricKind.COSINE_SIMILARITY:
-            mats.append(cosine_matrix(params))
-        else:
-            raise KnowledgeViolation(f"unknown metric kind {kind}")
-    stacked = np.mean([m.values for m in mats], axis=0)
-    return MetricMatrix(kind, stacked)
+    if kind is MetricKind.RELATIVE_LOSS:
+        datasets = [log.node_dataset(i) for i in range(log.n_nodes)]
+        metric = partial(relative_loss, log.config.architecture(log.dataset), datasets=datasets)
+    elif kind is MetricKind.COSINE_SIMILARITY:
+        metric = cosine_matrix
+    else:
+        raise KnowledgeViolation(f"unknown metric kind {kind}")
+    rounds = range(t_final - last_k + 1, t_final + 1)
+    return np.mean([metric(log.snapshot(t, phase)) for t in rounds], axis=0)
 
 
 def feature_from_log(log, kind: MetricKind, **kw) -> FeatureMatrix:
-    return orient_and_normalize(metric_from_log(log, kind, **kw))
+    return orient_and_normalize(metric_from_log(log, kind, **kw), kind)
 
 
 # --- serialization ----------------------------------------------------------

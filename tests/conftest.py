@@ -95,7 +95,11 @@ CONFIG_DAMAGES = {
     "rounds_negative": ("config.ini", _set("rounds", -2), "rounds must be >= 1, got -2"),
     "dp_clip_norm_negative": (
         "config.ini", lambda ls: [*ls, "[dp]", "clip_norm = -1", "noise_sigma = 0.5", "seed = 0"],
-        "clip_norm must be positive, got -1.0",
+        "clip_norm must be finite and > 0, got -1.0",
+    ),
+    "dp_noise_sigma_inf": (
+        "config.ini", lambda ls: [*ls, "[dp]", "clip_norm = 1", "noise_sigma = inf", "seed = 0"],
+        "noise_sigma must be finite and >= 0, got inf",
     ),
 }
 

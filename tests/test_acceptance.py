@@ -329,7 +329,7 @@ def test_criterion_06_metric_separation(grid):
         edge = cell["truth"].astype(bool) & off
         non = ~cell["truth"].astype(bool) & off
         cos = feature_from_log(cell["log"], MetricKind.COSINE_SIMILARITY, last_k=GRID_LAST_K).values
-        rel = metric_from_log(cell["log"], MetricKind.RELATIVE_LOSS, last_k=GRID_LAST_K).values
+        rel = metric_from_log(cell["log"], MetricKind.RELATIVE_LOSS, last_k=GRID_LAST_K)
         cos_wins += int(cos[edge].mean() > cos[non].mean())
         rel_wins += int(rel[edge].mean() < rel[non].mean())
     elapsed = time.perf_counter() - t0

@@ -713,7 +713,9 @@ class TestEvaluate:
                                      # a scenario the table cannot hash is invalid, not a TypeError
                                      {"scenario": [1], "seed": 7, "labeled_fraction": 0.3},
                                      {"scenario": {"1": 1}, "seed": 7},
-                                     {"scenario": "1", "seed": 7, "labeled_fraction": 0.3}])
+                                     {"scenario": "1", "seed": 7, "labeled_fraction": 0.3},
+                                     # SC3 and SC4 hold no labels, so they held no pairs out
+                                     {"scenario": 3, "seed": 7}, {"scenario": 4, "seed": 7}])
     def test_held_out_needs_the_attack_result(self, tmp_path, capsys, doc):
         (tmp_path / "t.edges").write_text("3 2\n0 1\n1 2\n")
         soft = tmp_path / "attack_sc1.csv"
@@ -933,27 +935,41 @@ class TestConfigOnlyChecks:
              "learning_rate must be finite and >= 0, got -1.0"),
             ("hidden_sizes = 8\n\n[edgepre]", "hidden_sizes = 8\nactivation = bogus\n\n[edgepre]",
              "activation must be one of"),
-            ("[edgepre]", "[dp]\nclip_norm = -1\n\n[edgepre]", "clip_norm must be positive, got -1.0"),
-            ("[edgepre]", "[dp]\nnoise_sigma = -1\n\n[edgepre]", "noise_sigma must be >= 0, got -1.0"),
+            ("[edgepre]", "[dp]\nclip_norm = -1\n\n[edgepre]",
+             "clip_norm must be finite and > 0, got -1.0"),
+            ("[edgepre]", "[dp]\nnoise_sigma = -1\n\n[edgepre]",
+             "noise_sigma must be finite and >= 0, got -1.0"),
             ("rounds = 3", "rounds = 0", "rounds must be >= 1, got 0"),
             ("n_per_class = 20", "n_per_class = 5", "n_per_class must be >= 10, got 5"),
             ("k_classes = 2", "k_classes = 1", "k_classes must be >= 2, got 1"),
-            ("n_per_class = 20", "n_per_class = 20\nspread = 0", "spread must be positive, got 0.0"),
+            ("n_per_class = 20", "n_per_class = 20\nspread = 0",
+             "spread must be finite and > 0, got 0.0"),
             ("kind = ring\nn = 6", "kind = ring\nn = 2", "ring needs n >= 3, got 2"),
             ("kind = ring\nn = 6", "kind = er\nn = 6\np = 1.5", "p must be in (0, 1], got 1.5"),
             ("[edgepre]", "[partition]\nmethod = dirichlet\nalpha = -1\n\n[edgepre]",
-             "alpha must be positive, got -1.0"),
+             "alpha must be finite and > 0, got -1.0"),
             ("[edgepre]", "[partition]\nmethod = dirichlet\nalpha = nan\n\n[edgepre]",
-             "alpha must be positive, got nan"),
-            ("n_per_class = 20", "n_per_class = 20\nspread = nan", "spread must be positive, got nan"),
-            ("[edgepre]", "[dp]\nnoise_sigma = nan\n\n[edgepre]", "noise_sigma must be >= 0, got nan"),
+             "alpha must be finite and > 0, got nan"),
+            ("n_per_class = 20", "n_per_class = 20\nspread = nan",
+             "spread must be finite and > 0, got nan"),
+            ("[edgepre]", "[dp]\nnoise_sigma = nan\n\n[edgepre]",
+             "noise_sigma must be finite and >= 0, got nan"),
+            ("[edgepre]", "[dp]\nclip_norm = inf\n\n[edgepre]",
+             "clip_norm must be finite and > 0, got inf"),
+            ("[edgepre]", "[dp]\nnoise_sigma = inf\n\n[edgepre]",
+             "noise_sigma must be finite and >= 0, got inf"),
+            ("n_per_class = 20", "n_per_class = 20\nspread = inf",
+             "spread must be finite and > 0, got inf"),
+            ("[edgepre]", "[partition]\nmethod = dirichlet\nalpha = inf\n\n[edgepre]",
+             "alpha must be finite and > 0, got inf"),
             ("ps = 0.5", "ps = 0.5, 1.5", "p must be in (0, 1], got 1.5"),
             ("family = density\nn = 6\nps = 0.5", "family = size\nns = 6, 21",
              "40 samples cannot give 21 nodes >= 2 samples each"),
         ],
         ids=["optimizer", "learning_rate", "activation", "clip_norm", "noise_sigma", "rounds",
              "n_per_class", "k_classes", "spread", "ring_n", "er_p", "alpha", "alpha_nan",
-             "spread_nan", "noise_sigma_nan", "sweep_ps", "sweep_ns"],
+             "spread_nan", "noise_sigma_nan", "clip_norm_inf", "noise_sigma_inf", "spread_inf",
+             "alpha_inf", "sweep_ps", "sweep_ns"],
     )
     def test_simulate_stage_values_fail_every_command(self, tmp_path, capsys, old, new, message):
         csv_path = tmp_path / "grid.csv"
@@ -1086,3 +1102,32 @@ class TestConfigOnlyChecks:
             tmp_path, text.replace("[train]", "[partition]\nmethod = dirichlet\nalpha = 0.5\n[train]")
         )
         assert main(["validate", dirichlet]) == 0
+
+
+class TestUnwritableOut:
+    """An ``--out`` the CLI cannot write is a usage error, one ``error:`` line
+    and exit 2: a directory where a file goes, a file where a directory goes,
+    or a path below a file."""
+
+    @pytest.mark.parametrize("below_a_file", [False, True], ids=["taken", "below_a_file"])
+    @pytest.mark.parametrize("command", ["gen-topology", "simulate", "attack", "sweep"])
+    def test_unwritable_out_is_a_usage_error(self, request, tmp_path, capsys, command, below_a_file):
+        blocker = tmp_path / "blocker"
+        if below_a_file or command in ("simulate", "attack"):  # these two write a directory
+            blocker.write_text("")
+        else:
+            blocker.mkdir()
+        out = blocker / "out" if below_a_file else blocker
+        if command == "gen-topology":
+            argv = ["gen-topology", "--kind", "ring", "--n", "5"]
+        elif command == "sweep":
+            argv = ["sweep", "--config", write_ini(tmp_path, SWEEP_INI.format(csv=tmp_path / "g.csv"))]
+        else:
+            argv = [command, "--config", request.getfixturevalue("base_cfg")]
+            if command == "attack":
+                argv += ["--log", request.getfixturevalue("sim_log"), "--scenario", "4"]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from topoleak.evaluation import ExperimentDefaults
 from topoleak.metrics import (
     FeatureMatrix,
     MetricKind,
-    MetricMatrix,
     cosine_matrix,
     dump_matrix_csv,
     feature_from_log,
@@ -69,7 +69,7 @@ class TestRelativeLoss:
         arch, params = zero_models(3, k=3)
         datasets = [tiny_dataset(s, k=3) for s in range(3)]
         m = relative_loss(arch, params, datasets)
-        np.testing.assert_allclose(m.values, math.log(3), atol=1e-12)
+        np.testing.assert_allclose(m, math.log(3), atol=1e-12)
 
     def test_diagonal_is_own_data_loss(self):
         rng = np.random.default_rng(0)
@@ -79,7 +79,7 @@ class TestRelativeLoss:
         m = relative_loss(arch, params, datasets)
         for i in range(3):
             own = cross_entropy((arch, params[i]), datasets[i].features, datasets[i].labels)
-            assert m.values[i, i] == pytest.approx(own, abs=1e-12)
+            assert m[i, i] == pytest.approx(own, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -99,7 +99,7 @@ class TestRelativeLoss:
              for d in datasets]
             for p in params
         ])
-        got = relative_loss(arch, params, datasets).values
+        got = relative_loss(arch, params, datasets)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @settings(max_examples=60, deadline=None)
@@ -126,7 +126,7 @@ class TestRelativeLoss:
         for i, p in enumerate(params):
             nll = -log_softmax(forward_batch((arch, p), x))[np.arange(len(y)), y]
             want[i] = [nll[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
-        assert relative_loss(arch, params, datasets).values.tobytes() == want.tobytes()
+        assert relative_loss(arch, params, datasets).tobytes() == want.tobytes()
 
     def test_missing_dataset_rejected(self):
         arch, params = zero_models(2)
@@ -137,9 +137,9 @@ class TestRelativeLoss:
 class TestCosineEuclidean:
     def test_cosine_hand_values(self):
         m = cosine_matrix(np.array([[1.0, 2.0], [2.0, 4.0], [-2.0, 1.0]]))
-        assert m.values[0, 1] == pytest.approx(1.0)  # positive scaling
-        assert m.values[0, 2] == pytest.approx(0.0, abs=1e-12)  # orthogonal
-        np.testing.assert_allclose(np.diag(m.values), 1.0, atol=1e-12)
+        assert m[0, 1] == pytest.approx(1.0)  # positive scaling
+        assert m[0, 2] == pytest.approx(0.0, abs=1e-12)  # orthogonal
+        np.testing.assert_allclose(np.diag(m), 1.0, atol=1e-12)
 
     def test_cosine_zero_vector_rejected(self):
         with pytest.raises(DegenerateModel):
@@ -150,20 +150,19 @@ class TestOrientAndNormalize:
         rng = np.random.default_rng(0)
         vecs = rng.standard_normal((5, 6))
         m = cosine_matrix(vecs)
-        f = orient_and_normalize(m)
+        f = orient_and_normalize(m, MetricKind.COSINE_SIMILARITY)
         off = ~np.eye(5, dtype=bool)
         assert f.values[off].min() == pytest.approx(0.0)
         assert f.values[off].max() == pytest.approx(1.0)
         np.testing.assert_array_equal(np.diag(f.values), 1.0)
-        order_m = np.argsort(m.values[off], kind="stable")
+        order_m = np.argsort(m[off], kind="stable")
         order_f = np.argsort(f.values[off], kind="stable")
         np.testing.assert_array_equal(order_m, order_f)
 
     def test_loss_orientation_flips(self):
         # the smallest loss pair must map to feature 1.0
         vals = np.array([[0.1, 0.5, 0.9], [0.5, 0.1, 0.3], [0.9, 0.3, 0.1]])
-        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals)
-        f = orient_and_normalize(m)
+        f = orient_and_normalize(vals, MetricKind.RELATIVE_LOSS)
         assert f.values[1, 2] == pytest.approx(1.0)  # smallest off-diag loss 0.3
         assert f.values[0, 2] == pytest.approx(0.0)  # largest off-diag loss 0.9
 
@@ -171,8 +170,7 @@ class TestOrientAndNormalize:
         vals = np.array(
             [[0.0, 1.0, 0.2], [3.0, 0.0, 0.6], [0.4, 0.8, 0.0]]
         )
-        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals)
-        f = orient_and_normalize(m)
+        f = orient_and_normalize(vals, MetricKind.RELATIVE_LOSS)
         # symmetrized off-diagonals: (0,1)->2.0, (0,2)->0.3, (1,2)->0.7;
         # negation + min-max maps 2.0 -> 0, 0.3 -> 1, 0.7 -> (2-0.7)/1.7
         assert f.values[0, 1] == pytest.approx(0.0)
@@ -182,15 +180,14 @@ class TestOrientAndNormalize:
 
     def test_two_node_constant_after_symmetrize(self):
         vals = np.array([[0.0, 1.0], [3.0, 0.0]])
-        m = MetricMatrix(MetricKind.RELATIVE_LOSS, vals)
         with pytest.raises(ConstantMetric):
-            orient_and_normalize(m)
+            orient_and_normalize(vals, MetricKind.RELATIVE_LOSS)
 
     def test_symmetric_input_unchanged_by_symmetrization(self):
         rng = np.random.default_rng(1)
         raw = rng.random((4, 4))
         sym = 0.5 * (raw + raw.T)
-        a = orient_and_normalize(MetricMatrix(MetricKind.RELATIVE_LOSS, sym))
+        a = orient_and_normalize(sym, MetricKind.RELATIVE_LOSS)
         # negation + min-max of an already symmetric matrix
         off = ~np.eye(4, dtype=bool)
         neg = -sym
@@ -200,9 +197,14 @@ class TestOrientAndNormalize:
         np.testing.assert_allclose(a.values, expected, atol=1e-12)
 
     def test_constant_metric_rejected(self):
-        m = MetricMatrix(MetricKind.COSINE_SIMILARITY, np.ones((3, 3)))
         with pytest.raises(ConstantMetric):
-            orient_and_normalize(m)
+            orient_and_normalize(np.ones((3, 3)), MetricKind.COSINE_SIMILARITY)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("shape", [(3, 4), (9,), (2, 2, 2)], ids=["3x4", "9", "2x2x2"])
+    def test_non_square_metric_rejected(self, kind, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"metric matrix must be square, got {shape}")):
+            orient_and_normalize(np.arange(np.prod(shape), dtype=float).reshape(shape), kind)
 
     def test_feature_values_are_a_read_only_copy(self):
         # attacks read x.values directly, so no caller can alter a feature
@@ -237,20 +239,20 @@ class TestMetricFromLog:
     def test_default_is_final_round_post(self):
         log = small_log()
         m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, last_k=1)
-        np.testing.assert_allclose(m.values, cosine_matrix(log.params[-1]).values, atol=1e-12)
+        np.testing.assert_allclose(m, cosine_matrix(log.params[-1]), atol=1e-12)
 
     def test_pre_phase(self):
         log = small_log()
         m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, phase="pre", last_k=1)
         pre = log.params[-2] + log.deltas[-1]
-        np.testing.assert_allclose(m.values, cosine_matrix(pre).values, atol=1e-12)
+        np.testing.assert_allclose(m, cosine_matrix(pre), atol=1e-12)
 
     def test_last_k_averages(self):
         log = small_log()
         m = metric_from_log(log, MetricKind.COSINE_SIMILARITY, last_k=2)
-        a = cosine_matrix(log.params[-1]).values
-        b = cosine_matrix(log.params[-2]).values
-        np.testing.assert_allclose(m.values, (a + b) / 2, atol=1e-12)
+        a = cosine_matrix(log.params[-1])
+        b = cosine_matrix(log.params[-2])
+        np.testing.assert_allclose(m, (a + b) / 2, atol=1e-12)
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(InvalidTrace, match="phase must be pre or post"):
@@ -273,13 +275,18 @@ class TestMetricFromLog:
             metric_from_log(log, kind, last_k=3)
         metric_from_log(log, kind, last_k=2)  # every round of the log may be averaged
 
+    @pytest.mark.parametrize("kind", ["cosine_similarity", None, 1])
+    def test_a_kind_that_is_not_a_metric_kind_is_refused(self, kind):
+        with pytest.raises(KnowledgeViolation, match=f"unknown metric kind {kind}"):
+            metric_from_log(small_log(), kind, last_k=1)
+
     def test_relative_loss_from_log_uses_full_node_sets(self):
         log = small_log()
         m = metric_from_log(log, MetricKind.RELATIVE_LOSS, last_k=1)
         d0 = log.node_dataset(0)
         arch = log.config.architecture(log.dataset)
         own = cross_entropy((arch, log.params[-1, 0]), d0.features, d0.labels)
-        assert m.values[0, 0] == pytest.approx(own, abs=1e-12)
+        assert m[0, 0] == pytest.approx(own, abs=1e-12)
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_feature_from_log(self, kind):
@@ -287,7 +294,7 @@ class TestMetricFromLog:
         log = small_log()
         f = feature_from_log(log, kind, last_k=2)
         assert isinstance(f, FeatureMatrix)
-        expected = orient_and_normalize(metric_from_log(log, kind, last_k=2))
+        expected = orient_and_normalize(metric_from_log(log, kind, last_k=2), kind)
         assert f.values.tobytes() == expected.values.tobytes()
         assert np.array_equal(f.values, f.values.T)
 
