@@ -35,9 +35,7 @@ from .errors import (
 from .evaluation import (
     ALL_PAIRS,
     DP_ON,
-    HELD_OUT,
     N_NODES,
-    PAIR_POLICIES,
     ExperimentDefaults,
     all_pairs,
     attack_log,
@@ -45,7 +43,6 @@ from .evaluation import (
     density_cells,
     evaluate_soft,
     generate_topology,
-    knowledge_and_pairs,
     mitigation_cells,
     run_sweep,
     simulate,
@@ -331,6 +328,8 @@ def cmd_attack(args) -> int:
     defaults = build_defaults(cfg)
     if args.labeled_frac is not None:
         defaults = dataclasses.replace(defaults, rho=args.labeled_frac)
+        if not SCENARIOS[args.scenario].holds_labels:
+            raise InvalidConfig(f"--labeled-frac: SC{args.scenario} holds no labeled pairs")
 
     log = load_log(args.log)
     res, ev = attack_log(args.scenario, log, seed, defaults)
@@ -356,26 +355,6 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _attack_record(soft_path) -> tuple[int, int, float]:
-    """(scenario, seed, labeled fraction) from the JSON ``attack`` wrote beside a
-    soft CSV; a scenario that holds no labels held no pairs out."""
-    path = Path(soft_path).with_suffix(".result.json")
-    try:
-        doc = json.loads(_read_input(path, "attack result"))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"attack result {path} is not JSON: {exc}") from exc
-    doc = doc if isinstance(doc, dict) else {}
-    sc = doc.get("scenario")
-    if isinstance(sc, int) and sc in SCENARIOS and not SCENARIOS[sc].holds_labels:
-        raise InvalidConfig(f"attack result {path} is SC{sc}, which holds out no labeled "
-                            "pairs; use --policy all_pairs")
-    types = {"scenario": int, "seed": int, "labeled_fraction": (int, float)}
-    missing = [k for k in types if not isinstance(doc.get(k), types[k])]
-    if missing:
-        raise InvalidConfig(f"attack result {path} lacks a valid {', '.join(missing)}")
-    return doc["scenario"], doc["seed"], doc["labeled_fraction"]
-
-
 def cmd_evaluate(args) -> int:
     soft_text = _read_input(args.soft, "soft adjacency")
     topo = load_topology(_read_input(args.topology, "topology"))
@@ -384,12 +363,7 @@ def cmd_evaluate(args) -> int:
         raise ShapeError(
             f"soft adjacency is {soft.n_nodes}x{soft.n_nodes}, topology has {topo.n_nodes} nodes"
         )
-    if args.policy == HELD_OUT:
-        scenario, seed, rho = _attack_record(args.soft)
-        _, pairs, _ = knowledge_and_pairs(scenario, topo, seed, rho)
-    else:
-        pairs = all_pairs(topo.n_nodes)
-    ev = evaluate_soft(soft, adjacency_matrix(topo), pairs, args.policy)
+    ev = evaluate_soft(soft, adjacency_matrix(topo), all_pairs(topo.n_nodes), ALL_PAIRS)
     print(
         f"policy={ev.eval_pair_policy} n_eval_pairs={ev.n_eval_pairs} "
         f"f1@0.5={ev.f1_05:.4f} best_f1={ev.best_f1:.4f} (tau={ev.best_tau:.3f}) "
@@ -451,10 +425,9 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", default=None)
     a.set_defaults(func=cmd_attack)
 
-    e = sub.add_parser("evaluate", help="score a soft adjacency against a topology")
+    e = sub.add_parser("evaluate", help="score a soft adjacency on all pairs of a topology")
     e.add_argument("--soft", required=True)
     e.add_argument("--topology", required=True)
-    e.add_argument("--policy", choices=PAIR_POLICIES, default=ALL_PAIRS)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_evaluate)
 

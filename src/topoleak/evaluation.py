@@ -41,7 +41,7 @@ from .attacks import (
 )
 from .data import Dataset, check_blobs, check_node_count, gen_blobs, partition_dirichlet, partition_iid
 from .engine import DpConfig, FederationConfig, SimulationLog, rounds_run, run_simulation
-from .errors import DegenerateLabels, InvalidEvalSet, TopoleakError
+from .errors import DegenerateLabels, InvalidConfig, InvalidEvalSet, TopoleakError
 from .metrics import METRIC_LAST_K, METRIC_PHASE, check_last_k, check_phase
 from .nn import TrainConfig
 from .seeds import derive_seed
@@ -49,7 +49,6 @@ from .topology import Topology, check_generator, gen_erdos_renyi, gen_ring, gen_
 
 ALL_PAIRS = "all_pairs"
 HELD_OUT = "held_out"
-PAIR_POLICIES = (ALL_PAIRS, HELD_OUT)
 
 # CSV layout is part of the artifact contract; order is load-bearing.
 CSV_COLUMNS = (
@@ -552,7 +551,8 @@ def _trim_to_complete_rows(path: Path) -> set[str]:
 
     A row is complete when it ends in a newline and has one field per column.
     The file is truncated after the last complete row, so the next append
-    starts on a line of its own.
+    starts on a line of its own; a complete first line other than the header
+    is another file, refused before anything is cut.
     """
     if not path.exists():
         return set()
@@ -560,6 +560,8 @@ def _trim_to_complete_rows(path: Path) -> set[str]:
     done, keep = set(), 0
     for k, line in enumerate(blob.splitlines(keepends=True)):
         fields = next(csv.reader([line.decode("utf-8", "replace")]), [])
+        if k == 0 and line.endswith(b"\n") and tuple(fields) != CSV_COLUMNS:
+            raise InvalidConfig(f"cannot resume {path}: its header is not the sweep's CSV_COLUMNS")
         if not line.endswith(b"\n") or len(fields) != len(CSV_COLUMNS):
             break
         if k:  # line 0 is the header

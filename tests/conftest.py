@@ -55,6 +55,8 @@ PARTITION_DAMAGES = {
         lambda ls: [ls[0], f"{ls[1]} {ls[0].split()[0]}", *ls[2:]], "which is already assigned"
     ),
     "empty_line": (lambda ls: [ls[0], "", *ls[2:]], "line 2 is empty"),
+    # "\udcff" is written as the lone byte 0xff (see _rewrite_lines)
+    "not_utf8": (lambda ls: [ls[0] + " \udcff", *ls[1:]], "is not UTF-8 text"),
 }
 
 
@@ -105,7 +107,8 @@ CONFIG_DAMAGES = {
 
 
 def _rewrite_lines(path, damage):
-    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    text = "\n".join(damage(path.read_text().splitlines())) + "\n"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 @pytest.fixture(params=list(PARTITION_DAMAGES))

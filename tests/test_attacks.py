@@ -380,6 +380,16 @@ class TestScenarioKnowledge:
         with pytest.raises(InvalidConfig, match=r"labeled fraction rho must be in \(0, 1\)"):
             sample_knowledge(1, gen_ring(5), rho=rho)
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [(((0, 1, 2), (0, 2, 0)), "pair label must be 0/1, got 2"),
+         (((0, 1, 1), (0, 2, 0), (0, 1, 1)), r"duplicate labeled pair \(0, 1\)")],
+        ids=["label_2", "duplicate_pair"],
+    )
+    def test_bad_labeled_pairs_rejected(self, pairs, message):
+        with pytest.raises(KnowledgeViolation, match=message):
+            ScenarioKnowledge(1, pairs).validate(5)
+
     def test_sc3_forbids_pairs(self):
         with pytest.raises(KnowledgeViolation):
             ScenarioKnowledge(3, ((0, 1, 1),)).validate(5)

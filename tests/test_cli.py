@@ -14,9 +14,11 @@ from topoleak.cli import RunConfig, build_defaults, main, parse_config, resolve_
 from topoleak.data import dump_csv, gen_blobs
 from topoleak.engine import load_log
 from topoleak.errors import InvalidConfig
-from topoleak.evaluation import ExperimentDefaults, SweepCell, run_cell
+from topoleak.evaluation import (
+    ALL_PAIRS, ExperimentDefaults, SweepCell, all_pairs, evaluate_soft, run_cell,
+)
 from topoleak.metrics import load_matrix_csv
-from topoleak.topology import dump_topology, gen_ring, load_topology, stats
+from topoleak.topology import adjacency_matrix, dump_topology, gen_ring, load_topology, stats
 
 BASE_INI = """
 [run]
@@ -525,6 +527,22 @@ class TestAttack:
         assert doc["labeled_fraction"] == 0.6
         assert doc["n_eval_pairs"] == 6  # floor(0.6 * 15) = 9 labeled
 
+    @pytest.mark.parametrize("scenario", ["3", "4"])
+    def test_labeled_frac_is_refused_where_no_labels_are_held(
+        self, sim_log, base_cfg, tmp_path, capsys, scenario
+    ):
+        # refused before the log is read; an absent log would exit 3
+        for log in (str(tmp_path / "absent"), sim_log):
+            assert main(["attack", "--log", log, "--scenario", scenario, "--config", base_cfg,
+                         "--labeled-frac", "0.5"]) == 2
+            assert f"--labeled-frac: SC{scenario} holds no labeled pairs" in capsys.readouterr().err
+        assert not list(Path(sim_log).glob("attack_sc*"))
+        # one config serves every command, so its [attack] rho is not refused
+        cfg = write_ini(tmp_path, Path(base_cfg).read_text() + "[attack]\nrho = 0.5\n", "rho.ini")
+        assert main(["attack", "--log", sim_log, "--scenario", scenario, "--config", cfg]) == 0
+        doc = json.loads(Path(sim_log, f"attack_sc{scenario}.result.json").read_text())
+        assert doc["labeled_fraction"] is None
+
     def test_scenario4_uses_all_pairs(self, sim_log, base_cfg):
         assert main(["attack", "--log", sim_log, "--scenario", "4",
                      "--config", base_cfg]) == 0
@@ -678,53 +696,26 @@ class TestEvaluate:
     @pytest.mark.parametrize("scenario", ["1", "4"])
     def test_out_dir_soft_round_trips_exactly(self, sim_log, base_cfg, tmp_path, scenario):
         # the CSV is written with repr, so the exactly symmetric soft adjacency
-        # is read back bit for bit and scores as the attack did
+        # is read back bit for bit; evaluate scores it on every pair, as the
+        # attack scored SC4 (SC1 was scored on the pairs it held no label for)
         atk = tmp_path / "atk"
         assert main(["attack", "--log", sim_log, "--scenario", scenario,
                      "--config", base_cfg, "--out", str(atk)]) == 0
         soft = load_matrix_csv(Path(atk, f"attack_sc{scenario}.csv").read_text())
         assert np.array_equal(soft, soft.T)
+        topo = Path(sim_log, "topology.edges")
         out = tmp_path / "eval.json"
         assert main(["evaluate", "--soft", str(Path(atk, f"attack_sc{scenario}.csv")),
-                     "--topology", str(Path(sim_log, "topology.edges")),
-                     "--policy", "held_out" if scenario == "1" else "all_pairs",
-                     "--out", str(out)]) == 0
-        attacked = json.loads(Path(atk, f"attack_sc{scenario}.result.json").read_text())
+                     "--topology", str(topo), "--out", str(out)]) == 0
         scored = json.loads(out.read_text())
-        for key in ("n_eval_pairs", "f1_05", "best_f1", "auc"):
-            assert scored[key] == attacked[key], key
-
-    @pytest.mark.parametrize("scenario", ["1", "2"])
-    def test_held_out_reproduces_attack(self, sim_log, base_cfg, tmp_path, scenario):
-        assert main(["attack", "--log", sim_log, "--scenario", scenario,
-                     "--config", base_cfg]) == 0
-        out = tmp_path / "eval.json"
-        assert main(["evaluate", "--soft", str(Path(sim_log, f"attack_sc{scenario}.csv")),
-                     "--topology", str(Path(sim_log, "topology.edges")),
-                     "--policy", "held_out", "--out", str(out)]) == 0
-        attacked = json.loads(Path(sim_log, f"attack_sc{scenario}.result.json").read_text())
-        scored = json.loads(out.read_text())
-        for key in ("n_eval_pairs", "f1_05", "best_f1", "auc"):
-            assert scored[key] == attacked[key], key
-
-    @pytest.mark.parametrize("doc", [None, [1, 7, 0.3], {"scenario": 2, "labeled_fraction": 0.3},
-                                     {"scenario": 1, "seed": 7},
-                                     {"scenario": 2, "seed": "7", "labeled_fraction": 0.3},
-                                     # a scenario the table cannot hash is invalid, not a TypeError
-                                     {"scenario": [1], "seed": 7, "labeled_fraction": 0.3},
-                                     {"scenario": {"1": 1}, "seed": 7},
-                                     {"scenario": "1", "seed": 7, "labeled_fraction": 0.3},
-                                     # SC3 and SC4 hold no labels, so they held no pairs out
-                                     {"scenario": 3, "seed": 7}, {"scenario": 4, "seed": 7}])
-    def test_held_out_needs_the_attack_result(self, tmp_path, capsys, doc):
-        (tmp_path / "t.edges").write_text("3 2\n0 1\n1 2\n")
-        soft = tmp_path / "attack_sc1.csv"
-        soft.write_text("0,1,0\n1,0,1\n0,1,0\n")
-        if doc is not None:
-            soft.with_suffix(".result.json").write_text(json.dumps(doc))
-        assert main(["evaluate", "--soft", str(soft), "--topology", str(tmp_path / "t.edges"),
-                     "--policy", "held_out"]) == 2
-        assert str(soft.with_suffix(".result.json")) in capsys.readouterr().err
+        if scenario == "4":
+            attacked = json.loads(Path(atk, f"attack_sc{scenario}.result.json").read_text())
+            expected = {k: attacked[k] for k in scored}
+        else:
+            truth = adjacency_matrix(load_topology(topo.read_text()))
+            expected = dataclasses.asdict(
+                evaluate_soft(soft, truth, all_pairs(len(soft)), ALL_PAIRS))
+        assert scored == expected
 
     def test_missing_soft_file_is_config_error(self, tmp_path):
         topo = tmp_path / "t.edges"
@@ -812,12 +803,29 @@ class TestSweep:
         assert csv_path.read_text() == before
         assert row_statuses(csv_path) == ["ok", "ok"]
 
+    def test_resume_refuses_a_csv_with_another_header(self, tmp_path, capsys):
+        csv_path = tmp_path / "grid.csv"
+        csv_path.write_text("id,value\ndensity-p0.5-sc4-s0,1\n")
+        cfg = write_ini(tmp_path, SWEEP_INI.format(csv=csv_path))
+        assert main(["sweep", "--config", cfg, "--resume"]) == 2
+        assert f"cannot resume {csv_path}" in capsys.readouterr().err
+        assert csv_path.read_text() == "id,value\ndensity-p0.5-sc4-s0,1\n"
+
+    def test_out_csv_is_required(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, SWEEP_INI.format(csv="").replace("out_csv = \n", ""))
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "sweep needs --out or [sweep] out_csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(cfg)]
+
     @pytest.mark.parametrize(
         "argv",
         [["sweep", "--config", "x.ini", "--seed", "1"], ["sweep", "--config", "x.ini", "--derive-seeds"],
          ["evaluate", "--soft", "s.csv", "--topology", "t.edges", "--seed", "1"],
-         ["evaluate", "--soft", "s.csv", "--topology", "t.edges", "--labeled-frac", "0.5"]],
-        ids=["sweep_seed", "sweep_derive_seeds", "evaluate_seed", "evaluate_labeled_frac"],
+         ["evaluate", "--soft", "s.csv", "--topology", "t.edges", "--labeled-frac", "0.5"],
+         ["evaluate", "--soft", "s.csv", "--topology", "t.edges", "--policy", "held_out"],
+         ["evaluate", "--soft", "s.csv", "--topology", "t.edges", "--policy", "all_pairs"]],
+        ids=["sweep_seed", "sweep_derive_seeds", "evaluate_seed", "evaluate_labeled_frac",
+             "evaluate_policy_held_out", "evaluate_policy_all_pairs"],
     )
     def test_seed_flags_that_read_nothing_are_gone(self, argv):
         with pytest.raises(SystemExit) as info:

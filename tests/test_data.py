@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from topoleak.data import (
     DIRICHLET_MAX_REDRAWS,
     Dataset,
+    PartitionPlan,
     dump_csv,
     gen_blobs,
     load_csv,
@@ -89,6 +90,12 @@ class TestPartitionIid:
         labels = np.array([0, 1, 2, 0, 1])
         with pytest.raises(InvalidConfig):
             partition_iid(Dataset(feats, labels), 2, seed=0)
+
+
+class TestPartitionPlan:
+    def test_overlapping_assignments_rejected(self):
+        with pytest.raises(InvalidConfig, match="partition assignments overlap"):
+            PartitionPlan(((0, 1), (1, 2)))
 
 
 def reference_partition_dirichlet(d, n_nodes, alpha, seed):

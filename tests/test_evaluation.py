@@ -745,6 +745,29 @@ class TestStackedGroup:
         assert scored_softs == want_softs
         assert stack_shapes == [(1, self.P)]  # SC1 alone is a stack of one
 
+    def test_a_scenario_that_fails_to_score_fails_its_own_cells(self, monkeypatch):
+        # phase 3: run_scenario refusing SC2 fails SC2's cells of both groups, and no other
+        cells = [
+            ring_cell(k, scenario=sc, seed=seed)
+            for k, (seed, sc) in enumerate([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4)])
+        ]
+        want = run_sweep(cells, STACK_DEFAULTS).rows
+        run = evaluation.run_scenario
+
+        def refuse_sc2(knowledge, *args, **kwargs):
+            if knowledge.scenario == 2:
+                raise ConstantMetric("refused while scoring")
+            return run(knowledge, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run_scenario", refuse_sc2)
+        rows = run_sweep(cells, STACK_DEFAULTS).rows
+        for row, unpatched in zip(rows, want):
+            if row.cell.scenario == 2:
+                assert (row.status, row.result) == ("error:ConstantMetric", None)
+                assert (row.n_edges, row.density) == (unpatched.n_edges, unpatched.density)
+            else:
+                assert row == unpatched and row.status == "ok"
+
     def test_stack_failure_fails_the_supervised_scenarios_only(self, monkeypatch):
         def refuse(fits):
             raise InvalidConfig("the stack is refused")
@@ -898,6 +921,28 @@ class TestResumeAfterCrash:
         again = density_sweep([0.4], 6, [4], [0], defaults=tiny_defaults(), out_csv=cut, resume=True)
         assert len(again.rows) == 1
         assert cut.read_bytes() == full.read_bytes()
+
+    def test_resume_onto_a_missing_file_is_a_fresh_run(self, tmp_path):
+        fresh, resumed = tmp_path / "fresh.csv", tmp_path / "resumed.csv"
+        density_sweep([0.4], 6, [4], [0], defaults=tiny_defaults(), out_csv=fresh)
+        again = density_sweep([0.4], 6, [4], [0], defaults=tiny_defaults(), out_csv=resumed, resume=True)
+        assert len(again.rows) == 1
+        assert resumed.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "header",
+        [[f"col{k}" for k in range(len(CSV_COLUMNS))], ["a", "b", "c"], list(reversed(CSV_COLUMNS))],
+        ids=["other_names", "other_width", "reordered"],
+    )
+    def test_a_foreign_header_is_refused_and_left_as_it_was(self, tmp_path, header):
+        # the row's first field is ring_cell(0)'s id, which must not be taken as done
+        other = tmp_path / "other.csv"
+        blob = f"{','.join(header)}\r\n{','.join(['ring-aNone-sc4-s0'] * len(header))}\r\n".encode()
+        other.write_bytes(blob)
+        with pytest.raises(InvalidConfig) as info:
+            run_sweep([ring_cell(0)], tiny_defaults(), out_csv=other, resume=True)
+        assert f"cannot resume {other}" in str(info.value)
+        assert other.read_bytes() == blob
 
 
 class TestExperimentDefaults:
